@@ -26,10 +26,10 @@ from .mollify import block_mask, cutoff_region, full_box_chain
 from .synth import estimate_holder_exponent, fractional_field, shear_flow, taylor_green
 from .pressure import solve_pressure_channel, solve_pressure_periodic
 from .commutator import scaling_probe
-from .energy_balance import ChiWindow, TestFunction, dr_convergence_sweep
+from .energy_balance import ChiWindow, TestFunction, dr_convergence_sweep, dr_dissipation_field
 from .boundary import conservation_verdict, global_balance, modulus_check
 from .solver import SolverConfig, dissipation_sweep, run, viscous_flux_criterion
-from .reports import echo_config, write_csv, write_json, write_manifest
+from .reports import config_hash, echo_config, write_csv, write_json, write_manifest
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -136,14 +136,14 @@ def _parse_extents(text: str | None, ndim: int, name: str, default=2.0 * np.pi):
     parts = text.lower().split("x")
     if len(parts) != ndim:
         raise ConfigError(f"{name}: expected {ndim} extents")
-    return tuple(float(p) for p in parts)
+    return tuple(_floats(parts, name))
 
 
 def _floats(values, name) -> list[float]:
     try:
         return [float(v) for v in values]
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: expected a list of numbers") from exc
+        raise ConfigError(f"{name}: expected numbers, got {values!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def cmd_diagnose(cfg: dict) -> int:
         alpha = est.exponent
         alpha_source = {"estimated": True, "r2": est.r2, "window": list(window)}
     else:
-        alpha = float(alpha_cfg)
+        alpha = _floats([alpha_cfg], "diagnose.alpha")[0]
         alpha_source = {"estimated": False}
     probe = scaling_probe(snap, alpha, ladder, phi=phi, seed=seed)
     rows = list(zip(probe.flux.epsilons, probe.flux.values, probe.stress_sup.values, probe.grad_sup.values))
@@ -290,8 +290,6 @@ def cmd_diagnose(cfg: dict) -> int:
         summary["weak_identity"] = rep.as_dict()
         summary["dr_sweep"] = sweep.as_dict()
         if len(traj) >= 3:
-            from .energy_balance import dr_dissipation_field
-
             dtimes, defect = dr_dissipation_field(traj, max(ladder), chain)
             for k, tv in enumerate(dtimes):
                 fieldio.write_scalar_field(
@@ -470,8 +468,6 @@ def cmd_report(cfg: dict) -> int:
     print(f"report: {indir} (oflux {manifest.get('version')}, config {manifest.get('config_sha256', '')[:12]})")
     config_path = indir / "config.json"
     if config_path.exists():
-        from .reports import config_hash
-
         stored = json.loads(config_path.read_text(encoding="utf-8"))
         if config_hash(stored) != manifest.get("config_sha256"):
             print("  WARNING: config hash mismatch")
@@ -551,9 +547,9 @@ def _overrides(args) -> dict:
         if key in skip or val is None:
             continue
         if key in ("epsilons", "etas", "nus") and isinstance(val, str):
-            val = [float(x) for x in val.split(",")]
+            val = _floats(val.split(","), f"{args.command}.{key}")
         if key == "alpha" and isinstance(val, str) and val != "auto":
-            val = float(val)
+            val = _floats([val], f"{args.command}.alpha")[0]
         out[key] = val
     return out
 

@@ -212,7 +212,8 @@ def fit_loglog(epsilons, values, predicted: float, quantity: str) -> SlopeFit:
 
     The slope is asserted when r^2 >= 0.9, or when the rms log-residual is
     below 5% (a nearly scale-flat curve has vanishing log-variance, so r^2
-    alone would spuriously reject an excellent fit); otherwise passes = None.
+    alone would spuriously reject an excellent fit); otherwise, and whenever
+    a value is NaN or infinite, passes = None.
     """
     eps = np.asarray(epsilons, dtype=float)
     vals = np.asarray(values, dtype=float)
@@ -220,6 +221,10 @@ def fit_loglog(epsilons, values, predicted: float, quantity: str) -> SlopeFit:
         raise PreconditionError("need at least 4 ladder rungs for a slope fit")
     if not np.all(np.diff(eps) < 0):
         raise PreconditionError("epsilon ladder must be strictly decreasing")
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        return SlopeFit(quantity, tuple(eps), tuple(vals), float("nan"), 0.0, predicted, None,
+                        f"{int(bad.sum())} non-finite rungs")
     live = vals > 0
     note = ""
     if live.sum() < 4:

@@ -337,6 +337,19 @@ def deriv2(f: np.ndarray, axis: int, grid: Grid) -> np.ndarray:
     return out
 
 
+def second_difference_eigenvalues(phase: np.ndarray, h: float) -> np.ndarray:
+    """Eigenvalues -(2 sin(phase) / h)^2 of the 3-point second difference.
+
+    For mode k, ``phase`` is pi k / m on m periodic points (FFT).  On a wall
+    axis each closure has its real-to-real transform (Schumann & Sweet 1988):
+    pi k / (2(m-1)) on m nodes with ghost-eliminated Neumann rows (DCT-I),
+    pi k / (2m) on m cells with even ghosts (DCT-II), pi (k+1) / (2m) on m
+    cells with odd ghosts (DST-II), pi (k+1) / (2(m+1)) on m faces between
+    zero walls (DST-I).
+    """
+    return -((2.0 * np.sin(phase) / h) ** 2)
+
+
 def gradient(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Gradient of a scalar field: shape ``(ndim, *dims)``."""
     return np.stack([deriv(f, a, grid) for a in range(grid.ndim)])

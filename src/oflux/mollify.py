@@ -224,16 +224,6 @@ def mollify_field(
     raise PreconditionError(f"unknown mollification method {method!r}")
 
 
-def mollify_snapshot(
-    snap: Snapshot, mollifier: Mollifier, region: np.ndarray | None = None, method: str = "auto"
-) -> Snapshot:
-    v = mollify_field(snap.velocity, mollifier, snap.grid, region, method)
-    p = None
-    if snap.pressure is not None:
-        p = mollify_field(snap.pressure, mollifier, snap.grid, region, method)
-    return Snapshot(snap.grid, v, p, snap.time, dict(snap.tags))
-
-
 # ---------------------------------------------------------------------------
 # nested regions
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 The periodic solve inverts the Poisson equation -Lap p = d_i d_j (u_i u_j)
 spectrally.  The channel solve attacks the physical Neumann problem
 (dp/dn = -(u.grad u).n on the walls) with spectral differentiation in the
-tangential axes and a second-order tridiagonal solve per tangential mode;
-the zero mode's right side is projected onto the solvable subspace.  The
-gauge is mean-zero everywhere: domain mean on periodic boxes, interior-node
-mean on channels.
+tangential axes and the second-order node stencil in the wall axis, which
+the DCT-I diagonalizes; the zero mode's right side is projected onto the
+solvable subspace.  The gauge is mean-zero everywhere: domain mean on
+periodic boxes, interior-node mean on channels.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 
 from .errors import PreconditionError
-from .grids import WALL, Domain, Grid, Snapshot, deriv, deriv2
+from .grids import WALL, Domain, Grid, Snapshot, deriv, deriv2, second_difference_eigenvalues
 from .mollify import CutoffField, cutoff_region
 from .synth import holder_norm
 
@@ -111,25 +112,6 @@ def _channel_source(snap: Snapshot) -> np.ndarray:
     return src
 
 
-def _thomas_solve(lower, diag, upper, rhs):
-    """Vectorized Thomas algorithm along the last axis (no pivoting)."""
-    n = rhs.shape[-1]
-    c = np.zeros_like(rhs)
-    d = np.zeros_like(rhs)
-    c[..., 0] = upper[..., 0] / diag[..., 0]
-    d[..., 0] = rhs[..., 0] / diag[..., 0]
-    for j in range(1, n):
-        denom = diag[..., j] - lower[..., j - 1] * c[..., j - 1]
-        if j < n - 1:
-            c[..., j] = upper[..., j] / denom
-        d[..., j] = (rhs[..., j] - lower[..., j - 1] * d[..., j - 1]) / denom
-    x = np.zeros_like(rhs)
-    x[..., -1] = d[..., -1]
-    for j in range(n - 2, -1, -1):
-        x[..., j] = d[..., j] - c[..., j] * x[..., j + 1]
-    return x
-
-
 def solve_channel_neumann(
     source: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray, domain: Domain
 ) -> np.ndarray:
@@ -146,47 +128,25 @@ def solve_channel_neumann(
     h = grid.spacing[w]
     per_axes = [a for a in range(grid.ndim) if a != w]
 
-    f = np.moveaxis(source, w, -1)  # (tangential..., y)
-    f_hat = np.fft.fftn(f, axes=tuple(range(f.ndim - 1)))
-    g_lo_hat = np.fft.fftn(np.asarray(g_lo, dtype=float))
-    g_hi_hat = np.fft.fftn(np.asarray(g_hi, dtype=float))
+    # rows p'' + Lap_tangential p = -S, with the ghost-eliminated Neumann closures
+    rhs = -np.moveaxis(source, w, -1)  # (tangential..., y)
+    rhs[..., 0] += (2.0 / h) * np.asarray(g_lo, dtype=float)
+    rhs[..., -1] -= (2.0 / h) * np.asarray(g_hi, dtype=float)
 
-    kper = np.meshgrid(*[grid.wavenumbers(a) for a in per_axes], indexing="ij", sparse=True)
-    k2 = sum(k * k for k in kper) if kper else np.array(0.0)
-    k2 = np.broadcast_to(k2, f_hat.shape[:-1]).copy()
+    kper = [grid.wavenumbers(a) for a in per_axes]
+    kper[-1] = kper[-1][: len(kper[-1]) // 2 + 1]  # real-FFT half
+    k2 = sum(k * k for k in np.meshgrid(*kper, indexing="ij", sparse=True))
+    lam = second_difference_eigenvalues(0.5 * np.pi * np.arange(ny) / (ny - 1), h) - k2[..., None]
+    # the zero mode's DCT-I coefficient is the trapezoid sum of the right
+    # side: zeroing it is the projection onto the solvable subspace
+    zero = (0,) * lam.ndim
+    lam[zero] = 1.0
+    inv_lam = 1.0 / lam
+    inv_lam[zero] = 0.0
 
-    # rows: p'' - k^2 p = -S_hat, with the ghost-eliminated Neumann closures
-    rhs = -f_hat.copy()
-    rhs[..., 0] += (2.0 / h) * g_lo_hat
-    rhs[..., -1] -= (2.0 / h) * g_hi_hat
-
-    diag = np.empty(f_hat.shape, dtype=complex)
-    lower = np.empty(f_hat.shape[:-1] + (ny - 1,), dtype=complex)
-    upper = np.empty_like(lower)
-    diag[...] = (-2.0 / h**2) - k2[..., None]
-    lower[...] = 1.0 / h**2
-    upper[...] = 1.0 / h**2
-    upper[..., 0] = 2.0 / h**2
-    lower[..., -1] = 2.0 / h**2
-
-    # zero tangential mode: singular Neumann problem -> project and pin
-    zero_idx = (0,) * (f_hat.ndim - 1)
-    wts = np.full(ny, 1.0)
-    wts[0] = wts[-1] = 0.5
-    r0 = rhs[zero_idx]
-    c = np.sum(wts * r0) / np.sum(wts)
-    r0 = r0 - c
-    r0[0] = 0.0
-    rhs[zero_idx] = r0
-    d0 = diag[zero_idx].copy()
-    d0[0] = 1.0
-    diag[zero_idx] = d0
-    u0 = upper[zero_idx].copy()
-    u0[0] = 0.0
-    upper[zero_idx] = u0
-
-    p_hat = _thomas_solve(lower, diag, upper, rhs)
-    p = np.fft.ifftn(p_hat, axes=tuple(range(f.ndim - 1))).real
+    tangential = tuple(range(rhs.ndim - 1))
+    p_hat = sfft.rfftn(sfft.dct(rhs, type=1, axis=-1), axes=tangential) * inv_lam
+    p = sfft.idct(sfft.irfftn(p_hat, s=rhs.shape[:-1], axes=tangential), type=1, axis=-1)
     p = np.moveaxis(p, -1, w)
 
     interior = [slice(None)] * grid.ndim
@@ -224,15 +184,6 @@ def solve_pressure_channel(snap: Snapshot, domain: Domain, imp_tol: float = 1e-8
     interior[w] = slice(1, -1)
     residual = float(np.abs((-lap - source)[tuple(interior)]).max())
     return PressureSolveReport(p, residual, "zero-mean (interior nodes)", "neumann: dp/dn = -(u.grad u).n")
-
-
-def attach_pressure(snap: Snapshot, domain: Domain) -> Snapshot:
-    """Convenience: solve for p on either geometry and attach it."""
-    if domain.geometry == "periodic":
-        rep = solve_pressure_periodic(snap)
-    else:
-        rep = solve_pressure_channel(snap, domain)
-    return snap.with_pressure(rep.pressure)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,6 @@ def write_manifest(outdir: str | Path, config: dict, seeds=()) -> Path:
         "version": __version__,
         "config_sha256": config_hash(config),
         "seeds": list(seeds),
-        "thread_tiles": 1,
     }
     return write_json(Path(outdir) / "manifest.json", manifest)
 

@@ -3,9 +3,10 @@
 MAC staggered layout internally; node-collocated snapshots on output.
 The advection operator uses the skew-symmetric (half divergence + half
 advective) form so the inviscid core conserves kinetic energy; diffusion is
-Crank-Nicolson (exact spectral solve on the box, tridiagonal per tangential
-mode in the channel); the pressure projection enforces the MAC divergence
-to round-off.
+Crank-Nicolson and the pressure projection enforces the MAC divergence to
+round-off.  Both are diagonal in a fast-transform basis: the 2D FFT on the
+box; in the channel an FFT along the walls and, across them, the DCT-II
+(projection), DST-II (u) or DST-I (v) of the wall closure.
 
 Energy audit: with the plain staggered inner product, the CN half-step
 removes exactly nu*dt*||grad m||^2 (m the CN midpoint) per step and the
@@ -19,12 +20,15 @@ but tiny) time-integration drift of the advection stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 
+from .boundary import flux_trend_ok, shell_flux
 from .errors import PreconditionError
-from .grids import Domain, Grid, Snapshot, Trajectory
+from .grids import Domain, Grid, Snapshot, Trajectory, divergence, second_difference_eigenvalues
+from .pressure import solve_pressure_channel
 
 # ---------------------------------------------------------------------------
 # configuration and state
@@ -108,58 +112,53 @@ def _grad_correct(u, v, q, domain: Domain):
     return u, v
 
 
-class _Projector:
-    """Poisson solve for the MAC projection (periodic: DFT-diagonal; channel:
-    DFT in x, Thomas in y with homogeneous Neumann)."""
+class _Diagonal:
+    """w -> T^-1 (mult * T w) for a transform T that diagonalizes a MAC
+    operator: the 2D FFT on the box; in the channel the real FFT in x after
+    the real-to-real transform ``r2r = (forward, inverse, type)`` in y."""
+
+    def __init__(self, mult, r2r=None):
+        self.mult = mult
+        self.r2r = r2r
+
+    def __call__(self, w):
+        if self.r2r is None:
+            return np.fft.ifft2(np.fft.fft2(w) * self.mult).real
+        fwd, inv, kind = self.r2r
+        wh = sfft.rfft(fwd(w, type=kind, axis=1), axis=0) * self.mult
+        return inv(sfft.irfft(wh, n=w.shape[0], axis=0), type=kind, axis=1)
+
+
+def _laplacian_eigenvalues(domain: Domain, phase_y) -> np.ndarray:
+    """5-point Laplacian eigenvalues: periodic x modes (the real-FFT half in
+    the channel) plus the y eigenvalues at ``phase_y``."""
+    nx, ncy, nvy, hx, hy = _geometry(domain)
+    lam_x = second_difference_eigenvalues(np.pi * np.arange(nx) / nx, hx)
+    if domain.geometry == "channel":
+        lam_x = lam_x[: nx // 2 + 1]
+    return lam_x[:, None] + second_difference_eigenvalues(phase_y, hy)[None, :]
+
+
+class _Projector(_Diagonal):
+    """Inverse Laplacian of the MAC projection (channel: homogeneous Neumann,
+    DCT-II); the mean mode is zeroed, which is the compatibility gauge."""
 
     def __init__(self, domain: Domain):
-        self.domain = domain
         nx, ncy, nvy, hx, hy = _geometry(domain)
-        kx = 2.0 * np.sin(np.pi * np.arange(nx) / nx) / hx
-        self.lam_x = -(kx**2)  # eigenvalues of the 1D periodic 3-point Laplacian
         if domain.geometry == "periodic":
-            ky = 2.0 * np.sin(np.pi * np.arange(ncy) / ncy) / hy
-            lam = self.lam_x[:, None] - (ky**2)[None, :]
-            lam[0, 0] = 1.0
-            self.inv_lam = 1.0 / lam
-            self.inv_lam[0, 0] = 0.0
+            lam = _laplacian_eigenvalues(domain, np.pi * np.arange(ncy) / ncy)
+            r2r = None
         else:
-            self.hy = hy
-            self.ncy = ncy
-
-    def solve(self, rhs):
-        """Solve Lap q = rhs with the compatible gauge; returns q on cells."""
-        if self.domain.geometry == "periodic":
-            qh = np.fft.fft2(rhs) * self.inv_lam
-            return np.fft.ifft2(qh).real
-        rhs_h = np.fft.fft(rhs, axis=0)
-        rhs_h[0] -= rhs_h[0].mean()  # compatibility for the Neumann zero mode
-        ny = self.ncy
-        hy2 = self.hy**2
-        diag = np.full((rhs_h.shape[0], ny), -2.0 / hy2, dtype=complex)
-        diag += self.lam_x[:, None]
-        diag[:, 0] += 1.0 / hy2  # Neumann closure: ghost = first cell
-        diag[:, -1] += 1.0 / hy2
-        lower = np.full((rhs_h.shape[0], ny - 1), 1.0 / hy2, dtype=complex)
-        upper = lower.copy()
-        d0 = diag[0].copy()
-        d0[0] = 1.0
-        diag[0] = d0
-        u0 = upper[0].copy()
-        u0[0] = 0.0
-        upper[0] = u0
-        r0 = rhs_h[0].copy()
-        r0[0] = 0.0
-        rhs_h[0] = r0
-        from .pressure import _thomas_solve
-
-        qh = _thomas_solve(lower, diag, upper, rhs_h)
-        return np.fft.ifft(qh, axis=0).real
+            lam = _laplacian_eigenvalues(domain, 0.5 * np.pi * np.arange(ncy) / ncy)
+            r2r = (sfft.dct, sfft.idct, 2)
+        lam[0, 0] = 1.0
+        inv_lam = 1.0 / lam
+        inv_lam[0, 0] = 0.0
+        super().__init__(inv_lam, r2r)
 
 
 def project(u, v, domain: Domain, projector: _Projector):
-    div = _divergence(u, v, domain)
-    q = projector.solve(div)
+    q = projector(_divergence(u, v, domain))
     return _grad_correct(u, v, q, domain)
 
 
@@ -228,73 +227,34 @@ def advection(u, v, domain: Domain):
 
 
 class _Diffuser:
+    """Crank-Nicolson step (I - cL) w' = (I + cL) w with c = nu dt / 2, i.e.
+    the factor (1 + c lam) / (1 - c lam) on each eigenmode of L.  Channel:
+    u sees no-slip ghosts (-u0, DST-II), v lives on the interior faces with
+    the wall faces held at zero (DST-I)."""
+
     def __init__(self, domain: Domain, nu: float, dt: float):
         self.domain = domain
-        self.c = 0.5 * nu * dt
+        self.c = c = 0.5 * nu * dt
         nx, ncy, nvy, hx, hy = _geometry(domain)
-        self.hy = hy
-        kx = 2.0 * np.sin(np.pi * np.arange(nx) / nx) / hx
-        self.lam_x = -(kx**2)
+
+        def amp(lam):
+            return (1.0 + c * lam) / (1.0 - c * lam)
+
         if domain.geometry == "periodic":
-            ky = 2.0 * np.sin(np.pi * np.arange(ncy) / ncy) / hy
-            lam = self.lam_x[:, None] - (ky**2)[None, :]
-            self.amp = (1.0 + self.c * lam) / (1.0 - self.c * lam)
-
-    def _lap_y_u(self, u):
-        hy2 = self.hy**2
-        out = np.empty_like(u)
-        out[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / hy2
-        out[:, 0] = (u[:, 1] - 3.0 * u[:, 0]) / hy2  # ghost = -u0 (no-slip)
-        out[:, -1] = (u[:, -2] - 3.0 * u[:, -1]) / hy2
-        return out
-
-    def _lap_y_v(self, v):
-        hy2 = self.hy**2
-        out = np.zeros_like(v)
-        out[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / hy2
-        return out
-
-    def _solve_channel(self, w, kind):
-        """(I - c(Lx + Ly)) w' = (I + c(Lx + Ly)) w, tridiagonal per x mode."""
-        c = self.c
-        hy2 = self.hy**2
-        wh = np.fft.fft(w, axis=0)
-        lap_y = self._lap_y_u(w) if kind == "u" else self._lap_y_v(w)
-        rhs = np.fft.fft(w + c * lap_y, axis=0) + c * self.lam_x[:, None] * wh
-        if kind == "u":
-            n = w.shape[1]
-            diag = np.empty((w.shape[0], n), dtype=complex)
-            diag[...] = 1.0 + c * (2.0 / hy2) - c * self.lam_x[:, None]
-            diag[:, 0] = 1.0 + c * (3.0 / hy2) - c * self.lam_x
-            diag[:, -1] = 1.0 + c * (3.0 / hy2) - c * self.lam_x
-            lower = np.full((w.shape[0], n - 1), -c / hy2, dtype=complex)
-            upper = lower.copy()
-            from .pressure import _thomas_solve
-
-            sol = _thomas_solve(lower, diag, upper, rhs)
-            return np.fft.ifft(sol, axis=0).real
-        # v: interior faces only, walls pinned at zero
-        inner = rhs[:, 1:-1]
-        n = inner.shape[1]
-        diag = np.empty((w.shape[0], n), dtype=complex)
-        diag[...] = 1.0 + c * (2.0 / hy2) - c * self.lam_x[:, None]
-        lower = np.full((w.shape[0], n - 1), -c / hy2, dtype=complex)
-        upper = lower.copy()
-        from .pressure import _thomas_solve
-
-        sol = _thomas_solve(lower, diag, upper, inner)
-        out = np.zeros_like(w)
-        out[:, 1:-1] = np.fft.ifft(sol, axis=0).real
-        return out
+            self.u = self.v = _Diagonal(amp(_laplacian_eigenvalues(domain, np.pi * np.arange(ncy) / ncy)))
+        else:
+            phase = 0.5 * np.pi * np.arange(1, ncy + 1) / ncy
+            self.u = _Diagonal(amp(_laplacian_eigenvalues(domain, phase)), (sfft.dst, sfft.idst, 2))
+            self.v = _Diagonal(amp(_laplacian_eigenvalues(domain, phase[:-1])), (sfft.dst, sfft.idst, 1))
 
     def step(self, u, v):
         if self.c == 0.0:
             return u, v
         if self.domain.geometry == "periodic":
-            un = np.fft.ifft2(np.fft.fft2(u) * self.amp).real
-            vn = np.fft.ifft2(np.fft.fft2(v) * self.amp).real
-            return un, vn
-        return self._solve_channel(u, "u"), self._solve_channel(v, "v")
+            return self.u(u), self.v(v)
+        vn = np.zeros_like(v)
+        vn[:, 1:-1] = self.v(v[:, 1:-1])
+        return self.u(u), vn
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +338,6 @@ def mac_to_nodes(state: MacState, domain: Domain, tags: dict | None = None) -> S
         vn = 0.5 * (v + np.roll(v, 1, axis=0))
         vn[:, 0] = 0.0
         vn[:, -1] = 0.0
-    from .grids import divergence
-
     probe = Snapshot(grid, np.stack([un, vn]), None, state.t)
     div = float(np.abs(divergence(probe)).max())
     out_tags = dict(tags or {})
@@ -410,16 +368,20 @@ class DissipationSeries:
             )
 
 
-def _check_cfl(u, v, cfg: SolverConfig):
+def _check_cfl(u, v, cfg: SolverConfig, t: float):
     nx, ncy, nvy, hx, hy = _geometry(cfg.domain)
     hmin = min(hx, hy)
-    umax = max(float(np.abs(u).max()), float(np.abs(v).max()), 1e-300)
+    umax = float(np.max([np.abs(u).max(), np.abs(v).max()]))  # NaN propagates
+    if not np.isfinite(umax):
+        k = int(round(t / cfg.dt)) + 1
+        raise PreconditionError(f"non-finite velocity entering step {k} (t={t:g}): max |u| = {umax}")
+    umax = max(umax, 1e-300)
     adv_dt = cfg.cfl_limit * hmin / umax
     dif_dt = 0.25 * hmin**2 / cfg.nu if cfg.nu > 0 else float("inf")
     admissible = min(adv_dt, dif_dt)
     if cfg.dt > admissible * (1.0 + 1e-9):
         raise CFLViolation(
-            f"CFL violation at t: dt={cfg.dt:g} exceeds admissible {admissible:g} "
+            f"CFL violation at t={t:g}: dt={cfg.dt:g} exceeds admissible {admissible:g} "
             f"(advective {adv_dt:g}, diffusive {dif_dt:g})",
             admissible,
         )
@@ -434,7 +396,7 @@ def step(state: MacState, cfg: SolverConfig, projector=None, diffuser=None):
     u, v = state.u, state.v
     dom = cfg.domain
     dt = cfg.dt
-    _check_cfl(u, v, cfg)
+    _check_cfl(u, v, cfg, state.t)
 
     du1, dv1 = advection(u, v, dom)
     u1, v1 = project(u + dt * du1, v + dt * dv1, dom, projector)
@@ -586,9 +548,6 @@ def viscous_flux_criterion(runs, etas, domain: Domain) -> ViscousFluxReport:
     node snapshots so diagnostics use the Bernoulli pressure of the momentum
     balance, not the projector's internal pseudo-pressure.
     """
-    from .boundary import flux_trend_ok, shell_flux
-    from .pressure import solve_pressure_channel
-
     if domain.geometry != "channel":
         raise PreconditionError("viscous flux criterion requires channel geometry")
     if len(runs) < 2:

@@ -197,3 +197,46 @@ def test_diagnose_trajectory_runs_dr_sweep(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert "dr_sweep" in summary
     assert (out / "dr_sweep.csv").exists()
+
+
+def test_malformed_epsilon_list_exit_code(tmp_path, capsys):
+    gen_out = tmp_path / "g"
+    main(["gen", "--kind", "taylor-green", "--grid", "64x64", "--out", str(gen_out)])
+    code = main(["diagnose", "--in", str(gen_out / "field.oflx"), "--out", str(tmp_path / "d"),
+                 "--epsilons", "1,x"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "diagnose.epsilons" in err and "internal error" not in err
+
+
+def test_malformed_alpha_and_nus_exit_code(tmp_path, capsys):
+    gen_out = tmp_path / "g"
+    main(["gen", "--kind", "taylor-green", "--grid", "64x64", "--out", str(gen_out)])
+    assert main(["diagnose", "--in", str(gen_out / "field.oflx"), "--alpha", "half"]) == 3
+    cfg = _write(tmp_path, {"input": str(gen_out / "field.oflx"), "alpha": "half"})
+    assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")]) == 3
+    assert main(["sweep", "--nus", "0.01,", "--dt", "0.01", "--t-end", "0.1"]) == 3
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_malformed_extent_exit_code(tmp_path, capsys):
+    code = main(["gen", "--kind", "fractional", "--alpha", "0.4", "--grid", "64x64",
+                 "--extent", "1xfoo", "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "gen.extent" in err and "internal error" not in err
+
+
+def test_sweep_non_finite_initial_state_exit_code(tmp_path, capsys):
+    cfg = {
+        "geometry": "periodic",
+        "grid": "32x32",
+        "initial": {"kind": "taylor-green", "t": float("nan")},  # NaN decay factor
+        "nus": [1e-2, 3e-3],
+        "dt": 0.01,
+        "t_end": 0.1,
+    }
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    assert "non-finite velocity entering step 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("s/traj_*"))

@@ -183,3 +183,13 @@ def test_fit_loglog_gates():
     noisy = [1.0, 0.9, 1.1, 0.2]
     fit3 = fit_loglog(eps, noisy, predicted=0.0, quantity="demo")
     assert fit3.r2 < 0.9 and fit3.passes is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_loglog_non_finite_not_assessable(bad):
+    eps = [0.8, 0.4, 0.2, 0.1, 0.05]
+    vals = [e**1.5 for e in eps]
+    vals[2] = bad  # four finite positive rungs remain
+    fit = fit_loglog(eps, vals, predicted=1.4, quantity="demo")
+    assert fit.passes is None
+    assert "non-finite" in fit.note

@@ -1,0 +1,137 @@
+"""Tridiagonal (Thomas) reference solves for the channel operators.
+
+The package applies its channel solves as fast transforms; these are the
+direct stencil assemblies they replace, kept as test oracles: an FFT along
+the periodic axes, then one tridiagonal system per tangential mode.
+"""
+
+import numpy as np
+
+
+def thomas_solve(lower, diag, upper, rhs):
+    """Vectorized Thomas algorithm along the last axis (no pivoting)."""
+    n = rhs.shape[-1]
+    c = np.zeros_like(rhs)
+    d = np.zeros_like(rhs)
+    c[..., 0] = upper[..., 0] / diag[..., 0]
+    d[..., 0] = rhs[..., 0] / diag[..., 0]
+    for j in range(1, n):
+        denom = diag[..., j] - lower[..., j - 1] * c[..., j - 1]
+        if j < n - 1:
+            c[..., j] = upper[..., j] / denom
+        d[..., j] = (rhs[..., j] - lower[..., j - 1] * d[..., j - 1]) / denom
+    x = np.zeros_like(rhs)
+    x[..., -1] = d[..., -1]
+    for j in range(n - 2, -1, -1):
+        x[..., j] = d[..., j] - c[..., j] * x[..., j + 1]
+    return x
+
+
+def lap_x(w, hx):
+    """Periodic 3-point second difference along axis 0."""
+    return (np.roll(w, -1, 0) - 2 * w + np.roll(w, 1, 0)) / hx**2
+
+
+def lap_y_u(u, hy):
+    """Wall-axis second difference of u on cells, no-slip ghost = -u0."""
+    out = np.empty_like(u)
+    out[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / hy**2
+    out[:, 0] = (u[:, 1] - 3.0 * u[:, 0]) / hy**2
+    out[:, -1] = (u[:, -2] - 3.0 * u[:, -1]) / hy**2
+    return out
+
+
+def lap_y_v(v, hy):
+    """Wall-axis second difference of v on faces; the wall rows stay 0."""
+    out = np.zeros_like(v)
+    out[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / hy**2
+    return out
+
+
+def _periodic_eigs(nx, hx):
+    return -((2.0 * np.sin(np.pi * np.arange(nx) / nx) / hx) ** 2)
+
+
+def _tridiag(shape, main, off):
+    diag = np.empty(shape, dtype=complex)
+    diag[...] = main
+    lower = np.full(shape[:-1] + (shape[-1] - 1,), off, dtype=complex)
+    return lower, diag, lower.copy()
+
+
+def project_solve(rhs, hx, hy):
+    """MAC projection Poisson solve on cells, homogeneous Neumann in y.
+
+    The x-zero mode's right side loses its mean and its first cell is pinned
+    to 0, so the result is fixed up to that gauge."""
+    lam_x = _periodic_eigs(rhs.shape[0], hx)
+    rhs_h = np.fft.fft(rhs, axis=0)
+    rhs_h[0] -= rhs_h[0].mean()
+    lower, diag, upper = _tridiag(rhs_h.shape, -2.0 / hy**2, 1.0 / hy**2)
+    diag += lam_x[:, None]
+    diag[:, 0] += 1.0 / hy**2  # Neumann closure: ghost = first cell
+    diag[:, -1] += 1.0 / hy**2
+    diag[0, 0] = 1.0
+    upper[0, 0] = 0.0
+    rhs_h[0, 0] = 0.0
+    return np.fft.ifft(thomas_solve(lower, diag, upper, rhs_h), axis=0).real
+
+
+def diffuse_u(u, c, hx, hy):
+    """Crank-Nicolson (I - cL) u' = (I + cL) u with no-slip ghosts."""
+    lam_x = _periodic_eigs(u.shape[0], hx)
+    rhs = np.fft.fft(u + c * (lap_x(u, hx) + lap_y_u(u, hy)), axis=0)
+    lower, diag, upper = _tridiag(rhs.shape, 1.0 + 2.0 * c / hy**2, -c / hy**2)
+    diag -= c * lam_x[:, None]
+    diag[:, 0] += c / hy**2
+    diag[:, -1] += c / hy**2
+    return np.fft.ifft(thomas_solve(lower, diag, upper, rhs), axis=0).real
+
+
+def diffuse_v(v, c, hx, hy):
+    """Crank-Nicolson step for v on the interior faces, walls held at 0."""
+    lam_x = _periodic_eigs(v.shape[0], hx)
+    rhs = np.fft.fft(v + c * (lap_x(v, hx) + lap_y_v(v, hy)), axis=0)[:, 1:-1]
+    lower, diag, upper = _tridiag(rhs.shape, 1.0 + 2.0 * c / hy**2, -c / hy**2)
+    diag -= c * lam_x[:, None]
+    out = np.zeros_like(v)
+    out[:, 1:-1] = np.fft.ifft(thomas_solve(lower, diag, upper, rhs), axis=0).real
+    return out
+
+
+def neumann_solve(source, g_lo, g_hi, domain):
+    """Node Neumann solve of -Lap p = source, dp/dy = g_lo, g_hi on the walls
+    (spectral tangential Laplacian), with interior-node mean zero."""
+    grid = domain.grid
+    w = domain.wall_axis
+    ny = grid.dims[w]
+    h = grid.spacing[w]
+    per_axes = [a for a in range(grid.ndim) if a != w]
+
+    f = np.moveaxis(source, w, -1)
+    tangential = tuple(range(f.ndim - 1))
+    rhs = -np.fft.fftn(f, axes=tangential)
+    rhs[..., 0] += (2.0 / h) * np.fft.fftn(g_lo)
+    rhs[..., -1] -= (2.0 / h) * np.fft.fftn(g_hi)
+    kper = np.meshgrid(*[grid.wavenumbers(a) for a in per_axes], indexing="ij", sparse=True)
+    k2 = np.broadcast_to(sum(k * k for k in kper), rhs.shape[:-1])
+
+    lower, diag, upper = _tridiag(rhs.shape, -2.0 / h**2, 1.0 / h**2)
+    diag -= k2[..., None]
+    upper[..., 0] = 2.0 / h**2
+    lower[..., -1] = 2.0 / h**2
+
+    # zero tangential mode: project onto the solvable subspace, pin p_0
+    zero = (0,) * (rhs.ndim - 1)
+    wts = np.ones(ny)
+    wts[0] = wts[-1] = 0.5
+    rhs[zero] -= np.sum(wts * rhs[zero]) / np.sum(wts)
+    rhs[zero + (0,)] = 0.0
+    diag[zero + (0,)] = 1.0
+    upper[zero + (0,)] = 0.0
+
+    p = np.fft.ifftn(thomas_solve(lower, diag, upper, rhs), axes=tangential).real
+    p = np.moveaxis(p, -1, w)
+    interior = [slice(None)] * grid.ndim
+    interior[w] = slice(1, -1)
+    return p - p[tuple(interior)].mean()
