@@ -293,13 +293,11 @@ def conservation_verdict(
 
     if gamma is None:
         gamma = 0.5 * max(etas)
+    cf = cutoff_region(grid, d < gamma / 2.0, d < gamma)
     pn = 0.0
     for snap in traj.snapshots:
         if snap.pressure is None:
             raise PreconditionError("conservation_verdict requires pressure on every snapshot")
-        inner = d < gamma / 2.0
-        outer = d < gamma
-        cf = cutoff_region(grid, inner, outer)
         pn = max(pn, negative_sobolev_norm(snap.pressure, beta, grid, cutoff=cf).value)
     pn_finite = bool(np.isfinite(pn))
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from .pressure import solve_pressure_channel, solve_pressure_periodic
 from .commutator import scaling_probe
 from .energy_balance import ChiWindow, TestFunction, dr_convergence_sweep, dr_dissipation_field
 from .boundary import conservation_verdict, global_balance, modulus_check
-from .solver import SolverConfig, dissipation_sweep, run, viscous_flux_criterion
+from .solver import SolverConfig, dissipation_report, run, truncate, viscous_flux_criterion, whole_steps
 from .reports import config_hash, echo_config, write_csv, write_json, write_manifest
 
 EXIT_OK = 0
@@ -116,6 +118,8 @@ def _load_config(command: str, path: str | None, overrides: dict) -> dict:
             cfg[key] = float(val)
         elif not isinstance(val, kinds):
             raise ConfigError(f"{command}.{key}: expected {want}, got {type(val).__name__}")
+        elif isinstance(val, float) and not math.isfinite(val):
+            raise ConfigError(f"{command}.{key}: expected a finite number, got {val}")
     env_out = os.environ.get("OFLUX_OUTPUT_DIR")
     if env_out and "out" in schema and "out" not in cfg:
         cfg["out"] = env_out
@@ -141,9 +145,12 @@ def _parse_extents(text: str | None, ndim: int, name: str, default=2.0 * np.pi):
 
 def _floats(values, name) -> list[float]:
     try:
-        return [float(v) for v in values]
+        out = [float(v) for v in values]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: expected numbers, got {values!r}") from exc
+    if not all(math.isfinite(v) for v in out):
+        raise ConfigError(f"{name}: expected finite numbers, got {values!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -403,22 +410,35 @@ def cmd_sweep(cfg: dict) -> int:
         if initial.grid.dims != grid.dims:
             raise ConfigError("sweep.initial grid does not match sweep.grid")
 
-    nus = _floats(cfg["nus"], "sweep.nus")
+    nus = sorted(_floats(cfg["nus"], "sweep.nus"), reverse=True)
+    if not nus:
+        raise ConfigError("sweep.nus: empty viscosity ladder")
     dt = float(cfg["dt"])
     t_end = float(cfg["t_end"])
     t_star = float(cfg.get("t_star", t_end))
-    stride = int(cfg.get("snapshot_stride", max(1, int(round(t_end / dt)) // 8)))
-    base = SolverConfig(domain, nus[0], dt, t_end, initial, float(cfg.get("cfl_limit", 0.5)), stride)
+    # built first so dt is checked before the step counts divide by it
+    base = SolverConfig(domain, nus[0], dt, max(t_end, t_star), initial, float(cfg.get("cfl_limit", 0.5)))
+    n_end = whole_steps(t_end, dt, "t_end")
+    whole_steps(t_star, dt, "t_star")  # rejected before any integration
+    base = replace(base, snapshot_stride=int(cfg.get("snapshot_stride", max(1, n_end // 8))))
 
-    sweep_rep = dissipation_sweep(base, nus, t_star)
+    # One run per nu to max(t_end, t_star): the dissipation is read at t_star,
+    # trajectories and series are cut at t_end.  Every nu is integrated before
+    # any file is written, so a failing run leaves no partial output.
+    swept = []
+    runs = []
+    kept = []
+    for nu in nus:
+        traj, series = run(replace(base, nu=nu))
+        swept.append((nu, series))
+        traj, series = truncate(traj, series, n_end)
+        runs.append((nu, traj))
+        kept.append(series)
+    sweep_rep = dissipation_report(swept, domain, dt, t_star)
     write_csv(out / "dissipation.csv", ["nu", "dissipation", "resolved"], sweep_rep.rows)
 
-    runs = []
     worst_leray = -np.inf
-    for nu in sorted(nus, reverse=True):
-        sub = SolverConfig(domain, nu, dt, t_end, initial, base.cfl_limit, stride)
-        traj, series = run(sub)
-        runs.append((nu, traj))
+    for (nu, traj), series in zip(runs, kept):
         worst_leray = max(worst_leray, float(series.leray_residual.max()))
         write_csv(
             out / f"series_nu{nu:g}.csv",

@@ -20,7 +20,7 @@ but tiny) time-integration drift of the advection stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.fft as sfft
@@ -52,8 +52,14 @@ class SolverConfig:
             raise PreconditionError("channel solver expects the wall axis to be axis 1")
         if not (0.0 < self.cfl_limit <= 0.5):
             raise PreconditionError("cfl_limit must lie in (0, 0.5]")
+        if not np.all(np.isfinite([self.nu, self.dt, self.t_end])):
+            raise PreconditionError(
+                f"nu, dt and t_end must be finite, got nu={self.nu}, dt={self.dt}, t_end={self.t_end}"
+            )
         if self.nu < 0 or self.dt <= 0 or self.t_end <= 0:
             raise PreconditionError("nu must be >= 0 and dt, t_end > 0")
+        if self.snapshot_stride < 1:
+            raise PreconditionError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
 
 
 class CFLViolation(PreconditionError):
@@ -368,6 +374,14 @@ class DissipationSeries:
             )
 
 
+def whole_steps(t: float, dt: float, name: str = "t_end") -> int:
+    """The number of steps of size dt that end at t (at least one)."""
+    n = int(round(t / dt))
+    if n < 1 or abs(n * dt - t) > 1e-9 * max(1.0, t):
+        raise PreconditionError(f"{name} must be an integer number of steps")
+    return n
+
+
 def _check_cfl(u, v, cfg: SolverConfig, t: float):
     nx, ncy, nvy, hx, hy = _geometry(cfg.domain)
     hmin = min(hx, hy)
@@ -425,9 +439,7 @@ def run(cfg: SolverConfig):
     u, v = project(state.u, state.v, dom, projector)
     state = MacState(u, v, 0.0)
 
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
-        raise PreconditionError("t_end must be an integer number of steps")
+    n_steps = whole_steps(cfg.t_end, cfg.dt)
     times = [0.0]
     e0 = kinetic_energy(state.u, state.v, dom)
     energies = [e0]
@@ -464,6 +476,18 @@ def run(cfg: SolverConfig):
     return traj, series
 
 
+def truncate(traj: Trajectory, series: DissipationSeries, n_steps: int):
+    """The (trajectory, series) of a run as if its t_end were ``n_steps * dt``.
+
+    A step depends neither on t_end nor on the snapshots taken, so these are
+    the floats a run stopped there returns: series entries 0..n_steps and the
+    snapshots at stride multiples up to n_steps.
+    """
+    t = series.times[n_steps]
+    head = DissipationSeries(*(getattr(series, f.name)[: n_steps + 1] for f in fields(series)))
+    return Trajectory(tuple(s for s in traj.snapshots if s.time <= t), traj.dt), head
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -483,25 +507,27 @@ class DissipationSweepReport:
         }
 
 
-def dissipation_sweep(cfg: SolverConfig, nus, t_star: float) -> DissipationSweepReport:
+def dissipation_report(swept, domain: Domain, dt: float, t_star: float) -> DissipationSweepReport:
     """nu -> nu * int_0^{t*} ||grad u||^2 over a decreasing viscosity ladder.
 
-    Channel entries whose boundary layer sqrt(nu t*) is thinner than 4 wall
-    cells are flagged under-resolved and excluded from the trend verdict.
+    ``swept`` holds (nu, DissipationSeries) pairs of runs with step dt that
+    reach t_star; the value is read at step t_star / dt.  Channel entries
+    whose boundary layer sqrt(nu t*) is thinner than 4 wall cells are
+    flagged under-resolved and excluded from the trend verdict.
     """
-    nus = sorted((float(n) for n in nus), reverse=True)
-    if not nus:
+    n_star = whole_steps(t_star, dt, "t_star")
+    swept = sorted(((float(nu), series) for nu, series in swept), key=lambda p: -p[0])
+    if not swept:
         raise PreconditionError("empty viscosity ladder")
-    hy = cfg.domain.grid.spacing[1]
+    hy = domain.grid.spacing[1]
     rows = []
     flagged = []
-    for nu in nus:
-        sub = SolverConfig(cfg.domain, nu, cfg.dt, t_star, cfg.initial, cfg.cfl_limit, cfg.snapshot_stride)
-        _, series = run(sub)
-        idx = int(np.argmin(np.abs(series.times - t_star)))
-        value = float(series.cumulative_dissipation[idx])
+    for nu, series in swept:
+        if n_star >= len(series.times):
+            raise PreconditionError(f"t_star={t_star:g} lies past the end of the nu={nu:g} run")
+        value = float(series.cumulative_dissipation[n_star])
         resolved = True
-        if cfg.domain.geometry == "channel" and np.sqrt(nu * t_star) < 4.0 * hy:
+        if domain.geometry == "channel" and np.sqrt(nu * t_star) < 4.0 * hy:
             resolved = False
         rows.append((nu, value, resolved))
         if not resolved:
@@ -517,6 +543,13 @@ def dissipation_sweep(cfg: SolverConfig, nus, t_star: float) -> DissipationSweep
         else:
             verdict = "dissipation does not vanish along the ladder"
     return DissipationSweepReport(tuple(rows), verdict, tuple(flagged))
+
+
+def dissipation_sweep(cfg: SolverConfig, nus, t_star: float) -> DissipationSweepReport:
+    """Run ``cfg`` to t_star at every viscosity in ``nus`` and report the
+    dissipation ladder (see ``dissipation_report``)."""
+    swept = [(nu, run(replace(cfg, nu=nu, t_end=t_star))[1]) for nu in nus]
+    return dissipation_report(swept, cfg.domain, cfg.dt, t_star)
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,38 @@ def test_conservation_verdict_gauge_and_time_shift_invariance():
     assert v2.flux_ladder == v0.flux_ladder
 
 
+def test_conservation_verdict_builds_the_wall_cutoff_once(monkeypatch):
+    import oflux.boundary as boundary
+    from oflux.mollify import cutoff_region
+    from oflux.pressure import negative_sobolev_norm
+
+    dom = channel_domain(64, 129)
+    _, y = dom.grid.meshes()
+    wave = np.broadcast_to(np.cos(np.pi * y), dom.grid.dims)
+    traj = _steady_shear_traj(dom).map(lambda s: Snapshot(s.grid, s.velocity, (1.0 + s.time) * wave, s.time))
+    h = dom.grid.spacing[1]
+    etas = [56 * h, 28 * h, 14 * h]
+    expected = conservation_verdict(traj, etas, dom).as_dict()
+    # the per-snapshot maximum with a cutoff rebuilt for every snapshot
+    d = dom.distance_field()
+    gamma = 0.5 * max(etas)
+    norms = [
+        negative_sobolev_norm(s.pressure, 1.0, dom.grid, cutoff=cutoff_region(dom.grid, d < gamma / 2, d < gamma)).value
+        for s in traj.snapshots
+    ]
+    assert expected["pressure_norm"] == max(norms)
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return cutoff_region(*args, **kwargs)
+
+    monkeypatch.setattr(boundary, "cutoff_region", counting)
+    assert conservation_verdict(traj, etas, dom).as_dict() == expected
+    assert len(calls) == 1
+
+
 def test_verdict_needs_three_shells():
     dom = channel_domain(64, 129)
     traj = _steady_shear_traj(dom)

@@ -1,11 +1,15 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from oflux import fieldio
+from oflux import fieldio, solver
 from oflux.cli import main
-from oflux.reports import canonical_json, config_hash
+from oflux.grids import Domain, Snapshot, make_grid
+from oflux.reports import canonical_json, config_hash, write_csv
+from oflux.solver import SolverConfig, dissipation_sweep, run
 from oflux.synth import taylor_green
 
 from conftest import TWO_PI, channel_domain
@@ -240,3 +244,132 @@ def test_sweep_non_finite_initial_state_exit_code(tmp_path, capsys):
     assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
     assert "non-finite velocity entering step 1" in capsys.readouterr().err
     assert not list(tmp_path.glob("s/traj_*"))
+
+
+def test_gen_non_finite_time_exit_code(tmp_path, capsys):
+    code = main(["gen", "--kind", "taylor-green", "--t", "nan", "--grid", "16x16",
+                 "--out", str(tmp_path / "g")])
+    assert code == 3
+    assert "gen.t" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+def test_gen_non_finite_extent_exit_code(tmp_path, capsys):
+    code = main(["gen", "--kind", "fractional", "--alpha", "0.4", "--grid", "16x16",
+                 "--extent", "1xinf", "--out", str(tmp_path / "g")])
+    assert code == 3
+    assert "gen.extent" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+_SMALL_PERIODIC_SWEEP = {
+    "geometry": "periodic",
+    "grid": "32x32",
+    "initial": {"kind": "taylor-green", "nu": 0.01},
+    "nus": [1e-2, 3e-3],
+    "dt": 0.01,
+    "t_end": 0.1,
+}
+
+
+@pytest.mark.parametrize("flag, key", [(["--nus", "1e-2,nan"], "sweep.nus"), (["--dt", "nan"], "sweep.dt")])
+def test_sweep_non_finite_flag_exit_code(tmp_path, capsys, flag, key):
+    out = tmp_path / "s"
+    code = main(["sweep", "--config", _write(tmp_path, _SMALL_PERIODIC_SWEEP), "--out", str(out)] + flag)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert key in err and "internal error" not in err
+    assert not out.exists()
+
+
+def test_sweep_non_finite_config_value_exit_code(tmp_path, capsys):
+    cfg = dict(_SMALL_PERIODIC_SWEEP, t_star=float("nan"))  # written as the JSON token NaN
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "sweep.t_star" in err and "internal error" not in err
+    assert not out.exists()
+
+
+def _small_sweep(geometry):
+    """A CLI sweep config on a small grid with its solver domain and initial state."""
+    if geometry == "periodic":
+        cfg = dict(_SMALL_PERIODIC_SWEEP, t_end=0.2, snapshot_stride=4)  # t_end on a snapshot
+        grid = make_grid((32, 32), (TWO_PI, TWO_PI))
+        return cfg, Domain(grid, "periodic"), taylor_green(grid, 0.0, 0.01)
+    cfg = {"geometry": "channel", "grid": "32x33", "initial": {"kind": "poiseuille"},
+           "nus": [2e-2, 1e-2], "dt": 0.005, "t_end": 0.1, "snapshot_stride": 3}  # t_end between snapshots
+    dom = channel_domain(32, 33, ly=1.0)
+    x, y = dom.grid.meshes()
+    prof = np.sin(np.pi * y / dom.grid.extents[1]) ** 2
+    u0 = np.ascontiguousarray(np.broadcast_to(prof, dom.grid.dims) + 0.05 * np.sin(2 * x) * prof)
+    return cfg, dom, Snapshot(dom.grid, np.stack([u0, np.zeros(dom.grid.dims)]))
+
+
+@pytest.mark.parametrize("ratio", [0.65, 1.0, 1.5], ids=["t_star<t_end", "t_star=t_end", "t_star>t_end"])
+@pytest.mark.parametrize("geometry", ["periodic", "channel"])
+def test_sweep_integrates_each_viscosity_once(tmp_path, monkeypatch, geometry, ratio):
+    cfg, _, _ = _small_sweep(geometry)
+    cfg["t_star"] = ratio * cfg["t_end"]
+    calls = []
+    real_step = solver.step
+
+    def counting_step(*args):
+        calls.append(args[0].t)
+        return real_step(*args)
+
+    monkeypatch.setattr(solver, "step", counting_step)
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "s")]) in (0, 2)
+    steps = round(max(cfg["t_end"], cfg["t_star"]) / cfg["dt"])
+    assert len(calls) == len(cfg["nus"]) * steps
+
+
+@pytest.mark.parametrize("ratio", [0.65, 1.5], ids=["t_star<t_end", "t_star>t_end"])
+@pytest.mark.parametrize("geometry", ["periodic", "channel"])
+def test_sweep_outputs_match_separate_runs(tmp_path, geometry, ratio):
+    cfg, dom, initial = _small_sweep(geometry)
+    t_star = cfg["t_star"] = ratio * cfg["t_end"]
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) in (0, 2)
+    base = SolverConfig(dom, cfg["nus"][0], cfg["dt"], cfg["t_end"], initial,
+                        snapshot_stride=cfg["snapshot_stride"])
+
+    rows = json.loads((out / "verdict.json").read_text())["dissipation_sweep"]["rows"]
+    assert rows == [list(r) for r in dissipation_sweep(base, cfg["nus"], t_star).rows]
+    for nu, value, _ in rows:
+        assert value == run(replace(base, nu=nu, t_end=t_star))[1].cumulative_dissipation[-1]
+
+    ref = tmp_path / "ref"
+    for nu in cfg["nus"]:
+        traj, series = run(replace(base, nu=nu))
+        fieldio.write_trajectory(ref / f"traj_nu{nu:g}", traj, tags={"nu": nu})
+        write_csv(ref / f"series_nu{nu:g}.csv", ["t", "E", "cumulative_dissipation", "leray_residual"],
+                  series.rows())
+    written = _read_all_bytes(out)
+    expected = _read_all_bytes(ref)
+    assert {k: written[k] for k in expected} == expected
+    assert sorted(k for k in written if k.startswith(("traj_", "series_"))) == sorted(expected)
+
+
+def test_sweep_t_star_off_the_step_grid_exit_code(tmp_path, capsys):
+    cfg = dict(_SMALL_PERIODIC_SWEEP, t_star=0.125)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    assert "t_star must be an integer number of steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_failure_after_t_star_writes_nothing(tmp_path, monkeypatch, capsys):
+    cfg = dict(_SMALL_PERIODIC_SWEEP, t_star=0.05)
+    real_step = solver.step
+
+    def failing_step(state, scfg, *args):
+        if scfg.nu == min(cfg["nus"]) and state.t > cfg["t_star"]:
+            raise solver.CFLViolation("CFL violation (injected)", 0.0)
+        return real_step(state, scfg, *args)
+
+    monkeypatch.setattr(solver, "step", failing_step)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    assert "injected" in capsys.readouterr().err
+    assert not out.exists()

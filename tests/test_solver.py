@@ -96,6 +96,17 @@ def test_non_finite_state_raises(geometry):
         run(cfg)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("nu", float("nan")), ("dt", float("nan")), ("t_end", float("inf")), ("snapshot_stride", 0)],
+)
+def test_solver_config_rejects_bad_numbers(periodic64, field, value):
+    args = dict(domain=periodic64, nu=0.01, dt=0.01, t_end=0.1, initial=taylor_green(periodic64.grid))
+    args[field] = value
+    with pytest.raises(PreconditionError, match=field):
+        SolverConfig(**args)
+
+
 def test_projection_idempotent(periodic64):
     f = fractional_field(0.5, None, 2, periodic64.grid)
     st = nodes_to_mac(f, periodic64)
