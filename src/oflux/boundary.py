@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError, UnderResolvedError
-from .grids import Domain, Snapshot, Trajectory, energy, integrate
-from .mollify import bump, bump_cdf, _BUMP_MASS
-from .synth import estimate_holder_exponent
+from .commutator import monotone_within_10pct
+from .grids import (Domain, Snapshot, Trajectory, discretization_budget, energy, integrate,
+                    trapezoid_time_weights)
+from .mollify import _BUMP_MASS, bump, bump_cdf, cutoff_region
 from .pressure import negative_sobolev_norm
-from .mollify import cutoff_region
+from .synth import estimate_holder_exponent
 
 # ---------------------------------------------------------------------------
 # the smooth step
@@ -113,16 +114,6 @@ def _bernoulli_normal_flux(snap: Snapshot, domain: Domain) -> np.ndarray:
     return (ke + snap.pressure) * un
 
 
-def _time_weights(traj: Trajectory) -> np.ndarray:
-    w = np.full(len(traj), traj.dt)
-    if len(traj) > 1:
-        w[0] *= 0.5
-        w[-1] *= 0.5
-    else:
-        w[:] = 1.0
-    return w
-
-
 def shell_flux(traj: Trajectory | Snapshot, eta: float, domain: Domain) -> float:
     """Phi_eta = (1/eta) int_t int_{eta/4 < d < eta/2} |(|u|^2/2 + p) u.n| dx dt."""
     ShellSpec.build(domain, eta)
@@ -130,7 +121,7 @@ def shell_flux(traj: Trajectory | Snapshot, eta: float, domain: Domain) -> float
         traj = Trajectory((traj,), 1.0)
     mask = shell_mask(domain, eta)
     vol = domain.grid.cell_volume()
-    wts = _time_weights(traj)
+    wts = trapezoid_time_weights(len(traj), traj.dt)
     total = 0.0
     for snap, w in zip(traj.snapshots, wts):
         dens = np.abs(_bernoulli_normal_flux(snap, domain))
@@ -191,20 +182,14 @@ def global_balance(traj: Trajectory, eta: float, t1: float, t2: float, domain: D
         d = domain.distance_field()
         kernel = (1.0 / eta) * smooth_step_deriv(d / eta)
         sub = traj.snapshots[i1 : i2 + 1]
-        wts = np.full(len(sub), traj.dt)
-        wts[0] *= 0.5
-        wts[-1] *= 0.5
         bt = 0.0
-        for snap, w in zip(sub, wts):
+        for snap, w in zip(sub, trapezoid_time_weights(len(sub), traj.dt)):
             dens = _bernoulli_normal_flux(snap, domain) * kernel
             bt += w * integrate(dens, grid)
     residual = (e2 - e1) + bt
     umax = max(float(np.abs(s.velocity).max()) for s in traj.snapshots[i1 : i2 + 1])
-    vol = 1.0
-    for L in grid.extents:
-        vol *= L
-    budget = (grid.max_spacing**2 + traj.dt**2) * max(1.0, umax) ** 3 * vol
-    return GlobalBalanceReport(float(e1), float(e2), float(bt), float(residual), float(budget), float(eta))
+    budget = discretization_budget(grid, traj.dt, umax)
+    return GlobalBalanceReport(float(e1), float(e2), float(bt), float(residual), budget, float(eta))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +241,7 @@ def flux_trend_ok(values) -> bool:
         return False
     if v[0] <= 0:
         return True  # identically zero flux is trivially vanishing
-    monotone = all(v[k + 1] <= v[k] * 1.10 for k in range(len(v) - 1))
-    return monotone and v[-1] <= 0.25 * v[0]
+    return monotone_within_10pct(v) and v[-1] <= 0.25 * v[0]
 
 
 def conservation_verdict(

@@ -25,7 +25,7 @@ from .errors import ConfigError, PreconditionError, ToolkitError
 from . import fieldio
 from .grids import Domain, Grid, Snapshot, Trajectory, make_grid
 from .mollify import block_mask, cutoff_region, full_box_chain
-from .synth import estimate_holder_exponent, fractional_field, shear_flow, taylor_green
+from .synth import estimate_holder_exponent, fractional_field, holder_norm, shear_flow, taylor_green
 from .pressure import solve_pressure_channel, solve_pressure_periodic
 from .commutator import scaling_probe
 from .energy_balance import ChiWindow, TestFunction, dr_convergence_sweep, dr_dissipation_field
@@ -100,7 +100,7 @@ def _load_config(command: str, path: str | None, overrides: dict) -> dict:
     if path:
         try:
             cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(cfg, dict):
             raise ConfigError(f"{path}: top level must be an object")
@@ -115,7 +115,11 @@ def _load_config(command: str, path: str | None, overrides: dict) -> dict:
         want = schema[key]
         kinds = want if isinstance(want, tuple) else (want,)
         if float in kinds and isinstance(val, int) and not isinstance(val, bool):
-            cfg[key] = float(val)
+            try:
+                cfg[key] = float(val)
+            except OverflowError as exc:
+                raise ConfigError(f"{command}.{key}: expected a finite number, got an integer "
+                                  "too large for a float") from exc
         elif not isinstance(val, kinds):
             raise ConfigError(f"{command}.{key}: expected {want}, got {type(val).__name__}")
         elif isinstance(val, float) and not math.isfinite(val):
@@ -146,6 +150,8 @@ def _parse_extents(text: str | None, ndim: int, name: str, default=2.0 * np.pi):
 def _floats(values, name) -> list[float]:
     try:
         out = [float(v) for v in values]
+    except OverflowError as exc:
+        raise ConfigError(f"{name}: expected finite numbers, got an integer too large for a float") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: expected numbers, got {values!r}") from exc
     if not all(math.isfinite(v) for v in out):
@@ -261,7 +267,13 @@ def cmd_diagnose(cfg: dict) -> int:
     else:
         alpha = _floats([alpha_cfg], "diagnose.alpha")[0]
         alpha_source = {"estimated": False}
-    probe = scaling_probe(snap, alpha, ladder, phi=phi, seed=seed)
+    probe = scaling_probe(snap, alpha, ladder, phi=phi)
+    # an estimate's seminorm is holder_norm at its exponent over the same survey;
+    # holder_norm still serves an explicit alpha, a degenerate estimate and alpha = 0 (rejected)
+    if alpha_cfg == "auto" and est.degenerate is None and alpha > 0:
+        seminorm = est.seminorm
+    else:
+        seminorm = holder_norm(snap, alpha, seed=seed)
     rows = list(zip(probe.flux.epsilons, probe.flux.values, probe.stress_sup.values, probe.grad_sup.values))
     write_csv(out / "scaling.csv", ["epsilon", "flux", "sup_R", "sup_grad"], rows)
     fits = [f.as_dict() for f in probe.fits]
@@ -269,7 +281,7 @@ def cmd_diagnose(cfg: dict) -> int:
     summary = {
         "alpha": alpha,
         "alpha_source": alpha_source,
-        "holder_seminorm": probe.holder_seminorm,
+        "holder_seminorm": seminorm,
         "fits": fits,
     }
 
@@ -296,13 +308,12 @@ def cmd_diagnose(cfg: dict) -> int:
         rep = sweep.reports[0]
         summary["weak_identity"] = rep.as_dict()
         summary["dr_sweep"] = sweep.as_dict()
-        if len(traj) >= 3:
-            dtimes, defect = dr_dissipation_field(traj, max(ladder), chain)
-            for k, tv in enumerate(dtimes):
-                fieldio.write_scalar_field(
-                    out / f"defect_{k:04d}.oflx", grid, defect[k], float(tv),
-                    name="dissipation_defect", tags={"epsilon": max(ladder)},
-                )
+        dtimes, defect = dr_dissipation_field(traj, max(ladder), chain)
+        for k, tv in enumerate(dtimes):
+            fieldio.write_scalar_field(
+                out / f"defect_{k:04d}.oflx", grid, defect[k], float(tv),
+                name="dissipation_defect", tags={"epsilon": max(ladder)},
+            )
         write_csv(
             out / "dr_sweep.csv",
             ["epsilon", "weak_lhs", "weak_rhs", "identity_residual"],
@@ -437,9 +448,9 @@ def cmd_sweep(cfg: dict) -> int:
     sweep_rep = dissipation_report(swept, domain, dt, t_star)
     write_csv(out / "dissipation.csv", ["nu", "dissipation", "resolved"], sweep_rep.rows)
 
-    worst_leray = -np.inf
+    # the gate covers every integrated step, up to t_star as well as t_end
+    worst_leray = max(float(series.leray_residual.max()) for _, series in swept)
     for (nu, traj), series in zip(runs, kept):
-        worst_leray = max(worst_leray, float(series.leray_residual.max()))
         write_csv(
             out / f"series_nu{nu:g}.csv",
             ["t", "E", "cumulative_dissipation", "leray_residual"],

@@ -8,7 +8,8 @@ The increment route
         - (u - u^eps) otimes (u - u^eps),   delta_y u = u(x-y) - u(x)
 
 is algebraically identical in the discrete algebra (same kernel samples,
-same quadrature) and serves as a mutual oracle for the direct route.
+same quadrature); it is kept with the tests as a mutual oracle for the
+direct route (tests/mollify_oracle.py).
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .grids import Grid, Snapshot, Trajectory, deriv, integrate
+from .grids import (Grid, Snapshot, Trajectory, as_components, deriv, integrate, loglog_fit,
+                    trapezoid_time_weights)
 from .mollify import CutoffField, Mollifier, make_mollifier, mollify_field
-from .synth import holder_norm
 
 # ---------------------------------------------------------------------------
 # stress tensors
@@ -44,64 +45,24 @@ class CommutatorStress:
         return float(np.abs(t).max())
 
 
-def _as_velocity(u, grid):
-    if isinstance(u, Snapshot):
-        return u.velocity, u.grid
-    if grid is None:
-        raise PreconditionError("grid is required when passing a bare array")
-    return np.asarray(u, dtype=float), grid
-
-
 def commutator_stress(
     u: Snapshot | np.ndarray,
     mollifier: Mollifier | float,
     grid: Grid | None = None,
     region: np.ndarray | None = None,
-    method: str = "auto",
 ) -> CommutatorStress:
     """(u otimes u)^eps - u^eps otimes u^eps, componentwise."""
-    vel, grid = _as_velocity(u, grid)
+    vel, grid = as_components(u, grid)
     mol = mollifier if isinstance(mollifier, Mollifier) else make_mollifier(float(mollifier), grid)
     n = grid.ndim
-    ue = mollify_field(vel, mol, grid, region, method)
+    ue = mollify_field(vel, mol, grid, region)
     tensor = np.empty((n, n, *grid.dims))
     for i in range(n):
         for j in range(i, n):
-            r = mollify_field(vel[i] * vel[j], mol, grid, region, method) - ue[i] * ue[j]
+            r = mollify_field(vel[i] * vel[j], mol, grid, region) - ue[i] * ue[j]
             tensor[i, j] = r
             if i != j:
                 tensor[j, i] = r
-    return CommutatorStress(tensor, mol.epsilon, region)
-
-
-def commutator_via_increments(
-    u: Snapshot | np.ndarray,
-    mollifier: Mollifier | float,
-    grid: Grid | None = None,
-    region: np.ndarray | None = None,
-    method: str = "auto",
-) -> CommutatorStress:
-    """Increment form of the stress; equals commutator_stress in exact arithmetic."""
-    vel, grid = _as_velocity(u, grid)
-    mol = mollifier if isinstance(mollifier, Mollifier) else make_mollifier(float(mollifier), grid)
-    n = grid.ndim
-    vol = grid.cell_volume()
-    iu, ju = np.triu_indices(n)
-    t1 = np.zeros((len(iu), *grid.dims))
-    axes = tuple(range(1, vel.ndim))
-    for o, w in zip(mol.offsets, mol.weights):
-        if w == 0.0:
-            continue
-        delta = np.roll(vel, shift=tuple(o), axis=axes) - vel
-        t1 += (w * vol) * delta[iu] * delta[ju]
-    ue = mollify_field(vel, mol, grid, region, method)
-    fluct = vel - ue
-    tensor = np.empty((n, n, *grid.dims))
-    for k, (i, j) in enumerate(zip(iu, ju)):
-        r = t1[k] - fluct[i] * fluct[j]
-        tensor[i, j] = r
-        if i != j:
-            tensor[j, i] = r
     return CommutatorStress(tensor, mol.epsilon, region)
 
 
@@ -139,7 +100,7 @@ def flux_density(
     region: np.ndarray | None = None,
 ) -> float:
     """Instantaneous commutator flux <R_eps : grad(phi u^eps)>."""
-    vel, grid = _as_velocity(u, grid)
+    vel, grid = as_components(u, grid)
     mol = mollifier if isinstance(mollifier, Mollifier) else make_mollifier(float(mollifier), grid)
     stress = commutator_stress(vel, mol, grid, region)
     ue = mollify_field(vel, mol, grid, region)
@@ -155,19 +116,15 @@ def flux_term(
 ) -> float:
     """Time-integrated commutator flux  int chi(t) <R_eps : grad(phi u^eps)> dt.
 
-    For a single snapshot, ``chi`` acts as a scalar weight (default 1).
+    A single snapshot is a one-snapshot trajectory, whose time weight is 1,
+    so there ``chi`` acts as a scalar weight (default 1).
     """
     if phi is None:
         raise PreconditionError("flux_term requires a spatial cutoff phi")
     if isinstance(u, Snapshot):
-        w = 1.0 if chi is None else (chi(u.time) if callable(chi) else float(chi))
-        return w * flux_density(u, mollifier, phi, u.grid, region)
-    weights = np.full(len(u), u.dt)
-    if len(u) > 1:
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
+        u = Trajectory((u,), 1.0)
     total = 0.0
-    for snap, w in zip(u.snapshots, weights):
+    for snap, w in zip(u.snapshots, trapezoid_time_weights(len(u), u.dt)):
         cw = 1.0 if chi is None else (chi(snap.time) if callable(chi) else float(chi))
         total += w * cw * flux_density(snap, mollifier, phi, snap.grid, region)
     return total
@@ -232,25 +189,23 @@ def fit_loglog(epsilons, values, predicted: float, quantity: str) -> SlopeFit:
                         "fewer than 4 positive rungs")
     if not live.all():
         note = f"{int((~live).sum())} nonpositive rungs dropped"
-    lx = np.log(eps[live])
-    ly = np.log(vals[live])
-    slope, icpt = np.polyfit(lx, ly, 1)
-    fitted = slope * lx + icpt
-    ss_res = float(np.sum((ly - fitted) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    rms = float(np.sqrt(ss_res / live.sum()))
+    slope, r2, rms = loglog_fit(eps[live], vals[live])
     assessable = r2 >= R2_GATE or rms <= RMS_LOG_GATE
     if r2 < R2_GATE and rms <= RMS_LOG_GATE:
         note = (note + "; " if note else "") + f"flat curve: rms log-residual {rms:.3f}"
     passes = bool(slope >= predicted - SLOPE_TOLERANCE) if assessable else None
-    return SlopeFit(quantity, tuple(eps), tuple(vals), float(slope), float(r2), predicted, passes, note)
+    return SlopeFit(quantity, tuple(eps), tuple(vals), slope, r2, predicted, passes, note)
+
+
+def monotone_within_10pct(values) -> bool:
+    """Ladder rule: no rung exceeds its predecessor by more than 10%."""
+    v = list(values)
+    return all(v[k + 1] <= v[k] * 1.10 for k in range(len(v) - 1))
 
 
 @dataclass(frozen=True)
 class ScalingProbeResult:
     alpha: float
-    holder_seminorm: float
     flux: SlopeFit
     stress_sup: SlopeFit
     grad_sup: SlopeFit
@@ -282,11 +237,9 @@ def scaling_probe(
     u: Snapshot | np.ndarray,
     alpha: float,
     epsilons,
-    chi=None,
     phi=None,
     grid: Grid | None = None,
     region: np.ndarray | None = None,
-    seed: int = 0,
 ) -> ScalingProbeResult:
     """Probe the three mollification-scaling laws over an epsilon ladder.
 
@@ -294,10 +247,8 @@ def scaling_probe(
     (the quantity the commutator estimate bounds by eps^(3a-1)), and the sups
     of |R_eps| and |grad(phi u^eps)| over a fixed probe sublattice; the three
     log-log fits carry the predicted exponents 3*alpha-1, 2*alpha, alpha-1.
-    ``chi`` is accepted for interface symmetry with the time-integrated flux;
-    the probe itself is instantaneous.
     """
-    vel, grid = _as_velocity(u, grid)
+    vel, grid = as_components(u, grid)
     if phi is None:
         raise PreconditionError("scaling_probe requires a spatial cutoff phi")
     eps = sorted((float(e) for e in epsilons), reverse=True)
@@ -326,10 +277,8 @@ def scaling_probe(
         flux_vals.append(float(np.sum(contraction * wts)))
         sup_r.append(float(np.abs(stress.tensor[:, :, probe]).max()))
         sup_g.append(float(np.sqrt(grad_sq[probe].max())))
-    seminorm = holder_norm(vel, alpha, region=region, grid=grid, seed=seed)
     return ScalingProbeResult(
         alpha,
-        seminorm,
         fit_loglog(eps, flux_vals, 3.0 * alpha - 1.0, "flux"),
         fit_loglog(eps, sup_r, 2.0 * alpha, "stress_sup"),
         fit_loglog(eps, sup_g, alpha - 1.0, "grad_sup"),

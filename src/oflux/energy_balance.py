@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutator import CommutatorStress, SlopeFit, contraction_grad, fit_loglog
+from .commutator import CommutatorStress, SlopeFit, contraction_grad, fit_loglog, monotone_within_10pct
 from .errors import PreconditionError
-from .grids import Trajectory, deriv, integrate
+from .grids import Trajectory, deriv, discretization_budget, integrate, trapezoid_time_weights
 from .mollify import (
     CutoffField,
     RegionChain,
@@ -161,16 +161,6 @@ def _stress_from(q_sm, u, iu, ju, grid):
     return tensor
 
 
-def _time_weights(times: np.ndarray, dt: float) -> np.ndarray:
-    w = np.full(len(times), dt)
-    if len(times) > 1:
-        w[0] *= 0.5
-        w[-1] *= 0.5
-    else:
-        w[:] = 1.0
-    return w
-
-
 # ---------------------------------------------------------------------------
 # the identity
 # ---------------------------------------------------------------------------
@@ -224,7 +214,7 @@ def weak_energy_identity(
     times, u_sm, p_sm, q_sm, e_sm, mol, (iu, ju) = _smooth_fields(traj, epsilon, kappa, chain)
     pv = test.phi.values
     gphi = np.stack([deriv(pv, a, grid) for a in range(grid.ndim)])
-    wts = _time_weights(times, traj.dt)
+    wts = trapezoid_time_weights(len(times), traj.dt)
     chi = test.chi(times)
     dchi = test.chi.deriv(times)
 
@@ -246,11 +236,8 @@ def weak_energy_identity(
 
     rhs = -float(np.sum(wts * chi * np.asarray(fluxes)))
     residual = lhs - rhs
-    vol = 1.0
-    for L in grid.extents:
-        vol *= L
     dt_term = traj.dt if (kappa is not None and len(traj) > 1) else 0.0
-    budget = (grid.max_spacing**2 + dt_term**2) * max(1.0, umax) ** 3 * vol
+    budget = discretization_budget(grid, dt_term, umax)
     return EnergyBalanceReport(
         float(lhs), rhs, float(residual), float(epsilon), kappa, float(budget),
         float(euler_term), tuple(fluxes),
@@ -336,8 +323,7 @@ def dr_convergence_sweep(
             f"{predicted:.3f} <= 0 (alpha <= 1/3: no conservation claim)"
         )
     else:
-        monotone = all(values[k + 1] <= values[k] * 1.10 for k in range(len(values) - 1))
-        ok = fit.passes is True and monotone
+        ok = fit.passes is True and monotone_within_10pct(values)
         if ok:
             verdict = "consistent with conservation"
         elif fit.passes is None:

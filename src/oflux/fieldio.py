@@ -7,8 +7,10 @@ Layout (little-endian):
 Axis kind: 0 = periodic, 1 = wall.  Velocity components come first; an
 optional trailing component holds the pressure, as declared by the sidecar.
 The sidecar ``<file>.json`` carries tags (divergence-free, impermeable,
-generator provenance, seed) and is written canonically (sorted keys) so
-that reruns are byte-identical.
+generator provenance, seed) and is written with ``reports.canonical_json``
+(sorted keys, numpy scalars made plain) so that reruns are byte-identical.
+Reading is strict: a file that does not parse exactly raises a
+PreconditionError naming it.
 
 A trajectory is a directory of snapshot files plus ``trajectory.json``.
 """
@@ -16,6 +18,7 @@ A trajectory is a directory of snapshot files plus ``trajectory.json``.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -23,158 +26,129 @@ import numpy as np
 
 from .errors import PreconditionError
 from .grids import PERIODIC, WALL, Grid, Snapshot, Trajectory
+from .reports import canonical_json
 
 MAGIC = b"OFLX1"
 _KIND_CODE = {PERIODIC: 0, WALL: 1}
 _CODE_KIND = {0: PERIODIC, 1: WALL}
+_AXIS = struct.Struct("<Qd B")  # dims, spacing, kind
+_TAIL = struct.Struct("<Id")  # component count, time
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _sanitize(obj):
-    """Make tags JSON-serializable (numpy scalars to python scalars)."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
-
-
-def write_snapshot(path: str | Path, snap: Snapshot) -> Path:
+def _write_field(path: str | Path, grid: Grid, comps, time: float, sidecar: dict) -> Path:
+    """Header, payload and canonical sidecar of one field file."""
     path = Path(path)
-    grid = snap.grid
     parts = [MAGIC, struct.pack("<I", grid.ndim)]
-    for a in range(grid.ndim):
-        parts.append(
-            struct.pack("<Qd B", grid.dims[a], grid.spacing[a], _KIND_CODE[grid.axis_kinds[a]])
-        )
-    ncomp = grid.ndim + (1 if snap.pressure is not None else 0)
-    parts.append(struct.pack("<I", ncomp))
-    parts.append(struct.pack("<d", float(snap.time)))
-    payload = [np.ascontiguousarray(snap.velocity[c], dtype="<f8").tobytes() for c in range(grid.ndim)]
-    if snap.pressure is not None:
-        payload.append(np.ascontiguousarray(snap.pressure, dtype="<f8").tobytes())
+    for m, h, kind in zip(grid.dims, grid.spacing, grid.axis_kinds):
+        parts.append(_AXIS.pack(m, h, _KIND_CODE[kind]))
+    parts.append(_TAIL.pack(len(comps), float(time)))
+    parts += [np.ascontiguousarray(c, dtype="<f8").tobytes() for c in comps]
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts) + b"".join(payload))
-    sidecar = {
-        "fields": [f"u{c}" for c in range(grid.ndim)] + (["p"] if snap.pressure is not None else []),
-        "has_pressure": snap.pressure is not None,
-        "tags": _sanitize(snap.tags),
-    }
+    path.write_bytes(b"".join(parts))
     Path(str(path) + ".json").write_text(canonical_json(sidecar), encoding="utf-8")
     return path
 
 
-def read_snapshot(path: str | Path) -> Snapshot:
-    path = Path(path)
-    raw = path.read_bytes()
+def _read_field(path: Path):
+    """Strictly parse a field file: (grid, components (ncomp, *dims), time, sidecar).
+
+    Rejects a missing file, a bad magic, axis count or kind code, a
+    non-positive spacing, a component count that fits neither a snapshot nor
+    a scalar field, a payload of the wrong length (truncated or trailing
+    bytes) and non-finite values, always with a PreconditionError naming the
+    file.
+    """
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise PreconditionError(f"{path}: cannot read the field file ({exc.strerror})") from exc
     if raw[:5] != MAGIC:
         raise PreconditionError(f"{path}: not an OFLX1 field file")
-    off = 5
-    (naxes,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    naxes = struct.unpack_from("<I", raw, 5)[0] if len(raw) >= 9 else 2  # too short: truncated below
+    if naxes not in (2, 3):
+        raise PreconditionError(f"{path}: axis count {naxes}, expected 2 or 3")
+    off = 9 + naxes * _AXIS.size + _TAIL.size
+    if len(raw) < off:
+        raise PreconditionError(f"{path}: truncated header ({len(raw)} bytes, need {off})")
     dims, spacing, kinds = [], [], []
-    for _ in range(naxes):
-        m, h, kind = struct.unpack_from("<Qd B", raw, off)
-        off += struct.calcsize("<Qd B")
+    for a in range(naxes):
+        m, h, code = _AXIS.unpack_from(raw, 9 + a * _AXIS.size)
+        if code not in _CODE_KIND:
+            raise PreconditionError(f"{path}: unknown kind code {code} on axis {a}")
+        if not (math.isfinite(h) and h > 0):
+            raise PreconditionError(f"{path}: spacing {h} on axis {a} is not a positive number")
         dims.append(int(m))
-        spacing.append(float(h))
-        kinds.append(_CODE_KIND[kind])
-    (ncomp,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    (time,) = struct.unpack_from("<d", raw, off)
-    off += 8
-    extents = [
-        m * h if kind == PERIODIC else (m - 1) * h for m, h, kind in zip(dims, spacing, kinds)
-    ]
-    grid = Grid(tuple(dims), tuple(extents), tuple(kinds))
-    count = int(np.prod(dims))
-    comps = []
-    for c in range(ncomp):
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(dims).copy()
-        off += count * 8
-        comps.append(arr)
+        spacing.append(h)
+        kinds.append(_CODE_KIND[code])
+    ncomp, time = _TAIL.unpack_from(raw, off - _TAIL.size)
+    if ncomp not in (1, naxes, naxes + 1):
+        raise PreconditionError(f"{path}: {ncomp} components do not fit {naxes} axes")
+    want = ncomp * math.prod(dims) * 8
+    if len(raw) - off != want:
+        raise PreconditionError(f"{path}: payload is {len(raw) - off} bytes, the header declares {want}")
+    extents = [m * h if k == PERIODIC else (m - 1) * h for m, h, k in zip(dims, spacing, kinds)]
+    try:
+        grid = Grid(tuple(dims), tuple(extents), tuple(kinds))
+    except PreconditionError as exc:
+        raise PreconditionError(f"{path}: {exc}") from exc
+    comps = np.frombuffer(raw, dtype="<f8", offset=off).reshape(ncomp, *dims).copy()
+    if not (math.isfinite(time) and np.isfinite(comps).all()):
+        raise PreconditionError(f"{path}: non-finite time or field values")
     sidecar_path = Path(str(path) + ".json")
-    tags = {}
-    has_pressure = ncomp == naxes + 1
+    sidecar = {}
     if sidecar_path.exists():
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-        tags = sidecar.get("tags", {})
-        has_pressure = sidecar.get("has_pressure", has_pressure)
+        try:
+            sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise PreconditionError(f"{sidecar_path}: invalid JSON ({exc})") from exc
+    return grid, comps, time, sidecar
+
+
+def write_snapshot(path: str | Path, snap: Snapshot) -> Path:
+    has_pressure = snap.pressure is not None
+    sidecar = {
+        "fields": [f"u{c}" for c in range(snap.grid.ndim)] + (["p"] if has_pressure else []),
+        "has_pressure": has_pressure,
+        "tags": snap.tags,
+    }
+    comps = [*snap.velocity, snap.pressure] if has_pressure else list(snap.velocity)
+    return _write_field(path, snap.grid, comps, snap.time, sidecar)
+
+
+def read_snapshot(path: str | Path) -> Snapshot:
+    path = Path(path)
+    grid, comps, time, sidecar = _read_field(path)
+    ncomp, naxes = len(comps), grid.ndim
+    has_pressure = sidecar.get("has_pressure", ncomp == naxes + 1)
     if has_pressure:
         if ncomp != naxes + 1:
             raise PreconditionError(f"{path}: component count inconsistent with pressure flag")
-        velocity, pressure = np.stack(comps[:-1]), comps[-1]
+        velocity, pressure = comps[:-1], comps[-1]
     else:
         if ncomp != naxes:
             raise PreconditionError(f"{path}: component count does not match axis count")
-        velocity, pressure = np.stack(comps), None
-    return Snapshot(grid, velocity, pressure, time, tags)
+        velocity, pressure = comps, None
+    return Snapshot(grid, velocity, pressure, time, sidecar.get("tags", {}))
 
 
 def write_scalar_field(path: str | Path, grid: Grid, values: np.ndarray, time: float = 0.0,
                        name: str = "scalar", tags: dict | None = None) -> Path:
     """Write a single-component field (e.g. a dissipation defect) in the
     shared format; the sidecar names the component."""
-    path = Path(path)
     values = np.asarray(values, dtype=float)
     if values.shape != grid.dims:
         raise PreconditionError("scalar field shape does not match the grid")
-    parts = [MAGIC, struct.pack("<I", grid.ndim)]
-    for a in range(grid.ndim):
-        parts.append(
-            struct.pack("<Qd B", grid.dims[a], grid.spacing[a], _KIND_CODE[grid.axis_kinds[a]])
-        )
-    parts.append(struct.pack("<I", 1))
-    parts.append(struct.pack("<d", float(time)))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts) + np.ascontiguousarray(values, dtype="<f8").tobytes())
-    sidecar = {"fields": [name], "has_pressure": False, "tags": _sanitize(tags or {})}
-    Path(str(path) + ".json").write_text(canonical_json(sidecar), encoding="utf-8")
-    return path
+    sidecar = {"fields": [name], "has_pressure": False, "tags": tags or {}}
+    return _write_field(path, grid, [values], time, sidecar)
 
 
 def read_scalar_field(path: str | Path):
     """Read a single-component field; returns (grid, values, time, tags)."""
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:5] != MAGIC:
-        raise PreconditionError(f"{path}: not an OFLX1 field file")
-    off = 5
-    (naxes,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    dims, spacing, kinds = [], [], []
-    for _ in range(naxes):
-        m, h, kind = struct.unpack_from("<Qd B", raw, off)
-        off += struct.calcsize("<Qd B")
-        dims.append(int(m))
-        spacing.append(float(h))
-        kinds.append(_CODE_KIND[kind])
-    (ncomp,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    if ncomp != 1:
-        raise PreconditionError(f"{path}: expected a single-component field, got {ncomp}")
-    (time,) = struct.unpack_from("<d", raw, off)
-    off += 8
-    extents = [m * h if k == PERIODIC else (m - 1) * h for m, h, k in zip(dims, spacing, kinds)]
-    grid = Grid(tuple(dims), tuple(extents), tuple(kinds))
-    count = int(np.prod(dims))
-    values = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(dims).copy()
-    tags = {}
-    sidecar_path = Path(str(path) + ".json")
-    if sidecar_path.exists():
-        tags = json.loads(sidecar_path.read_text(encoding="utf-8")).get("tags", {})
-    return grid, values, time, tags
+    grid, comps, time, sidecar = _read_field(path)
+    if len(comps) != 1:
+        raise PreconditionError(f"{path}: expected a single-component field, got {len(comps)}")
+    return grid, comps[0], time, sidecar.get("tags", {})
 
 
 def write_trajectory(directory: str | Path, traj: Trajectory, tags: dict | None = None) -> Path:
@@ -189,7 +163,7 @@ def write_trajectory(directory: str | Path, traj: Trajectory, tags: dict | None 
         "dt": traj.dt,
         "times": [float(s.time) for s in traj.snapshots],
         "files": files,
-        "tags": _sanitize(tags or {}),
+        "tags": tags or {},
     }
     (directory / "trajectory.json").write_text(canonical_json(meta), encoding="utf-8")
     return directory

@@ -21,6 +21,7 @@ and reductions use numpy's pairwise summation so results are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -364,6 +365,21 @@ def divergence(snapshot: Snapshot) -> np.ndarray:
     return out
 
 
+def as_components(u, grid: Grid | None):
+    """(components, grid) of a Snapshot, or of a bare array on ``grid``.
+
+    A bare scalar field (shape ``dims``) becomes a single component.
+    """
+    if isinstance(u, Snapshot):
+        return u.velocity, u.grid
+    if grid is None:
+        raise PreconditionError("grid is required when passing a bare array")
+    arr = np.asarray(u, dtype=float)
+    if arr.shape == grid.dims:
+        arr = arr[np.newaxis]
+    return arr, grid
+
+
 def integrate(f: np.ndarray, grid: Grid) -> float:
     """Trapezoid quadrature of a scalar field over the domain."""
     return float(np.sum(f * grid.quad_weights()))
@@ -372,3 +388,29 @@ def integrate(f: np.ndarray, grid: Grid) -> float:
 def energy(snapshot: Snapshot) -> float:
     """Kinetic energy 0.5 * ||u||^2 over the domain (trapezoid quadrature)."""
     return 0.5 * integrate(np.sum(snapshot.velocity**2, axis=0), snapshot.grid)
+
+
+def trapezoid_time_weights(n: int, dt: float) -> np.ndarray:
+    """Trapezoid weights of ``n`` samples ``dt`` apart; a lone sample weighs 1."""
+    if n == 1:
+        return np.ones(1)
+    w = np.full(n, dt)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+def discretization_budget(grid: Grid, dt: float, umax: float) -> float:
+    """The crude (h^2 + dt^2) max(1, |u|)^3 |Omega| scale of a balance residual."""
+    return (grid.max_spacing**2 + dt**2) * max(1.0, umax) ** 3 * math.prod(grid.extents)
+
+
+def loglog_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line through (log x, log y): slope, r^2, rms log-residual."""
+    lx = np.log(x)
+    ly = np.log(y)
+    slope, icpt = np.polyfit(lx, ly, 1)
+    ss_res = float(np.sum((ly - (slope * lx + icpt)) ** 2))
+    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), r2, float(np.sqrt(ss_res / len(lx)))

@@ -5,15 +5,18 @@ Kernels are sampled at node offsets and renormalized so that the discrete
 sum times the cell volume is exactly one; this makes mollification exact on
 constants and (by stencil symmetry) on affine fields.
 
-Every mollified value is only ever evaluated on regions that keep an
-epsilon-margin from non-periodic boundaries, so no literal extension of the
-data is needed: inside the margin the cutoff-extended field and the raw
-field convolve identically.
+Mollification has one route on every grid: the circular convolution with
+the sampled kernel, applied by FFT.  Every mollified value is only ever
+evaluated on regions that keep an epsilon-margin from wall planes, so no
+literal extension of the data is needed: inside the margin the wrapped
+contributions never arrive, and the cutoff-extended field and the raw field
+convolve identically.  The direct stencil sum the FFT reproduces is kept
+with the tests as an oracle (tests/mollify_oracle.py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -102,7 +105,7 @@ class Mollifier:
         return np.einsum("k,ki,kj->ij", self.weights * vol, z, z)
 
     def transfer(self, grid: Grid) -> np.ndarray:
-        """DFT of the kernel placed on a fully periodic grid."""
+        """DFT of the kernel wrapped onto the grid (circular on every axis)."""
         return _kernel_hat(self, grid)
 
 
@@ -129,7 +132,7 @@ def make_mollifier(epsilon: float, grid: Grid) -> Mollifier:
 
 
 def _kernel_grid(mol: Mollifier, grid: Grid) -> np.ndarray:
-    """Kernel weights scattered onto the (periodic) grid, times cell volume."""
+    """Kernel weights wrapped onto the grid, times cell volume."""
     k = np.zeros(grid.dims)
     vol = grid.cell_volume()
     idx = tuple((mol.offsets[:, a] % grid.dims[a]) for a in range(grid.ndim))
@@ -178,20 +181,6 @@ def _check_margin(grid: Grid, region, epsilon: float):
         )
 
 
-def _convolve_stencil(f: np.ndarray, mol: Mollifier, grid: Grid) -> np.ndarray:
-    """Direct stencil convolution.  Values are valid wherever the epsilon-margin
-    holds; on wall axes the wrapped contributions land only inside the margin."""
-    vol = grid.cell_volume()
-    out = np.zeros_like(f)
-    lead = f.ndim - grid.ndim
-    for o, w in zip(mol.offsets, mol.weights):
-        if w == 0.0:
-            continue
-        shifted = np.roll(f, shift=tuple(o), axis=tuple(range(lead, f.ndim)))
-        out += (w * vol) * shifted
-    return out
-
-
 def _convolve_spectral(f: np.ndarray, mol: Mollifier, grid: Grid) -> np.ndarray:
     khat = _kernel_hat(mol, grid)
     lead = f.ndim - grid.ndim
@@ -204,24 +193,15 @@ def mollify_field(
     mollifier: Mollifier,
     grid: Grid,
     region: np.ndarray | None = None,
-    method: str = "auto",
 ) -> np.ndarray:
     """Convolve a field with the kernel; result is valid on ``region``.
 
-    ``f`` may carry leading component axes.  On fully periodic grids the
-    spectral path is used by default (it is the same circular convolution);
-    pass ``method="stencil"`` to force the direct sum.
+    ``f`` may carry leading component axes.  The convolution is circular on
+    every axis; the margin check keeps ``region`` epsilon away from the wall
+    planes, where the wrapped contributions land.
     """
     _check_margin(grid, region, mollifier.epsilon)
-    if method == "auto":
-        method = "spectral" if grid.fully_periodic else "stencil"
-    if method == "spectral":
-        if not grid.fully_periodic:
-            raise PreconditionError("spectral mollification requires a fully periodic grid")
-        return _convolve_spectral(f, mollifier, grid)
-    if method == "stencil":
-        return _convolve_stencil(f, mollifier, grid)
-    raise PreconditionError(f"unknown mollification method {method!r}")
+    return _convolve_spectral(f, mollifier, grid)
 
 
 # ---------------------------------------------------------------------------

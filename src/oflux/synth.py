@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .grids import PERIODIC, Grid, Snapshot
+from .grids import PERIODIC, Grid, Snapshot, as_components, loglog_fit
 
 TWO_PI = 2.0 * np.pi
 
@@ -327,7 +327,7 @@ def holder_norm(
     """Discrete Hölder seminorm: sup |u(x)-u(y)| / |x-y|^alpha over sampled pairs."""
     if not (0.0 < alpha <= 1.0):
         raise PreconditionError("alpha must lie in (0,1]")
-    vel, grid = _as_components(field, grid)
+    vel, grid = as_components(field, grid)
     points, _, _, _, _ = _increment_survey(vel, grid, region, r_max, seed)
     q = points[:, 1] / points[:, 0] ** alpha
     return float(q.max())
@@ -355,7 +355,7 @@ def estimate_holder_exponent(
     range (e.g. the scale window of a companion mollification ladder); by
     default the fit is capped at the saturation guard.
     """
-    vel, grid = _as_components(field, grid)
+    vel, grid = as_components(field, grid)
     points, rung_pts, pair_count, n_rungs, scale_range = _increment_survey(
         vel, grid, region, r_max, seed
     )
@@ -385,24 +385,7 @@ def estimate_holder_exponent(
     sel = sel[live]
     if len(sel) < 2:
         return HolderEstimate(1.0, 0.0, pair_count, scale_range, 1.0, seed, "degenerate: zero increments")
-    lx = np.log(sel[:, 0])
-    ly = np.log(sel[:, 1])
-    slope, icpt = np.polyfit(lx, ly, 1)
-    fitted = slope * lx + icpt
-    ss_res = float(np.sum((ly - fitted) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, r2, _ = loglog_fit(sel[:, 0], sel[:, 1])
     exponent = float(np.clip(slope, 0.0, 1.0))
     q = points[:, 1] / points[:, 0] ** exponent
     return HolderEstimate(exponent, float(q.max()), pair_count, scale_range, r2, seed)
-
-
-def _as_components(field, grid):
-    if isinstance(field, Snapshot):
-        return field.velocity, field.grid
-    arr = np.asarray(field, dtype=float)
-    if grid is None:
-        raise PreconditionError("grid is required when passing a bare array")
-    if arr.shape == grid.dims:
-        arr = arr[np.newaxis]
-    return arr, grid

@@ -13,7 +13,7 @@ import pytest
 
 from oflux.boundary import conservation_verdict, global_balance, shell_flux
 from oflux.cli import main as cli_main
-from oflux.commutator import commutator_stress, commutator_via_increments, scaling_probe
+from oflux.commutator import commutator_stress, scaling_probe
 from oflux.energy_balance import ChiWindow, TestFunction, dr_convergence_sweep, weak_energy_identity
 from oflux.grids import Domain, Snapshot, Trajectory, energy, make_grid
 from oflux.mollify import block_mask, cutoff_region, full_box_chain, make_mollifier
@@ -22,6 +22,7 @@ from oflux.solver import SolverConfig, dissipation_sweep, run
 from oflux.synth import estimate_holder_exponent, fractional_field, shear_flow, taylor_green
 
 from conftest import TWO_PI, channel_domain, steady_tg_trajectory, stream_channel_field
+from mollify_oracle import commutator_via_increments
 
 # every solver run executed by this suite registers its worst Leray residual
 LERAY_LOG: list[float] = []

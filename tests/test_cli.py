@@ -373,3 +373,68 @@ def test_sweep_failure_after_t_star_writes_nothing(tmp_path, monkeypatch, capsys
     assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
     assert "injected" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["t_end", "nus"])
+def test_sweep_integer_too_large_for_a_float_exit_code(tmp_path, capsys, key):
+    huge = 10**400
+    cfg = dict(_SMALL_PERIODIC_SWEEP, **{key: huge if key == "t_end" else [1e-2, huge]})
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"sweep.{key}" in err and "internal error" not in err
+    assert not out.exists()
+
+
+def test_sweep_config_integer_past_the_digit_limit_exit_code(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"nus": [0.01], "dt": 0.01, "t_end": ' + "1" * 5000 + "}")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 3
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_sweep_leray_gate_covers_steps_past_t_end(tmp_path):
+    cfg = dict(_SMALL_PERIODIC_SWEEP, t_end=0.13, t_star=0.2)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) in (0, 2)
+    _, dom, initial = _small_sweep("periodic")
+    worst = max(
+        float(run(SolverConfig(dom, nu, cfg["dt"], cfg["t_star"], initial))[1].leray_residual.max())
+        for nu in cfg["nus"]
+    )
+    assert json.loads((out / "verdict.json").read_text())["max_leray_residual"] == worst
+
+
+@pytest.mark.parametrize("alpha", ["auto", "0.6"])
+def test_diagnose_runs_one_holder_survey(tmp_path, monkeypatch, alpha):
+    from oflux import synth
+
+    f = synth.fractional_field(0.6, None, 2, make_grid((64, 64), (TWO_PI, TWO_PI)))
+    field = fieldio.write_snapshot(tmp_path / "f.oflx", f)
+    calls = []
+    real_survey = synth._increment_survey
+
+    def counting_survey(*args):
+        calls.append(args)
+        return real_survey(*args)
+
+    monkeypatch.setattr(synth, "_increment_survey", counting_survey)
+    out = tmp_path / "d"
+    assert main(["diagnose", "--in", str(field), "--alpha", alpha, "--out", str(out)]) in (0, 2)
+    assert len(calls) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["holder_seminorm"] == synth.holder_norm(f, summary["alpha"])
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing"])
+def test_diagnose_bad_field_file_exit_code(tmp_path, capsys, damage):
+    gen_out = tmp_path / "g"
+    assert main(["gen", "--kind", "taylor-green", "--grid", "16x16", "--out", str(gen_out)]) == 0
+    field = gen_out / "field.oflx"
+    if damage == "truncated":
+        field.write_bytes(field.read_bytes()[:100])
+    else:
+        field.unlink()
+    assert main(["diagnose", "--in", str(field), "--out", str(tmp_path / "d")]) == 3
+    err = capsys.readouterr().err
+    assert str(field) in err and "internal error" not in err

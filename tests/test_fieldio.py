@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,64 @@ def test_scalar_field_roundtrip(tmp_path, box64):
     assert np.array_equal(back, vals)
     assert time == 0.7
     assert tags["epsilon"] == 0.3
+
+
+def _written(tmp_path, reader):
+    """A 16^2 Taylor-Green file of the reader's kind: (path, reader)."""
+    snap = taylor_green(make_grid((16, 16), (TWO_PI, TWO_PI)))
+    if reader is fieldio.read_snapshot:
+        return fieldio.write_snapshot(tmp_path / "tg.oflx", snap), reader
+    return fieldio.write_scalar_field(tmp_path / "p.oflx", snap.grid, snap.pressure), reader
+
+
+def _rejects(path, reader, what):
+    with pytest.raises(PreconditionError, match=what) as err:
+        reader(path)
+    assert str(path) in str(err.value)
+
+
+READERS = pytest.mark.parametrize("reader", [fieldio.read_snapshot, fieldio.read_scalar_field],
+                                  ids=["snapshot", "scalar"])
+
+
+@READERS
+def test_truncated_file_rejected(tmp_path, reader):
+    path, reader = _written(tmp_path, reader)
+    path.write_bytes(path.read_bytes()[:100])
+    _rejects(path, reader, "payload")
+    path.write_bytes(path.read_bytes()[:30])
+    _rejects(path, reader, "truncated header")
+
+
+@READERS
+def test_unknown_kind_code_rejected(tmp_path, reader):
+    path, reader = _written(tmp_path, reader)
+    raw = bytearray(path.read_bytes())
+    raw[9 + 16] = 7  # the kind byte of axis 0
+    path.write_bytes(bytes(raw))
+    _rejects(path, reader, "kind code 7")
+
+
+@READERS
+def test_trailing_bytes_rejected(tmp_path, reader):
+    path, reader = _written(tmp_path, reader)
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    _rejects(path, reader, "payload")
+
+
+@READERS
+def test_component_count_rejected(tmp_path, reader):
+    path, reader = _written(tmp_path, reader)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, 9 + 2 * 17, 5)  # five components declared on two axes
+    path.write_bytes(bytes(raw))
+    _rejects(path, reader, "components")
+
+
+@READERS
+def test_non_finite_payload_rejected(tmp_path, reader):
+    path, reader = _written(tmp_path, reader)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, len(raw) - 8, float("nan"))  # the last node of the last component
+    path.write_bytes(bytes(raw))
+    _rejects(path, reader, "non-finite")
