@@ -10,6 +10,11 @@ The increment route
 is algebraically identical in the discrete algebra (same kernel samples,
 same quadrature); it is kept with the tests as a mutual oracle for the
 direct route (tests/mollify_oracle.py).
+
+The direct route transforms the stack [u, u_i u_j] once; each radius is
+then one multiply by its kernel transfer and one inverse transform, which
+yields (u otimes u)^eps and the u^eps that the stress and the contraction
+share.  ``scaling_probe`` keeps that spectrum for its whole ladder.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from .errors import PreconditionError
 from .grids import (Grid, Snapshot, Trajectory, as_components, deriv, integrate, loglog_fit,
                     trapezoid_time_weights)
-from .mollify import CutoffField, Mollifier, make_mollifier, mollify_field
+from .mollify import CutoffField, Mollifier, field_spectrum, make_mollifier, mollify_spectrum
 
 # ---------------------------------------------------------------------------
 # stress tensors
@@ -45,6 +50,42 @@ class CommutatorStress:
         return float(np.abs(t).max())
 
 
+def quadratic_products(vel: np.ndarray) -> np.ndarray:
+    """u_i u_j for i <= j in row-major order: shape (n(n+1)/2, *dims)."""
+    iu, ju = np.triu_indices(len(vel))
+    return np.stack([vel[i] * vel[j] for i, j in zip(iu, ju)])
+
+
+def stress_from(products_eps: np.ndarray, ue: np.ndarray, epsilon: float,
+                region: np.ndarray | None) -> CommutatorStress:
+    """R from mollified products (order of ``quadratic_products``) and u^eps."""
+    n = len(ue)
+    tensor = np.empty((n, n, *ue.shape[1:]))
+    for k, (i, j) in enumerate(zip(*np.triu_indices(n))):
+        r = products_eps[k] - ue[i] * ue[j]
+        tensor[i, j] = r
+        if i != j:
+            tensor[j, i] = r
+    return CommutatorStress(tensor, epsilon, region)
+
+
+def _velocity_spectrum(vel: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half-spectrum of the stack [u, u_i u_j (i <= j)]."""
+    return field_spectrum(np.concatenate([vel, quadratic_products(vel)]), grid)
+
+
+def _mollified_stress(spectrum: np.ndarray, mol: Mollifier, grid: Grid,
+                      region: np.ndarray | None) -> tuple[CommutatorStress, np.ndarray]:
+    """The stress and u^eps at one radius, from one inverse transform."""
+    smooth = mollify_spectrum(spectrum, mol.transfer(grid, region), grid)
+    ue = smooth[: grid.ndim]
+    return stress_from(smooth[grid.ndim:], ue, mol.epsilon, region), ue
+
+
+def _as_mollifier(mollifier: Mollifier | float, grid: Grid) -> Mollifier:
+    return mollifier if isinstance(mollifier, Mollifier) else make_mollifier(float(mollifier), grid)
+
+
 def commutator_stress(
     u: Snapshot | np.ndarray,
     mollifier: Mollifier | float,
@@ -53,17 +94,8 @@ def commutator_stress(
 ) -> CommutatorStress:
     """(u otimes u)^eps - u^eps otimes u^eps, componentwise."""
     vel, grid = as_components(u, grid)
-    mol = mollifier if isinstance(mollifier, Mollifier) else make_mollifier(float(mollifier), grid)
-    n = grid.ndim
-    ue = mollify_field(vel, mol, grid, region)
-    tensor = np.empty((n, n, *grid.dims))
-    for i in range(n):
-        for j in range(i, n):
-            r = mollify_field(vel[i] * vel[j], mol, grid, region) - ue[i] * ue[j]
-            tensor[i, j] = r
-            if i != j:
-                tensor[j, i] = r
-    return CommutatorStress(tensor, mol.epsilon, region)
+    mol = _as_mollifier(mollifier, grid)
+    return _mollified_stress(_velocity_spectrum(vel, grid), mol, grid, region)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +133,8 @@ def flux_density(
 ) -> float:
     """Instantaneous commutator flux <R_eps : grad(phi u^eps)>."""
     vel, grid = as_components(u, grid)
-    mol = mollifier if isinstance(mollifier, Mollifier) else make_mollifier(float(mollifier), grid)
-    stress = commutator_stress(vel, mol, grid, region)
-    ue = mollify_field(vel, mol, grid, region)
+    mol = _as_mollifier(mollifier, grid)
+    stress, ue = _mollified_stress(_velocity_spectrum(vel, grid), mol, grid, region)
     return contraction_grad(stress, ue, phi, grid)
 
 
@@ -260,11 +291,10 @@ def scaling_probe(
     pv = _phi_values(phi, grid)
     probe = _probe_mask(grid, region)
     wts = grid.quad_weights()
+    spectrum = _velocity_spectrum(vel, grid)
     flux_vals, sup_r, sup_g = [], [], []
     for e in eps:
-        mol = make_mollifier(e, grid)
-        stress = commutator_stress(vel, mol, grid, region)
-        ue = mollify_field(vel, mol, grid, region)
+        stress, ue = _mollified_stress(spectrum, make_mollifier(e, grid), grid, region)
         n = grid.ndim
         contraction = np.zeros(grid.dims)
         grad_sq = np.zeros(grid.dims)

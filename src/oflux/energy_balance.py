@@ -14,6 +14,12 @@ fields with alpha > 1/3.
 The time window chi is a closed-form raised cosine so its derivative is
 analytic; snapshots are only finite-differenced inside the pointwise defect
 field.
+
+Only the kernel depends on eps.  The identity is therefore split into a
+set-up that builds and transforms everything else once per snapshot (the
+products, the Euler residual, grad phi) and a per-eps step of one kernel
+multiply and one inverse transform; ``weak_energy_identity`` is the set-up
+plus one eps, and ``dr_convergence_sweep`` the set-up plus every rung.
 """
 
 from __future__ import annotations
@@ -22,14 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutator import CommutatorStress, SlopeFit, contraction_grad, fit_loglog, monotone_within_10pct
+from .commutator import (SlopeFit, contraction_grad, fit_loglog, monotone_within_10pct, quadratic_products,
+                         stress_from)
 from .errors import PreconditionError
 from .grids import Trajectory, deriv, discretization_budget, integrate, trapezoid_time_weights
 from .mollify import (
     CutoffField,
     RegionChain,
+    field_spectrum,
     make_mollifier,
-    mollify_field,
+    mollify_spectrum,
     time_kernel,
 )
 
@@ -81,87 +89,6 @@ class TestFunction:
 
 
 # ---------------------------------------------------------------------------
-# (eps, kappa) smoothing of the trajectory and its quadratic products
-# ---------------------------------------------------------------------------
-
-
-def _smooth_fields(traj: Trajectory, epsilon: float, kappa: float | None, chain: RegionChain):
-    """Return times, u^{e,k}, p^{e,k} and (u ox u)^{e,k} on the retained window."""
-    grid = traj.grid
-    # the eta/2 margin binds only when Q2 has a real complement to stay away from
-    if (~chain.q2).any() and epsilon > 0.5 * chain.eta:
-        raise PreconditionError(f"epsilon={epsilon:g} exceeds eta/2={0.5 * chain.eta:g}")
-    mol = make_mollifier(epsilon, grid)
-    n = grid.ndim
-    iu, ju = np.triu_indices(n)
-    vels = [s.velocity for s in traj.snapshots]
-    prs = [s.pressure for s in traj.snapshots]
-    if any(p is None for p in prs):
-        raise PreconditionError("weak energy identity requires pressure on every snapshot")
-    prods = [np.stack([v[i] * v[j] for i, j in zip(iu, ju)]) for v in vels]
-
-    # raw Euler residual E = d_t u + div(u ox u) + grad p per snapshot
-    # (central time differences, one-sided at the window ends)
-    euler = []
-    nt = len(traj)
-    for k in range(nt):
-        if nt == 1:
-            dudt = np.zeros_like(vels[0])
-        elif k == 0:
-            dudt = (vels[1] - vels[0]) / traj.dt
-        elif k == nt - 1:
-            dudt = (vels[-1] - vels[-2]) / traj.dt
-        else:
-            dudt = (vels[k + 1] - vels[k - 1]) / (2.0 * traj.dt)
-        e = dudt.copy()
-        for j in range(n):
-            for i in range(n):
-                e[j] += deriv(vels[k][i] * vels[k][j], i, grid)
-            e[j] += deriv(prs[k], j, grid)
-        euler.append(e)
-
-    if kappa is None or len(traj) == 1:
-        idx = list(range(len(traj)))
-        v_t, p_t, q_t, e_t = vels, prs, prods, euler
-    else:
-        if chain.tau > 0 and kappa > 0.5 * chain.tau:
-            raise PreconditionError(f"kappa={kappa:g} exceeds tau/2={0.5 * chain.tau:g}")
-        offs, w = time_kernel(kappa, traj.dt)
-        reach = int(offs.max())
-        if len(traj) - 2 * reach <= 0:
-            raise PreconditionError("trajectory too short for the requested time radius")
-        idx = list(range(reach, len(traj) - reach))
-        wdt = w * traj.dt
-
-        def tconv(arrays, i):
-            return sum(wm * arrays[i - m] for m, wm in zip(offs, wdt))
-
-        v_t = [tconv(vels, i) for i in idx]
-        p_t = [tconv(prs, i) for i in idx]
-        q_t = [tconv(prods, i) for i in idx]
-        e_t = [tconv(euler, i) for i in idx]
-
-    region = chain.q2
-    times = np.array([traj.snapshots[i].time for i in idx])
-    u_sm = [mollify_field(v, mol, grid, region) for v in v_t]
-    p_sm = [mollify_field(p, mol, grid, region) for p in p_t]
-    q_sm = [mollify_field(q, mol, grid, region) for q in q_t]
-    e_sm = [mollify_field(e, mol, grid, region) for e in e_t]
-    return times, u_sm, p_sm, q_sm, e_sm, mol, (iu, ju)
-
-
-def _stress_from(q_sm, u, iu, ju, grid):
-    n = grid.ndim
-    tensor = np.empty((n, n, *grid.dims))
-    for k, (i, j) in enumerate(zip(iu, ju)):
-        r = q_sm[k] - u[i] * u[j]
-        tensor[i, j] = r
-        if i != j:
-            tensor[j, i] = r
-    return tensor
-
-
-# ---------------------------------------------------------------------------
 # the identity
 # ---------------------------------------------------------------------------
 
@@ -195,6 +122,105 @@ class EnergyBalanceReport:
         }
 
 
+class _WeakIdentity:
+    """The identity split into epsilon-independent set-up and per-epsilon work.
+
+    Set-up, once: the pressure and chi/phi checks, grad(phi), and per retained
+    time the half-spectrum of the stack [u, p, u_i u_j (i <= j), E], where
+    E = d_t u + div(u ox u) + grad p is the raw Euler residual (central time
+    differences, one-sided at the window ends).  With kappa set, the stack is
+    kappa-mollified in time before it is transformed.  Each ``report(eps)``
+    then costs one kernel multiply and one inverse transform per retained
+    time, plus the stress, grad(phi u^eps) and the sums.
+    """
+
+    def __init__(self, traj: Trajectory, test: TestFunction, chain: RegionChain,
+                 kappa: float | None):
+        test.validate(chain)
+        if any(s.pressure is None for s in traj.snapshots):
+            raise PreconditionError("weak energy identity requires pressure on every snapshot")
+        grid = traj.grid
+        nt = len(traj)
+        self.time_smoothed = kappa is not None and nt > 1
+        if not self.time_smoothed:
+            idx = range(nt)
+            spectra = [field_spectrum(self._stack(traj, k), grid) for k in idx]
+        else:
+            offs, w = time_kernel(kappa, traj.dt)
+            reach = int(offs.max())
+            if nt - 2 * reach <= 0:
+                raise PreconditionError("trajectory too short for the requested time radius")
+            idx = range(reach, nt - reach)
+            raw = [self._stack(traj, k) for k in range(nt)]
+            wdt = w * traj.dt
+            spectra = [field_spectrum(sum(wm * raw[i - m] for m, wm in zip(offs, wdt)), grid)
+                       for i in idx]
+        self.traj, self.test, self.chain, self.kappa = traj, test, chain, kappa
+        self.times = np.array([traj.snapshots[i].time for i in idx])
+        self.spectra = spectra
+        self.gphi = np.stack([deriv(test.phi.values, a, grid) for a in range(grid.ndim)])
+
+    @staticmethod
+    def _stack(traj: Trajectory, k: int) -> np.ndarray:
+        """[u, p, u_i u_j, E] at snapshot k."""
+        grid = traj.grid
+        vels = [s.velocity for s in traj.snapshots]
+        nt = len(traj)
+        if nt == 1:
+            dudt = np.zeros_like(vels[0])
+        elif k == 0:
+            dudt = (vels[1] - vels[0]) / traj.dt
+        elif k == nt - 1:
+            dudt = (vels[-1] - vels[-2]) / traj.dt
+        else:
+            dudt = (vels[k + 1] - vels[k - 1]) / (2.0 * traj.dt)
+        u, p = vels[k], traj.snapshots[k].pressure
+        e = dudt.copy()
+        for j in range(grid.ndim):
+            for i in range(grid.ndim):
+                e[j] += deriv(u[i] * u[j], i, grid)
+            e[j] += deriv(p, j, grid)
+        return np.concatenate([u, p[np.newaxis], quadratic_products(u), e])
+
+    def report(self, epsilon: float) -> EnergyBalanceReport:
+        traj, chain, kappa = self.traj, self.chain, self.kappa
+        # the eta/2 margin binds only when Q2 has a real complement to stay away from
+        if (~chain.q2).any() and epsilon > 0.5 * chain.eta:
+            raise PreconditionError(f"epsilon={epsilon:g} exceeds eta/2={0.5 * chain.eta:g}")
+        if self.time_smoothed and chain.tau > 0 and kappa > 0.5 * chain.tau:
+            raise PreconditionError(f"kappa={kappa:g} exceeds tau/2={0.5 * chain.tau:g}")
+        grid = traj.grid
+        n = grid.ndim
+        transfer = make_mollifier(epsilon, grid).transfer(grid, chain.q2)
+        pv = self.test.phi.values
+        wts = trapezoid_time_weights(len(self.times), traj.dt)
+        chi = self.test.chi(self.times)
+        dchi = self.test.chi.deriv(self.times)
+
+        lhs = 0.0
+        euler_term = 0.0
+        fluxes = []
+        umax = 0.0
+        for k, spectrum in enumerate(self.spectra):
+            smooth = mollify_spectrum(spectrum, transfer, grid)
+            u, p, q, e = smooth[:n], smooth[n], smooth[n + 1:-n], smooth[-n:]
+            ke = 0.5 * np.sum(u * u, axis=0)
+            bern = ke + p
+            adv = sum(u[a] * self.gphi[a] for a in range(n))
+            lhs += wts[k] * (dchi[k] * integrate(pv * ke, grid) + chi[k] * integrate(bern * adv, grid))
+            euler_term += wts[k] * chi[k] * integrate(np.sum(e * (pv * u), axis=0), grid)
+            fluxes.append(contraction_grad(stress_from(q, u, epsilon, chain.q2), u, pv, grid))
+            umax = max(umax, float(np.abs(u).max()))
+
+        rhs = -float(np.sum(wts * chi * np.asarray(fluxes)))
+        residual = lhs - rhs
+        budget = discretization_budget(grid, traj.dt if self.time_smoothed else 0.0, umax)
+        return EnergyBalanceReport(
+            float(lhs), rhs, float(residual), float(epsilon), kappa, float(budget),
+            float(euler_term), tuple(fluxes),
+        )
+
+
 def weak_energy_identity(
     traj: Trajectory,
     test: TestFunction,
@@ -207,41 +233,10 @@ def weak_energy_identity(
     lhs integrates |u|^2/2 d_t(chi phi) + (|u|^2/2 + p) u . grad(chi phi);
     rhs is the commutator flux side (orientation fixed so lhs == rhs for
     exact solutions); residual = lhs - rhs comes with a crude h^2 + dt^2
-    discretization budget.
+    discretization budget.  This is the set-up of ``dr_convergence_sweep``
+    followed by a single rung.
     """
-    test.validate(chain)
-    grid = traj.grid
-    times, u_sm, p_sm, q_sm, e_sm, mol, (iu, ju) = _smooth_fields(traj, epsilon, kappa, chain)
-    pv = test.phi.values
-    gphi = np.stack([deriv(pv, a, grid) for a in range(grid.ndim)])
-    wts = trapezoid_time_weights(len(times), traj.dt)
-    chi = test.chi(times)
-    dchi = test.chi.deriv(times)
-
-    lhs = 0.0
-    euler_term = 0.0
-    fluxes = []
-    umax = 0.0
-    for k, t in enumerate(times):
-        u = u_sm[k]
-        ke = 0.5 * np.sum(u * u, axis=0)
-        bern = ke + p_sm[k]
-        adv = sum(u[a] * gphi[a] for a in range(grid.ndim))
-        lhs += wts[k] * (dchi[k] * integrate(pv * ke, grid) + chi[k] * integrate(bern * adv, grid))
-        euler_term += wts[k] * chi[k] * integrate(np.sum(e_sm[k] * (pv * u), axis=0), grid)
-        stress = _stress_from(q_sm[k], u, iu, ju, grid)
-        f = contraction_grad(CommutatorStress(stress, epsilon, chain.q2), u, pv, grid)
-        fluxes.append(f)
-        umax = max(umax, float(np.abs(u).max()))
-
-    rhs = -float(np.sum(wts * chi * np.asarray(fluxes)))
-    residual = lhs - rhs
-    dt_term = traj.dt if (kappa is not None and len(traj) > 1) else 0.0
-    budget = discretization_budget(grid, dt_term, umax)
-    return EnergyBalanceReport(
-        float(lhs), rhs, float(residual), float(epsilon), kappa, float(budget),
-        float(euler_term), tuple(fluxes),
-    )
+    return _WeakIdentity(traj, test, chain, kappa).report(epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +255,15 @@ def dr_dissipation_field(
     if len(traj) < 3:
         raise PreconditionError("defect field needs at least 3 snapshots for time differencing")
     grid = traj.grid
-    mol = make_mollifier(epsilon, grid)
-    region = chain.q2
+    n = grid.ndim
+    transfer = make_mollifier(epsilon, grid).transfer(grid, chain.q2)
     kes, divs = [], []
     for s in traj.snapshots:
         if s.pressure is None:
             raise PreconditionError("defect field requires pressure on every snapshot")
-        u = mollify_field(s.velocity, mol, grid, region)
-        p = mollify_field(s.pressure, mol, grid, region)
+        stack = np.concatenate([s.velocity, s.pressure[np.newaxis]])
+        smooth = mollify_spectrum(field_spectrum(stack, grid), transfer, grid)
+        u, p = smooth[:n], smooth[n]
         ke = 0.5 * np.sum(u * u, axis=0)
         flux = (ke + p) * u
         divs.append(sum(deriv(flux[a], a, grid) for a in range(grid.ndim)))
@@ -308,12 +304,14 @@ def dr_convergence_sweep(
     Verdict is "consistent with conservation" when the fitted slope reaches
     3*alpha - 1 - 0.15 and the values decrease monotonically within 10%;
     for alpha <= 1/3 no conservation claim is made and the sweep reports
-    "non-vanishing/inconclusive".
+    "non-vanishing/inconclusive".  The epsilon-independent set-up of the
+    identity runs once; each rung is one kernel multiply per retained time.
     """
     eps = sorted((float(e) for e in epsilons), reverse=True)
     if len(eps) < 4:
         raise PreconditionError("need at least 4 admissible ladder rungs")
-    reports = tuple(weak_energy_identity(traj, test, e, chain, kappa) for e in eps)
+    identity = _WeakIdentity(traj, test, chain, kappa)
+    reports = tuple(identity.report(e) for e in eps)
     values = [abs(r.rhs) for r in reports]
     predicted = 3.0 * alpha - 1.0
     fit = fit_loglog(eps, values, predicted, "weak_residual")

@@ -174,9 +174,21 @@ def read_trajectory(directory: str | Path) -> Trajectory:
     meta_path = directory / "trajectory.json"
     if not meta_path.exists():
         raise PreconditionError(f"{directory}: no trajectory.json found")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    snaps = tuple(read_snapshot(directory / name) for name in meta["files"])
-    return Trajectory(snaps, float(meta["dt"]))
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise PreconditionError(f"{meta_path}: invalid JSON ({exc})") from exc
+    files = meta.get("files") if isinstance(meta, dict) else None
+    if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
+        raise PreconditionError(f"{meta_path}: 'files' must be a list of file names")
+    try:
+        dt = float(meta.get("dt"))
+    except (TypeError, ValueError):
+        dt = float("nan")
+    if not math.isfinite(dt):
+        raise PreconditionError(f"{meta_path}: 'dt' must be a finite number, got {meta.get('dt')!r}")
+    snaps = tuple(read_snapshot(directory / name) for name in files)
+    return Trajectory(snaps, dt)
 
 
 def load_input(path: str | Path):

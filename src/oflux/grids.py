@@ -248,6 +248,12 @@ class Trajectory:
         object.__setattr__(self, "snapshots", snaps)
         if len(snaps) < 1:
             raise PreconditionError("trajectory needs at least one snapshot")
+        grid = snaps[0].grid
+        for s in snaps[1:]:
+            if s.grid != grid:
+                raise PreconditionError(
+                    f"snapshot at t={s.time:g} is on another grid than the first snapshot: {s.grid} vs {grid}"
+                )
         times = np.array([s.time for s in snaps])
         if len(snaps) > 1:
             steps = np.diff(times)
@@ -283,23 +289,23 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _spectral_deriv(f: np.ndarray, axis: int, grid: Grid) -> np.ndarray:
+def _spectral_deriv(f: np.ndarray, axis: int, grid: Grid, array_axis: int) -> np.ndarray:
     k = grid.wavenumbers(axis)
     m = grid.dims[axis]
     if m % 2 == 0:
         k = k.copy()
         k[m // 2] = 0.0  # antisymmetric operator: drop the Nyquist derivative
     shape = [1] * f.ndim
-    shape[axis] = m
-    fh = np.fft.fft(f, axis=axis)
-    return np.fft.ifft(1j * k.reshape(shape) * fh, axis=axis).real
+    shape[array_axis] = m
+    fh = np.fft.fft(f, axis=array_axis)
+    return np.fft.ifft(1j * k.reshape(shape) * fh, axis=array_axis).real
 
 
-def _wall_deriv(f: np.ndarray, axis: int, grid: Grid) -> np.ndarray:
+def _wall_deriv(f: np.ndarray, axis: int, grid: Grid, array_axis: int) -> np.ndarray:
     h = grid.spacing[axis]
     out = np.empty_like(f)
-    fm = np.moveaxis(f, axis, 0)
-    om = np.moveaxis(out, axis, 0)
+    fm = np.moveaxis(f, array_axis, 0)
+    om = np.moveaxis(out, array_axis, 0)
     om[1:-1] = (fm[2:] - fm[:-2]) / (2.0 * h)
     om[0] = (-3.0 * fm[0] + 4.0 * fm[1] - fm[2]) / (2.0 * h)
     om[-1] = (3.0 * fm[-1] - 4.0 * fm[-2] + fm[-3]) / (2.0 * h)
@@ -314,8 +320,8 @@ def deriv(f: np.ndarray, axis: int, grid: Grid) -> np.ndarray:
     lead = f.ndim - grid.ndim
     ax = axis + lead
     if grid.axis_kinds[axis] == PERIODIC:
-        return _spectral_deriv(f, ax, grid)
-    return _wall_deriv(f, ax, grid)
+        return _spectral_deriv(f, axis, grid, ax)
+    return _wall_deriv(f, axis, grid, ax)
 
 
 def deriv2(f: np.ndarray, axis: int, grid: Grid) -> np.ndarray:

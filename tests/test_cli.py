@@ -10,7 +10,7 @@ from oflux.cli import main
 from oflux.grids import Domain, Snapshot, make_grid
 from oflux.reports import canonical_json, config_hash, write_csv
 from oflux.solver import SolverConfig, dissipation_sweep, run
-from oflux.synth import taylor_green
+from oflux.synth import fractional_field, taylor_green
 
 from conftest import TWO_PI, channel_domain
 
@@ -438,3 +438,35 @@ def test_diagnose_bad_field_file_exit_code(tmp_path, capsys, damage):
     assert main(["diagnose", "--in", str(field), "--out", str(tmp_path / "d")]) == 3
     err = capsys.readouterr().err
     assert str(field) in err and "internal error" not in err
+
+
+def _write_fractional_snapshots(directory, sizes):
+    names = []
+    for k, m in enumerate(sizes):
+        grid = make_grid((m, m), (TWO_PI, TWO_PI))
+        snap = fractional_field(0.4, None, k, grid)
+        names.append(f"snap_{k:05d}.oflx")
+        fieldio.write_snapshot(directory / names[-1], Snapshot(grid, snap.velocity, None, 0.1 * k))
+    return names
+
+
+@pytest.mark.parametrize("meta", ["{}", "[]", "not json", '{"files": FILES, "dt": "abc"}'])
+def test_diagnose_bad_trajectory_json_exit_code(tmp_path, capsys, meta):
+    traj = tmp_path / "traj"
+    traj.mkdir()
+    names = _write_fractional_snapshots(traj, (16, 16, 16))
+    meta_path = traj / "trajectory.json"
+    meta_path.write_text(meta.replace("FILES", json.dumps(names)))
+    assert main(["diagnose", "--in", str(traj), "--out", str(tmp_path / "d")]) == 3
+    err = capsys.readouterr().err
+    assert str(meta_path) in err and "internal error" not in err
+
+
+def test_diagnose_trajectory_on_mixed_grids_exit_code(tmp_path, capsys):
+    traj = tmp_path / "traj"
+    traj.mkdir()
+    names = _write_fractional_snapshots(traj, (32, 64, 32))
+    (traj / "trajectory.json").write_text(json.dumps({"dt": 0.1, "files": names}))
+    assert main(["diagnose", "--in", str(traj), "--out", str(tmp_path / "d")]) == 3
+    err = capsys.readouterr().err
+    assert "grid" in err and "internal error" not in err

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-
 from oflux.errors import PreconditionError
 from oflux.grids import (
     Domain,
     Snapshot,
+    Trajectory,
+    deriv,
     distance_to_boundary,
     divergence,
     energy,
@@ -139,3 +140,25 @@ def test_divergence_order_on_smooth_channel_field():
         snap = stream_channel_field(dom)
         defects[ny] = np.abs(divergence(snap)).max()
     assert np.log2(defects[33] / defects[65]) >= 1.7
+
+
+@pytest.mark.parametrize("shape", [(12, 9), (9, 10, 11)])
+@pytest.mark.parametrize("kind", ["periodic", "wall"])
+def test_deriv_with_leading_axes_equals_per_component(shape, kind):
+    # non-square grids, odd and even axes, the last axis periodic or a wall
+    kinds = ["periodic"] * (len(shape) - 1) + [kind]
+    grid = make_grid(shape, (1.3, 0.9, 1.1)[: len(shape)], kinds)
+    f = np.random.default_rng(1).standard_normal((2, 3, *shape))
+    for axis in range(grid.ndim):
+        want = np.stack([np.stack([deriv(c, axis, grid) for c in row]) for row in f])
+        assert np.array_equal(deriv(f, axis, grid), want)
+
+
+def test_trajectory_rejects_snapshots_on_different_grids():
+    small, large = make_grid((32, 32), (TWO_PI, TWO_PI)), make_grid((64, 64), (TWO_PI, TWO_PI))
+    snaps = [Snapshot(g, np.zeros((2, *g.dims)), None, 0.1 * k) for k, g in enumerate((small, large, small))]
+    with pytest.raises(PreconditionError, match="grid"):
+        Trajectory(tuple(snaps), 0.1)
+    same_dims = make_grid((32, 32), (TWO_PI, 1.0))
+    with pytest.raises(PreconditionError, match="grid"):
+        Trajectory((snaps[0], Snapshot(same_dims, np.zeros((2, 32, 32)), None, 0.1)), 0.1)

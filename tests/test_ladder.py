@@ -1,0 +1,97 @@
+"""The transform-once epsilon-ladders against per-rung references."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oflux import energy_balance
+from oflux.commutator import _probe_mask, scaling_probe
+from oflux.energy_balance import ChiWindow, TestFunction, dr_convergence_sweep
+from oflux.grids import Snapshot, Trajectory, deriv, make_grid
+from oflux.mollify import block_mask, cutoff_region, full_box_chain
+
+from ladder_oracle import scaling_probe_rungs, weak_identity_rung
+
+RTOL = 1e-12
+PROPERTY = settings(max_examples=12, deadline=None)
+dims = st.integers(min_value=8, max_value=17)  # even and odd; the grid floor is 8
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+LADDER = (4.0, 3.5, 3.0, 2.5, 2.0)  # in units of h
+
+
+def _grid(shape):
+    return make_grid(shape, (1.3, 0.9, 1.1)[: len(shape)])
+
+
+def _phi(grid):
+    return cutoff_region(grid, block_mask(grid, 0.35, 0.65), block_mask(grid, 0.1, 0.9))
+
+
+def _trajectory(grid, seed, nt, dt=0.1):
+    rng = np.random.default_rng(seed)
+    snaps = tuple(
+        Snapshot(grid, rng.standard_normal((grid.ndim, *grid.dims)), rng.standard_normal(grid.dims), k * dt)
+        for k in range(nt)
+    )
+    return Trajectory(snaps, dt)
+
+
+shapes = st.one_of(st.tuples(dims, dims), st.tuples(dims, dims, dims))
+
+
+@PROPERTY
+@given(shape=shapes, seed=seeds)
+def test_scaling_probe_matches_per_rung_oracle(shape, seed):
+    grid = _grid(shape)
+    vel = np.random.default_rng(seed).standard_normal((grid.ndim, *grid.dims))
+    phi = _phi(grid)
+    eps = [c * grid.max_spacing for c in LADDER]
+    got = scaling_probe(vel, 0.5, eps, phi=phi, grid=grid)
+    want = scaling_probe_rungs(vel, eps, phi.values, grid, _probe_mask(grid, None))
+    for k, (flux, sup_r, sup_g) in enumerate(want):
+        assert abs(got.flux.values[k] - flux) <= RTOL * flux
+        assert abs(got.stress_sup.values[k] - sup_r) <= RTOL * sup_r
+        assert abs(got.grad_sup.values[k] - sup_g) <= RTOL * sup_g
+
+
+@PROPERTY
+@given(shape=shapes, seed=seeds, kappa=st.sampled_from([None, 0.2]))
+def test_dr_sweep_matches_per_rung_oracle(shape, seed, kappa):
+    grid = _grid(shape)
+    traj = _trajectory(grid, seed, 3 if kappa is None else 6)
+    t1, t2 = traj.t_range
+    chain = full_box_chain(grid, eta=10.0, t_range=(t1, t2), tau=0.0)
+    test = TestFunction(ChiWindow(t1, t2), _phi(grid))
+    eps = [c * grid.max_spacing for c in LADDER]
+    got = dr_convergence_sweep(traj, eps, test, 0.5, chain, kappa)
+    for rep, e in zip(got.reports, eps):
+        lhs, rhs, euler_term = weak_identity_rung(traj, test, e, chain, kappa)
+        scale = max(abs(lhs), abs(rhs), abs(euler_term))
+        assert abs(rep.lhs - lhs) <= RTOL * scale
+        assert abs(rep.rhs - rhs) <= RTOL * scale
+        assert abs(rep.euler_term - euler_term) <= RTOL * scale
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (9, 10, 11)])
+def test_dr_sweep_euler_derivatives_do_not_grow_with_rungs(monkeypatch, shape):
+    # the Euler residual and grad(phi) are built once per snapshot, not per rung
+    grid = _grid(shape)
+    traj = _trajectory(grid, 0, 3)
+    t1, t2 = traj.t_range
+    chain = full_box_chain(grid, eta=10.0, t_range=(t1, t2), tau=0.0)
+    test = TestFunction(ChiWindow(t1, t2), _phi(grid))
+    calls = []
+
+    def counting_deriv(f, axis, g):
+        calls.append(axis)
+        return deriv(f, axis, g)
+
+    monkeypatch.setattr(energy_balance, "deriv", counting_deriv)
+    counts = []
+    for rungs in (LADDER[:4], LADDER):
+        calls.clear()
+        dr_convergence_sweep(traj, [c * grid.max_spacing for c in rungs], test, 0.5, chain)
+        counts.append(len(calls))
+    n = grid.ndim
+    assert counts == [len(traj) * (n * n + n) + n] * 2

@@ -275,6 +275,21 @@ def test_bump_cdf_endpoints():
     assert bump(1.0) == 0.0 and bump(0.0) == pytest.approx(np.exp(-1.0))
 
 
+def test_bump_cdf_matches_quad_oracle():
+    from scipy.integrate import quad
+
+    mass, _ = quad(lambda t: float(bump(t)), -1.0, 1.0, epsabs=1e-14, epsrel=1e-14, limit=200)
+    ts = np.concatenate([np.linspace(-0.999, 0.999, 41), [-0.95, -0.5 + 1e-9, 0.3333, 0.98]])
+    want = np.array([quad(lambda t: float(bump(t)), -1.0, x, epsabs=1e-14, epsrel=1e-14, limit=200)[0]
+                     for x in ts]) / mass
+    got = bump_cdf(ts)
+    assert np.abs(got - want).max() <= 1e-12
+    grid = np.linspace(-1.5, 1.5, 20001)
+    vals = bump_cdf(grid)
+    assert np.all(np.diff(vals) >= -1e-15)  # monotone up to round-off
+    assert np.all(vals[grid <= -1.0] == 0.0) and np.all(vals[grid >= 1.0] == 1.0)
+
+
 def test_derivative_transfer_channel_interior():
     # central differences commute with the stencil convolution away from walls
     from oflux.grids import make_grid
