@@ -84,6 +84,16 @@ class ShellSpec:
         return cls(float(eta), float(eta0), planes)
 
 
+def shell_ladder(etas, domain: Domain) -> list[float]:
+    """An eta ladder in decreasing order, at least 3 scales, each an admissible shell."""
+    etas = sorted((float(e) for e in etas), reverse=True)
+    if len(etas) < 3:
+        raise PreconditionError("need a ladder of at least 3 admissible eta values")
+    for e in etas:
+        ShellSpec.build(domain, e)
+    return etas
+
+
 def shell_mask(domain: Domain, eta: float) -> np.ndarray:
     d = domain.distance_field()
     return (d > eta / 4.0) & (d < eta / 2.0)
@@ -260,11 +270,7 @@ def conservation_verdict(
     (c) finiteness of the near-boundary H^-beta pressure norm, (d) relative
     energy constancy between the first and last snapshot times.
     """
-    etas = sorted((float(e) for e in etas), reverse=True)
-    if len(etas) < 3:
-        raise PreconditionError("need a ladder of at least 3 admissible eta values")
-    for e in etas:
-        ShellSpec.build(domain, e)
+    etas = shell_ladder(etas, domain)
     grid = traj.grid
 
     ladder = [(e, shell_flux(traj, e, domain)) for e in etas]

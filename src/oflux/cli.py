@@ -29,7 +29,7 @@ from .synth import estimate_holder_exponent, fractional_field, holder_norm, shea
 from .pressure import solve_pressure_channel, solve_pressure_periodic
 from .commutator import scaling_probe
 from .energy_balance import ChiWindow, TestFunction, dr_convergence_sweep, dr_dissipation_field
-from .boundary import conservation_verdict, global_balance, modulus_check
+from .boundary import conservation_verdict, global_balance, modulus_check, shell_ladder
 from .solver import SolverConfig, dissipation_report, run, truncate, viscous_flux_criterion, whole_steps
 from .reports import config_hash, echo_config, write_csv, write_json, write_manifest
 
@@ -164,34 +164,38 @@ def _floats(values, name) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _build_generated(cfg: dict) -> Snapshot:
+def _build_generated(cfg: dict, where: str = "gen") -> Snapshot:
+    """The generator's snapshot; ``where`` is the config path named in errors."""
     kind = cfg.get("kind")
     if kind is None:
-        raise ConfigError("gen.kind is required")
+        raise ConfigError(f"{where}.kind is required")
     if kind == "fractional":
-        dims = _parse_dims(cfg.get("grid", "256x256"), "gen.grid")
-        extents = _parse_extents(cfg.get("extent"), len(dims), "gen.extent")
+        dims = _parse_dims(cfg.get("grid", "256x256"), f"{where}.grid")
+        extents = _parse_extents(cfg.get("extent"), len(dims), f"{where}.extent")
         grid = make_grid(dims, extents)
         alpha = cfg.get("alpha")
         if alpha is None:
-            raise ConfigError("gen.alpha is required for fractional fields")
+            raise ConfigError(f"{where}.alpha is required for fractional fields")
         if not (0.0 < alpha < 1.0):
-            raise ConfigError(f"gen.alpha: must lie in (0,1), got {alpha}")
+            raise ConfigError(f"{where}.alpha: must lie in (0,1), got {alpha}")
         return fractional_field(alpha, cfg.get("cutoff"), int(cfg.get("seed", 0)), grid)
     if kind == "taylor-green":
-        dims = _parse_dims(cfg.get("grid", "64x64"), "gen.grid")
+        dims = _parse_dims(cfg.get("grid", "64x64"), f"{where}.grid")
         grid = make_grid(dims, (2.0 * np.pi,) * len(dims))
-        return taylor_green(grid, float(cfg.get("t", 0.0)), float(cfg.get("nu", 0.0)))
+        nu = float(cfg.get("nu", 0.0))
+        if not nu >= 0.0:  # a negative viscosity gives a field that grows in time
+            raise ConfigError(f"{where}.nu: must be >= 0, got {nu}")
+        return taylor_green(grid, float(cfg.get("t", 0.0)), nu)
     if kind == "shear":
-        dims = _parse_dims(cfg.get("grid", "32x32x32"), "gen.grid")
-        extents = _parse_extents(cfg.get("extent"), len(dims), "gen.extent")
+        dims = _parse_dims(cfg.get("grid", "32x32x32"), f"{where}.grid")
+        extents = _parse_extents(cfg.get("extent"), len(dims), f"{where}.extent")
         grid = make_grid(dims, extents)
         ua = float(cfg.get("u_amp", 1.0))
         wa = float(cfg.get("w_amp", 1.0))
         U = lambda s: ua * np.sin(s)
         W = lambda a, b: wa * np.cos(a) * (1.0 + 0.5 * np.sin(b))
         return shear_flow(U, W, float(cfg.get("t", 0.0)), grid)
-    raise ConfigError(f"gen.kind: unknown generator {kind!r}")
+    raise ConfigError(f"{where}.kind: unknown generator {kind!r}")
 
 
 def cmd_gen(cfg: dict) -> int:
@@ -395,6 +399,8 @@ def cmd_sweep(cfg: dict) -> int:
         if key not in cfg:
             raise ConfigError(f"sweep.{key} is required")
     geometry = cfg.get("geometry", "periodic")
+    if geometry not in ("periodic", "channel"):
+        raise ConfigError(f"sweep.geometry: expected 'periodic' or 'channel', got {geometry!r}")
     dims = _parse_dims(cfg.get("grid", "128x128"), "sweep.grid")
     if geometry == "channel":
         extents = _parse_extents(cfg.get("extent", "6.283185307179586x1.0"), len(dims), "sweep.extent")
@@ -417,13 +423,21 @@ def cmd_sweep(cfg: dict) -> int:
         u0 = np.ascontiguousarray(np.broadcast_to(prof, grid.dims) + pert)
         initial = Snapshot(grid, np.stack([u0, np.zeros(grid.dims)]))
     else:
-        initial = _build_generated(init_cfg)
+        initial = _build_generated(init_cfg, "sweep.initial")
         if initial.grid.dims != grid.dims:
             raise ConfigError("sweep.initial grid does not match sweep.grid")
 
     nus = sorted(_floats(cfg["nus"], "sweep.nus"), reverse=True)
     if not nus:
         raise ConfigError("sweep.nus: empty viscosity ladder")
+    if nus[-1] < 0.0:
+        raise ConfigError(f"sweep.nus: viscosities must be >= 0, got {nus[-1]}")
+    etas = None  # the shell ladder is checked before any integration
+    if geometry == "channel" and "etas" in cfg:
+        try:
+            etas = shell_ladder(_floats(cfg["etas"], "sweep.etas"), domain)
+        except PreconditionError as exc:
+            raise ConfigError(f"sweep.etas: {exc}") from exc
     dt = float(cfg["dt"])
     t_end = float(cfg["t_end"])
     t_star = float(cfg.get("t_star", t_end))
@@ -463,8 +477,8 @@ def cmd_sweep(cfg: dict) -> int:
         "leray_ok": bool(worst_leray <= 1e-8),
     }
     exit_code = EXIT_OK if sweep_rep.verdict.startswith("vanishing") else EXIT_NEGATIVE
-    if geometry == "channel" and "etas" in cfg and len(runs) >= 2:
-        vrep = viscous_flux_criterion(runs, _floats(cfg["etas"], "sweep.etas"), domain)
+    if etas is not None and len(runs) >= 2:
+        vrep = viscous_flux_criterion(runs, etas, domain)
         summary["viscous_flux"] = vrep.as_dict()
         write_csv(
             out / "viscous_flux.csv",

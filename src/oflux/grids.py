@@ -21,6 +21,7 @@ and reductions use numpy's pairwise summation so results are reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -355,6 +356,117 @@ def second_difference_eigenvalues(phase: np.ndarray, h: float) -> np.ndarray:
     zero walls (DST-I).
     """
     return -((2.0 * np.sin(phase) / h) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# real-to-real transforms
+# ---------------------------------------------------------------------------
+#
+# DCT-I, DCT-II, DST-I and DST-II along one axis in the unnormalised
+# convention of FFTPACK, m = length of the axis:
+#
+#   DCT-I   y[k] = x[0] + (-1)^k x[m-1] + 2 sum_{0<n<m-1} x[n] cos(pi k n / (m-1))
+#   DCT-II  y[k] = 2 sum_n x[n] cos(pi k (2n+1) / (2m))
+#   DST-I   y[k] = 2 sum_n x[n] sin(pi (k+1)(n+1) / (m+1))
+#   DST-II  y[k] = 2 sum_n x[n] sin(pi (k+1)(2n+1) / (2m))
+#
+# and the inverses that undo them exactly.  The type-I transforms are the
+# real FFT of the even (odd) extension of length 2(m-1) (2(m+1)) and their
+# own inverses up to that length.  DCT-II is Makhoul's (1980) m-point real
+# FFT of the even-then-reversed-odd reordering; DST-II is the DCT-II of the
+# sign-alternated input, read backwards.  Intermediates are written in place,
+# which keeps a solver step's allocations few.
+
+
+@functools.lru_cache(maxsize=None)
+def _quarter_twiddles(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i pi k / (2m)) for k = 0..m//2 (DCT-II) and half its conjugate (inverse)."""
+    t = np.exp(-0.5j * np.pi * np.arange(m // 2 + 1) / m)
+    inv = 0.5 * np.conj(t)
+    t.flags.writeable = inv.flags.writeable = False
+    return t, inv
+
+
+def _dct1(x):
+    return np.fft.rfft(np.concatenate([x, x[..., -2:0:-1]], axis=-1), axis=-1).real
+
+
+def _dst1(x):
+    m = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * m + 2,))
+    ext[..., 1 : m + 1] = x
+    np.negative(x[..., ::-1], out=ext[..., m + 2 :])
+    return -np.fft.rfft(ext, axis=-1)[..., 1 : m + 1].imag
+
+
+def _dct2(x, flip=False):
+    """DCT-II along the last axis; with ``flip`` the DST-II, which is the
+    DCT-II of the sign-alternated input read backwards."""
+    m = x.shape[-1]
+    half = (m + 1) // 2
+    v = np.empty(x.shape)
+    v[..., :half] = x[..., ::2]
+    if flip:
+        np.negative(x[..., 1::2][..., ::-1], out=v[..., half:])
+    else:
+        v[..., half:] = x[..., 1::2][..., ::-1]
+    w = np.fft.rfft(v, axis=-1)
+    w *= _quarter_twiddles(m)[0]
+    h = w.shape[-1]
+    y = np.empty(x.shape)
+    out = y[..., ::-1] if flip else y
+    np.multiply(w.real, 2.0, out=out[..., :h])
+    np.multiply(w.imag[..., m - h : 0 : -1], -2.0, out=out[..., h:])  # y[m-k] = -2 Im(w[k])
+    return y
+
+
+def _idct2(y, flip=False):
+    """Inverse of ``_dct2(., flip)``: rebuild Makhoul's half spectrum, one inverse real FFT."""
+    m = y.shape[-1]
+    half = (m + 1) // 2
+    if flip:
+        y = y[..., ::-1]
+    h = m // 2 + 1
+    w = np.empty(y.shape[:-1] + (h,), dtype=complex)
+    w.real = y[..., :h]
+    w.imag[..., 0] = 0.0  # the mirror of y[0] is y[m] = 0
+    np.negative(y[..., : m - h : -1], out=w.imag[..., 1:])  # w[k] ~ y[k] - i y[m-k]
+    w *= _quarter_twiddles(m)[1]
+    v = np.fft.irfft(w, n=m, axis=-1)
+    x = np.empty(y.shape)
+    x[..., ::2] = v[..., :half]
+    if flip:
+        np.negative(v[..., : half - 1 : -1], out=x[..., 1::2])
+    else:
+        x[..., 1::2] = v[..., : half - 1 : -1]
+    return x
+
+
+def _r2r(x, axis: int, kind: int, one, two):
+    if kind not in (1, 2):
+        raise PreconditionError(f"real-to-real transform type must be 1 or 2, got {kind}")
+    x = np.moveaxis(np.asarray(x, dtype=float), axis, -1)
+    return np.moveaxis((one if kind == 1 else two)(x), -1, axis)
+
+
+def dct(x: np.ndarray, kind: int, axis: int = -1) -> np.ndarray:
+    """DCT-I (``kind`` 1, needs at least 2 points) or DCT-II (``kind`` 2) along ``axis``."""
+    return _r2r(x, axis, kind, _dct1, _dct2)
+
+
+def idct(x: np.ndarray, kind: int, axis: int = -1) -> np.ndarray:
+    """Inverse of ``dct(x, kind, axis)``."""
+    return _r2r(x, axis, kind, lambda y: _dct1(y) / (2 * (y.shape[-1] - 1)), _idct2)
+
+
+def dst(x: np.ndarray, kind: int, axis: int = -1) -> np.ndarray:
+    """DST-I (``kind`` 1) or DST-II (``kind`` 2) along ``axis``."""
+    return _r2r(x, axis, kind, _dst1, lambda y: _dct2(y, flip=True))
+
+
+def idst(x: np.ndarray, kind: int, axis: int = -1) -> np.ndarray:
+    """Inverse of ``dst(x, kind, axis)``."""
+    return _r2r(x, axis, kind, lambda y: _dst1(y) / (2 * (y.shape[-1] + 1)), lambda y: _idct2(y, flip=True))
 
 
 def gradient(f: np.ndarray, grid: Grid) -> np.ndarray:

@@ -18,6 +18,10 @@ needed: inside the margin the wrapped contributions never arrive, and the
 cutoff-extended field and the raw field convolve identically.  The direct
 stencil sum the FFT reproduces is kept with the tests as an oracle
 (tests/mollify_oracle.py).
+
+Nested regions and cutoffs measure node-to-set distances with an exact
+separable Euclidean distance transform in numpy (minimum image on periodic
+axes); a cutoff takes its ramp and its inner/outer gap from one transform.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import MarginViolationError, PreconditionError, UnderResolvedError
 from .grids import PERIODIC, WALL, Grid, Snapshot, Trajectory
@@ -235,23 +238,56 @@ def mollify_field(
 # ---------------------------------------------------------------------------
 
 
+_EDT_CHUNK = 1 << 20  # elements of the (rows, line, lines) candidate block per line pass
+
+
 def _distance_to_set(mask: np.ndarray, grid: Grid) -> np.ndarray:
     """Euclidean distance from every node to the nearest True node.
 
-    Periodic axes are handled by tiling the mask three times and cropping.
+    Exact and separable.  A scan along axis 0 finds the nearest True node on
+    each line; every later axis then takes, per node, the minimum over its
+    line of (squared distance so far + (di h)^2).  Periodic axes measure di
+    by the minimum image.  Squared distances are summed in axis order, so the
+    values are those of the nearest node's offset (di_0 h_0)^2 + (di_1 h_1)^2
+    + ... itself.
     """
     if not mask.any():
         return np.full(grid.dims, np.inf)
-    tiled = mask
-    for a in range(grid.ndim):
-        if grid.axis_kinds[a] == PERIODIC:
-            tiled = np.concatenate([tiled] * 3, axis=a)
-    dist = ndimage.distance_transform_edt(~tiled, sampling=grid.spacing)
-    sl = []
-    for a in range(grid.ndim):
-        m = grid.dims[a]
-        sl.append(slice(m, 2 * m) if grid.axis_kinds[a] == PERIODIC else slice(0, m))
-    return dist[tuple(sl)]
+    sq = _axis0_distance_sq(mask, grid)
+    for a in range(1, grid.ndim):
+        sq = _add_axis_distance_sq(sq, a, grid)
+    return np.sqrt(sq)
+
+
+def _axis0_distance_sq(mask: np.ndarray, grid: Grid) -> np.ndarray:
+    """Squared distance to the nearest True node on the same axis-0 line (inf if none)."""
+    m = grid.dims[0]
+    far = 3 * m  # beyond any in-line offset, also after a periodic wrap
+    i = np.arange(m).reshape((m,) + (1,) * (grid.ndim - 1))
+    before = np.maximum.accumulate(np.where(mask, i, -far), axis=0)  # last True at or before i
+    after = np.minimum.accumulate(np.where(mask, i, far)[::-1], axis=0)[::-1]  # first True at or after i
+    if grid.axis_kinds[0] == PERIODIC:  # wrap to the line's last / first True node
+        before = np.where(before < 0, before[-1] - m, before)
+        after = np.where(after >= m, after[0] + m, after)
+    di = np.minimum(i - before, after - i)
+    return np.where(mask.any(axis=0), (di * grid.spacing[0]) ** 2, np.inf)
+
+
+def _add_axis_distance_sq(sq: np.ndarray, axis: int, grid: Grid) -> np.ndarray:
+    """min over the line along ``axis`` of sq[k] + ((j - k) h)^2, at every node j."""
+    m = grid.dims[axis]
+    k = np.arange(m)
+    di = np.abs(k[:, None] - k[None, :])
+    if grid.axis_kinds[axis] == PERIODIC:
+        di = np.minimum(di, m - di)
+    step_sq = (di * grid.spacing[axis]) ** 2  # [j, k]
+    lines = np.moveaxis(sq, axis, 0)
+    flat = lines.reshape(m, -1)
+    out = np.empty_like(flat)
+    rows = max(1, _EDT_CHUNK // flat.size)
+    for j in range(0, m, rows):
+        out[j : j + rows] = (flat[None] + step_sq[j : j + rows, :, None]).min(axis=1)
+    return np.moveaxis(out.reshape(lines.shape), 0, axis)
 
 
 def set_distance(a_mask: np.ndarray, b_mask: np.ndarray, grid: Grid) -> float:
@@ -395,13 +431,13 @@ def cutoff_region(grid: Grid, inner: np.ndarray, outer: np.ndarray) -> CutoffFie
     comp = ~outer
     if not comp.any():
         return CutoffField(grid, np.ones(grid.dims), inner, outer, float("inf"))
-    gap = set_distance(inner, comp, grid)
+    d = _distance_to_set(comp, grid)
+    gap = float(d[inner].min())  # the inner/complement set distance
     floor = 2.0 * min(grid.spacing)  # resolution along the transition direction
     if gap < floor:
         raise PreconditionError(
             f"zero-width transition: inner/outer gap {gap:g} is below 2h={floor:g}"
         )
-    d = _distance_to_set(comp, grid)
     values = smooth_ramp(d / gap)
     values[inner] = 1.0
     values[comp] = 0.0

@@ -4,9 +4,9 @@ The periodic solve inverts the Poisson equation -Lap p = d_i d_j (u_i u_j)
 spectrally.  The channel solve attacks the physical Neumann problem
 (dp/dn = -(u.grad u).n on the walls) with spectral differentiation in the
 tangential axes and the second-order node stencil in the wall axis, which
-the DCT-I diagonalizes; the zero mode's right side is projected onto the
-solvable subspace.  The gauge is mean-zero everywhere: domain mean on
-periodic boxes, interior-node mean on channels.
+the DCT-I diagonalizes (``grids.dct``, on ``numpy.fft``); the zero mode's
+right side is projected onto the solvable subspace.  The gauge is mean-zero
+everywhere: domain mean on periodic boxes, interior-node mean on channels.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import PreconditionError
-from .grids import WALL, Domain, Grid, Snapshot, deriv, deriv2, second_difference_eigenvalues
+from .grids import WALL, Domain, Grid, Snapshot, dct, deriv, deriv2, idct, second_difference_eigenvalues
 from .mollify import CutoffField, cutoff_region
 from .synth import holder_norm
 
@@ -145,8 +144,8 @@ def solve_channel_neumann(
     inv_lam[zero] = 0.0
 
     tangential = tuple(range(rhs.ndim - 1))
-    p_hat = sfft.rfftn(sfft.dct(rhs, type=1, axis=-1), axes=tangential) * inv_lam
-    p = sfft.idct(sfft.irfftn(p_hat, s=rhs.shape[:-1], axes=tangential), type=1, axis=-1)
+    p_hat = np.fft.rfftn(dct(rhs, 1), axes=tangential) * inv_lam
+    p = idct(np.fft.irfftn(p_hat, s=rhs.shape[:-1], axes=tangential), 1)
     p = np.moveaxis(p, -1, w)
 
     interior = [slice(None)] * grid.ndim

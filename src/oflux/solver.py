@@ -5,8 +5,9 @@ The advection operator uses the skew-symmetric (half divergence + half
 advective) form so the inviscid core conserves kinetic energy; diffusion is
 Crank-Nicolson and the pressure projection enforces the MAC divergence to
 round-off.  Both are diagonal in a fast-transform basis: the 2D FFT on the
-box; in the channel an FFT along the walls and, across them, the DCT-II
-(projection), DST-II (u) or DST-I (v) of the wall closure.
+box; in the channel a real FFT along the walls and, across them, the DCT-II
+(projection), DST-II (u) or DST-I (v) of the wall closure, all on
+``numpy.fft`` (the real-to-real transforms are ``grids.dct``/``grids.dst``).
 
 Energy audit: with the plain staggered inner product, the CN half-step
 removes exactly nu*dt*||grad m||^2 (m the CN midpoint) per step and the
@@ -23,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import scipy.fft as sfft
 
-from .boundary import flux_trend_ok, shell_flux
+from .boundary import flux_trend_ok, shell_flux, shell_ladder
 from .errors import PreconditionError
-from .grids import Domain, Grid, Snapshot, Trajectory, divergence, second_difference_eigenvalues
+from .grids import (Domain, Grid, Snapshot, Trajectory, dct, divergence, dst, idct, idst,
+                    second_difference_eigenvalues)
 from .pressure import solve_pressure_channel
 
 # ---------------------------------------------------------------------------
@@ -131,8 +132,9 @@ class _Diagonal:
         if self.r2r is None:
             return np.fft.ifft2(np.fft.fft2(w) * self.mult).real
         fwd, inv, kind = self.r2r
-        wh = sfft.rfft(fwd(w, type=kind, axis=1), axis=0) * self.mult
-        return inv(sfft.irfft(wh, n=w.shape[0], axis=0), type=kind, axis=1)
+        wh = np.fft.rfft(fwd(w, kind, axis=1), axis=0)
+        wh *= self.mult
+        return inv(np.fft.irfft(wh, n=w.shape[0], axis=0), kind, axis=1)
 
 
 def _laplacian_eigenvalues(domain: Domain, phase_y) -> np.ndarray:
@@ -156,7 +158,7 @@ class _Projector(_Diagonal):
             r2r = None
         else:
             lam = _laplacian_eigenvalues(domain, 0.5 * np.pi * np.arange(ncy) / ncy)
-            r2r = (sfft.dct, sfft.idct, 2)
+            r2r = (dct, idct, 2)
         lam[0, 0] = 1.0
         inv_lam = 1.0 / lam
         inv_lam[0, 0] = 0.0
@@ -250,8 +252,8 @@ class _Diffuser:
             self.u = self.v = _Diagonal(amp(_laplacian_eigenvalues(domain, np.pi * np.arange(ncy) / ncy)))
         else:
             phase = 0.5 * np.pi * np.arange(1, ncy + 1) / ncy
-            self.u = _Diagonal(amp(_laplacian_eigenvalues(domain, phase)), (sfft.dst, sfft.idst, 2))
-            self.v = _Diagonal(amp(_laplacian_eigenvalues(domain, phase[:-1])), (sfft.dst, sfft.idst, 1))
+            self.u = _Diagonal(amp(_laplacian_eigenvalues(domain, phase)), (dst, idst, 2))
+            self.v = _Diagonal(amp(_laplacian_eigenvalues(domain, phase[:-1])), (dst, idst, 1))
 
     def step(self, u, v):
         if self.c == 0.0:
@@ -585,9 +587,7 @@ def viscous_flux_criterion(runs, etas, domain: Domain) -> ViscousFluxReport:
         raise PreconditionError("viscous flux criterion requires channel geometry")
     if len(runs) < 2:
         raise PreconditionError("need at least 2 viscosities")
-    etas = sorted((float(e) for e in etas), reverse=True)
-    if len(etas) < 3:
-        raise PreconditionError("need at least 3 shells")
+    etas = shell_ladder(etas, domain)
     runs = sorted(runs, key=lambda r: -r[0])
     nus = [nu for nu, _ in runs]
 

@@ -3,13 +3,16 @@
 The package mollifies by FFT only; these are the stencil and increment
 sums it must reproduce, kept as test oracles.  Both wrap with ``np.roll``,
 so they are circular on every axis, like the FFT: on a wall axis the
-wrapped terms reach only nodes within epsilon of a wall plane.
+wrapped terms reach only nodes within epsilon of a wall plane.  The node
+distance to a set is referenced against ``scipy.ndimage`` on the mask tiled
+three times along each periodic axis.
 """
 
 import numpy as np
+from scipy import ndimage
 
 from oflux.commutator import CommutatorStress
-from oflux.grids import as_components
+from oflux.grids import PERIODIC, as_components
 from oflux.mollify import Mollifier, make_mollifier, mollify_field
 
 
@@ -53,3 +56,15 @@ def commutator_via_increments(u, mollifier, grid=None, region=None):
         if i != j:
             tensor[j, i] = r
     return CommutatorStress(tensor, mol.epsilon, region)
+
+
+def distance_via_tiling(mask, grid):
+    """Euclidean node distance to the True nodes: ``ndimage`` on the tiled mask, centre tile kept."""
+    tiled = mask
+    for a in range(grid.ndim):
+        if grid.axis_kinds[a] == PERIODIC:
+            tiled = np.concatenate([tiled] * 3, axis=a)
+    dist = ndimage.distance_transform_edt(~tiled, sampling=grid.spacing)
+    keep = tuple(slice(m, 2 * m) if kind == PERIODIC else slice(0, m)
+                 for m, kind in zip(grid.dims, grid.axis_kinds))
+    return dist[keep]

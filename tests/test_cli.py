@@ -470,3 +470,59 @@ def test_diagnose_trajectory_on_mixed_grids_exit_code(tmp_path, capsys):
     assert main(["diagnose", "--in", str(traj), "--out", str(tmp_path / "d")]) == 3
     err = capsys.readouterr().err
     assert "grid" in err and "internal error" not in err
+
+
+def _no_output(out):
+    return not out.exists() or not any(out.iterdir())
+
+
+def test_sweep_unknown_geometry_exit_code(tmp_path, capsys):
+    out = tmp_path / "s"
+    cfg = dict(_SMALL_PERIODIC_SWEEP, geometry="torus")
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    assert "sweep.geometry" in capsys.readouterr().err
+    assert _no_output(out)
+
+
+@pytest.mark.parametrize("etas", [[5, -1], [0.4, 0.2, -0.1], [0.4, 0.3, 0.01]],
+                         ids=["two shells", "negative", "under-resolved"])
+def test_sweep_bad_shell_ladder_exits_before_integrating(tmp_path, monkeypatch, capsys, etas):
+    cfg = {"geometry": "channel", "grid": "16x17", "initial": {"kind": "poiseuille"},
+           "nus": [1e-2, 5e-3], "dt": 0.001, "t_end": 0.005, "etas": etas}
+    steps = []
+    real_step = solver.step
+
+    def counting_step(*args):
+        steps.append(args[0].t)
+        return real_step(*args)
+
+    monkeypatch.setattr(solver, "step", counting_step)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    assert "sweep.etas" in capsys.readouterr().err
+    assert steps == []
+    assert _no_output(out)
+
+
+def test_sweep_negative_viscosity_exit_code(tmp_path, capsys):
+    out = tmp_path / "s"
+    cfg = dict(_SMALL_PERIODIC_SWEEP, nus=[1e-2, -1e-3])
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    assert "sweep.nus" in capsys.readouterr().err
+    assert _no_output(out)
+
+
+def test_gen_negative_viscosity_exit_code(tmp_path, capsys):
+    out = tmp_path / "tg"
+    code = main(["gen", "--kind", "taylor-green", "--nu", "-1", "--grid", "16x16", "--out", str(out)])
+    assert code == 3
+    assert "gen.nu" in capsys.readouterr().err
+    assert _no_output(out)
+
+
+def test_sweep_negative_initial_viscosity_exit_code(tmp_path, capsys):
+    out = tmp_path / "s"
+    cfg = dict(_SMALL_PERIODIC_SWEEP, initial={"kind": "taylor-green", "nu": -0.5})
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    assert "sweep.initial.nu" in capsys.readouterr().err
+    assert _no_output(out)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oflux import mollify
 from oflux.errors import MarginViolationError, PreconditionError, UnderResolvedError
 from oflux.grids import Snapshot, Trajectory, make_grid
 from oflux.mollify import (
@@ -162,6 +163,24 @@ def test_cutoff_region_values(box64):
     assert np.all(cut.values[inner] == 1.0)
     assert np.all(cut.values[~outer] == 0.0)
     assert cut.values.min() >= 0.0 and cut.values.max() <= 1.0
+
+
+@pytest.mark.parametrize("kinds", ["periodic", ("periodic", "wall")])
+def test_cutoff_region_runs_one_distance_transform(monkeypatch, kinds):
+    grid = make_grid((32, 33), (TWO_PI, 1.0), kinds)
+    inner, outer = block_mask(grid, 0.35, 0.65), block_mask(grid, 0.2, 0.8)
+    gap = set_distance(inner, ~outer, grid)
+    calls = []
+    real = mollify._distance_to_set
+
+    def counting(mask, g):
+        calls.append(mask)
+        return real(mask, g)
+
+    monkeypatch.setattr(mollify, "_distance_to_set", counting)
+    cf = cutoff_region(grid, inner, outer)
+    assert len(calls) == 1
+    assert cf.width == gap
 
 
 def test_cutoff_region_zero_width_error(box64):
