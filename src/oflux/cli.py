@@ -104,30 +104,36 @@ def _load_config(command: str, path: str | None, overrides: dict) -> dict:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(cfg, dict):
             raise ConfigError(f"{path}: top level must be an object")
-    schema = _SCHEMAS[command]
-    for key in cfg:
-        if key not in schema:
-            raise ConfigError(f"unknown key at {command}.{key}")
     for key, val in overrides.items():
         if val is not None:
             cfg[key] = val
+    schema = _SCHEMAS[command]
+    _check_types(cfg, schema, command)
     for key, val in cfg.items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ConfigError(f"{command}.{key}: expected a finite number, got {val}")
+    env_out = os.environ.get("OFLUX_OUTPUT_DIR")
+    if env_out and "out" in schema and "out" not in cfg:
+        cfg["out"] = env_out
+    return cfg
+
+
+def _check_types(cfg: dict, schema: dict, where: str) -> None:
+    """Reject keys outside ``schema`` and values of another type (integers
+    widen to floats); errors name the config path ``where``."""
+    for key, val in cfg.items():
+        if key not in schema:
+            raise ConfigError(f"unknown key at {where}.{key}")
         want = schema[key]
         kinds = want if isinstance(want, tuple) else (want,)
         if float in kinds and isinstance(val, int) and not isinstance(val, bool):
             try:
                 cfg[key] = float(val)
             except OverflowError as exc:
-                raise ConfigError(f"{command}.{key}: expected a finite number, got an integer "
+                raise ConfigError(f"{where}.{key}: expected a finite number, got an integer "
                                   "too large for a float") from exc
         elif not isinstance(val, kinds):
-            raise ConfigError(f"{command}.{key}: expected {want}, got {type(val).__name__}")
-        elif isinstance(val, float) and not math.isfinite(val):
-            raise ConfigError(f"{command}.{key}: expected a finite number, got {val}")
-    env_out = os.environ.get("OFLUX_OUTPUT_DIR")
-    if env_out and "out" in schema and "out" not in cfg:
-        cfg["out"] = env_out
-    return cfg
+            raise ConfigError(f"{where}.{key}: expected {want}, got {type(val).__name__}")
 
 
 def _parse_dims(text: str, name: str) -> tuple[int, ...]:
@@ -343,10 +349,6 @@ def cmd_diagnose(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _channel_domain(grid: Grid) -> Domain:
-    return Domain(grid, "channel" if not grid.fully_periodic else "periodic")
-
-
 def cmd_boundary(cfg: dict) -> int:
     if "input" not in cfg:
         raise ConfigError("boundary.input is required")
@@ -354,9 +356,9 @@ def cmd_boundary(cfg: dict) -> int:
     data = fieldio.load_input(cfg["input"])
     traj = data if isinstance(data, Trajectory) else Trajectory((data,), 1.0)
     grid = traj.grid
-    domain = _channel_domain(grid)
-    if domain.geometry != "channel":
+    if grid.fully_periodic:
         raise PreconditionError("boundary diagnostics require a channel trajectory")
+    domain = Domain(grid, "channel")
     if any(s.pressure is None for s in traj.snapshots):
         traj = traj.map(lambda s: s.with_pressure(solve_pressure_channel(s, domain).pressure))
     h = grid.spacing[domain.wall_axis]
@@ -412,9 +414,8 @@ def cmd_sweep(cfg: dict) -> int:
         domain = Domain(grid, "periodic")
 
     init_cfg = dict(cfg.get("initial", {"kind": "taylor-green"}))
-    for key in init_cfg:
-        if key != "kind" and key not in _SCHEMAS["gen"]:
-            raise ConfigError(f"unknown key at sweep.initial.{key}")
+    # types only: the generator's range checks and the solver's state guard catch non-finite values
+    _check_types(init_cfg, _SCHEMAS["gen"], "sweep.initial")
     init_cfg.setdefault("grid", "x".join(str(m) for m in dims))
     if geometry == "channel" and init_cfg.get("kind") == "poiseuille":
         x, y = grid.meshes()
@@ -433,7 +434,10 @@ def cmd_sweep(cfg: dict) -> int:
     if nus[-1] < 0.0:
         raise ConfigError(f"sweep.nus: viscosities must be >= 0, got {nus[-1]}")
     etas = None  # the shell ladder is checked before any integration
-    if geometry == "channel" and "etas" in cfg:
+    if "etas" in cfg:
+        if geometry != "channel" or len(nus) < 2:
+            raise ConfigError("sweep.etas: the shell-flux criterion needs a channel geometry and at least "
+                              f"2 viscosities, got a {geometry} sweep with {len(nus)}")
         try:
             etas = shell_ladder(_floats(cfg["etas"], "sweep.etas"), domain)
         except PreconditionError as exc:
@@ -477,7 +481,7 @@ def cmd_sweep(cfg: dict) -> int:
         "leray_ok": bool(worst_leray <= 1e-8),
     }
     exit_code = EXIT_OK if sweep_rep.verdict.startswith("vanishing") else EXIT_NEGATIVE
-    if etas is not None and len(runs) >= 2:
+    if etas is not None:
         vrep = viscous_flux_criterion(runs, etas, domain)
         summary["viscous_flux"] = vrep.as_dict()
         write_csv(

@@ -469,6 +469,66 @@ def idst(x: np.ndarray, kind: int, axis: int = -1) -> np.ndarray:
     return _r2r(x, axis, kind, lambda y: _dst1(y) / (2 * (y.shape[-1] + 1)), lambda y: _idct2(y, flip=True))
 
 
+# ---------------------------------------------------------------------------
+# the diagonal spectral solve
+# ---------------------------------------------------------------------------
+
+class Diagonal:
+    """w -> T^-1 (mult * T w): every Poisson and Helmholtz solve of the package.
+
+    T acts on the trailing axes, of real shape ``dims`` (leading axes are
+    kept): the closure's real-to-real transform along the wall axis named by
+    ``wall = (axis, "dct" | "dst", type)``, then ``rfft`` along the first
+    periodic axis (the half spectrum), then ``fft`` along the others.  A
+    real ``mult`` even under k -> -k gives the real part of the complex solve.
+    """
+
+    def __init__(self, dims, mult, wall=None):
+        self.dims, self.mult, self.wall = tuple(dims), mult, wall
+        n = len(self.dims)
+        periodic = [a - n for a in range(n) if wall is None or a != wall[0]]  # counted from the end
+        self._axes = periodic[1:] + periodic[:1]  # rfftn takes its real transform along the last axis
+        self._shape = [self.dims[a] for a in self._axes]
+
+    def _closure(self, w, which):
+        if self.wall is None:
+            return w
+        axis, name, kind = self.wall
+        # the module's names are read per call, so a rebinding of them (the layer trace's) applies
+        transform = {"dct": (dct, idct), "dst": (dst, idst)}[name][which]
+        return transform(w, kind, axis - len(self.dims))
+
+    def forward(self, w: np.ndarray) -> np.ndarray:
+        return np.fft.rfftn(self._closure(w, 0), axes=self._axes)
+
+    def inverse(self, wh: np.ndarray) -> np.ndarray:
+        return self._closure(np.fft.irfftn(wh, s=self._shape, axes=self._axes), 1)
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        wh = self.forward(w)
+        wh *= self.mult
+        return self.inverse(wh)
+
+
+def spectrum_wavenumbers(grid: Grid, mirrored: bool = False) -> list[np.ndarray]:
+    """Per axis, the broadcastable wavenumbers of ``Diagonal``'s spectrum on
+    ``grid`` (0 on a wall axis).  With ``mirrored`` each mode holds the
+    wavenumber of its mirror -k, which is k at an even axis's Nyquist mode."""
+    first = grid.axis_kinds.index(PERIODIC)
+    out = []
+    for a, m in enumerate(grid.dims):
+        k = grid.wavenumbers(a) if grid.axis_kinds[a] == PERIODIC else np.zeros(1)
+        k = np.roll(k[::-1], 1) if mirrored else k  # k[-i mod m]
+        k = k[: m // 2 + 1] if a == first else k
+        out.append(k.reshape([-1 if b == a else 1 for b in range(grid.ndim)]))
+    return out
+
+
+def inverse_eigenvalues(lam: np.ndarray) -> np.ndarray:
+    """1 / lam, and 0 on a zero eigenvalue: the mean-zero gauge of a singular solve."""
+    return np.divide(1.0, lam, out=np.zeros_like(lam), where=lam != 0)
+
+
 def gradient(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Gradient of a scalar field: shape ``(ndim, *dims)``."""
     return np.stack([deriv(f, a, grid) for a in range(grid.ndim)])

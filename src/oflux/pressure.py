@@ -1,10 +1,12 @@
 """Pressure recovery from velocity and pressure-regularity diagnostics.
 
-The periodic solve inverts the Poisson equation -Lap p = d_i d_j (u_i u_j)
-spectrally.  The channel solve attacks the physical Neumann problem
-(dp/dn = -(u.grad u).n on the walls) with spectral differentiation in the
-tangential axes and the second-order node stencil in the wall axis, which
-the DCT-I diagonalizes (``grids.dct``, on ``numpy.fft``); the zero mode's
+Both solves apply ``grids.Diagonal``, the one diagonal spectral solve (the
+wall closure's real-to-real transform, then ``rfft`` along the first
+periodic axis and ``fft`` along the others).  The periodic one inverts
+-Lap p = d_i d_j (u_i u_j) from one transform of the stack u_i u_j.  The
+channel one solves the physical Neumann problem (dp/dn = -(u.grad u).n on
+the walls) with spectral tangential derivatives and the second-order node
+stencil across the walls, which the DCT-I diagonalizes; the zero mode's
 right side is projected onto the solvable subspace.  The gauge is mean-zero
 everywhere: domain mean on periodic boxes, interior-node mean on channels.
 """
@@ -16,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .grids import WALL, Domain, Grid, Snapshot, dct, deriv, deriv2, idct, second_difference_eigenvalues
+from .commutator import quadratic_products
+from .grids import (WALL, Diagonal, Domain, Grid, Snapshot, deriv, deriv2, inverse_eigenvalues,
+                    second_difference_eigenvalues, spectrum_wavenumbers)
 from .mollify import CutoffField, cutoff_region
 from .synth import holder_norm
 
@@ -45,36 +49,22 @@ class SobolevNormEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _quadratic_source_hat(snap: Snapshot) -> np.ndarray:
-    """FFT of d_i d_j (u_i u_j) on a fully periodic grid."""
-    grid = snap.grid
-    n = grid.ndim
-    ks = np.meshgrid(*[grid.wavenumbers(a) for a in range(n)], indexing="ij", sparse=True)
-    src = np.zeros(grid.dims, dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            prod_hat = np.fft.fftn(snap.velocity[i] * snap.velocity[j])
-            term = (1j * ks[i]) * (1j * ks[j]) * prod_hat
-            src += term if i == j else 2.0 * term
-    return src
-
-
 def solve_pressure_periodic(snap: Snapshot) -> PressureSolveReport:
     """Spectral inversion of -Lap p = d_i d_j (u_i u_j) with zero-mean gauge."""
     grid = snap.grid
     if not grid.fully_periodic:
         raise PreconditionError("periodic pressure solve requires a fully periodic domain")
-    n = grid.ndim
-    ks = np.meshgrid(*[grid.wavenumbers(a) for a in range(n)], indexing="ij", sparse=True)
+    ks = spectrum_wavenumbers(grid)
+    mirror = spectrum_wavenumbers(grid, mirrored=True)
     k2 = sum(k * k for k in ks)
-    src_hat = _quadratic_source_hat(snap)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_hat = np.where(k2 > 0, src_hat / np.where(k2 > 0, k2, 1.0), 0.0)
-    p = np.fft.ifftn(p_hat).real
-    # apply the spectral Laplacian back
-    lap = np.fft.ifftn(-k2 * np.fft.fftn(p)).real
-    src = np.fft.ifftn(src_hat).real
-    residual = float(np.abs(-lap - src).max())
+    neg_lap = Diagonal(grid.dims, k2)
+    spectra = neg_lap.forward(quadratic_products(snap.velocity))
+    # each product's symbol is the Hermitian-even part of -k_i k_j (doubled
+    # off the diagonal): the part a real inverse transform sees
+    src_hat = sum(-(0.5 if i == j else 1.0) * (ks[i] * ks[j] + mirror[i] * mirror[j]) * spectrum
+                  for spectrum, (i, j) in zip(spectra, zip(*np.triu_indices(grid.ndim))))
+    p, src = neg_lap.inverse(np.stack([src_hat * inverse_eigenvalues(k2), src_hat]))
+    residual = float(np.abs(neg_lap(p) - src).max())
     return PressureSolveReport(p, residual, "zero-mean", "periodic")
 
 
@@ -125,33 +115,19 @@ def solve_channel_neumann(
     w = domain.wall_axis
     ny = grid.dims[w]
     h = grid.spacing[w]
-    per_axes = [a for a in range(grid.ndim) if a != w]
 
     # rows p'' + Lap_tangential p = -S, with the ghost-eliminated Neumann closures
-    rhs = -np.moveaxis(source, w, -1)  # (tangential..., y)
-    rhs[..., 0] += (2.0 / h) * np.asarray(g_lo, dtype=float)
-    rhs[..., -1] -= (2.0 / h) * np.asarray(g_hi, dtype=float)
+    rhs = -np.asarray(source, dtype=float)
+    rows = np.moveaxis(rhs, w, -1)  # a view: the wall rows are rows[..., 0] and rows[..., -1]
+    rows[..., 0] += (2.0 / h) * np.asarray(g_lo, dtype=float)
+    rows[..., -1] -= (2.0 / h) * np.asarray(g_hi, dtype=float)
 
-    kper = [grid.wavenumbers(a) for a in per_axes]
-    kper[-1] = kper[-1][: len(kper[-1]) // 2 + 1]  # real-FFT half
-    k2 = sum(k * k for k in np.meshgrid(*kper, indexing="ij", sparse=True))
-    lam = second_difference_eigenvalues(0.5 * np.pi * np.arange(ny) / (ny - 1), h) - k2[..., None]
+    lam_y = second_difference_eigenvalues(0.5 * np.pi * np.arange(ny) / (ny - 1), h)
+    lam = lam_y.reshape((ny,) + (1,) * (grid.ndim - 1 - w)) - sum(k * k for k in spectrum_wavenumbers(grid))
     # the zero mode's DCT-I coefficient is the trapezoid sum of the right
     # side: zeroing it is the projection onto the solvable subspace
-    zero = (0,) * lam.ndim
-    lam[zero] = 1.0
-    inv_lam = 1.0 / lam
-    inv_lam[zero] = 0.0
-
-    tangential = tuple(range(rhs.ndim - 1))
-    p_hat = np.fft.rfftn(dct(rhs, 1), axes=tangential) * inv_lam
-    p = idct(np.fft.irfftn(p_hat, s=rhs.shape[:-1], axes=tangential), 1)
-    p = np.moveaxis(p, -1, w)
-
-    interior = [slice(None)] * grid.ndim
-    interior[w] = slice(1, -1)
-    p = p - p[tuple(interior)].mean()
-    return np.ascontiguousarray(p)
+    p = Diagonal(grid.dims, inverse_eigenvalues(lam), (w, "dct", 1))(rhs)
+    return np.ascontiguousarray(p - np.moveaxis(p, w, -1)[..., 1:-1].mean())
 
 
 def solve_pressure_channel(snap: Snapshot, domain: Domain, imp_tol: float = 1e-8) -> PressureSolveReport:
@@ -160,28 +136,18 @@ def solve_pressure_channel(snap: Snapshot, domain: Domain, imp_tol: float = 1e-8
         raise PreconditionError("channel pressure solve requires channel geometry")
     grid = snap.grid
     w = domain.wall_axis
-    lo = [slice(None)] * grid.ndim
-    hi = [slice(None)] * grid.ndim
-    lo[w], hi[w] = 0, grid.dims[w] - 1
-    un_lo = np.abs(snap.velocity[w][tuple(lo)]).max()
-    un_hi = np.abs(snap.velocity[w][tuple(hi)]).max()
-    if max(un_lo, un_hi) > imp_tol:
+    un_max = float(np.abs(np.moveaxis(snap.velocity[w], w, -1)[..., [0, -1]]).max())
+    if un_max > imp_tol:
         raise PreconditionError(
-            f"impermeability violated: max |u.n| on walls = {max(un_lo, un_hi):.3e} "
+            f"impermeability violated: max |u.n| on walls = {un_max:.3e} "
             f"exceeds {imp_tol:.1e}; Neumann data would be inconsistent"
         )
-    adv_w = _advective_term(snap, w)
-    g_lo = -adv_w[tuple(lo)]
-    g_hi = -adv_w[tuple(hi)]
+    g = -np.moveaxis(_advective_term(snap, w), w, -1)  # the wall planes are g[..., 0] and g[..., -1]
     source = _channel_source(snap)
-    p = solve_channel_neumann(source, g_lo, g_hi, domain)
+    p = solve_channel_neumann(source, g[..., 0], g[..., -1], domain)
 
-    lap = np.zeros(grid.dims)
-    for a in range(grid.ndim):
-        lap += deriv2(p, a, grid)
-    interior = [slice(None)] * grid.ndim
-    interior[w] = slice(1, -1)
-    residual = float(np.abs((-lap - source)[tuple(interior)]).max())
+    lap = sum(deriv2(p, a, grid) for a in range(grid.ndim))
+    residual = float(np.abs(np.moveaxis(-lap - source, w, -1)[..., 1:-1]).max())
     return PressureSolveReport(p, residual, "zero-mean (interior nodes)", "neumann: dp/dn = -(u.grad u).n")
 
 

@@ -4,10 +4,10 @@ MAC staggered layout internally; node-collocated snapshots on output.
 The advection operator uses the skew-symmetric (half divergence + half
 advective) form so the inviscid core conserves kinetic energy; diffusion is
 Crank-Nicolson and the pressure projection enforces the MAC divergence to
-round-off.  Both are diagonal in a fast-transform basis: the 2D FFT on the
-box; in the channel a real FFT along the walls and, across them, the DCT-II
-(projection), DST-II (u) or DST-I (v) of the wall closure, all on
-``numpy.fft`` (the real-to-real transforms are ``grids.dct``/``grids.dst``).
+round-off.  Both apply ``grids.Diagonal``, the one diagonal spectral solve:
+in the channel the wall closure's DCT-II (projection), DST-II (u) or DST-I
+(v) across the walls, then on both geometries ``rfft`` along x (the half
+spectrum) and, on the box, ``fft`` along y.
 
 Energy audit: with the plain staggered inner product, the CN half-step
 removes exactly nu*dt*||grad m||^2 (m the CN midpoint) per step and the
@@ -27,7 +27,7 @@ import numpy as np
 
 from .boundary import flux_trend_ok, shell_flux, shell_ladder
 from .errors import PreconditionError
-from .grids import (Domain, Grid, Snapshot, Trajectory, dct, divergence, dst, idct, idst,
+from .grids import (Diagonal, Domain, Snapshot, Trajectory, divergence, inverse_eigenvalues,
                     second_difference_eigenvalues)
 from .pressure import solve_pressure_channel
 
@@ -119,50 +119,23 @@ def _grad_correct(u, v, q, domain: Domain):
     return u, v
 
 
-class _Diagonal:
-    """w -> T^-1 (mult * T w) for a transform T that diagonalizes a MAC
-    operator: the 2D FFT on the box; in the channel the real FFT in x after
-    the real-to-real transform ``r2r = (forward, inverse, type)`` in y."""
-
-    def __init__(self, mult, r2r=None):
-        self.mult = mult
-        self.r2r = r2r
-
-    def __call__(self, w):
-        if self.r2r is None:
-            return np.fft.ifft2(np.fft.fft2(w) * self.mult).real
-        fwd, inv, kind = self.r2r
-        wh = np.fft.rfft(fwd(w, kind, axis=1), axis=0)
-        wh *= self.mult
-        return inv(np.fft.irfft(wh, n=w.shape[0], axis=0), kind, axis=1)
-
-
 def _laplacian_eigenvalues(domain: Domain, phase_y) -> np.ndarray:
-    """5-point Laplacian eigenvalues: periodic x modes (the real-FFT half in
-    the channel) plus the y eigenvalues at ``phase_y``."""
+    """5-point Laplacian eigenvalues on ``Diagonal``'s spectrum: the real-FFT
+    half of the periodic x modes plus the y eigenvalues at ``phase_y``."""
     nx, ncy, nvy, hx, hy = _geometry(domain)
-    lam_x = second_difference_eigenvalues(np.pi * np.arange(nx) / nx, hx)
-    if domain.geometry == "channel":
-        lam_x = lam_x[: nx // 2 + 1]
+    lam_x = second_difference_eigenvalues(np.pi * np.arange(nx // 2 + 1) / nx, hx)
     return lam_x[:, None] + second_difference_eigenvalues(phase_y, hy)[None, :]
 
 
-class _Projector(_Diagonal):
+class _Projector(Diagonal):
     """Inverse Laplacian of the MAC projection (channel: homogeneous Neumann,
     DCT-II); the mean mode is zeroed, which is the compatibility gauge."""
 
     def __init__(self, domain: Domain):
         nx, ncy, nvy, hx, hy = _geometry(domain)
-        if domain.geometry == "periodic":
-            lam = _laplacian_eigenvalues(domain, np.pi * np.arange(ncy) / ncy)
-            r2r = None
-        else:
-            lam = _laplacian_eigenvalues(domain, 0.5 * np.pi * np.arange(ncy) / ncy)
-            r2r = (dct, idct, 2)
-        lam[0, 0] = 1.0
-        inv_lam = 1.0 / lam
-        inv_lam[0, 0] = 0.0
-        super().__init__(inv_lam, r2r)
+        periodic = domain.geometry == "periodic"
+        lam = _laplacian_eigenvalues(domain, (1.0 if periodic else 0.5) * np.pi * np.arange(ncy) / ncy)
+        super().__init__((nx, ncy), inverse_eigenvalues(lam), None if periodic else (1, "dct", 2))
 
 
 def project(u, v, domain: Domain, projector: _Projector):
@@ -249,11 +222,11 @@ class _Diffuser:
             return (1.0 + c * lam) / (1.0 - c * lam)
 
         if domain.geometry == "periodic":
-            self.u = self.v = _Diagonal(amp(_laplacian_eigenvalues(domain, np.pi * np.arange(ncy) / ncy)))
+            self.u = self.v = Diagonal((nx, ncy), amp(_laplacian_eigenvalues(domain, np.pi * np.arange(ncy) / ncy)))
         else:
             phase = 0.5 * np.pi * np.arange(1, ncy + 1) / ncy
-            self.u = _Diagonal(amp(_laplacian_eigenvalues(domain, phase)), (dst, idst, 2))
-            self.v = _Diagonal(amp(_laplacian_eigenvalues(domain, phase[:-1])), (dst, idst, 1))
+            self.u = Diagonal((nx, ncy), amp(_laplacian_eigenvalues(domain, phase)), (1, "dst", 2))
+            self.v = Diagonal((nx, ncy - 1), amp(_laplacian_eigenvalues(domain, phase[:-1])), (1, "dst", 1))
 
     def step(self, u, v):
         if self.c == 0.0:
@@ -298,25 +271,21 @@ def gradient_norm_sq(u, v, domain: Domain) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _spectral_shift(f: np.ndarray, axis: int, frac: float, grid: Grid) -> np.ndarray:
+def _spectral_shift(f: np.ndarray, axis: int, frac: float) -> np.ndarray:
     """Shift a periodic field by ``frac`` cells along ``axis`` (exact for
-    band-limited fields; real Nyquist content is kept cosine-symmetric)."""
+    band-limited fields; ``irfft`` reads the real part of the Nyquist mode,
+    which keeps real Nyquist content cosine-symmetric)."""
     m = f.shape[axis]
-    k = np.fft.fftfreq(m, d=1.0 / m)
-    phase = np.exp(2j * np.pi * k * frac / m)
-    if m % 2 == 0:
-        phase[m // 2] = np.cos(2.0 * np.pi * k[m // 2] * frac / m)
-    shape = [1] * f.ndim
-    shape[axis] = m
-    return np.fft.ifft(np.fft.fft(f, axis=axis) * phase.reshape(shape), axis=axis).real
+    phase = np.exp(2j * np.pi * np.arange(m // 2 + 1) * frac / m)
+    phase = phase.reshape([-1 if a == axis else 1 for a in range(f.ndim)])
+    return np.fft.irfft(np.fft.rfft(f, axis=axis) * phase, n=m, axis=axis)
 
 
 def nodes_to_mac(snap: Snapshot, domain: Domain) -> MacState:
-    grid = snap.grid
     un, vn = snap.velocity[0], snap.velocity[1]
     if domain.geometry == "periodic":
-        u = _spectral_shift(un, 1, 0.5, grid)
-        v = _spectral_shift(vn, 0, 0.5, grid)
+        u = _spectral_shift(un, 1, 0.5)
+        v = _spectral_shift(vn, 0, 0.5)
     else:
         wall_max = max(
             float(np.abs(snap.velocity[:, :, 0]).max()),
@@ -337,10 +306,9 @@ def mac_to_nodes(state: MacState, domain: Domain, tags: dict | None = None) -> S
     grid = domain.grid
     u, v = state.u, state.v
     if domain.geometry == "periodic":
-        un = _spectral_shift(u, 1, -0.5, grid)
-        vn = _spectral_shift(v, 0, -0.5, grid)
+        un = _spectral_shift(u, 1, -0.5)
+        vn = _spectral_shift(v, 0, -0.5)
     else:
-        ny = grid.dims[1]
         un = np.zeros(grid.dims)
         un[:, 1:-1] = 0.5 * (u[:, :-1] + u[:, 1:])
         vn = 0.5 * (v + np.roll(v, 1, axis=0))

@@ -526,3 +526,37 @@ def test_sweep_negative_initial_viscosity_exit_code(tmp_path, capsys):
     assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
     assert "sweep.initial.nu" in capsys.readouterr().err
     assert _no_output(out)
+
+
+@pytest.mark.parametrize("initial, key", [({"kind": "taylor-green", "nu": "abc"}, "nu"),
+                                          ({"kind": "fractional", "alpha": "x"}, "alpha")])
+def test_sweep_initial_wrong_type_exit_code(tmp_path, capsys, initial, key):
+    out = tmp_path / "s"
+    cfg = dict(_SMALL_PERIODIC_SWEEP, grid="16x16", initial=initial)
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"sweep.initial.{key}" in err and "internal error" not in err
+    assert _no_output(out)
+
+
+@pytest.mark.parametrize("geometry, nus, why", [("periodic", [1e-2, 5e-3], "a periodic sweep with 2"),
+                                                ("channel", [1e-2], "a channel sweep with 1")])
+def test_sweep_unused_etas_exit_before_integrating(tmp_path, monkeypatch, capsys, geometry, nus, why):
+    # the ladder is admissible on the 16x33 channel, so only the unused-ladder check can reject it
+    cfg = {"geometry": geometry, "grid": "16x16" if geometry == "periodic" else "16x33",
+           "initial": {"kind": "taylor-green" if geometry == "periodic" else "poiseuille"},
+           "nus": nus, "dt": 0.001, "t_end": 0.005, "etas": [0.4, 0.3, 0.2]}
+    steps = []
+    real_step = solver.step
+
+    def counting_step(*args):
+        steps.append(args[0].t)
+        return real_step(*args)
+
+    monkeypatch.setattr(solver, "step", counting_step)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "sweep.etas" in err and why in err
+    assert steps == []
+    assert _no_output(out)

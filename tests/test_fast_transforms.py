@@ -1,11 +1,14 @@
-"""Fast-transform channel solves against the tridiagonal (Thomas) oracle."""
+"""The one diagonal spectral solve against direct oracles: the tridiagonal
+(Thomas) channel solves, the dense periodic 5-point stencil, and the
+complex-FFT periodic pressure solve."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oflux.grids import Domain, make_grid
-from oflux.pressure import solve_channel_neumann
+from oflux.grids import Domain, Snapshot, make_grid
+from oflux.pressure import solve_channel_neumann, solve_pressure_periodic
 from oflux.solver import _Diffuser, _Projector
 
 from conftest import channel_domain
@@ -72,3 +75,40 @@ def test_neumann_pressure_matches_thomas_3d(shape, wall, seed):
     g_lo, g_hi = rng.standard_normal((2, *tangential))
     p = solve_channel_neumann(source, g_lo, g_hi, dom)
     assert _close(p, oracle.neumann_solve(source, g_lo, g_hi, dom))
+
+
+def _box(nx, ny, lx, ly):
+    return Domain(make_grid((nx, ny), (lx, ly)), "periodic")
+
+
+@PROPERTY
+@given(nx=dims, ny=dims, seed=seeds)
+def test_periodic_projection_matches_dense_stencil(nx, ny, seed):
+    dom = _box(nx, ny, 1.7, 0.9)
+    hx, hy = dom.grid.spacing
+    rhs = np.random.default_rng(seed).standard_normal((nx, ny))
+    q = _Projector(dom)(rhs)
+    assert _close(q, oracle.periodic_project_solve(rhs, hx, hy))
+
+
+@PROPERTY
+@given(nx=dims, ny=dims, seed=seeds, nu=st.floats(1e-4, 1.0), dt=st.floats(1e-4, 0.1))
+def test_periodic_diffusion_matches_dense_stencil(nx, ny, seed, nu, dt):
+    dom = _box(nx, ny, 2.3, 1.0)
+    hx, hy = dom.grid.spacing
+    u, v = np.random.default_rng(seed).standard_normal((2, nx, ny))
+    un, vn = _Diffuser(dom, nu, dt).step(u, v)
+    c = 0.5 * nu * dt
+    assert _close(un, oracle.periodic_diffuse(u, c, hx, hy))
+    assert _close(vn, oracle.periodic_diffuse(v, c, hx, hy))
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+@PROPERTY
+@given(data=st.data(), seed=seeds)
+def test_periodic_pressure_matches_complex_fft(ndim, data, seed):
+    shape = data.draw(st.tuples(*[dims] * ndim))
+    grid = make_grid(shape, (2.0, 1.5, 1.0)[:ndim])
+    vel = np.random.default_rng(seed).standard_normal((ndim, *shape))
+    p = solve_pressure_periodic(Snapshot(grid, vel)).pressure
+    assert _close(p, oracle.periodic_pressure_solve(vel, grid))

@@ -1,8 +1,11 @@
-"""Tridiagonal (Thomas) reference solves for the channel operators.
+"""Direct reference solves for the operators the package applies as one
+diagonal spectral solve (``oflux.grids.Diagonal``), kept as test oracles.
 
-The package applies its channel solves as fast transforms; these are the
-direct stencil assemblies they replace, kept as test oracles: an FFT along
-the periodic axes, then one tridiagonal system per tangential mode.
+Channel: the tridiagonal (Thomas) stencil assemblies the fast transforms
+replace, an FFT along the periodic axes and then one tridiagonal system per
+tangential mode.  Periodic box: the dense 5-point stencil solved with
+``numpy.linalg``, and the pressure solve on the complex FFT, one ``fftn``
+per product u_i u_j, whose real part the real transforms reproduce.
 """
 
 import numpy as np
@@ -135,3 +138,41 @@ def neumann_solve(source, g_lo, g_hi, domain):
     interior = [slice(None)] * grid.ndim
     interior[w] = slice(1, -1)
     return p - p[tuple(interior)].mean()
+
+
+def periodic_laplacian(nx, ny, hx, hy):
+    """Dense periodic 5-point Laplacian on an nx x ny cell grid (C order)."""
+
+    def second_difference(m, h):
+        eye = np.eye(m)
+        return (np.roll(eye, 1, axis=1) - 2.0 * eye + np.roll(eye, -1, axis=1)) / h**2
+
+    return np.kron(second_difference(nx, hx), np.eye(ny)) + np.kron(np.eye(nx), second_difference(ny, hy))
+
+
+def periodic_project_solve(rhs, hx, hy):
+    """Mean-zero solution of L q = rhs - mean(rhs): the least-squares
+    minimum-norm solution, since L's null space is the constants."""
+    lap = periodic_laplacian(*rhs.shape, hx, hy)
+    return np.linalg.lstsq(lap, rhs.ravel(), rcond=None)[0].reshape(rhs.shape)
+
+
+def periodic_diffuse(w, c, hx, hy):
+    """Crank-Nicolson (I - cL) w' = (I + cL) w on the periodic box."""
+    cl = c * periodic_laplacian(*w.shape, hx, hy)
+    eye = np.eye(w.size)
+    return np.linalg.solve(eye - cl, (eye + cl) @ w.ravel()).reshape(w.shape)
+
+
+def periodic_pressure_solve(velocity, grid):
+    """-Lap p = d_i d_j (u_i u_j) on the complex FFT, zero-mean gauge."""
+    n = grid.ndim
+    ks = np.meshgrid(*[grid.wavenumbers(a) for a in range(n)], indexing="ij", sparse=True)
+    k2 = sum(k * k for k in ks)
+    src = np.zeros(grid.dims, dtype=complex)
+    for i in range(n):
+        for j in range(i, n):
+            term = (1j * ks[i]) * (1j * ks[j]) * np.fft.fftn(velocity[i] * velocity[j])
+            src += term if i == j else 2.0 * term
+    p_hat = np.where(k2 > 0, src / np.where(k2 > 0, k2, 1.0), 0.0)
+    return np.fft.ifftn(p_hat).real
