@@ -109,9 +109,6 @@ def _load_config(command: str, path: str | None, overrides: dict) -> dict:
             cfg[key] = val
     schema = _SCHEMAS[command]
     _check_types(cfg, schema, command)
-    for key, val in cfg.items():
-        if isinstance(val, float) and not math.isfinite(val):
-            raise ConfigError(f"{command}.{key}: expected a finite number, got {val}")
     env_out = os.environ.get("OFLUX_OUTPUT_DIR")
     if env_out and "out" in schema and "out" not in cfg:
         cfg["out"] = env_out
@@ -119,8 +116,9 @@ def _load_config(command: str, path: str | None, overrides: dict) -> dict:
 
 
 def _check_types(cfg: dict, schema: dict, where: str) -> None:
-    """Reject keys outside ``schema`` and values of another type (integers
-    widen to floats); errors name the config path ``where``."""
+    """Reject keys outside ``schema``, values of another type (integers
+    widen to floats) and non-finite floats; errors name the config path
+    ``where``."""
     for key, val in cfg.items():
         if key not in schema:
             raise ConfigError(f"unknown key at {where}.{key}")
@@ -134,6 +132,8 @@ def _check_types(cfg: dict, schema: dict, where: str) -> None:
                                   "too large for a float") from exc
         elif not isinstance(val, kinds):
             raise ConfigError(f"{where}.{key}: expected {want}, got {type(val).__name__}")
+        elif isinstance(val, float) and not math.isfinite(val):
+            raise ConfigError(f"{where}.{key}: expected a finite number, got {val}")
 
 
 def _parse_dims(text: str, name: str) -> tuple[int, ...]:
@@ -414,7 +414,6 @@ def cmd_sweep(cfg: dict) -> int:
         domain = Domain(grid, "periodic")
 
     init_cfg = dict(cfg.get("initial", {"kind": "taylor-green"}))
-    # types only: the generator's range checks and the solver's state guard catch non-finite values
     _check_types(init_cfg, _SCHEMAS["gen"], "sweep.initial")
     init_cfg.setdefault("grid", "x".join(str(m) for m in dims))
     if geometry == "channel" and init_cfg.get("kind") == "poiseuille":

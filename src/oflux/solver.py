@@ -1,17 +1,24 @@
 """Incompressible Navier-Stokes solver (2D periodic box / 2D channel).
 
-MAC staggered layout internally; node-collocated snapshots on output.
-The advection operator uses the skew-symmetric (half divergence + half
-advective) form so the inviscid core conserves kinetic energy; diffusion is
-Crank-Nicolson and the pressure projection enforces the MAC divergence to
-round-off.  Both apply ``grids.Diagonal``, the one diagonal spectral solve:
-in the channel the wall closure's DCT-II (projection), DST-II (u) or DST-I
-(v) across the walls, then on both geometries ``rfft`` along x (the half
+MAC staggered layout internally; node-collocated snapshots on output.  A
+step is Heun's method on the skew-symmetric advection (half divergence +
+half advective form, so the inviscid core conserves kinetic energy) with a
+projection after the first stage; the second stage's predictor goes to the
+geometry's finish: projection, Crank-Nicolson diffusion, projection.  The
+solves apply ``grids.Diagonal``, the one diagonal spectral solve: in the
+channel the wall closure's DCT-II (projection), DST-II (u) or DST-I (v)
+across the walls, then on both geometries ``rfft`` along x (the half
 spectrum) and, on the box, ``fft`` along y.
 
+The channel's finish makes its three solves in turn (the walls break their
+commutation).  On the periodic box the MAC divergence, gradient and 5-point
+Laplacian are circulant and commute, so the finish is one symbol amp * P on
+one spectrum of (u, v); the last projection, a no-op there, drops out.
+
 Energy audit: with the plain staggered inner product, the CN half-step
-removes exactly nu*dt*||grad m||^2 (m the CN midpoint) per step and the
-projection is orthogonal, so the recorded cumulative dissipation makes
+removes exactly nu*dt*||grad m||^2 (m the CN midpoint; on the box read off
+the finish's spectrum by Parseval) per step and the projection is
+orthogonal, so the recorded cumulative dissipation makes
 
     kinetic(t) + cumulative_dissipation(t) - kinetic(0) <= (RK2 drift)
 
@@ -79,17 +86,11 @@ class MacState:
 
 
 def _geometry(domain: Domain):
+    """(nx, ncy, hx, hy): cells across x and y (the channel's lie between its
+    wall nodes) and the spacings."""
     grid = domain.grid
-    nx = grid.dims[0]
-    hx = grid.spacing[0]
-    hy = grid.spacing[1]
-    if domain.geometry == "periodic":
-        ncy = grid.dims[1]
-        nvy = ncy  # v faces wrap
-    else:
-        ncy = grid.dims[1] - 1
-        nvy = grid.dims[1]  # includes both wall faces
-    return nx, ncy, nvy, hx, hy
+    ncy = grid.dims[1] - 1 if domain.geometry == "channel" else grid.dims[1]
+    return grid.dims[0], ncy, grid.spacing[0], grid.spacing[1]
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +99,7 @@ def _geometry(domain: Domain):
 
 
 def _divergence(u, v, domain: Domain):
-    nx, ncy, nvy, hx, hy = _geometry(domain)
+    nx, ncy, hx, hy = _geometry(domain)
     dux = (np.roll(u, -1, axis=0) - u) / hx
     if domain.geometry == "periodic":
         dvy = (np.roll(v, -1, axis=1) - v) / hy
@@ -109,7 +110,7 @@ def _divergence(u, v, domain: Domain):
 
 def _grad_correct(u, v, q, domain: Domain):
     """Subtract the staggered gradient of q from (u, v)."""
-    nx, ncy, nvy, hx, hy = _geometry(domain)
+    nx, ncy, hx, hy = _geometry(domain)
     u = u - (q - np.roll(q, 1, axis=0)) / hx
     if domain.geometry == "periodic":
         v = v - (q - np.roll(q, 1, axis=1)) / hy
@@ -122,7 +123,7 @@ def _grad_correct(u, v, q, domain: Domain):
 def _laplacian_eigenvalues(domain: Domain, phase_y) -> np.ndarray:
     """5-point Laplacian eigenvalues on ``Diagonal``'s spectrum: the real-FFT
     half of the periodic x modes plus the y eigenvalues at ``phase_y``."""
-    nx, ncy, nvy, hx, hy = _geometry(domain)
+    nx, ncy, hx, hy = _geometry(domain)
     lam_x = second_difference_eigenvalues(np.pi * np.arange(nx // 2 + 1) / nx, hx)
     return lam_x[:, None] + second_difference_eigenvalues(phase_y, hy)[None, :]
 
@@ -132,7 +133,7 @@ class _Projector(Diagonal):
     DCT-II); the mean mode is zeroed, which is the compatibility gauge."""
 
     def __init__(self, domain: Domain):
-        nx, ncy, nvy, hx, hy = _geometry(domain)
+        nx, ncy, hx, hy = _geometry(domain)
         periodic = domain.geometry == "periodic"
         lam = _laplacian_eigenvalues(domain, (1.0 if periodic else 0.5) * np.pi * np.arange(ncy) / ncy)
         super().__init__((nx, ncy), inverse_eigenvalues(lam), None if periodic else (1, "dct", 2))
@@ -158,7 +159,7 @@ def advection(u, v, domain: Domain):
     the interpolated cell divergence, which the projection keeps at zero, so
     the inviscid core neither creates nor destroys kinetic energy.
     """
-    nx, ncy, nvy, hx, hy = _geometry(domain)
+    nx, ncy, hx, hy = _geometry(domain)
     per = domain.geometry == "periodic"
 
     ug = _ghost_u(u, domain)  # (nx, ncy+2)
@@ -167,39 +168,30 @@ def advection(u, v, domain: Domain):
     else:
         vg = v  # includes both wall faces (zero there)
 
+    # the corner flux u v on the (nx, ncy+1) corner lattice serves both components
+    v_corner = 0.5 * (vg + np.roll(vg, 1, axis=0))  # x-avg of v at corners
+    u_corner = 0.5 * (ug[:, :-1] + ug[:, 1:])  # y-avg of u at corners
+    fxy = v_corner * u_corner
+
     # --- u-component: control volumes around x-faces ------------------------
     u_c = 0.5 * (u + np.roll(u, -1, axis=0))  # at cell centers
     fxx = u_c * u_c
-    v_corner = 0.5 * (vg + np.roll(vg, 1, axis=0))  # x-avg of v at corners
-    u_corner = 0.5 * (ug[:, :-1] + ug[:, 1:])  # y-avg of u at corners (nx, ncy+1)
-    fxy = v_corner * u_corner
     du = -((fxx - np.roll(fxx, 1, axis=0)) / hx + (fxy[:, 1:] - fxy[:, :-1]) / hy)
 
     # --- v-component: control volumes around y-faces ------------------------
     if per:
-        u_cor = 0.5 * (np.roll(u, 1, axis=1) + u)  # y-avg of u at corners
-        v_cor = 0.5 * (np.roll(v, 1, axis=0) + v)  # x-avg of v at corners
-        g_cor = u_cor * v_cor
+        g = fxy[:, :-1]  # corner j sits below face j; face ncy wraps to face 0
         v_c = 0.5 * (v + np.roll(v, -1, axis=1))  # at cell centers
         fyy = v_c * v_c
-        dv = -(
-            (np.roll(g_cor, -1, axis=0) - g_cor) / hx
-            + (fyy - np.roll(fyy, 1, axis=1)) / hy
-        )
+        dv = -((np.roll(g, -1, axis=0) - g) / hx + (fyy - np.roll(fyy, 1, axis=1)) / hy)
     else:
-        vi = v[:, 1:-1]
-        u_cor = 0.5 * (u[:, :-1] + u[:, 1:])  # at interior corners (nx, ncy-1)
-        v_cor = 0.5 * (np.roll(vi, 1, axis=0) + vi)
-        g_cor = u_cor * v_cor
+        g = fxy[:, 1:-1]  # the interior corners, level with the interior faces
         v_c = 0.5 * (v[:, :-1] + v[:, 1:])  # at cell centers (nx, ncy)
         fyy = v_c * v_c
         dv = np.zeros_like(v)
-        dv[:, 1:-1] = -(
-            (np.roll(g_cor, -1, axis=0) - g_cor) / hx + (fyy[:, 1:] - fyy[:, :-1]) / hy
-        )
+        dv[:, 1:-1] = -((np.roll(g, -1, axis=0) - g) / hx + (fyy[:, 1:] - fyy[:, :-1]) / hy)
 
     return du, dv
-
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +208,7 @@ class _Diffuser:
     def __init__(self, domain: Domain, nu: float, dt: float):
         self.domain = domain
         self.c = c = 0.5 * nu * dt
-        nx, ncy, nvy, hx, hy = _geometry(domain)
+        nx, ncy, hx, hy = _geometry(domain)
 
         def amp(lam):
             return (1.0 + c * lam) / (1.0 - c * lam)
@@ -244,13 +236,13 @@ class _Diffuser:
 
 
 def kinetic_energy(u, v, domain: Domain) -> float:
-    nx, ncy, nvy, hx, hy = _geometry(domain)
+    nx, ncy, hx, hy = _geometry(domain)
     return 0.5 * hx * hy * (float(np.sum(u * u)) + float(np.sum(v * v)))
 
 
 def gradient_norm_sq(u, v, domain: Domain) -> float:
     """||grad u||^2 in the staggered inner product, exactly -<w, L w>."""
-    nx, ncy, nvy, hx, hy = _geometry(domain)
+    nx, ncy, hx, hy = _geometry(domain)
     vol = hx * hy
     total = 0.0
     # x-differences (periodic in x always)
@@ -287,18 +279,12 @@ def nodes_to_mac(snap: Snapshot, domain: Domain) -> MacState:
         u = _spectral_shift(un, 1, 0.5)
         v = _spectral_shift(vn, 0, 0.5)
     else:
-        wall_max = max(
-            float(np.abs(snap.velocity[:, :, 0]).max()),
-            float(np.abs(snap.velocity[:, :, -1]).max()),
-        )
+        wall_max = float(np.abs(snap.velocity[:, :, [0, -1]]).max())
         if wall_max > 1e-10:
-            raise PreconditionError(
-                f"channel runs require no-slip initial data; max |u| on walls = {wall_max:.3e}"
-            )
+            raise PreconditionError(f"channel runs require no-slip initial data; max |u| on walls = {wall_max:.3e}")
         u = 0.5 * (un[:, :-1] + un[:, 1:])
         v = 0.5 * (vn + np.roll(vn, -1, axis=0))
-        v[:, 0] = 0.0
-        v[:, -1] = 0.0
+        v[:, 0] = v[:, -1] = 0.0
     return MacState(u, v, snap.time)
 
 
@@ -312,8 +298,7 @@ def mac_to_nodes(state: MacState, domain: Domain, tags: dict | None = None) -> S
         un = np.zeros(grid.dims)
         un[:, 1:-1] = 0.5 * (u[:, :-1] + u[:, 1:])
         vn = 0.5 * (v + np.roll(v, 1, axis=0))
-        vn[:, 0] = 0.0
-        vn[:, -1] = 0.0
+        vn[:, 0] = vn[:, -1] = 0.0
     probe = Snapshot(grid, np.stack([un, vn]), None, state.t)
     div = float(np.abs(divergence(probe)).max())
     out_tags = dict(tags or {})
@@ -335,13 +320,7 @@ class DissipationSeries:
     leray_residual: np.ndarray
 
     def rows(self):
-        for k in range(len(self.times)):
-            yield (
-                float(self.times[k]),
-                float(self.kinetic_energy[k]),
-                float(self.cumulative_dissipation[k]),
-                float(self.leray_residual[k]),
-            )
+        return zip(*(getattr(self, f.name).tolist() for f in fields(self)))
 
 
 def whole_steps(t: float, dt: float, name: str = "t_end") -> int:
@@ -353,7 +332,7 @@ def whole_steps(t: float, dt: float, name: str = "t_end") -> int:
 
 
 def _check_cfl(u, v, cfg: SolverConfig, t: float):
-    nx, ncy, nvy, hx, hy = _geometry(cfg.domain)
+    nx, ncy, hx, hy = _geometry(cfg.domain)
     hmin = min(hx, hy)
     umax = float(np.max([np.abs(u).max(), np.abs(v).max()]))  # NaN propagates
     if not np.isfinite(umax):
@@ -371,79 +350,101 @@ def _check_cfl(u, v, cfg: SolverConfig, t: float):
         )
 
 
-def step(state: MacState, cfg: SolverConfig, projector=None, diffuser=None):
+def _stencil_finish(domain: Domain, nu: float, dt: float, projector: _Projector):
+    """The channel's finish: project, Crank-Nicolson, project, each a solve of
+    its own.  It returns (u, v, dissipation, loss of the second projection)."""
+    diffuser = _Diffuser(domain, nu, dt)
+
+    def finish(u, v):
+        u2, v2 = project(u, v, domain, projector)
+        u3, v3 = diffuser.step(u2, v2)
+        diss = nu * dt * gradient_norm_sq(0.5 * (u2 + u3), 0.5 * (v2 + v3), domain) if nu > 0 else 0.0
+        e_before = kinetic_energy(u3, v3, domain)
+        u4, v4 = project(u3, v3, domain, projector)
+        return u4, v4, diss, e_before - kinetic_energy(u4, v4, domain)
+
+    return finish
+
+
+def _spectral_finish(domain: Domain, nu: float, dt: float, projector: _Projector):
+    """The periodic box's finish amp * P, in the projector's transform (x
+    halved, y whole).  P subtracts g q^, q^ = (d . w^) / lam (the projector's
+    mult), with the forward difference d = (e^{i theta} - 1) / h and the
+    backward one g = -conj(d).  The dissipation nu dt <m, -L m> at the CN
+    midpoint m^ = (1 + amp) / 2 * P w^ is read off by Parseval; the last
+    projection removes nothing."""
+    nx, ny, hx, hy = _geometry(domain)
+    kx = np.arange(nx // 2 + 1)[:, None]
+    theta_x, theta_y = 2.0 * np.pi * kx / nx, 2.0 * np.pi * np.arange(ny) / ny
+    d = ((np.exp(1j * theta_x) - 1.0) / hx, (np.exp(1j * theta_y) - 1.0) / hy)
+    g = [-np.conj(d_a) for d_a in d]
+    amp = _Diffuser(domain, nu, dt).u.mult
+    lam = _laplacian_eigenvalues(domain, 0.5 * theta_y)
+    # Parseval: sum |f|^2 over the cells is sum |f^|^2 over the whole spectrum / (nx ny); a half-
+    # spectrum x mode stands for its mirror -kx too, except kx = 0 and an even nx's Nyquist mode
+    weight = np.where((kx == 0) | (2 * kx == nx), 1.0, 2.0)
+    dissipation = nu * dt * hx * hy / (nx * ny) * weight * -lam * (0.5 * (1.0 + amp)) ** 2
+
+    def finish(u, v):
+        wh = projector.forward(np.stack([u, v]))
+        q = (d[0] * wh[0] + d[1] * wh[1]) * projector.mult
+        wh[0] -= g[0] * q
+        wh[1] -= g[1] * q
+        diss = float(np.sum(dissipation * (wh.real**2 + wh.imag**2)))
+        wh *= amp
+        u, v = projector.inverse(wh)
+        return u, v, diss, 0.0
+
+    return finish
+
+
+_FINISH = {"periodic": _spectral_finish, "channel": _stencil_finish}
+
+
+def step(state: MacState, cfg: SolverConfig, projector=None, finish=None):
     """One time step; returns (state, dissipation_increment, projection_loss)."""
-    if projector is None:
-        projector = _Projector(cfg.domain)
-    if diffuser is None:
-        diffuser = _Diffuser(cfg.domain, cfg.nu, cfg.dt)
-    u, v = state.u, state.v
     dom = cfg.domain
+    if projector is None:
+        projector = _Projector(dom)
+    if finish is None:
+        finish = _FINISH[dom.geometry](dom, cfg.nu, cfg.dt, projector)
+    u, v = state.u, state.v
     dt = cfg.dt
     _check_cfl(u, v, cfg, state.t)
 
     du1, dv1 = advection(u, v, dom)
     u1, v1 = project(u + dt * du1, v + dt * dv1, dom, projector)
     du2, dv2 = advection(u1, v1, dom)
-    u2, v2 = project(u + 0.5 * dt * (du1 + du2), v + 0.5 * dt * (dv1 + dv2), dom, projector)
-
-    if cfg.nu > 0:
-        u3, v3 = diffuser.step(u2, v2)
-        mu, mv = 0.5 * (u2 + u3), 0.5 * (v2 + v3)
-        diss = cfg.nu * dt * gradient_norm_sq(mu, mv, dom)
-    else:
-        u3, v3 = u2, v2
-        diss = 0.0
-    e_before = kinetic_energy(u3, v3, dom)
-    u4, v4 = project(u3, v3, dom, projector)
-    proj_loss = e_before - kinetic_energy(u4, v4, dom)
-    return MacState(u4, v4, state.t + dt), diss, proj_loss
+    u3, v3, diss, proj_loss = finish(u + 0.5 * dt * (du1 + du2), v + 0.5 * dt * (dv1 + dv2))
+    return MacState(u3, v3, state.t + dt), diss, proj_loss
 
 
 def run(cfg: SolverConfig):
     """Integrate to t_end; returns (node Trajectory, DissipationSeries)."""
     dom = cfg.domain
     projector = _Projector(dom)
-    diffuser = _Diffuser(dom, cfg.nu, cfg.dt)
+    finish = _FINISH[dom.geometry](dom, cfg.nu, cfg.dt, projector)
     state = nodes_to_mac(cfg.initial, dom)
     u, v = project(state.u, state.v, dom, projector)
     state = MacState(u, v, 0.0)
 
     n_steps = whole_steps(cfg.t_end, cfg.dt)
-    times = [0.0]
     e0 = kinetic_energy(state.u, state.v, dom)
-    energies = [e0]
-    cum = [0.0]
-    leray = [0.0]
+    rows = [(0.0, e0, 0.0, 0.0)]  # t, E, cumulative dissipation, Leray residual
     tags = dict(cfg.initial.tags)
     tags["nu"] = cfg.nu
     snaps = [mac_to_nodes(state, dom, tags)]
-    snap_times = [0.0]
     acc = 0.0
     for k in range(1, n_steps + 1):
-        state, diss, _ = step(state, cfg, projector, diffuser)
+        state, diss, _ = step(state, cfg, projector, finish)
         state = MacState(state.u, state.v, k * cfg.dt)
         acc += diss
         e = kinetic_energy(state.u, state.v, dom)
-        times.append(k * cfg.dt)
-        energies.append(e)
-        cum.append(acc)
-        leray.append(e + acc - e0)
-        if k % cfg.snapshot_stride == 0 or k == n_steps:
+        rows.append((k * cfg.dt, e, acc, e + acc - e0))
+        if k % cfg.snapshot_stride == 0:  # a final partial stride takes no snapshot
             snaps.append(mac_to_nodes(state, dom, tags))
-            snap_times.append(k * cfg.dt)
-    series = DissipationSeries(
-        np.array(times), np.array(energies), np.array(cum), np.array(leray)
-    )
-    stride_dt = cfg.dt * cfg.snapshot_stride
-    uniform = all(
-        abs((snap_times[i + 1] - snap_times[i]) - stride_dt) < 1e-9
-        for i in range(len(snap_times) - 1)
-    )
-    if not uniform:  # final partial stride: drop the duplicate tail snapshot
-        snaps = snaps[:-1]
-    traj = Trajectory(tuple(snaps), stride_dt)
-    return traj, series
+    series = DissipationSeries(*(np.array(col) for col in zip(*rows)))
+    return Trajectory(tuple(snaps), cfg.dt * cfg.snapshot_stride), series
 
 
 def truncate(traj: Trajectory, series: DissipationSeries, n_steps: int):

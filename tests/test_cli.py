@@ -242,8 +242,8 @@ def test_sweep_non_finite_initial_state_exit_code(tmp_path, capsys):
     }
     out = tmp_path / "s"
     assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
-    assert "non-finite velocity entering step 1" in capsys.readouterr().err
-    assert not list(tmp_path.glob("s/traj_*"))
+    assert "sweep.initial.t" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_non_finite_time_exit_code(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The one diagonal spectral solve against direct oracles: the tridiagonal
-(Thomas) channel solves, the dense periodic 5-point stencil, and the
-complex-FFT periodic pressure solve."""
+(Thomas) channel solves, the dense periodic 5-point stencil, the
+complex-FFT periodic pressure solve, and the periodic solver step's spectral
+finish against its stencil route."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from oflux.grids import Domain, Snapshot, make_grid
 from oflux.pressure import solve_channel_neumann, solve_pressure_periodic
-from oflux.solver import _Diffuser, _Projector
+from oflux.solver import _Diffuser, _Projector, _spectral_finish, gradient_norm_sq, project
 
 from conftest import channel_domain
 import tridiag_oracle as oracle
@@ -112,3 +113,20 @@ def test_periodic_pressure_matches_complex_fft(ndim, data, seed):
     vel = np.random.default_rng(seed).standard_normal((ndim, *shape))
     p = solve_pressure_periodic(Snapshot(grid, vel)).pressure
     assert _close(p, oracle.periodic_pressure_solve(vel, grid))
+
+
+@PROPERTY
+@given(nx=dims, ny=dims, seed=seeds, nu=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)), dt=st.floats(1e-4, 0.1))
+def test_periodic_spectral_finish_matches_stencil_route(nx, ny, seed, nu, dt):
+    dom = _box(nx, ny, 1.9, 0.8)
+    u, v = np.random.default_rng(seed).standard_normal((2, nx, ny))  # not divergence-free
+    projector = _Projector(dom)
+    uf, vf, diss, loss = _spectral_finish(dom, nu, dt, projector)(u, v)
+
+    u2, v2 = project(u, v, dom, projector)
+    u3, v3 = _Diffuser(dom, nu, dt).step(u2, v2)
+    want = nu * dt * gradient_norm_sq(0.5 * (u2 + u3), 0.5 * (v2 + v3), dom)
+    u4, v4 = project(u3, v3, dom, projector)
+    assert _close(uf, u4) and _close(vf, v4)
+    assert abs(diss - want) <= RTOL * want
+    assert loss == 0.0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from oflux.errors import PreconditionError
 from oflux.grids import Domain, Snapshot, divergence, make_grid
@@ -22,6 +24,7 @@ from oflux.solver import (
 from oflux.synth import fractional_field, taylor_green
 
 from conftest import TWO_PI, channel_domain
+import tridiag_oracle
 from tridiag_oracle import lap_x, lap_y_u, lap_y_v
 
 
@@ -149,6 +152,19 @@ def test_skew_advection_energy_neutral(periodic64):
     du, dv = advection(u, v, periodic64)
     scale = kinetic_energy(u, v, periodic64)
     assert abs(np.sum(u * du) + np.sum(v * dv)) <= 1e-11 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=hst.integers(8, 17), ny=hst.integers(8, 17), channel=hst.booleans(), seed=hst.integers(0, 2**32 - 1))
+def test_advection_one_corner_flux_is_bitwise_the_two_flux_form(nx, ny, channel, seed):
+    dom = channel_domain(nx, ny, 1.3, 0.7) if channel else Domain(make_grid((nx, ny), (1.3, 0.7)), "periodic")
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((nx, ny - 1 if channel else ny))
+    v = rng.standard_normal((nx, ny))
+    if channel:
+        v[:, 0] = v[:, -1] = 0.0
+    for got, want in zip(advection(u, v, dom), tridiag_oracle.advection(u, v, dom)):
+        assert np.array_equal(got, want)
 
 
 def test_channel_advection_energy_neutral():
