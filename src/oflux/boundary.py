@@ -18,7 +18,7 @@ import numpy as np
 from .errors import PreconditionError, UnderResolvedError
 from .commutator import monotone_within_10pct
 from .grids import (Domain, Snapshot, Trajectory, discretization_budget, energy, integrate,
-                    trapezoid_time_weights)
+                    trapezoid_time_weights, wall_distance)
 from .mollify import _BUMP_MASS, bump, bump_cdf, cutoff_region
 from .pressure import negative_sobolev_norm
 from .synth import estimate_holder_exponent
@@ -59,29 +59,23 @@ class ShellSpec:
     """Admissibility record for the boundary shell eta/4 < d < eta/2."""
 
     eta: float
-    eta0: float
     plane_count: int
 
     @classmethod
-    def build(cls, domain: Domain, eta: float, eta0: float | None = None) -> "ShellSpec":
+    def build(cls, domain: Domain, eta: float) -> "ShellSpec":
         half = 0.5 * domain.channel_width
-        if eta0 is None:
-            eta0 = half * (1.0 - 1e-12)
-        if not (0.0 < eta < eta0 < half * (1.0 + 1e-12)):
+        if not (0.0 < eta < half * (1.0 - 1e-12)):
             raise PreconditionError(
-                f"shell scale must satisfy 0 < eta < eta0 < half-width; got eta={eta:g}, "
-                f"eta0={eta0:g}, half-width={half:g}"
+                f"shell scale must satisfy 0 < eta < half-width; got eta={eta:g}, half-width={half:g}"
             )
-        a = domain.wall_axis
-        y = domain.grid.axis_coords(a)
-        d = np.minimum(y, domain.channel_width - y)
+        d = wall_distance(domain.grid)
         planes = int(np.sum((d > eta / 4.0) & (d < eta / 2.0)))
         if planes < 3:
             raise UnderResolvedError(
                 f"shell under-resolved: only {planes} grid planes fall in "
                 f"(eta/4, eta/2) = ({eta / 4:g}, {eta / 2:g}); need >= 3"
             )
-        return cls(float(eta), float(eta0), planes)
+        return cls(float(eta), planes)
 
 
 def shell_ladder(etas, domain: Domain) -> list[float]:

@@ -31,7 +31,7 @@ from .commutator import scaling_probe
 from .energy_balance import ChiWindow, TestFunction, dr_convergence_sweep, dr_dissipation_field
 from .boundary import conservation_verdict, global_balance, modulus_check, shell_ladder
 from .solver import SolverConfig, dissipation_report, run, truncate, viscous_flux_criterion, whole_steps
-from .reports import config_hash, echo_config, write_csv, write_json, write_manifest
+from .reports import config_hash, write_csv, write_json, write_manifest
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -95,15 +95,20 @@ _SCHEMAS = {
 }
 
 
+def _read_object(path, error=PreconditionError) -> dict:
+    """The JSON object stored in ``path``; raises ``error`` naming the file
+    when the JSON is invalid or its top level is not an object."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+        raise error(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise error(f"{path}: top level must be an object")
+    return obj
+
+
 def _load_config(command: str, path: str | None, overrides: dict) -> dict:
-    cfg = {}
-    if path:
-        try:
-            cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"{path}: top level must be an object")
+    cfg = _read_object(path, ConfigError) if path else {}
     for key, val in overrides.items():
         if val is not None:
             cfg[key] = val
@@ -214,7 +219,6 @@ def cmd_gen(cfg: dict) -> int:
         path = path / "field.oflx"
     fieldio.write_snapshot(path, snap)
     write_manifest(path.parent, cfg, seeds=[int(cfg.get("seed", 0))])
-    echo_config(path.parent, cfg)
     print(f"gen: wrote {path}")
     return EXIT_OK
 
@@ -264,7 +268,6 @@ def cmd_diagnose(cfg: dict) -> int:
         summary = {"verdict": "degenerate: zero field (all probes vanish)", "alpha": None, "fits": []}
         write_json(out / "summary.json", summary)
         write_manifest(out, cfg, seeds=[seed])
-        echo_config(out, cfg)
         print("diagnose: zero field, all probes vanish")
         return EXIT_OK
 
@@ -334,7 +337,6 @@ def cmd_diagnose(cfg: dict) -> int:
 
     write_json(out / "summary.json", summary)
     write_manifest(out, cfg, seeds=[seed])
-    echo_config(out, cfg)
     print(f"diagnose: {summary['verdict']}")
     for f in probe.fits:
         print(
@@ -383,7 +385,6 @@ def cmd_boundary(cfg: dict) -> int:
         {"verdict": verdict.as_dict(), "global_balance": bal.as_dict(), "modulus": mod.as_dict()},
     )
     write_manifest(out, cfg, seeds=[seed])
-    echo_config(out, cfg)
     print(f"boundary: {verdict.verdict}")
     print(f"  energy drift: {verdict.energy_drift:.3e}; balance residual: {bal.residual:.3e}")
     print(f"  modulus intercept: {mod.intercept:.3e} (vanishing: {mod.vanishing})")
@@ -414,7 +415,8 @@ def cmd_sweep(cfg: dict) -> int:
         domain = Domain(grid, "periodic")
 
     init_cfg = dict(cfg.get("initial", {"kind": "taylor-green"}))
-    _check_types(init_cfg, _SCHEMAS["gen"], "sweep.initial")
+    # the sweep writes the initial state nowhere, so a generator's "out" is not accepted
+    _check_types(init_cfg, {k: v for k, v in _SCHEMAS["gen"].items() if k != "out"}, "sweep.initial")
     init_cfg.setdefault("grid", "x".join(str(m) for m in dims))
     if geometry == "channel" and init_cfg.get("kind") == "poiseuille":
         x, y = grid.meshes()
@@ -495,7 +497,6 @@ def cmd_sweep(cfg: dict) -> int:
             exit_code = max(exit_code, EXIT_NEGATIVE)
     write_json(out / "verdict.json", summary)
     write_manifest(out, cfg, seeds=[int(cfg.get("seed", 0))])
-    echo_config(out, cfg)
     print(f"sweep: {sweep_rep.verdict}; max leray residual {worst_leray:.2e}")
     return exit_code
 
@@ -512,11 +513,11 @@ def cmd_report(cfg: dict) -> int:
     manifest_path = indir / "manifest.json"
     if not manifest_path.exists():
         raise PreconditionError(f"{indir}: no manifest.json")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _read_object(manifest_path)
     print(f"report: {indir} (oflux {manifest.get('version')}, config {manifest.get('config_sha256', '')[:12]})")
     config_path = indir / "config.json"
     if config_path.exists():
-        stored = json.loads(config_path.read_text(encoding="utf-8"))
+        stored = _read_object(config_path)
         if config_hash(stored) != manifest.get("config_sha256"):
             print("  WARNING: config hash mismatch")
             return EXIT_PRECONDITION
@@ -525,7 +526,7 @@ def cmd_report(cfg: dict) -> int:
         p = indir / name
         if not p.exists():
             continue
-        payload = json.loads(p.read_text(encoding="utf-8"))
+        payload = _read_object(p)
         for key, val in payload.items():
             if isinstance(val, dict) and "verdict" in val:
                 print(f"  {key}: {val['verdict']}")

@@ -19,7 +19,8 @@ Only the kernel depends on eps.  The identity is therefore split into a
 set-up that builds and transforms everything else once per snapshot (the
 products, the Euler residual, grad phi) and a per-eps step of one kernel
 multiply and one inverse transform; ``weak_energy_identity`` is the set-up
-plus one eps, and ``dr_convergence_sweep`` the set-up plus every rung.
+plus one eps, and ``dr_convergence_sweep`` the set-up plus every rung.  A
+time radius kappa is applied by ``mollify.time_mollify``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .mollify import (
     field_spectrum,
     make_mollifier,
     mollify_spectrum,
-    time_kernel,
+    time_mollify,
 )
 
 # ---------------------------------------------------------------------------
@@ -142,22 +143,13 @@ class _WeakIdentity:
         grid = traj.grid
         nt = len(traj)
         self.time_smoothed = kappa is not None and nt > 1
-        if not self.time_smoothed:
-            idx = range(nt)
-            spectra = [field_spectrum(self._stack(traj, k), grid) for k in idx]
-        else:
-            offs, w = time_kernel(kappa, traj.dt)
-            reach = int(offs.max())
-            if nt - 2 * reach <= 0:
-                raise PreconditionError("trajectory too short for the requested time radius")
-            idx = range(reach, nt - reach)
-            raw = [self._stack(traj, k) for k in range(nt)]
-            wdt = w * traj.dt
-            spectra = [field_spectrum(sum(wm * raw[i - m] for m, wm in zip(offs, wdt)), grid)
-                       for i in idx]
+        idx = range(nt)
+        stacks = (self._stack(traj, k) for k in idx)  # transformed one at a time when not smoothed
+        if self.time_smoothed:
+            idx, stacks = time_mollify(list(stacks), kappa, traj.dt)
         self.traj, self.test, self.chain, self.kappa = traj, test, chain, kappa
         self.times = np.array([traj.snapshots[i].time for i in idx])
-        self.spectra = spectra
+        self.spectra = [field_spectrum(f, grid) for f in stacks]
         self.gphi = np.stack([deriv(test.phi.values, a, grid) for a in range(grid.ndim)])
 
     @staticmethod

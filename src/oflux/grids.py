@@ -126,6 +126,17 @@ def make_grid(
     return Grid(tuple(int(m) for m in dims), tuple(float(L) for L in extents), tuple(axis_kinds))
 
 
+def wall_distance(grid: Grid) -> np.ndarray:
+    """Distance min(y, L - y) to the nearest wall plane, minimized over the
+    wall axes; broadcastable to ``grid.dims`` and inf on a grid without walls."""
+    d = np.full((1,) * grid.ndim, np.inf)
+    for a in range(grid.ndim):
+        if grid.axis_kinds[a] == WALL:
+            y = grid.axis_coords(a).reshape([-1 if b == a else 1 for b in range(grid.ndim)])
+            d = np.minimum(d, np.minimum(y, grid.extents[a] - y))
+    return d
+
+
 @dataclass(frozen=True)
 class Domain:
     """A grid together with its global geometry.
@@ -158,13 +169,9 @@ class Domain:
 
     def distance_field(self) -> np.ndarray:
         """d(x) = distance to the nearest wall plane, broadcast to the grid."""
-        a = self.wall_axis
-        y = self.grid.axis_coords(a)
-        L = self.channel_width
-        d = np.minimum(y, L - y)
-        shape = [1] * self.grid.ndim
-        shape[a] = self.grid.dims[a]
-        return np.broadcast_to(d.reshape(shape), self.grid.dims).copy()
+        if self.geometry != "channel":
+            raise PreconditionError("no boundary: domain is fully periodic")
+        return np.broadcast_to(wall_distance(self.grid), self.grid.dims).copy()
 
     def normal_sign_field(self) -> np.ndarray:
         """Sign s such that the outward normal at the nearest wall is s*e_wall.

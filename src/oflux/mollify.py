@@ -22,6 +22,10 @@ stencil sum the FFT reproduces is kept with the tests as an oracle
 Nested regions and cutoffs measure node-to-set distances with an exact
 separable Euclidean distance transform in numpy (minimum image on periodic
 axes); a cutoff takes its ramp and its inner/outer gap from one transform.
+
+Time has one mollifier, ``time_mollify``, for the weak identity's stacks and
+for [u, p] in ``time_space_mollify`` (time first; the tests keep the
+space-first order as a reference).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MarginViolationError, PreconditionError, UnderResolvedError
-from .grids import PERIODIC, WALL, Grid, Snapshot, Trajectory
+from .grids import PERIODIC, WALL, Grid, Snapshot, Trajectory, wall_distance
 
 # ---------------------------------------------------------------------------
 # bump profile and its normalized antiderivative
@@ -355,19 +359,16 @@ def nested_regions(
     support: np.ndarray,
     eta: float,
     grid: Grid,
-    count: int = 3,
     t_range=None,
     tau: float = 0.0,
 ) -> RegionChain:
-    """Grow ``count`` nested regions outward from ``support`` by steps of ``eta``.
+    """Grow the three nested regions outward from ``support`` by steps of ``eta``.
 
     Q_i is the set of nodes within i*eta of the support (rounding is outward:
     node inclusion uses the closed ball).  On wall axes the outermost margin
     must stay clear of the wall planes; otherwise the maximal feasible eta is
     reported.
     """
-    if count != 3:
-        raise PreconditionError("the chain discipline is fixed at three regions")
     if eta <= 0:
         raise PreconditionError("margin eta must be positive")
     support = np.asarray(support, dtype=bool)
@@ -378,26 +379,17 @@ def nested_regions(
 
     dist = _distance_to_set(support, grid)
     tol = 1e-12 * max(grid.extents)
-    masks = [dist <= i * eta + tol for i in range(1, count + 1)]
-    qtilde = dist <= (count + 1) * eta + tol
+    q3, q2, q1, qtilde = (dist <= i * eta + tol for i in range(1, 5))
 
-    wall_d = np.full(grid.dims, np.inf)
-    for a in range(grid.ndim):
-        if grid.axis_kinds[a] != WALL:
-            continue
-        y = grid.axis_coords(a)
-        da = np.minimum(y, grid.extents[a] - y)
-        shape = [1] * grid.ndim
-        shape[a] = grid.dims[a]
-        wall_d = np.minimum(wall_d, np.broadcast_to(da.reshape(shape), grid.dims))
+    wall_d = wall_distance(grid)
     if np.isfinite(wall_d).any():
-        clearance = float(wall_d[support].min())
-        if clearance < (count + 1) * eta:
+        clearance = float(np.broadcast_to(wall_d, grid.dims)[support].min())
+        if clearance < 4 * eta:
             raise PreconditionError(
                 "domain too small for margins: support sits "
-                f"{clearance:g} from a wall; maximal feasible eta is {clearance / (count + 1):g}"
+                f"{clearance:g} from a wall; maximal feasible eta is {clearance / 4:g}"
             )
-    return RegionChain(grid, masks[0], masks[1], masks[2], qtilde, eta, t_range, tau)
+    return RegionChain(grid, q3, q2, q1, qtilde, eta, t_range, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -475,65 +467,50 @@ def time_kernel(kappa: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return m, w
 
 
+def time_mollify(arrays, kappa: float, dt: float) -> tuple[range, list[np.ndarray]]:
+    """Mollify a sequence of arrays ``dt`` apart in time with radius ``kappa``.
+
+    Returns the retained indices, those at least one kernel reach from either
+    end, and the smoothed array at each: sum_m w_m dt arrays[i - m].
+    """
+    offs, w = time_kernel(kappa, dt)
+    reach = int(offs.max())
+    n = len(arrays)
+    if n - 2 * reach <= 0:
+        raise PreconditionError("trajectory too short for the requested time radius")
+    idx = range(reach, n - reach)
+    wdt = w * dt
+    return idx, [sum(wm * arrays[i - m] for m, wm in zip(offs, wdt)) for i in idx]
+
+
 def time_space_mollify(
     traj: Trajectory,
     epsilon: float,
     kappa: float,
     chain: RegionChain,
     region: np.ndarray | None = None,
-    order: str = "time-first",
 ) -> Trajectory:
     """Separable space-time mollification, restricted to the admissible window.
 
-    Requires kappa <= tau/2 and epsilon <= eta/2 for the chain's margins.
+    Each snapshot's stack [u, p] (u alone when a pressure is missing) is
+    mollified in time first, then in space.  Requires kappa <= tau/2 and
+    epsilon <= eta/2 for the chain's margins.
     """
     if chain.tau > 0 and kappa > 0.5 * chain.tau:
         raise PreconditionError(f"kappa={kappa:g} exceeds tau/2={0.5 * chain.tau:g}")
     if (~chain.q2).any() and epsilon > 0.5 * chain.eta:
         raise PreconditionError(f"epsilon={epsilon:g} exceeds eta/2={0.5 * chain.eta:g}")
     grid = traj.grid
+    n = grid.ndim
     mol = make_mollifier(epsilon, grid)
-    offs, w = time_kernel(kappa, traj.dt)
-    reach = int(offs.max())
-    n = len(traj)
-    if n - 2 * reach <= 0:
-        raise PreconditionError("trajectory too short for the requested time radius")
-    if region is None:
-        region = chain.q2
-    khat = mol.transfer(grid, region)
-
-    def smooth_space(f):
-        return mollify_spectrum(field_spectrum(f, grid), khat, grid)
-
-    def smooth_time(arrays):
-        out = []
-        for i in range(reach, n - reach):
-            acc = sum(wm * traj.dt * arrays[i - m] for m, wm in zip(offs, w))
-            out.append(acc)
-        return out
-
-    vels = [s.velocity for s in traj.snapshots]
-    prs = [s.pressure for s in traj.snapshots]
-    has_p = all(p is not None for p in prs)
-
-    if order == "time-first":
-        v_t = smooth_time(vels)
-        snaps = []
-        for j, i in enumerate(range(reach, n - reach)):
-            v = smooth_space(v_t[j])
-            p = None
-            if has_p:
-                p_t = sum(wm * traj.dt * prs[i - m] for m, wm in zip(offs, w))
-                p = smooth_space(p_t)
-            snaps.append(Snapshot(grid, v, p, traj.snapshots[i].time, dict(traj.snapshots[i].tags)))
-        return Trajectory(tuple(snaps), traj.dt)
-    if order == "space-first":
-        v_s = [smooth_space(v) for v in vels]
-        p_s = [smooth_space(p) for p in prs] if has_p else None
-        snaps = []
-        for i in range(reach, n - reach):
-            v = sum(wm * traj.dt * v_s[i - m] for m, wm in zip(offs, w))
-            p = sum(wm * traj.dt * p_s[i - m] for m, wm in zip(offs, w)) if has_p else None
-            snaps.append(Snapshot(grid, v, p, traj.snapshots[i].time, dict(traj.snapshots[i].tags)))
-        return Trajectory(tuple(snaps), traj.dt)
-    raise PreconditionError(f"unknown order {order!r}")
+    has_p = all(s.pressure is not None for s in traj.snapshots)
+    stacks = [np.concatenate([s.velocity, s.pressure[np.newaxis]]) if has_p else s.velocity
+              for s in traj.snapshots]
+    idx, smoothed = time_mollify(stacks, kappa, traj.dt)
+    khat = mol.transfer(grid, chain.q2 if region is None else region)
+    snaps = []
+    for i, f in zip(idx, smoothed):
+        f = mollify_spectrum(field_spectrum(f, grid), khat, grid)
+        s = traj.snapshots[i]
+        snaps.append(Snapshot(grid, f[:n], f[n] if has_p else None, s.time, dict(s.tags)))
+    return Trajectory(tuple(snaps), traj.dt)

@@ -72,15 +72,13 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(experiment_config(config)).encode("utf-8")).hexdigest()
 
 
-def write_manifest(outdir: str | Path, config: dict, seeds=()) -> Path:
+def write_manifest(outdir: str | Path, config: dict, seeds=()) -> None:
+    """Write manifest.json (tool, version, config hash, seeds), then the hashed config as config.json."""
     manifest = {
         "tool": "oflux",
         "version": __version__,
         "config_sha256": config_hash(config),
         "seeds": list(seeds),
     }
-    return write_json(Path(outdir) / "manifest.json", manifest)
-
-
-def echo_config(outdir: str | Path, config: dict) -> Path:
-    return write_json(Path(outdir) / "config.json", experiment_config(config))
+    write_json(Path(outdir) / "manifest.json", manifest)
+    write_json(Path(outdir) / "config.json", experiment_config(config))

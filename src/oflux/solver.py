@@ -11,9 +11,11 @@ across the walls, then on both geometries ``rfft`` along x (the half
 spectrum) and, on the box, ``fft`` along y.
 
 The channel's finish makes its three solves in turn (the walls break their
-commutation).  On the periodic box the MAC divergence, gradient and 5-point
-Laplacian are circulant and commute, so the finish is one symbol amp * P on
-one spectrum of (u, v); the last projection, a no-op there, drops out.
+commutation); the diffuser and the gradient norm serve it alone.  On the
+periodic box the MAC divergence, gradient and 5-point Laplacian are
+circulant and commute, so the finish is one symbol amp * P on one spectrum
+of (u, v); the last projection, a no-op there, drops out.  The tests keep
+the box's stencil route as the finish's reference.
 
 Energy audit: with the plain staggered inner product, the CN half-step
 removes exactly nu*dt*||grad m||^2 (m the CN midpoint; on the box read off
@@ -199,32 +201,26 @@ def advection(u, v, domain: Domain):
 # ---------------------------------------------------------------------------
 
 
+def _crank_nicolson(c: float, lam: np.ndarray) -> np.ndarray:
+    """The factor (1 + c lam) / (1 - c lam) of a Crank-Nicolson step on an eigenmode lam of L."""
+    return (1.0 + c * lam) / (1.0 - c * lam)
+
+
 class _Diffuser:
-    """Crank-Nicolson step (I - cL) w' = (I + cL) w with c = nu dt / 2, i.e.
-    the factor (1 + c lam) / (1 - c lam) on each eigenmode of L.  Channel:
-    u sees no-slip ghosts (-u0, DST-II), v lives on the interior faces with
-    the wall faces held at zero (DST-I)."""
+    """The channel's Crank-Nicolson step (I - cL) w' = (I + cL) w with
+    c = nu dt / 2: u sees no-slip ghosts (-u0, DST-II), v lives on the
+    interior faces with the wall faces held at zero (DST-I)."""
 
     def __init__(self, domain: Domain, nu: float, dt: float):
-        self.domain = domain
         self.c = c = 0.5 * nu * dt
         nx, ncy, hx, hy = _geometry(domain)
-
-        def amp(lam):
-            return (1.0 + c * lam) / (1.0 - c * lam)
-
-        if domain.geometry == "periodic":
-            self.u = self.v = Diagonal((nx, ncy), amp(_laplacian_eigenvalues(domain, np.pi * np.arange(ncy) / ncy)))
-        else:
-            phase = 0.5 * np.pi * np.arange(1, ncy + 1) / ncy
-            self.u = Diagonal((nx, ncy), amp(_laplacian_eigenvalues(domain, phase)), (1, "dst", 2))
-            self.v = Diagonal((nx, ncy - 1), amp(_laplacian_eigenvalues(domain, phase[:-1])), (1, "dst", 1))
+        amp = _crank_nicolson(c, _laplacian_eigenvalues(domain, 0.5 * np.pi * np.arange(1, ncy + 1) / ncy))
+        self.u = Diagonal((nx, ncy), amp, (1, "dst", 2))
+        self.v = Diagonal((nx, ncy - 1), amp[:, :-1], (1, "dst", 1))  # v's phases are u's but the last
 
     def step(self, u, v):
         if self.c == 0.0:
             return u, v
-        if self.domain.geometry == "periodic":
-            return self.u(u), self.v(v)
         vn = np.zeros_like(v)
         vn[:, 1:-1] = self.v(v[:, 1:-1])
         return self.u(u), vn
@@ -241,20 +237,16 @@ def kinetic_energy(u, v, domain: Domain) -> float:
 
 
 def gradient_norm_sq(u, v, domain: Domain) -> float:
-    """||grad u||^2 in the staggered inner product, exactly -<w, L w>."""
+    """||grad u||^2 in the channel's staggered inner product, exactly -<w, L w>
+    (periodic in x; the no-slip ghosts and zero wall faces across y)."""
     nx, ncy, hx, hy = _geometry(domain)
     vol = hx * hy
     total = 0.0
-    # x-differences (periodic in x always)
     total += float(np.sum((np.roll(u, -1, axis=0) - u) ** 2)) / hx**2
     total += float(np.sum((np.roll(v, -1, axis=0) - v) ** 2)) / hx**2
-    if domain.geometry == "periodic":
-        total += float(np.sum((np.roll(u, -1, axis=1) - u) ** 2)) / hy**2
-        total += float(np.sum((np.roll(v, -1, axis=1) - v) ** 2)) / hy**2
-    else:
-        total += float(np.sum((u[:, 1:] - u[:, :-1]) ** 2)) / hy**2
-        total += 2.0 * float(np.sum(u[:, 0] ** 2) + np.sum(u[:, -1] ** 2)) / hy**2
-        total += float(np.sum((v[:, 1:] - v[:, :-1]) ** 2)) / hy**2
+    total += float(np.sum((u[:, 1:] - u[:, :-1]) ** 2)) / hy**2
+    total += 2.0 * float(np.sum(u[:, 0] ** 2) + np.sum(u[:, -1] ** 2)) / hy**2
+    total += float(np.sum((v[:, 1:] - v[:, :-1]) ** 2)) / hy**2
     return vol * total
 
 
@@ -378,8 +370,8 @@ def _spectral_finish(domain: Domain, nu: float, dt: float, projector: _Projector
     theta_x, theta_y = 2.0 * np.pi * kx / nx, 2.0 * np.pi * np.arange(ny) / ny
     d = ((np.exp(1j * theta_x) - 1.0) / hx, (np.exp(1j * theta_y) - 1.0) / hy)
     g = [-np.conj(d_a) for d_a in d]
-    amp = _Diffuser(domain, nu, dt).u.mult
     lam = _laplacian_eigenvalues(domain, 0.5 * theta_y)
+    amp = _crank_nicolson(0.5 * nu * dt, lam)
     # Parseval: sum |f|^2 over the cells is sum |f^|^2 over the whole spectrum / (nx ny); a half-
     # spectrum x mode stands for its mirror -kx too, except kx = 0 and an even nx's Nyquist mode
     weight = np.where((kx == 0) | (2 * kx == nx), 1.0, 2.0)

@@ -560,3 +560,29 @@ def test_sweep_unused_etas_exit_before_integrating(tmp_path, monkeypatch, capsys
     assert "sweep.etas" in err and why in err
     assert steps == []
     assert _no_output(out)
+
+
+def test_sweep_initial_out_exit_code(tmp_path, capsys):
+    # a sweep writes its initial state nowhere, so a generator's "out" is refused
+    out, elsewhere = tmp_path / "s", tmp_path / "elsewhere"
+    cfg = dict(_SMALL_PERIODIC_SWEEP, grid="16x16",
+               initial={"kind": "taylor-green", "out": str(elsewhere), "seed": 3})
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "sweep.initial.out" in err and "internal error" not in err
+    assert _no_output(out) and not elsewhere.exists()
+
+
+@pytest.mark.parametrize("name, text", [("manifest.json", "{not json"), ("manifest.json", "[]"),
+                                        ("config.json", "{not json"), ("config.json", '"text"'),
+                                        ("summary.json", "[1,2]"), ("verdict.json", "7")],
+                         ids=["manifest-invalid", "manifest-list", "config-invalid", "config-string",
+                              "summary-list", "verdict-number"])
+def test_report_malformed_json_exit_code(tmp_path, capsys, name, text):
+    gen_out = tmp_path / "g"
+    assert main(["gen", "--kind", "taylor-green", "--grid", "16x16", "--out", str(gen_out)]) == 0
+    (gen_out / name).write_text(text)
+    capsys.readouterr()
+    assert main(["report", "--in", str(gen_out)]) == 3
+    err = capsys.readouterr().err
+    assert name in err and "internal error" not in err

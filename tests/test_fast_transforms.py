@@ -1,7 +1,8 @@
 """The one diagonal spectral solve against direct oracles: the tridiagonal
 (Thomas) channel solves, the dense periodic 5-point stencil, the
 complex-FFT periodic pressure solve, and the periodic solver step's spectral
-finish against its stencil route."""
+finish against its stencil route (projection, the dense Crank-Nicolson solve
+and the dense -<w, L w>)."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from oflux.grids import Domain, Snapshot, make_grid
 from oflux.pressure import solve_channel_neumann, solve_pressure_periodic
-from oflux.solver import _Diffuser, _Projector, _spectral_finish, gradient_norm_sq, project
+from oflux.solver import _Diffuser, _Projector, _spectral_finish, project
 
 from conftest import channel_domain
 import tridiag_oracle as oracle
@@ -92,18 +93,6 @@ def test_periodic_projection_matches_dense_stencil(nx, ny, seed):
     assert _close(q, oracle.periodic_project_solve(rhs, hx, hy))
 
 
-@PROPERTY
-@given(nx=dims, ny=dims, seed=seeds, nu=st.floats(1e-4, 1.0), dt=st.floats(1e-4, 0.1))
-def test_periodic_diffusion_matches_dense_stencil(nx, ny, seed, nu, dt):
-    dom = _box(nx, ny, 2.3, 1.0)
-    hx, hy = dom.grid.spacing
-    u, v = np.random.default_rng(seed).standard_normal((2, nx, ny))
-    un, vn = _Diffuser(dom, nu, dt).step(u, v)
-    c = 0.5 * nu * dt
-    assert _close(un, oracle.periodic_diffuse(u, c, hx, hy))
-    assert _close(vn, oracle.periodic_diffuse(v, c, hx, hy))
-
-
 @pytest.mark.parametrize("ndim", [2, 3])
 @PROPERTY
 @given(data=st.data(), seed=seeds)
@@ -123,9 +112,11 @@ def test_periodic_spectral_finish_matches_stencil_route(nx, ny, seed, nu, dt):
     projector = _Projector(dom)
     uf, vf, diss, loss = _spectral_finish(dom, nu, dt, projector)(u, v)
 
+    hx, hy = dom.grid.spacing
+    c = 0.5 * nu * dt
     u2, v2 = project(u, v, dom, projector)
-    u3, v3 = _Diffuser(dom, nu, dt).step(u2, v2)
-    want = nu * dt * gradient_norm_sq(0.5 * (u2 + u3), 0.5 * (v2 + v3), dom)
+    u3, v3 = oracle.periodic_diffuse(u2, c, hx, hy), oracle.periodic_diffuse(v2, c, hx, hy)
+    want = nu * dt * oracle.periodic_gradient_norm_sq(0.5 * (u2 + u3), 0.5 * (v2 + v3), hx, hy)
     u4, v4 = project(u3, v3, dom, projector)
     assert _close(uf, u4) and _close(vf, v4)
     assert abs(diss - want) <= RTOL * want

@@ -19,7 +19,7 @@ from oflux.mollify import (
 )
 
 from conftest import TWO_PI
-from mollify_oracle import convolve_stencil
+from mollify_oracle import convolve_stencil, time_space_mollify_space_first
 
 
 def test_kernel_normalization(box64):
@@ -237,27 +237,36 @@ def test_time_space_mollify_constant_and_linear(box64):
 
 
 def test_time_space_mollify_orders_agree(box64):
-    x, _ = box64.meshes()
+    # the production route (time first) against the space-first oracle
+    x, y = box64.meshes()
     dt = 0.02
     n = 11
     chain = full_box_chain(box64, eta=2.0, t_range=(0.0, dt * (n - 1)), tau=0.12)
-    snaps = tuple(
-        Snapshot(
-            box64,
-            np.stack([
-                np.broadcast_to(np.sin(x + 0.3 * np.sin(2.7 * i * dt)), box64.dims).copy(),
-                np.zeros(box64.dims),
-            ]),
-            None,
-            i * dt,
+    eps, kappa = 3 * box64.max_spacing, 0.05
+    for with_pressure in (False, True):
+        snaps = tuple(
+            Snapshot(
+                box64,
+                np.stack([
+                    np.broadcast_to(np.sin(x + 0.3 * np.sin(2.7 * i * dt)), box64.dims).copy(),
+                    np.zeros(box64.dims),
+                ]),
+                np.cos(x - y + 1.3 * i * dt) if with_pressure else None,
+                i * dt,
+            )
+            for i in range(n)
         )
-        for i in range(n)
-    )
-    traj = Trajectory(snaps, dt)
-    a = time_space_mollify(traj, 3 * box64.max_spacing, 0.05, chain, order="time-first")
-    b = time_space_mollify(traj, 3 * box64.max_spacing, 0.05, chain, order="space-first")
-    for sa, sb in zip(a.snapshots, b.snapshots):
-        assert np.abs(sa.velocity - sb.velocity).max() <= 1e-13
+        traj = Trajectory(snaps, dt)
+        a = time_space_mollify(traj, eps, kappa, chain)
+        b = time_space_mollify_space_first(traj, eps, kappa, chain)
+        assert len(a) == len(b) == n - 4
+        for sa, sb in zip(a.snapshots, b.snapshots):
+            assert sa.time == sb.time
+            assert np.abs(sa.velocity - sb.velocity).max() <= 1e-13
+            if with_pressure:
+                assert np.abs(sa.pressure - sb.pressure).max() <= 1e-13
+            else:
+                assert sa.pressure is None and sb.pressure is None
 
 
 def test_time_mollify_matches_dense_1d_oracle(box64):

@@ -1,13 +1,17 @@
 """Property tests over the package's mutual oracles and its file and hash formats."""
 
+import re
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oflux import fieldio
 from oflux.commutator import commutator_stress, flux_term
-from oflux.grids import Snapshot, Trajectory, make_grid
-from oflux.mollify import block_mask, cutoff_region, make_mollifier, mollify_field
+from oflux.errors import PreconditionError
+from oflux.grids import Snapshot, Trajectory, make_grid, wall_distance
+from oflux.mollify import block_mask, cutoff_region, make_mollifier, mollify_field, nested_regions
 from oflux.reports import config_hash
 
 from conftest import TWO_PI
@@ -51,6 +55,64 @@ def test_commutator_direct_matches_increments(nx, ny, kind, seed, c):
     direct = commutator_stress(vel, mol, grid, region).tensor
     increments = commutator_via_increments(vel, mol, grid, region).tensor
     assert np.abs(direct - increments).max() <= RTOL * max(1.0, np.abs(vel).max() ** 2)
+
+
+def _wall_plane_distance(grid):
+    """Brute force: the distance from every node to the nearest node on a wall plane (inf if none)."""
+    nodes = np.stack([np.ravel(m) for m in np.meshgrid(*[grid.axis_coords(a) for a in range(grid.ndim)],
+                                                         indexing="ij")], axis=1)
+    on_plane = np.zeros(grid.dims, dtype=bool)
+    for a in range(grid.ndim):
+        if grid.axis_kinds[a] == "wall":
+            on_plane |= np.isin(np.arange(grid.dims[a]), (0, grid.dims[a] - 1)).reshape(
+                [-1 if b == a else 1 for b in range(grid.ndim)])
+    planes = nodes[on_plane.ravel()]
+    if not len(planes):
+        return np.full(grid.dims, np.inf)
+    sq = ((nodes[:, None, :] - planes[None, :, :]) ** 2).sum(-1)
+    return np.sqrt(sq.min(axis=1)).reshape(grid.dims)
+
+
+def _walled_grid(data, ndim, walls):
+    shape = data.draw(st.tuples(*[st.integers(8, 17 if ndim == 2 else 10)] * ndim))
+    axes = data.draw(st.permutations(range(ndim)))[:walls]
+    kinds = ["wall" if a in axes else "periodic" for a in range(ndim)]
+    return make_grid(shape, data.draw(st.tuples(*[st.floats(0.5, 3.0)] * ndim)), kinds)
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+@pytest.mark.parametrize("walls", [0, 1, 2])
+@PROPERTY
+@given(data=st.data())
+def test_wall_distance_matches_brute_force(ndim, walls, data):
+    grid = _walled_grid(data, ndim, walls)
+    d = wall_distance(grid)
+    assert d.ndim == grid.ndim and np.broadcast_shapes(d.shape, grid.dims) == grid.dims
+    want = _wall_plane_distance(grid)
+    if walls == 0:
+        assert np.all(np.isinf(d))
+    else:
+        assert np.abs(np.broadcast_to(d, grid.dims) - want).max() <= 1e-12 * max(grid.extents)
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+@PROPERTY
+@given(data=st.data(), lo=st.floats(0.2, 0.45), width=st.floats(0.05, 0.3), c=st.floats(0.5, 2.5))
+def test_nested_regions_two_wall_axes_clearance(ndim, data, lo, width, c):
+    # the chain needs 4 eta between the support and every wall plane, on either wall axis
+    grid = _walled_grid(data, ndim, 2)
+    support = block_mask(grid, lo, min(lo + width, 0.8))
+    assume(support.any())
+    clearance = _wall_plane_distance(grid)[support].min()
+    eta = c * clearance / 4.0
+    if c > 1.0 + 1e-9:
+        with pytest.raises(PreconditionError, match="maximal feasible eta") as info:
+            nested_regions(support, eta, grid)
+        feasible = float(re.search(r"maximal feasible eta is (\S+)$", str(info.value)).group(1))
+        assert feasible == pytest.approx(clearance / 4.0, rel=1e-5)
+    elif c < 1.0 - 1e-9:
+        chain = nested_regions(support, eta, grid)
+        assert np.array_equal(chain.q3 & support, support)
 
 
 @PROPERTY

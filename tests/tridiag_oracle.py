@@ -4,8 +4,10 @@ diagonal spectral solve (``oflux.grids.Diagonal``), kept as test oracles.
 Channel: the tridiagonal (Thomas) stencil assemblies the fast transforms
 replace, an FFT along the periodic axes and then one tridiagonal system per
 tangential mode.  Periodic box: the dense 5-point stencil solved with
-``numpy.linalg``, and the pressure solve on the complex FFT, one ``fftn``
-per product u_i u_j, whose real part the real transforms reproduce.
+``numpy.linalg`` (the projection, the Crank-Nicolson step and the gradient
+norm -<w, L w> that the solver's spectral finish reproduces), and the
+pressure solve on the complex FFT, one ``fftn`` per product u_i u_j, whose
+real part the real transforms reproduce.
 
 Also the solver's MAC advection with the corner flux u v formed twice, once
 per momentum component, which the one-flux form reproduces bit for bit.
@@ -165,6 +167,12 @@ def periodic_diffuse(w, c, hx, hy):
     cl = c * periodic_laplacian(*w.shape, hx, hy)
     eye = np.eye(w.size)
     return np.linalg.solve(eye - cl, (eye + cl) @ w.ravel()).reshape(w.shape)
+
+
+def periodic_gradient_norm_sq(u, v, hx, hy):
+    """-<w, L w> in the staggered inner product, w = (u, v) on the periodic box."""
+    lap = periodic_laplacian(*u.shape, hx, hy)
+    return -hx * hy * sum(float(w.ravel() @ (lap @ w.ravel())) for w in (u, v))
 
 
 def periodic_pressure_solve(velocity, grid):
