@@ -97,9 +97,12 @@ _SCHEMAS = {
 
 def _read_object(path, error=PreconditionError) -> dict:
     """The JSON object stored in ``path``; raises ``error`` naming the file
-    when the JSON is invalid or its top level is not an object."""
+    when it cannot be read, the JSON is invalid or its top level is not an
+    object."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:  # missing, a directory, unreadable
+        raise error(f"{path}: cannot read ({exc.strerror or exc})") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise error(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
@@ -139,6 +142,14 @@ def _check_types(cfg: dict, schema: dict, where: str) -> None:
             raise ConfigError(f"{where}.{key}: expected {want}, got {type(val).__name__}")
         elif isinstance(val, float) and not math.isfinite(val):
             raise ConfigError(f"{where}.{key}: expected a finite number, got {val}")
+
+
+def _seed(cfg: dict, where: str) -> int:
+    """The request's seed; numpy's generators take none below 0."""
+    seed = int(cfg.get("seed", 0))
+    if seed < 0:
+        raise ConfigError(f"{where}.seed: must be >= 0, got {seed}")
+    return seed
 
 
 def _parse_dims(text: str, name: str) -> tuple[int, ...]:
@@ -243,8 +254,10 @@ def cmd_diagnose(cfg: dict) -> int:
     if "input" not in cfg:
         raise ConfigError("diagnose.input is required")
     out = Path(cfg.get("out") or ".")
+    seed = _seed(cfg, "diagnose")
+    if "epsilons" in cfg and not cfg["epsilons"]:
+        raise ConfigError("diagnose.epsilons: empty ladder")
     data = fieldio.load_input(cfg["input"])
-    seed = int(cfg.get("seed", 0))
 
     snap = data.snapshots[len(data) // 2] if isinstance(data, Trajectory) else data
     grid = snap.grid
@@ -355,6 +368,7 @@ def cmd_boundary(cfg: dict) -> int:
     if "input" not in cfg:
         raise ConfigError("boundary.input is required")
     out = Path(cfg.get("out") or ".")
+    seed = _seed(cfg, "boundary")
     data = fieldio.load_input(cfg["input"])
     traj = data if isinstance(data, Trajectory) else Trajectory((data,), 1.0)
     grid = traj.grid
@@ -368,7 +382,6 @@ def cmd_boundary(cfg: dict) -> int:
     gamma = float(cfg.get("gamma", 0.25 * domain.channel_width))
     beta = float(cfg.get("beta", 1.0))
     tol = float(cfg.get("energy_tol", 1e-6))
-    seed = int(cfg.get("seed", 0))
 
     verdict = conservation_verdict(traj, etas, domain, beta=beta, gamma=gamma, energy_tol=tol, seed=seed)
     bal = global_balance(traj, max(etas), traj.times[0], traj.times[-1], domain)
@@ -514,11 +527,15 @@ def cmd_report(cfg: dict) -> int:
     if not manifest_path.exists():
         raise PreconditionError(f"{indir}: no manifest.json")
     manifest = _read_object(manifest_path)
-    print(f"report: {indir} (oflux {manifest.get('version')}, config {manifest.get('config_sha256', '')[:12]})")
+    config_sha = manifest.get("config_sha256", "")
+    if not isinstance(config_sha, str):
+        raise PreconditionError(f"{manifest_path}: config_sha256 must be a string, "
+                                f"got {type(config_sha).__name__}")
+    print(f"report: {indir} (oflux {manifest.get('version')}, config {config_sha[:12]})")
     config_path = indir / "config.json"
     if config_path.exists():
         stored = _read_object(config_path)
-        if config_hash(stored) != manifest.get("config_sha256"):
+        if config_hash(stored) != config_sha:
             print("  WARNING: config hash mismatch")
             return EXIT_PRECONDITION
     code = EXIT_OK

@@ -20,7 +20,10 @@ set-up that builds and transforms everything else once per snapshot (the
 products, the Euler residual, grad phi) and a per-eps step of one kernel
 multiply and one inverse transform; ``weak_energy_identity`` is the set-up
 plus one eps, and ``dr_convergence_sweep`` the set-up plus every rung.  A
-time radius kappa is applied by ``mollify.time_mollify``.
+time radius kappa is applied by ``mollify.time_mollify``.  A retained time
+where chi and chi' both vanish (the end snapshots of an un-smoothed run with
+chi spanning the trajectory) adds exactly 0 to both sides, so only its
+velocity is transformed and mollified, for the discretization budget.
 """
 
 from __future__ import annotations
@@ -103,7 +106,6 @@ class EnergyBalanceReport:
     kappa: float | None
     budget: float
     euler_term: float = 0.0  # <d_t u + div(u ox u) + grad p, Psi>; ~0 for solutions
-    flux_by_time: tuple[float, ...] = ()
 
     @property
     def algebra_defect(self) -> float:
@@ -133,6 +135,12 @@ class _WeakIdentity:
     kappa-mollified in time before it is transformed.  Each ``report(eps)``
     then costs one kernel multiply and one inverse transform per retained
     time, plus the stress, grad(phi u^eps) and the sums.
+
+    A retained time where chi and chi' both vanish adds exactly 0 to lhs, rhs
+    and the Euler term, so only its u is transformed and mollified, for the
+    budget's max |u^eps|; without kappa its Euler residual is never built.
+    Such a dead time must hold finite data, since a NaN there would no longer
+    reach the sums.
     """
 
     def __init__(self, traj: Trajectory, test: TestFunction, chain: RegionChain,
@@ -141,22 +149,36 @@ class _WeakIdentity:
         if any(s.pressure is None for s in traj.snapshots):
             raise PreconditionError("weak energy identity requires pressure on every snapshot")
         grid = traj.grid
+        n = grid.ndim
         nt = len(traj)
         self.time_smoothed = kappa is not None and nt > 1
-        idx = range(nt)
-        stacks = (self._stack(traj, k) for k in idx)  # transformed one at a time when not smoothed
         if self.time_smoothed:
-            idx, stacks = time_mollify(list(stacks), kappa, traj.dt)
+            idx, stacks = time_mollify([self._stack(traj, k) for k in range(nt)], kappa, traj.dt)
+        else:
+            idx = range(nt)
         self.traj, self.test, self.chain, self.kappa = traj, test, chain, kappa
         self.times = np.array([traj.snapshots[i].time for i in idx])
-        self.spectra = [field_spectrum(f, grid) for f in stacks]
-        self.gphi = np.stack([deriv(test.phi.values, a, grid) for a in range(grid.ndim)])
+        self.live = (test.chi(self.times) != 0) | (test.chi.deriv(self.times) != 0)
+        if not self.time_smoothed:  # built one at a time as they are transformed
+            stacks = (self._stack(traj, k, live) for k, live in zip(idx, self.live))
+        self.spectra = [field_spectrum(f if live else self._dead(f, t)[:n], grid)
+                        for f, live, t in zip(stacks, self.live, self.times)]
+        self.gphi = np.stack([deriv(test.phi.values, a, grid) for a in range(n)])
 
     @staticmethod
-    def _stack(traj: Trajectory, k: int) -> np.ndarray:
-        """[u, p, u_i u_j, E] at snapshot k."""
+    def _dead(stack: np.ndarray, time: float) -> np.ndarray:
+        """``stack`` at a dead time, once it is checked finite."""
+        if not np.isfinite(stack).all():
+            raise PreconditionError(f"non-finite field values at t={time:g}, where chi and chi' vanish")
+        return stack
+
+    @staticmethod
+    def _stack(traj: Trajectory, k: int, live: bool = True) -> np.ndarray:
+        """[u, p, u_i u_j, E] at snapshot k; [u, p] alone at a dead time."""
         grid = traj.grid
         vels = [s.velocity for s in traj.snapshots]
+        if not live:
+            return np.concatenate([vels[k], traj.snapshots[k].pressure[np.newaxis]])
         nt = len(traj)
         if nt == 1:
             dudt = np.zeros_like(vels[0])
@@ -191,25 +213,27 @@ class _WeakIdentity:
 
         lhs = 0.0
         euler_term = 0.0
-        fluxes = []
+        fluxes = np.zeros(len(self.times))  # a dead time's zero keeps the sum's order
         umax = 0.0
         for k, spectrum in enumerate(self.spectra):
             smooth = mollify_spectrum(spectrum, transfer, grid)
-            u, p, q, e = smooth[:n], smooth[n], smooth[n + 1:-n], smooth[-n:]
+            u = smooth[:n]
+            umax = max(umax, float(np.abs(u).max()))
+            if not self.live[k]:
+                continue
+            p, q, e = smooth[n], smooth[n + 1:-n], smooth[-n:]
             ke = 0.5 * np.sum(u * u, axis=0)
             bern = ke + p
             adv = sum(u[a] * self.gphi[a] for a in range(n))
             lhs += wts[k] * (dchi[k] * integrate(pv * ke, grid) + chi[k] * integrate(bern * adv, grid))
             euler_term += wts[k] * chi[k] * integrate(np.sum(e * (pv * u), axis=0), grid)
-            fluxes.append(contraction_grad(stress_from(q, u, epsilon, chain.q2), u, pv, grid))
-            umax = max(umax, float(np.abs(u).max()))
+            fluxes[k] = contraction_grad(stress_from(q, u, epsilon, chain.q2), u, pv, grid)
 
-        rhs = -float(np.sum(wts * chi * np.asarray(fluxes)))
+        rhs = -float(np.sum(wts * chi * fluxes))
         residual = lhs - rhs
         budget = discretization_budget(grid, traj.dt if self.time_smoothed else 0.0, umax)
         return EnergyBalanceReport(
-            float(lhs), rhs, float(residual), float(epsilon), kappa, float(budget),
-            float(euler_term), tuple(fluxes),
+            float(lhs), rhs, float(residual), float(epsilon), kappa, float(budget), float(euler_term),
         )
 
 
@@ -249,21 +273,22 @@ def dr_dissipation_field(
     grid = traj.grid
     n = grid.ndim
     transfer = make_mollifier(epsilon, grid).transfer(grid, chain.q2)
+    if any(s.pressure is None for s in traj.snapshots):
+        raise PreconditionError("defect field requires pressure on every snapshot")
     kes, divs = [], []
-    for s in traj.snapshots:
-        if s.pressure is None:
-            raise PreconditionError("defect field requires pressure on every snapshot")
+    for k, s in enumerate(traj.snapshots):
         stack = np.concatenate([s.velocity, s.pressure[np.newaxis]])
         smooth = mollify_spectrum(field_spectrum(stack, grid), transfer, grid)
         u, p = smooth[:n], smooth[n]
         ke = 0.5 * np.sum(u * u, axis=0)
-        flux = (ke + p) * u
-        divs.append(sum(deriv(flux[a], a, grid) for a in range(grid.ndim)))
         kes.append(ke)
+        if 0 < k < len(traj) - 1:  # the end times only feed the time differences
+            flux = (ke + p) * u
+            divs.append(sum(deriv(flux[a], a, grid) for a in range(n)))
     out = []
     for k in range(1, len(traj) - 1):
         ddt = (kes[k + 1] - kes[k - 1]) / (2.0 * traj.dt)
-        out.append(-(ddt + divs[k]))
+        out.append(-(ddt + divs[k - 1]))
     return traj.times[1:-1], np.stack(out)
 
 

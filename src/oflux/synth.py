@@ -3,7 +3,10 @@
 Generators are deterministic: the same (seed, grid, parameters) produce
 bit-identical snapshots.  Hölder estimation uses max-type structure
 functions (sup of increments over node pairs), matching the sup-norm
-character of the C^{0,alpha} hypotheses the diagnostics test.
+character of the C^{0,alpha} hypotheses the diagnostics test.  A region or
+a wall restricts the base nodes of each offset to a mask; on a fully
+periodic grid with no region every node qualifies, so an offset costs one
+roll, an in-place difference and square, and a max, with no mask built.
 """
 
 from __future__ import annotations
@@ -167,15 +170,8 @@ _MAX_OFFSETS_PER_RUNG = 48
 
 def _canonical_half(offsets: np.ndarray) -> np.ndarray:
     """Keep one of each antipodal offset pair (first nonzero component > 0)."""
-    keep = np.zeros(len(offsets), dtype=bool)
-    for i, o in enumerate(offsets):
-        for c in o:
-            if c > 0:
-                keep[i] = True
-                break
-            if c < 0:
-                break
-    return offsets[keep]
+    first = np.argmax(offsets != 0, axis=1)
+    return offsets[offsets[np.arange(len(offsets)), first] > 0]
 
 
 def _shell_offsets(grid: Grid, r_lo: float, r_hi: float) -> np.ndarray:
@@ -202,21 +198,21 @@ def _shell_orbits(grid: Grid, r_lo: float, r_hi: float) -> list[np.ndarray]:
     so the anisotropic-spacing case simply yields singleton-like orbits).
     """
     offs = _shell_offsets(grid, r_lo, r_hi)
-    groups: dict[tuple, list] = {}
-    isotropic = len(set(grid.spacing)) == 1
-    for o in offs:
-        if isotropic:
-            key = tuple(sorted((int(abs(c)) for c in o), reverse=True))
-        else:
-            key = tuple(int(abs(c)) for c in o)
-        groups.setdefault(key, []).append(o)
-    return [np.array(groups[k]) for k in sorted(groups)]
+    if len(offs) == 0:
+        return []
+    keys = np.abs(offs)
+    if len(set(grid.spacing)) == 1:
+        keys = -np.sort(-keys, axis=1)  # descending, so orbits ignore axis order
+    _, orbit, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    order = np.argsort(orbit.ravel(), kind="stable")  # offsets keep their order inside an orbit
+    return np.split(offs[order], np.cumsum(counts)[:-1])
 
 
-def _offset_max_increment(vel: np.ndarray, region: np.ndarray | None, grid: Grid, offset) -> tuple[float, int]:
-    """Max Euclidean increment |u(x) - u(x - o*h)| over valid base nodes."""
-    axes = tuple(range(1, vel.ndim))
-    shifted = np.roll(vel, shift=tuple(offset), axis=axes)
+def _valid_bases(grid: Grid, region: np.ndarray | None, offset) -> np.ndarray | None:
+    """Base nodes x whose pair (x, x - o*h) lies in the region and inside the
+    walls; None when every node qualifies (a fully periodic grid, no region)."""
+    if region is None and grid.fully_periodic:
+        return None
     valid = np.ones(grid.dims, dtype=bool) if region is None else region.copy()
     if region is not None:
         valid &= np.roll(region, shift=tuple(offset), axis=tuple(range(grid.ndim)))
@@ -230,11 +226,22 @@ def _offset_max_increment(vel: np.ndarray, region: np.ndarray | None, grid: Grid
         shape = [1] * grid.ndim
         shape[a] = m
         valid &= ok.reshape(shape)
-    count = int(valid.sum())
+    return valid
+
+
+def _offset_max_increment(vel: np.ndarray, offset, valid: np.ndarray | None = None) -> tuple[float, int]:
+    """Max Euclidean increment |u(x) - u(x - o*h)| over the base nodes in
+    ``valid`` (every node when None), and the number of those nodes."""
+    count = vel[0].size if valid is None else int(valid.sum())
     if count == 0:
         return 0.0, 0
-    diff2 = np.sum((vel - shifted) ** 2, axis=0)
-    return float(np.sqrt(diff2[valid].max())), count
+    diff = np.roll(vel, shift=tuple(offset), axis=tuple(range(1, vel.ndim)))
+    np.subtract(vel, diff, out=diff)
+    np.square(diff, out=diff)
+    diff2 = diff[0]
+    for comp in diff[1:]:  # components in axis order, as a sum over axis 0 adds them
+        diff2 += comp
+    return float(np.sqrt((diff2 if valid is None else diff2[valid]).max())), count
 
 
 def _region_extent(grid: Grid, region: np.ndarray | None) -> float:
@@ -303,7 +310,7 @@ def _increment_survey(
         for orbit in orbits:
             for o in orbit:
                 r_eff = float(np.sqrt(np.sum((o * hvec) ** 2)))
-                s, cnt = _offset_max_increment(vel, region, grid, o)
+                s, cnt = _offset_max_increment(vel, o, _valid_bases(grid, region, o))
                 if cnt > 0:
                     points.append((r_eff, s))
                     pair_count += cnt

@@ -6,12 +6,18 @@ each field is mollified on its own with ``mollify_field`` (u twice, once for
 the stress and once for the contraction), and the weak identity rebuilds the
 products and the Euler residual for every epsilon.  They share only
 ``mollify_field``, ``deriv`` and the quadrature with the package.
+
+``weak_identity_all_slices`` is the transform-once identity as it was before
+it skipped the times where chi and chi' vanish: every retained time gets its
+full stack and every sum, in the package's order of operations, so the
+package must match it bitwise.
 """
 
 import numpy as np
 
-from oflux.grids import deriv, integrate, trapezoid_time_weights
-from oflux.mollify import make_mollifier, mollify_field, time_kernel
+from oflux.commutator import contraction_grad, quadratic_products, stress_from
+from oflux.grids import deriv, discretization_budget, integrate, trapezoid_time_weights
+from oflux.mollify import field_spectrum, make_mollifier, mollify_field, mollify_spectrum, time_kernel, time_mollify
 
 
 def _products(vel):
@@ -121,3 +127,39 @@ def weak_identity_rung(traj, test, epsilon, chain, kappa=None):
         fluxes.append(integrate(total, grid))
     rhs = -float(np.sum(wts * chi * np.asarray(fluxes)))
     return float(lhs), rhs, float(euler_term)
+
+
+def weak_identity_all_slices(traj, test, epsilons, chain, kappa=None):
+    """(lhs, rhs, euler_term, budget) per epsilon, every retained time summed."""
+    grid = traj.grid
+    n = grid.ndim
+    stacks = [np.concatenate([s.velocity, s.pressure[np.newaxis], quadratic_products(s.velocity), e])
+              for s, e in zip(traj.snapshots, _euler_residuals(traj))]
+    smoothed = kappa is not None and len(traj) > 1
+    idx = range(len(traj))
+    if smoothed:
+        idx, stacks = time_mollify(stacks, kappa, traj.dt)
+    times = np.array([traj.snapshots[i].time for i in idx])
+    spectra = [field_spectrum(f, grid) for f in stacks]
+    pv = test.phi.values
+    gphi = np.stack([deriv(pv, a, grid) for a in range(n)])
+    wts = trapezoid_time_weights(len(times), traj.dt)
+    chi, dchi = test.chi(times), test.chi.deriv(times)
+    out = []
+    for epsilon in epsilons:
+        transfer = make_mollifier(epsilon, grid).transfer(grid, chain.q2)
+        lhs = euler_term = umax = 0.0
+        fluxes = []
+        for k, spectrum in enumerate(spectra):
+            smooth = mollify_spectrum(spectrum, transfer, grid)
+            u, p, q, e = smooth[:n], smooth[n], smooth[n + 1:-n], smooth[-n:]
+            ke = 0.5 * np.sum(u * u, axis=0)
+            adv = sum(u[a] * gphi[a] for a in range(n))
+            lhs += wts[k] * (dchi[k] * integrate(pv * ke, grid) + chi[k] * integrate((ke + p) * adv, grid))
+            euler_term += wts[k] * chi[k] * integrate(np.sum(e * (pv * u), axis=0), grid)
+            fluxes.append(contraction_grad(stress_from(q, u, epsilon, chain.q2), u, pv, grid))
+            umax = max(umax, float(np.abs(u).max()))
+        rhs = -float(np.sum(wts * chi * np.asarray(fluxes)))
+        budget = discretization_budget(grid, traj.dt if smoothed else 0.0, umax)
+        out.append((float(lhs), rhs, float(euler_term), float(budget)))
+    return out

@@ -586,3 +586,38 @@ def test_report_malformed_json_exit_code(tmp_path, capsys, name, text):
     assert main(["report", "--in", str(gen_out)]) == 3
     err = capsys.readouterr().err
     assert name in err and "internal error" not in err
+
+
+def test_sweep_missing_config_file_exit_code(tmp_path, capsys):
+    missing = tmp_path / "none.json"
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(missing), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(missing) in err and "internal error" not in err
+    assert _no_output(out)
+
+
+def test_report_manifest_hash_not_a_string_exit_code(tmp_path, capsys):
+    gen_out = tmp_path / "g"
+    assert main(["gen", "--kind", "taylor-green", "--grid", "16x16", "--out", str(gen_out)]) == 0
+    (gen_out / "manifest.json").write_text('{"config_sha256": 5}')
+    capsys.readouterr()
+    assert main(["report", "--in", str(gen_out)]) == 3
+    err = capsys.readouterr().err
+    assert "config_sha256" in err and "manifest.json" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("diagnose", {"epsilons": []}, "diagnose.epsilons"),
+    ("diagnose", {"seed": -1}, "diagnose.seed"),
+    ("boundary", {"seed": -1}, "boundary.seed"),
+])
+def test_bad_request_exits_before_reading_input(tmp_path, monkeypatch, capsys, command, cfg, key):
+    loads = []
+    monkeypatch.setattr(fieldio, "load_input", lambda path: loads.append(path))
+    out = tmp_path / "o"
+    code = main([command, "--config", _write(tmp_path, cfg), "--in", str(tmp_path / "in"), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert key in err and "internal error" not in err
+    assert loads == [] and _no_output(out)

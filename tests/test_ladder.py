@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from oflux import energy_balance
 from oflux.commutator import _probe_mask, scaling_probe
-from oflux.energy_balance import ChiWindow, TestFunction, dr_convergence_sweep
+from oflux.energy_balance import ChiWindow, TestFunction, dr_convergence_sweep, dr_dissipation_field
+from oflux.errors import PreconditionError
 from oflux.grids import Snapshot, Trajectory, deriv, make_grid
 from oflux.mollify import block_mask, cutoff_region, full_box_chain
 
-from ladder_oracle import scaling_probe_rungs, weak_identity_rung
+from ladder_oracle import scaling_probe_rungs, weak_identity_all_slices, weak_identity_rung
 
 RTOL = 1e-12
 PROPERTY = settings(max_examples=12, deadline=None)
@@ -75,7 +76,8 @@ def test_dr_sweep_matches_per_rung_oracle(shape, seed, kappa):
 
 @pytest.mark.parametrize("shape", [(12, 12), (9, 10, 11)])
 def test_dr_sweep_euler_derivatives_do_not_grow_with_rungs(monkeypatch, shape):
-    # the Euler residual and grad(phi) are built once per snapshot, not per rung
+    # the Euler residual and grad(phi) are built once per snapshot, not per rung;
+    # the end snapshots, where chi and chi' vanish, build no Euler residual
     grid = _grid(shape)
     traj = _trajectory(grid, 0, 3)
     t1, t2 = traj.t_range
@@ -94,4 +96,67 @@ def test_dr_sweep_euler_derivatives_do_not_grow_with_rungs(monkeypatch, shape):
         dr_convergence_sweep(traj, [c * grid.max_spacing for c in rungs], test, 0.5, chain)
         counts.append(len(calls))
     n = grid.ndim
-    assert counts == [len(traj) * (n * n + n) + n] * 2
+    live = len(traj) - 2
+    assert counts == [live * (n * n + n) + n] * 2
+
+
+def _windowed(grid, traj, window):
+    """The full-range chi window, or one over snapshots 2..5 of an 8-snapshot run."""
+    t = traj.times
+    chi = ChiWindow(t[0], t[-1]) if window == "full" else ChiWindow(t[2], t[5])
+    return TestFunction(chi, _phi(grid))
+
+
+@PROPERTY
+@given(shape=shapes, seed=seeds, kappa=st.sampled_from([None, 0.2]), window=st.sampled_from(["full", "inner"]))
+def test_dr_sweep_matches_all_slices_oracle_bitwise(shape, seed, kappa, window):
+    # times where chi and chi' vanish are skipped; every output keeps its bits
+    grid = _grid(shape)
+    traj = _trajectory(grid, seed, 3 if (kappa, window) == (None, "full") else 8)
+    chain = full_box_chain(grid, eta=10.0, t_range=traj.t_range, tau=0.0)
+    test = _windowed(grid, traj, window)
+    eps = [c * grid.max_spacing for c in LADDER]
+    got = dr_convergence_sweep(traj, eps, test, 0.5, chain, kappa)
+    want = weak_identity_all_slices(traj, test, eps, chain, kappa)
+    for rep, ref in zip(got.reports, want):
+        assert np.array([rep.lhs, rep.rhs, rep.euler_term, rep.budget]).tobytes() == np.array(ref).tobytes()
+
+
+@pytest.mark.parametrize("kappa, window", [(None, "full"), (None, "inner"), (0.2, "inner")])
+@pytest.mark.parametrize("field", ["velocity", "pressure"])
+def test_dr_sweep_never_hides_a_nan(kappa, window, field):
+    # a NaN anywhere, a zero-weight time included, gives an error or a non-finite report
+    grid = _grid((9, 10))
+    clean = _trajectory(grid, 1, 8)
+    chain = full_box_chain(grid, eta=10.0, t_range=clean.t_range, tau=0.0)
+    test = _windowed(grid, clean, window)
+    eps = [c * grid.max_spacing for c in LADDER]
+    for k in range(len(clean)):
+        snaps = list(clean.snapshots)
+        data = {"velocity": snaps[k].velocity.copy(), "pressure": snaps[k].pressure.copy()}
+        data[field][(0,) * data[field].ndim] = np.nan
+        snaps[k] = Snapshot(grid, data["velocity"], data["pressure"], snaps[k].time)
+        try:
+            got = dr_convergence_sweep(Trajectory(tuple(snaps), clean.dt), eps, test, 0.5, chain, kappa)
+        except PreconditionError as exc:
+            assert "non-finite" in str(exc)
+            continue
+        assert all(not np.isfinite([r.lhs, r.rhs]).all() for r in got.reports)
+        assert got.fit.passes is None
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (9, 10, 11)])
+def test_dr_field_differentiates_interior_times_only(monkeypatch, shape):
+    grid = _grid(shape)
+    traj = _trajectory(grid, 0, 5)
+    calls = []
+
+    def counting_deriv(f, axis, g):
+        calls.append(axis)
+        return deriv(f, axis, g)
+
+    monkeypatch.setattr(energy_balance, "deriv", counting_deriv)
+    chain = full_box_chain(grid, eta=10.0, t_range=traj.t_range, tau=0.0)
+    times, defect = dr_dissipation_field(traj, 3 * grid.max_spacing, chain)
+    assert len(times) == len(defect) == len(traj) - 2
+    assert len(calls) == (len(traj) - 2) * grid.ndim

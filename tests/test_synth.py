@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oflux.errors import PreconditionError
 from oflux.grids import divergence, energy, make_grid
 from oflux.synth import (
+    _canonical_half,
+    _offset_max_increment,
+    _shell_orbits,
     estimate_holder_exponent,
     fractional_field,
     holder_norm,
@@ -12,6 +17,7 @@ from oflux.synth import (
 )
 
 from conftest import TWO_PI
+from survey_oracle import canonical_half_loop, shell_orbits_loop
 
 U_SIN = lambda s: np.sin(s)
 W_TRIG = lambda a, b: np.cos(a) * (1.0 + 0.5 * np.sin(b))
@@ -169,3 +175,69 @@ def test_holder_norm_region_too_small(box64):
     region[4:7, 4:7] = True
     with pytest.raises(PreconditionError):
         holder_norm(np.zeros((2, *box64.dims)), 0.5, region=region, grid=box64)
+
+
+# ---------------------------------------------------------------------------
+# the survey's maskless route and vectorized orbits against their references
+# ---------------------------------------------------------------------------
+
+SURVEY = settings(max_examples=10, deadline=None)
+_survey_grids = st.one_of(
+    st.tuples(st.integers(24, 33), st.integers(24, 33)),
+    st.tuples(st.integers(24, 27), st.integers(24, 27), st.integers(24, 27)),
+).flatmap(lambda dims: st.tuples(
+    st.just(dims),
+    st.sampled_from([(TWO_PI,) * len(dims), (1.3, 0.9, 1.1)[: len(dims)]]),
+))
+
+
+@SURVEY
+@given(spec=_survey_grids, seed=st.integers(0, 2**32 - 1))
+def test_maskless_survey_matches_all_true_region(spec, seed):
+    dims, extents = spec
+    grid = make_grid(dims, extents)
+    vel = np.random.default_rng(seed).standard_normal((grid.ndim, *dims))
+    r_max = 0.25 * min(extents)
+    maskless = estimate_holder_exponent(vel, grid=grid, r_max=r_max, seed=seed % 7)
+    masked = estimate_holder_exponent(vel, np.ones(dims, dtype=bool), grid=grid, r_max=r_max, seed=seed % 7)
+    assert repr(maskless) == repr(masked)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dims=st.one_of(st.tuples(st.integers(8, 40), st.integers(8, 40)),
+                   st.tuples(st.integers(8, 16), st.integers(8, 16), st.integers(8, 16))),
+    isotropic=st.booleans(),
+    lo=st.floats(1.5, 6.0),
+    width=st.floats(1.0, 2.0),
+)
+def test_shell_orbits_match_the_loop(dims, isotropic, lo, width):
+    if isotropic:
+        dims = (dims[0],) * len(dims)
+    grid = make_grid(dims, (0.05 * dims[0],) * len(dims) if isotropic else (1.3, 0.9, 1.1)[: len(dims)])
+    r_lo = lo * min(grid.spacing)
+    got = _shell_orbits(grid, r_lo, width * r_lo)
+    want = shell_orbits_loop(grid, r_lo, width * r_lo)
+    assert [o.tolist() for o in got] == [o.tolist() for o in want]
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(1, 3), reach=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_canonical_half_matches_the_loop(n, reach, seed):
+    axes = [np.arange(-reach, reach + 1)] * n
+    offs = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    offs = np.random.default_rng(seed).permutation(offs)
+    assert np.array_equal(_canonical_half(offs), canonical_half_loop(offs))
+
+
+@SURVEY
+@given(spec=_survey_grids, seed=st.integers(0, 2**32 - 1))
+def test_offset_increment_matches_the_array_formula(spec, seed):
+    dims, extents = spec
+    grid = make_grid(dims, extents)
+    rng = np.random.default_rng(seed)
+    vel = rng.standard_normal((grid.ndim, *dims))
+    for o in rng.integers(-5, 6, size=(4, grid.ndim)):
+        shifted = np.roll(vel, shift=tuple(o), axis=tuple(range(1, vel.ndim)))
+        want = float(np.sqrt(np.sum((vel - shifted) ** 2, axis=0).max()))
+        assert _offset_max_increment(vel, o) == (want, int(np.prod(dims)))
