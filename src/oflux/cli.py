@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, PreconditionError, ToolkitError
 from . import fieldio
 from .grids import Domain, Grid, Snapshot, Trajectory, make_grid
-from .mollify import block_mask, cutoff_region, full_box_chain
+from .mollify import block_mask, cutoff_region, full_box_chain, time_reach
 from .synth import estimate_holder_exponent, fractional_field, holder_norm, shear_flow, taylor_green
 from .pressure import solve_pressure_channel, solve_pressure_periodic
 from .commutator import scaling_probe
@@ -191,6 +191,7 @@ def _build_generated(cfg: dict, where: str = "gen") -> Snapshot:
     kind = cfg.get("kind")
     if kind is None:
         raise ConfigError(f"{where}.kind is required")
+    seed = _seed(cfg, where)
     if kind == "fractional":
         dims = _parse_dims(cfg.get("grid", "256x256"), f"{where}.grid")
         extents = _parse_extents(cfg.get("extent"), len(dims), f"{where}.extent")
@@ -200,7 +201,7 @@ def _build_generated(cfg: dict, where: str = "gen") -> Snapshot:
             raise ConfigError(f"{where}.alpha is required for fractional fields")
         if not (0.0 < alpha < 1.0):
             raise ConfigError(f"{where}.alpha: must lie in (0,1), got {alpha}")
-        return fractional_field(alpha, cfg.get("cutoff"), int(cfg.get("seed", 0)), grid)
+        return fractional_field(alpha, cfg.get("cutoff"), seed, grid)
     if kind == "taylor-green":
         dims = _parse_dims(cfg.get("grid", "64x64"), f"{where}.grid")
         grid = make_grid(dims, (2.0 * np.pi,) * len(dims))
@@ -229,7 +230,7 @@ def cmd_gen(cfg: dict) -> int:
     if path.suffix != ".oflx":
         path = path / "field.oflx"
     fieldio.write_snapshot(path, snap)
-    write_manifest(path.parent, cfg, seeds=[int(cfg.get("seed", 0))])
+    write_manifest(path.parent, cfg, seeds=[_seed(cfg, "gen")])
     print(f"gen: wrote {path}")
     return EXIT_OK
 
@@ -257,7 +258,14 @@ def cmd_diagnose(cfg: dict) -> int:
     seed = _seed(cfg, "diagnose")
     if "epsilons" in cfg and not cfg["epsilons"]:
         raise ConfigError("diagnose.epsilons: empty ladder")
+    phi_inner, phi_outer = float(cfg.get("phi_inner", 0.4)), float(cfg.get("phi_outer", 0.8))
+    if not 0.0 < phi_inner < phi_outer <= 1.0:
+        raise ConfigError("diagnose.phi_inner, diagnose.phi_outer: need 0 < phi_inner < phi_outer <= 1, "
+                          f"got {phi_inner} and {phi_outer}")
     data = fieldio.load_input(cfg["input"])
+    kappa = cfg.get("kappa")
+    if kappa is not None and isinstance(data, Trajectory) and len(data) >= 3:
+        time_reach(kappa, data.dt, len(data))  # a reach past the trajectory is refused, not allocated
 
     snap = data.snapshots[len(data) // 2] if isinstance(data, Trajectory) else data
     grid = snap.grid
@@ -273,7 +281,7 @@ def cmd_diagnose(cfg: dict) -> int:
             f"under-resolved epsilon request: rungs {bad} below the 2h floor {floor:g}; "
             f"admissible ladder: {admissible or _default_ladder(grid)}"
         )
-    phi = _diag_phi(grid, float(cfg.get("phi_inner", 0.4)), float(cfg.get("phi_outer", 0.8)))
+    phi = _diag_phi(grid, phi_inner, phi_outer)
 
     if scale < 1e-14:
         rows = [(e, 0.0, 0.0, 0.0) for e in sorted(ladder, reverse=True)]
@@ -329,7 +337,6 @@ def cmd_diagnose(cfg: dict) -> int:
         chain = full_box_chain(grid, eta=4.0 * max(ladder), t_range=(t1, t2), tau=0.0)
         chi = ChiWindow(t1, t2)
         test = TestFunction(chi, phi)
-        kappa = cfg.get("kappa")
         sweep = dr_convergence_sweep(traj, ladder, test, alpha, chain, kappa)
         rep = sweep.reports[0]
         summary["weak_identity"] = rep.as_dict()
@@ -369,6 +376,9 @@ def cmd_boundary(cfg: dict) -> int:
         raise ConfigError("boundary.input is required")
     out = Path(cfg.get("out") or ".")
     seed = _seed(cfg, "boundary")
+    tol = float(cfg.get("energy_tol", 1e-6))
+    if not tol >= 0.0:
+        raise ConfigError(f"boundary.energy_tol: must be >= 0, got {tol}")
     data = fieldio.load_input(cfg["input"])
     traj = data if isinstance(data, Trajectory) else Trajectory((data,), 1.0)
     grid = traj.grid
@@ -381,7 +391,6 @@ def cmd_boundary(cfg: dict) -> int:
     etas = _floats(cfg["etas"], "boundary.etas") if "etas" in cfg else [56 * h, 28 * h, 14 * h]
     gamma = float(cfg.get("gamma", 0.25 * domain.channel_width))
     beta = float(cfg.get("beta", 1.0))
-    tol = float(cfg.get("energy_tol", 1e-6))
 
     verdict = conservation_verdict(traj, etas, domain, beta=beta, gamma=gamma, energy_tol=tol, seed=seed)
     bal = global_balance(traj, max(etas), traj.times[0], traj.times[-1], domain)
@@ -411,6 +420,7 @@ def cmd_boundary(cfg: dict) -> int:
 
 def cmd_sweep(cfg: dict) -> int:
     out = Path(cfg.get("out") or ".")
+    seed = _seed(cfg, "sweep")
     for key in ("nus", "dt", "t_end"):
         if key not in cfg:
             raise ConfigError(f"sweep.{key} is required")
@@ -432,6 +442,7 @@ def cmd_sweep(cfg: dict) -> int:
     _check_types(init_cfg, {k: v for k, v in _SCHEMAS["gen"].items() if k != "out"}, "sweep.initial")
     init_cfg.setdefault("grid", "x".join(str(m) for m in dims))
     if geometry == "channel" and init_cfg.get("kind") == "poiseuille":
+        _seed(init_cfg, "sweep.initial")  # the profile draws no random numbers; the range holds alike
         x, y = grid.meshes()
         prof = np.sin(np.pi * y / grid.extents[1]) ** 2
         pert = 0.05 * np.sin(2 * x) * prof
@@ -509,7 +520,7 @@ def cmd_sweep(cfg: dict) -> int:
         if not vrep.eta_trend_ok:
             exit_code = max(exit_code, EXIT_NEGATIVE)
     write_json(out / "verdict.json", summary)
-    write_manifest(out, cfg, seeds=[int(cfg.get("seed", 0))])
+    write_manifest(out, cfg, seeds=[seed])
     print(f"sweep: {sweep_rep.verdict}; max leray residual {worst_leray:.2e}")
     return exit_code
 

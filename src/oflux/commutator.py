@@ -1,7 +1,7 @@
 """Mollification commutator stress and its scaling diagnostics.
 
 The stored orientation is R = (u otimes u)^eps - u^eps otimes u^eps
-everywhere; flux_term contracts exactly this tensor against grad(phi u^eps).
+everywhere; contraction_grad contracts exactly this tensor against grad(phi u^eps).
 The increment route
 
     R = int rho_eps(y) (delta_y u otimes delta_y u) dy
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .grids import (Grid, Snapshot, Trajectory, as_components, deriv, integrate, loglog_fit,
-                    trapezoid_time_weights)
+from .grids import Grid, Snapshot, as_components, deriv, integrate, loglog_fit
 from .mollify import CutoffField, Mollifier, field_spectrum, make_mollifier, mollify_spectrum
 
 # ---------------------------------------------------------------------------
@@ -40,14 +39,6 @@ class CommutatorStress:
     tensor: np.ndarray
     epsilon: float
     region: np.ndarray | None
-
-    @property
-    def sup_norm(self) -> float:
-        t = self.tensor
-        if self.region is not None:
-            t = t[(slice(None), slice(None), *np.nonzero(self.region))]
-            return float(np.abs(t).max()) if t.size else 0.0
-        return float(np.abs(t).max())
 
 
 def quadratic_products(vel: np.ndarray) -> np.ndarray:
@@ -122,43 +113,6 @@ def contraction_grad(stress: CommutatorStress, ue: np.ndarray, phi, grid: Grid) 
         for i in range(n):
             total += stress.tensor[i, j] * deriv(pj, i, grid)
     return integrate(total, grid)
-
-
-def flux_density(
-    u: Snapshot | np.ndarray,
-    mollifier: Mollifier | float,
-    phi,
-    grid: Grid | None = None,
-    region: np.ndarray | None = None,
-) -> float:
-    """Instantaneous commutator flux <R_eps : grad(phi u^eps)>."""
-    vel, grid = as_components(u, grid)
-    mol = _as_mollifier(mollifier, grid)
-    stress, ue = _mollified_stress(_velocity_spectrum(vel, grid), mol, grid, region)
-    return contraction_grad(stress, ue, phi, grid)
-
-
-def flux_term(
-    u: Snapshot | Trajectory,
-    mollifier: Mollifier | float,
-    chi=None,
-    phi=None,
-    region: np.ndarray | None = None,
-) -> float:
-    """Time-integrated commutator flux  int chi(t) <R_eps : grad(phi u^eps)> dt.
-
-    A single snapshot is a one-snapshot trajectory, whose time weight is 1,
-    so there ``chi`` acts as a scalar weight (default 1).
-    """
-    if phi is None:
-        raise PreconditionError("flux_term requires a spatial cutoff phi")
-    if isinstance(u, Snapshot):
-        u = Trajectory((u,), 1.0)
-    total = 0.0
-    for snap, w in zip(u.snapshots, trapezoid_time_weights(len(u), u.dt)):
-        cw = 1.0 if chi is None else (chi(snap.time) if callable(chi) else float(chi))
-        total += w * cw * flux_density(snap, mollifier, phi, snap.grid, region)
-    return total
 
 
 # ---------------------------------------------------------------------------

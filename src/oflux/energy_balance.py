@@ -218,7 +218,7 @@ class _WeakIdentity:
         for k, spectrum in enumerate(self.spectra):
             smooth = mollify_spectrum(spectrum, transfer, grid)
             u = smooth[:n]
-            umax = max(umax, float(np.abs(u).max()))
+            umax = np.maximum(umax, np.abs(u).max())  # keeps a NaN, which max() would drop
             if not self.live[k]:
                 continue
             p, q, e = smooth[n], smooth[n + 1:-n], smooth[-n:]

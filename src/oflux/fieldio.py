@@ -142,15 +142,6 @@ def write_scalar_field(path: str | Path, grid: Grid, values: np.ndarray, time: f
     return _write_field(path, grid, [values], time, sidecar)
 
 
-def read_scalar_field(path: str | Path):
-    """Read a single-component field; returns (grid, values, time, tags)."""
-    path = Path(path)
-    grid, comps, time, sidecar = _read_field(path)
-    if len(comps) != 1:
-        raise PreconditionError(f"{path}: expected a single-component field, got {len(comps)}")
-    return grid, comps[0], time, sidecar.get("tags", {})
-
-
 def write_trajectory(directory: str | Path, traj: Trajectory, tags: dict | None = None) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

@@ -188,35 +188,6 @@ class Domain:
         return np.broadcast_to(s.reshape(shape), self.grid.dims).copy()
 
 
-def distance_to_boundary(domain: Domain, x: Sequence[float]):
-    """Distance, nearest boundary point, and outward unit normal for a point.
-
-    Mid-channel ties resolve to the lower wall.  Raises on periodic domains.
-    """
-    if domain.geometry != "channel":
-        raise PreconditionError("no boundary: domain is fully periodic")
-    a = domain.wall_axis
-    x = np.asarray(x, dtype=float)
-    if x.shape != (domain.grid.ndim,):
-        raise PreconditionError("point dimension does not match the grid")
-    y = x[a]
-    L = domain.channel_width
-    if not (0.0 < y < L):
-        raise PreconditionError("point must be strictly interior to the channel")
-    d_lo, d_hi = y, L - y
-    sigma = x.copy()
-    normal = np.zeros(domain.grid.ndim)
-    if d_lo <= d_hi:  # tie -> lower wall
-        sigma[a] = 0.0
-        normal[a] = -1.0
-        d = d_lo
-    else:
-        sigma[a] = L
-        normal[a] = 1.0
-        d = d_hi
-    return d, sigma, normal
-
-
 @dataclass(frozen=True)
 class Snapshot:
     """Velocity (and optional pressure) sampled on grid nodes at one time."""
@@ -536,11 +507,6 @@ def inverse_eigenvalues(lam: np.ndarray) -> np.ndarray:
     return np.divide(1.0, lam, out=np.zeros_like(lam), where=lam != 0)
 
 
-def gradient(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Gradient of a scalar field: shape ``(ndim, *dims)``."""
-    return np.stack([deriv(f, a, grid) for a in range(grid.ndim)])
-
-
 def divergence(snapshot: Snapshot) -> np.ndarray:
     """Discrete divergence of the velocity field."""
     grid = snapshot.grid
@@ -586,8 +552,8 @@ def trapezoid_time_weights(n: int, dt: float) -> np.ndarray:
 
 
 def discretization_budget(grid: Grid, dt: float, umax: float) -> float:
-    """The crude (h^2 + dt^2) max(1, |u|)^3 |Omega| scale of a balance residual."""
-    return (grid.max_spacing**2 + dt**2) * max(1.0, umax) ** 3 * math.prod(grid.extents)
+    """The crude (h^2 + dt^2) max(1, |u|)^3 |Omega| scale of a balance residual; NaN if |u| is."""
+    return (grid.max_spacing**2 + dt**2) * float(np.maximum(1.0, umax)) ** 3 * math.prod(grid.extents)
 
 
 def loglog_fit(x, y) -> tuple[float, float, float]:

@@ -23,19 +23,19 @@ Nested regions and cutoffs measure node-to-set distances with an exact
 separable Euclidean distance transform in numpy (minimum image on periodic
 axes); a cutoff takes its ramp and its inner/outer gap from one transform.
 
-Time has one mollifier, ``time_mollify``, for the weak identity's stacks and
-for [u, p] in ``time_space_mollify`` (time first; the tests keep the
-space-first order as a reference).
+Time has one mollifier, ``time_mollify``, for the weak identity's stacks;
+``time_reach`` checks its radius against a trajectory before any work.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MarginViolationError, PreconditionError, UnderResolvedError
-from .grids import PERIODIC, WALL, Grid, Snapshot, Trajectory, wall_distance
+from .grids import PERIODIC, WALL, Grid, wall_distance
 
 # ---------------------------------------------------------------------------
 # bump profile and its normalized antiderivative
@@ -127,16 +127,6 @@ class Mollifier:
     offsets: np.ndarray  # (k, ndim) int
     weights: np.ndarray  # (k,) float, renormalized
     dimension: int
-
-    @property
-    def stencil_size(self) -> int:
-        return len(self.weights)
-
-    def second_moment(self) -> np.ndarray:
-        """Discrete kernel second moment  sum_o w_o h^n (o*h) otimes (o*h)."""
-        vol = float(np.prod(self.spacing))
-        z = self.offsets * np.asarray(self.spacing)
-        return np.einsum("k,ki,kj->ij", self.weights * vol, z, z)
 
     def transfer(self, grid: Grid, region: np.ndarray | None = None) -> np.ndarray:
         """Half-spectrum (``rfftn``) of the kernel wrapped onto the grid.
@@ -336,10 +326,6 @@ class RegionChain:
                         f"region margins violated: set distance {gap:g} < eta={self.eta:g}"
                     )
 
-    @property
-    def regions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.q3, self.q2, self.q1)
-
     def time_window(self, shrink: int) -> tuple[float, float]:
         if self.t_range is None:
             raise PreconditionError("region chain carries no time window")
@@ -452,15 +438,27 @@ def block_mask(grid: Grid, lo_frac, hi_frac) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# space-time mollification
+# time mollification
 # ---------------------------------------------------------------------------
+
+
+def time_reach(kappa: float, dt: float, n: float = math.inf) -> int:
+    """Whole steps of ``dt`` within the time radius ``kappa``.
+
+    A run of ``n`` samples must keep one sample at least that reach from
+    either end.  Nothing is allocated, so a request is checked before any work.
+    """
+    if kappa < 2.0 * dt:
+        raise UnderResolvedError(f"under-resolved time kernel: kappa={kappa:g} below 2*dt={2 * dt:g}")
+    reach = math.floor(min(kappa / dt + 1e-12, n))  # n bounds a ratio that overflows
+    if n - 2 * reach <= 0:
+        raise PreconditionError("trajectory too short for the requested time radius")
+    return reach
 
 
 def time_kernel(kappa: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """1-D bump kernel sampled at step offsets, normalized to sum*dt == 1."""
-    if kappa < 2.0 * dt:
-        raise UnderResolvedError(f"under-resolved time kernel: kappa={kappa:g} below 2*dt={2 * dt:g}")
-    reach = int(np.floor(kappa / dt + 1e-12))
+    reach = time_reach(kappa, dt)
     m = np.arange(-reach, reach + 1)
     w = bump(np.abs(m * dt) / kappa)
     w = w / (np.sum(w) * dt)
@@ -473,44 +471,8 @@ def time_mollify(arrays, kappa: float, dt: float) -> tuple[range, list[np.ndarra
     Returns the retained indices, those at least one kernel reach from either
     end, and the smoothed array at each: sum_m w_m dt arrays[i - m].
     """
+    reach = time_reach(kappa, dt, len(arrays))
     offs, w = time_kernel(kappa, dt)
-    reach = int(offs.max())
-    n = len(arrays)
-    if n - 2 * reach <= 0:
-        raise PreconditionError("trajectory too short for the requested time radius")
-    idx = range(reach, n - reach)
+    idx = range(reach, len(arrays) - reach)
     wdt = w * dt
     return idx, [sum(wm * arrays[i - m] for m, wm in zip(offs, wdt)) for i in idx]
-
-
-def time_space_mollify(
-    traj: Trajectory,
-    epsilon: float,
-    kappa: float,
-    chain: RegionChain,
-    region: np.ndarray | None = None,
-) -> Trajectory:
-    """Separable space-time mollification, restricted to the admissible window.
-
-    Each snapshot's stack [u, p] (u alone when a pressure is missing) is
-    mollified in time first, then in space.  Requires kappa <= tau/2 and
-    epsilon <= eta/2 for the chain's margins.
-    """
-    if chain.tau > 0 and kappa > 0.5 * chain.tau:
-        raise PreconditionError(f"kappa={kappa:g} exceeds tau/2={0.5 * chain.tau:g}")
-    if (~chain.q2).any() and epsilon > 0.5 * chain.eta:
-        raise PreconditionError(f"epsilon={epsilon:g} exceeds eta/2={0.5 * chain.eta:g}")
-    grid = traj.grid
-    n = grid.ndim
-    mol = make_mollifier(epsilon, grid)
-    has_p = all(s.pressure is not None for s in traj.snapshots)
-    stacks = [np.concatenate([s.velocity, s.pressure[np.newaxis]]) if has_p else s.velocity
-              for s in traj.snapshots]
-    idx, smoothed = time_mollify(stacks, kappa, traj.dt)
-    khat = mol.transfer(grid, chain.q2 if region is None else region)
-    snaps = []
-    for i, f in zip(idx, smoothed):
-        f = mollify_spectrum(field_spectrum(f, grid), khat, grid)
-        s = traj.snapshots[i]
-        snaps.append(Snapshot(grid, f[:n], f[n] if has_p else None, s.time, dict(s.tags)))
-    return Trajectory(tuple(snaps), traj.dt)

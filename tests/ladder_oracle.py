@@ -158,7 +158,7 @@ def weak_identity_all_slices(traj, test, epsilons, chain, kappa=None):
             lhs += wts[k] * (dchi[k] * integrate(pv * ke, grid) + chi[k] * integrate((ke + p) * adv, grid))
             euler_term += wts[k] * chi[k] * integrate(np.sum(e * (pv * u), axis=0), grid)
             fluxes.append(contraction_grad(stress_from(q, u, epsilon, chain.q2), u, pv, grid))
-            umax = max(umax, float(np.abs(u).max()))
+            umax = np.maximum(umax, np.abs(u).max())
         rhs = -float(np.sum(wts * chi * np.asarray(fluxes)))
         budget = discretization_budget(grid, traj.dt if smoothed else 0.0, umax)
         out.append((float(lhs), rhs, float(euler_term), float(budget)))

@@ -3,9 +3,7 @@
 The package mollifies by FFT only; these are the stencil and increment
 sums it must reproduce, kept as test oracles.  Both wrap with ``np.roll``,
 so they are circular on every axis, like the FFT: on a wall axis the
-wrapped terms reach only nodes within epsilon of a wall plane.  Space-time
-mollification is referenced by the space-first route: every snapshot is
-mollified in space, then the retained ones in time.  The node
+wrapped terms reach only nodes within epsilon of a wall plane.  The node
 distance to a set is referenced against ``scipy.ndimage`` on the mask tiled
 three times along each periodic axis.
 """
@@ -14,8 +12,8 @@ import numpy as np
 from scipy import ndimage
 
 from oflux.commutator import CommutatorStress
-from oflux.grids import PERIODIC, Snapshot, Trajectory, as_components
-from oflux.mollify import Mollifier, make_mollifier, mollify_field, time_kernel
+from oflux.grids import PERIODIC, as_components
+from oflux.mollify import Mollifier, make_mollifier, mollify_field
 
 
 def convolve_stencil(f, mol, grid):
@@ -70,30 +68,3 @@ def distance_via_tiling(mask, grid):
     keep = tuple(slice(m, 2 * m) if kind == PERIODIC else slice(0, m)
                  for m, kind in zip(grid.dims, grid.axis_kinds))
     return dist[keep]
-
-
-def time_space_mollify_space_first(traj, epsilon, kappa, chain, region=None):
-    """``time_space_mollify`` with its two passes swapped: space first, then time."""
-    grid = traj.grid
-    mol = make_mollifier(epsilon, grid)
-    offs, w = time_kernel(kappa, traj.dt)
-    reach = int(offs.max())
-    n = len(traj)
-    if region is None:
-        region = chain.q2
-
-    def smooth_space(f):
-        return mollify_field(f, mol, grid, region)
-
-    vels = [s.velocity for s in traj.snapshots]
-    prs = [s.pressure for s in traj.snapshots]
-    has_p = all(p is not None for p in prs)
-
-    v_s = [smooth_space(v) for v in vels]
-    p_s = [smooth_space(p) for p in prs] if has_p else None
-    snaps = []
-    for i in range(reach, n - reach):
-        v = sum(wm * traj.dt * v_s[i - m] for m, wm in zip(offs, w))
-        p = sum(wm * traj.dt * p_s[i - m] for m, wm in zip(offs, w)) if has_p else None
-        snaps.append(Snapshot(grid, v, p, traj.snapshots[i].time, dict(traj.snapshots[i].tags)))
-    return Trajectory(tuple(snaps), traj.dt)

@@ -611,6 +611,10 @@ def test_report_manifest_hash_not_a_string_exit_code(tmp_path, capsys):
     ("diagnose", {"epsilons": []}, "diagnose.epsilons"),
     ("diagnose", {"seed": -1}, "diagnose.seed"),
     ("boundary", {"seed": -1}, "boundary.seed"),
+    ("diagnose", {"phi_outer": 2.0}, "diagnose.phi_outer"),
+    ("diagnose", {"phi_inner": 0.8}, "diagnose.phi_inner"),
+    ("diagnose", {"phi_inner": 0}, "diagnose.phi_inner"),
+    ("boundary", {"energy_tol": -1}, "boundary.energy_tol"),
 ])
 def test_bad_request_exits_before_reading_input(tmp_path, monkeypatch, capsys, command, cfg, key):
     loads = []
@@ -621,3 +625,42 @@ def test_bad_request_exits_before_reading_input(tmp_path, monkeypatch, capsys, c
     err = capsys.readouterr().err
     assert key in err and "internal error" not in err
     assert loads == [] and _no_output(out)
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["gen", "--kind", "fractional", "--alpha", "0.4", "--grid", "16x16", "--seed", "-1"], "gen.seed"),
+    (["gen", "--kind", "taylor-green", "--grid", "16x16", "--seed", "-1"], "gen.seed"),
+    (["sweep", "--config", {"initial": {"kind": "fractional", "alpha": 0.4, "seed": -1}}], "sweep.initial.seed"),
+    (["sweep", "--config", {"initial": {"kind": "taylor-green", "seed": -1}}], "sweep.initial.seed"),
+    (["sweep", "--config", {"geometry": "channel", "grid": "16x17", "initial": {"kind": "poiseuille", "seed": -1}}],
+     "sweep.initial.seed"),
+    (["sweep", "--config", {"seed": -1}], "sweep.seed"),
+], ids=["gen-fractional", "gen-taylor-green", "sweep-initial-fractional", "sweep-initial-taylor-green",
+        "sweep-initial-poiseuille", "sweep"])
+def test_negative_seed_exit_code(tmp_path, monkeypatch, capsys, argv, key):
+    monkeypatch.setattr(solver, "step", lambda *a: pytest.fail("a solver step ran"))
+    if argv[0] == "sweep":
+        argv = ["sweep", "--config", _write(tmp_path, {**_SMALL_PERIODIC_SWEEP, "grid": "16x16", **argv[2]})]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert key in err and "internal error" not in err
+    assert _no_output(out)
+
+
+def test_diagnose_time_radius_past_the_trajectory_exits_before_work(tmp_path, monkeypatch, capsys):
+    # kappa = 1e9 asked the time kernel for 2e10 offsets before its reach was compared
+    from oflux import cli, mollify
+
+    monkeypatch.setattr(mollify, "time_kernel", lambda *a: pytest.fail("time kernel built"))
+    monkeypatch.setattr(cli, "estimate_holder_exponent", lambda *a, **k: pytest.fail("survey ran"))
+    traj = tmp_path / "traj"
+    traj.mkdir()
+    names = _write_fractional_snapshots(traj, (16, 16, 16))
+    (traj / "trajectory.json").write_text(json.dumps({"dt": 0.1, "files": names}))
+    out = tmp_path / "d"
+    cfg = _write(tmp_path, {"kappa": 1e9})
+    assert main(["diagnose", "--config", cfg, "--in", str(traj), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "time radius" in err and "internal error" not in err
+    assert _no_output(out)

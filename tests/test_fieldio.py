@@ -71,11 +71,12 @@ def test_scalar_field_roundtrip(tmp_path, box64):
     vals = rng.standard_normal(box64.dims)
     path = fieldio.write_scalar_field(tmp_path / "d.oflx", box64, vals, 0.7,
                                       name="dissipation_defect", tags={"epsilon": 0.3})
-    grid, back, time, tags = fieldio.read_scalar_field(path)
+    grid, comps, time, sidecar = fieldio._read_field(path)
     assert grid == box64
-    assert np.array_equal(back, vals)
+    assert np.array_equal(comps, vals[np.newaxis])
     assert time == 0.7
-    assert tags["epsilon"] == 0.3
+    assert sidecar["fields"] == ["dissipation_defect"]
+    assert sidecar["tags"]["epsilon"] == 0.3
 
 
 def _written(tmp_path, reader):
@@ -92,7 +93,7 @@ def _rejects(path, reader, what):
     assert str(path) in str(err.value)
 
 
-READERS = pytest.mark.parametrize("reader", [fieldio.read_snapshot, fieldio.read_scalar_field],
+READERS = pytest.mark.parametrize("reader", [fieldio.read_snapshot, fieldio._read_field],
                                   ids=["snapshot", "scalar"])
 
 

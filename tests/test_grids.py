@@ -6,10 +6,10 @@ from oflux.grids import (
     Snapshot,
     Trajectory,
     deriv,
-    distance_to_boundary,
     divergence,
     energy,
     make_grid,
+    trapezoid_time_weights,
 )
 from oflux.synth import taylor_green
 
@@ -33,40 +33,28 @@ def test_make_grid_rejects_bad_extent():
         make_grid((16, 16), (1.0, -1.0))
 
 
-def test_distance_to_boundary_basic():
-    dom = channel_domain(64, 65, ly=1.0)
-    d, sigma, normal = distance_to_boundary(dom, (1.0, 0.3))
-    assert d == pytest.approx(0.3)
-    assert normal.tolist() == [0.0, -1.0]
-    assert sigma.tolist() == [1.0, 0.0]
-
-
 def test_distance_tie_resolves_to_lower_wall():
+    # node 32 of 65 sits at mid-channel, as far from either wall plane
     dom = channel_domain(64, 65, ly=1.0)
-    d, sigma, normal = distance_to_boundary(dom, (2.0, 0.5))
-    assert d == pytest.approx(0.5)
-    assert normal[1] == -1.0
-
-
-def test_distance_matches_brute_force():
-    # oracle: brute-force minimum of |x - y| over boundary-plane sample points
-    # (points sit on grid x-columns, so the perpendicular foot is sampled)
-    dom = channel_domain(32, 33, ly=1.0)
-    xs = dom.grid.axis_coords(0)
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        pt = np.array([xs[rng.integers(0, len(xs))], rng.uniform(1e-3, 1 - 1e-3)])
-        d, _, _ = distance_to_boundary(dom, pt)
-        cands = []
-        for yb in (0.0, 1.0):
-            cands.append(np.sqrt((xs - pt[0]) ** 2 + (yb - pt[1]) ** 2).min())
-        assert abs(d - min(cands)) <= 1e-12
+    assert dom.grid.axis_coords(1)[32] == 0.5
+    assert dom.distance_field()[0, 32] == 0.5
+    sgn = dom.normal_sign_field()
+    assert np.all(sgn[:, 32] == -1.0)
+    assert np.all(sgn[:, 31] == -1.0) and np.all(sgn[:, 33] == 1.0)
 
 
 def test_distance_requires_channel():
     g = make_grid((16, 16), (1.0, 1.0))
     with pytest.raises(PreconditionError, match="no boundary"):
-        distance_to_boundary(Domain(g, "periodic"), (0.5, 0.5))
+        Domain(g, "periodic").distance_field()
+
+
+def test_trapezoid_time_weights():
+    # half weight at either end; a lone snapshot weighs 1 whatever dt is
+    assert trapezoid_time_weights(3, 0.1).tolist() == [0.05, 0.1, 0.05]
+    assert trapezoid_time_weights(3, 0.1).sum() == pytest.approx(0.2, rel=1e-15)
+    for dt in (1e-3, 0.25, 1.0):
+        assert trapezoid_time_weights(1, dt).tolist() == [1.0]
 
 
 def test_divergence_constant_field(box64):

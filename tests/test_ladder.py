@@ -145,6 +145,22 @@ def test_dr_sweep_never_hides_a_nan(kappa, window, field):
         assert got.fit.passes is None
 
 
+def test_dr_sweep_budget_keeps_a_nan():
+    # the budget's max |u^eps| once dropped a NaN and read finite beside a NaN lhs and rhs
+    grid = _grid((12, 12))
+    clean = _trajectory(grid, 0, 3)
+    snaps = list(clean.snapshots)
+    vel = snaps[1].velocity.copy()
+    vel[0, 5, 5] = np.nan
+    snaps[1] = Snapshot(grid, vel, snaps[1].pressure, snaps[1].time)
+    traj = Trajectory(tuple(snaps), clean.dt)
+    chain = full_box_chain(grid, eta=10.0, t_range=traj.t_range, tau=0.0)
+    got = dr_convergence_sweep(traj, [c * grid.max_spacing for c in LADDER], _windowed(grid, traj, "full"),
+                               0.5, chain)
+    for r in got.reports:
+        assert np.isnan([r.lhs, r.rhs, r.budget]).all()
+
+
 @pytest.mark.parametrize("shape", [(12, 12), (9, 10, 11)])
 def test_dr_field_differentiates_interior_times_only(monkeypatch, shape):
     grid = _grid(shape)

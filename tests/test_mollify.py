@@ -3,23 +3,23 @@ import pytest
 
 from oflux import mollify
 from oflux.errors import MarginViolationError, PreconditionError, UnderResolvedError
-from oflux.grids import Snapshot, Trajectory, make_grid
+from oflux.grids import make_grid
 from oflux.mollify import (
     block_mask,
     bump,
     bump_cdf,
     cutoff_region,
-    full_box_chain,
     make_mollifier,
     mollify_field,
     nested_regions,
     set_distance,
     time_kernel,
-    time_space_mollify,
+    time_mollify,
+    time_reach,
 )
 
 from conftest import TWO_PI
-from mollify_oracle import convolve_stencil, time_space_mollify_space_first
+from mollify_oracle import convolve_stencil
 
 
 def test_kernel_normalization(box64):
@@ -36,7 +36,7 @@ def test_stencil_size_eps_2h(box64):
     cells = np.array([(i, j) for i in range(-2, 3) for j in range(-2, 3)])
     oracle = sum(1 for i, j in cells if i * i + j * j <= 4)
     assert oracle == 13
-    assert mol.stencil_size == 13
+    assert len(mol.weights) == 13
     ring = np.sqrt(np.sum(mol.offsets**2, axis=1)) >= 2.0 - 1e-12
     assert np.all(mol.weights[ring] == 0.0)
 
@@ -212,89 +212,47 @@ def test_time_kernel_normalized():
     assert abs(np.sum(w) * 0.01 - 1.0) <= 1e-14
 
 
-def test_time_space_mollify_constant_and_linear(box64):
-    x, y = box64.meshes()
+def test_time_mollify_constant_and_linear(box64):
+    x, _ = box64.meshes()
     base = np.stack([np.broadcast_to(np.sin(x), box64.dims).copy(), np.zeros(box64.dims)])
-    dt = 0.02
-    n = 11
-    chain = full_box_chain(box64, eta=2.0, t_range=(0.0, dt * (n - 1)), tau=0.12)
-    # time-constant trajectory: each snapshot equals its spatial mollification
-    snaps = tuple(Snapshot(box64, base, None, i * dt) for i in range(n))
-    traj = Trajectory(snaps, dt)
-    eps, kappa = 3 * box64.max_spacing, 0.05
-    sm = time_space_mollify(traj, eps, kappa, chain)
-    mol = make_mollifier(eps, box64)
-    ref = mollify_field(base, mol, box64)
-    assert np.abs(sm.snapshots[0].velocity - ref).max() <= 1e-13
+    dt, n, kappa = 0.02, 11, 0.05
+    # time-constant sequence: every retained array is the constant
+    idx, smoothed = time_mollify([base] * n, kappa, dt)
+    assert idx == range(2, n - 2)
+    for f in smoothed:
+        assert np.abs(f - base).max() <= 1e-13
 
     # linear in t: the even time kernel has zero first moment
-    snaps = tuple(Snapshot(box64, base * (1.0 + 0.5 * i * dt), None, i * dt) for i in range(n))
-    traj = Trajectory(snaps, dt)
-    sm = time_space_mollify(traj, eps, kappa, chain)
-    for s in sm.snapshots:
-        expect = ref * (1.0 + 0.5 * s.time)
-        assert np.abs(s.velocity - expect).max() <= 1e-13
-
-
-def test_time_space_mollify_orders_agree(box64):
-    # the production route (time first) against the space-first oracle
-    x, y = box64.meshes()
-    dt = 0.02
-    n = 11
-    chain = full_box_chain(box64, eta=2.0, t_range=(0.0, dt * (n - 1)), tau=0.12)
-    eps, kappa = 3 * box64.max_spacing, 0.05
-    for with_pressure in (False, True):
-        snaps = tuple(
-            Snapshot(
-                box64,
-                np.stack([
-                    np.broadcast_to(np.sin(x + 0.3 * np.sin(2.7 * i * dt)), box64.dims).copy(),
-                    np.zeros(box64.dims),
-                ]),
-                np.cos(x - y + 1.3 * i * dt) if with_pressure else None,
-                i * dt,
-            )
-            for i in range(n)
-        )
-        traj = Trajectory(snaps, dt)
-        a = time_space_mollify(traj, eps, kappa, chain)
-        b = time_space_mollify_space_first(traj, eps, kappa, chain)
-        assert len(a) == len(b) == n - 4
-        for sa, sb in zip(a.snapshots, b.snapshots):
-            assert sa.time == sb.time
-            assert np.abs(sa.velocity - sb.velocity).max() <= 1e-13
-            if with_pressure:
-                assert np.abs(sa.pressure - sb.pressure).max() <= 1e-13
-            else:
-                assert sa.pressure is None and sb.pressure is None
+    idx, smoothed = time_mollify([base * (1.0 + 0.5 * i * dt) for i in range(n)], kappa, dt)
+    for i, f in zip(idx, smoothed):
+        assert np.abs(f - base * (1.0 + 0.5 * i * dt)).max() <= 1e-13
 
 
 def test_time_mollify_matches_dense_1d_oracle(box64):
-    # sinusoidal-in-t trajectory vs a per-node 1D discrete convolution oracle
+    # sinusoidal-in-t sequence vs a per-node 1D discrete convolution oracle
     x, _ = box64.meshes()
-    dt = 0.02
-    n = 15
-    chain = full_box_chain(box64, eta=2.0, t_range=(0.0, dt * (n - 1)), tau=0.2)
-    amp = np.sin(x) + 0 * x
-    snaps = tuple(
-        Snapshot(
-            box64,
-            np.stack([np.broadcast_to(amp * np.cos(3.0 * i * dt), box64.dims).copy(), np.zeros(box64.dims)]),
-            None,
-            i * dt,
-        )
-        for i in range(n)
-    )
-    traj = Trajectory(snaps, dt)
-    eps, kappa = 3 * box64.max_spacing, 0.06
-    sm = time_space_mollify(traj, eps, kappa, chain)
+    dt, n, kappa = 0.02, 15, 0.06
+    amp = np.broadcast_to(np.sin(x), box64.dims)
+    arrays = [np.stack([amp * np.cos(3.0 * i * dt), np.zeros(box64.dims)]) for i in range(n)]
+    idx, smoothed = time_mollify(arrays, kappa, dt)
     offs, w = time_kernel(kappa, dt)
-    mol = make_mollifier(eps, box64)
-    base = mollify_field(np.broadcast_to(amp, box64.dims).copy(), mol, box64)
-    for s in sm.snapshots:
-        i = int(round(s.time / dt))
+    for i, f in zip(idx, smoothed):
         coef = sum(wm * dt * np.cos(3.0 * (i - m) * dt) for m, wm in zip(offs, w))
-        assert np.abs(s.velocity[0] - coef * base).max() <= 1e-12
+        assert np.abs(f[0] - coef * amp).max() <= 1e-12
+        assert not f[1].any()
+
+
+def test_time_reach_is_checked_before_the_kernel_is_built(monkeypatch):
+    # a radius past the trajectory is refused before any offset is allocated
+    monkeypatch.setattr(mollify, "time_kernel", lambda *a: pytest.fail("time kernel built"))
+    for kappa, dt in ((1e9, 0.1), (1e300, 1e-300)):  # the second ratio overflows a float
+        with pytest.raises(PreconditionError, match="too short"):
+            time_mollify([np.zeros(2)] * 3, kappa, dt)
+    with pytest.raises(UnderResolvedError):
+        time_reach(0.01, 0.01, 3)
+    assert time_reach(0.05, 0.02, 5) == 2
+    with pytest.raises(PreconditionError, match="too short"):
+        time_reach(0.05, 0.02, 4)
 
 
 def test_bump_cdf_endpoints():

@@ -8,13 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oflux import fieldio
-from oflux.commutator import commutator_stress, flux_term
+from oflux.commutator import commutator_stress
 from oflux.errors import PreconditionError
-from oflux.grids import Snapshot, Trajectory, make_grid, wall_distance
-from oflux.mollify import block_mask, cutoff_region, make_mollifier, mollify_field, nested_regions
+from oflux.grids import Snapshot, make_grid, wall_distance
+from oflux.mollify import block_mask, make_mollifier, mollify_field, nested_regions
 from oflux.reports import config_hash
 
-from conftest import TWO_PI
 from mollify_oracle import commutator_via_increments, convolve_stencil
 
 RTOL = 1e-12
@@ -113,18 +112,6 @@ def test_nested_regions_two_wall_axes_clearance(ndim, data, lo, width, c):
     elif c < 1.0 - 1e-9:
         chain = nested_regions(support, eta, grid)
         assert np.array_equal(chain.q3 & support, support)
-
-
-@PROPERTY
-@given(seed=seeds, dt=st.floats(1e-3, 1.0), chi=st.sampled_from([None, 0.5, "window"]))
-def test_flux_term_one_snapshot_trajectory_equals_snapshot(seed, dt, chi):
-    grid = make_grid((16, 16), (TWO_PI, TWO_PI))
-    snap = Snapshot(grid, np.random.default_rng(seed).standard_normal((2, 16, 16)), None, 0.3)
-    phi = cutoff_region(grid, block_mask(grid, 0.3, 0.7), block_mask(grid, 0.1, 0.9))
-    mol = make_mollifier(2.5 * grid.max_spacing, grid)
-    weight = (lambda t: 1.0 + t) if chi == "window" else chi
-    alone = flux_term(snap, mol, chi=weight, phi=phi)
-    assert flux_term(Trajectory((snap,), dt), mol, chi=weight, phi=phi) == alone
 
 
 tag_values = st.one_of(
