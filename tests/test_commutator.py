@@ -3,8 +3,9 @@ import pytest
 
 from oflux.errors import PreconditionError
 from oflux.commutator import commutator_stress, contraction_grad, fit_loglog, scaling_probe
-from oflux.grids import make_grid
-from oflux.mollify import block_mask, cutoff_region, make_mollifier, mollify_field
+from oflux.energy_balance import ChiWindow, TestFunction, weak_energy_identity
+from oflux.grids import Snapshot, Trajectory, make_grid
+from oflux.mollify import block_mask, cutoff_region, full_box_chain, make_mollifier, mollify_field
 from oflux.synth import fractional_field
 
 from conftest import TWO_PI
@@ -140,6 +141,23 @@ def test_flux_parity(box128, phi128):
     fp = _flux(f.velocity, mol, phi128, box128)
     fm = _flux(-f.velocity, mol, phi128, box128)
     assert fp == -fm
+
+
+def test_flux_term_trajectory_weighting(box64):
+    # the weak identity's rhs sums chi(t_k) <R : grad(phi u)> with trapezoid weights in time
+    phi = cutoff_region(box64, block_mask(box64, 0.3, 0.7), block_mask(box64, 0.1, 0.9))
+    test = TestFunction(ChiWindow(-0.1, 0.3), phi)  # chi = 0.5, 1, 0.5 at t = 0, 0.1, 0.2
+    chain = full_box_chain(box64, eta=10.0)
+    vel = fractional_field(0.4, None, 11, box64).velocity
+    eps = 6 * box64.max_spacing
+
+    def rhs(times):
+        snaps = tuple(Snapshot(box64, vel, np.zeros(box64.dims), t) for t in times)
+        return weak_energy_identity(Trajectory(snaps, 0.1), test, eps, chain).rhs
+
+    single = rhs([0.1])
+    assert abs(single) > 1e-6
+    assert rhs([0.0, 0.1, 0.2]) == pytest.approx(0.15 * single, rel=1e-12)
 
 
 def test_smooth_field_flux_decay(box128, phi128):

@@ -8,12 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oflux import fieldio
-from oflux.commutator import commutator_stress
+from oflux.commutator import commutator_stress, contraction_grad
+from oflux.energy_balance import ChiWindow, TestFunction, weak_energy_identity
 from oflux.errors import PreconditionError
-from oflux.grids import Snapshot, make_grid, wall_distance
-from oflux.mollify import block_mask, make_mollifier, mollify_field, nested_regions
+from oflux.grids import Snapshot, Trajectory, make_grid, wall_distance
+from oflux.mollify import block_mask, cutoff_region, full_box_chain, make_mollifier, mollify_field, nested_regions
 from oflux.reports import config_hash
 
+from conftest import TWO_PI
 from mollify_oracle import commutator_via_increments, convolve_stencil
 
 RTOL = 1e-12
@@ -112,6 +114,24 @@ def test_nested_regions_two_wall_axes_clearance(ndim, data, lo, width, c):
     elif c < 1.0 - 1e-9:
         chain = nested_regions(support, eta, grid)
         assert np.array_equal(chain.q3 & support, support)
+
+
+@PROPERTY
+@given(seed=seeds, dt=st.floats(1e-3, 1.0), chi=st.sampled_from([(0.0, 0.6), (-0.5, 0.5), (0.3, 1.0)]))
+def test_flux_term_one_snapshot_trajectory_equals_snapshot(seed, dt, chi):
+    # one snapshot has time weight 1 whatever dt is: the rhs is -chi(t) <R : grad(phi u)> at t
+    grid = make_grid((16, 16), (TWO_PI, TWO_PI))
+    rng = np.random.default_rng(seed)
+    snap = Snapshot(grid, rng.standard_normal((2, 16, 16)), rng.standard_normal((16, 16)), 0.3)
+    phi = cutoff_region(grid, block_mask(grid, 0.3, 0.7), block_mask(grid, 0.1, 0.9))
+    test = TestFunction(ChiWindow(*chi), phi)
+    chain = full_box_chain(grid, eta=10.0)
+    mol = make_mollifier(2.5 * grid.max_spacing, grid)
+    rep = weak_energy_identity(Trajectory((snap,), dt), test, mol.epsilon, chain)
+    assert rep == weak_energy_identity(Trajectory((snap,), 1.0), test, mol.epsilon, chain)
+    vel = snap.velocity
+    alone = contraction_grad(commutator_stress(vel, mol, grid), mollify_field(vel, mol, grid), phi.values, grid)
+    assert rep.rhs == pytest.approx(-float(test.chi(0.3)) * alone, rel=1e-9, abs=1e-12)
 
 
 tag_values = st.one_of(
