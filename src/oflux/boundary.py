@@ -191,7 +191,7 @@ def global_balance(traj: Trajectory, eta: float, t1: float, t2: float, domain: D
             dens = _bernoulli_normal_flux(snap, domain) * kernel
             bt += w * integrate(dens, grid)
     residual = (e2 - e1) + bt
-    umax = max(float(np.abs(s.velocity).max()) for s in traj.snapshots[i1 : i2 + 1])
+    umax = float(np.max([np.abs(s.velocity).max() for s in traj.snapshots[i1 : i2 + 1]]))  # keeps a NaN
     budget = discretization_budget(grid, traj.dt, umax)
     return GlobalBalanceReport(float(e1), float(e2), float(bt), float(residual), budget, float(eta))
 
@@ -282,7 +282,7 @@ def conservation_verdict(
     for snap in traj.snapshots:
         if snap.pressure is None:
             raise PreconditionError("conservation_verdict requires pressure on every snapshot")
-        pn = max(pn, negative_sobolev_norm(snap.pressure, beta, grid, cutoff=cf).value)
+        pn = float(np.maximum(pn, negative_sobolev_norm(snap.pressure, beta, grid, cutoff=cf).value))  # keeps a NaN
     pn_finite = bool(np.isfinite(pn))
 
     e_first = energy(traj.snapshots[0])
@@ -373,12 +373,12 @@ def modulus_check(traj: Trajectory, gamma: float, domain: Domain, tol: float = 1
         if snap.pressure is None:
             raise PreconditionError("modulus_check requires pressure")
         speed = np.sqrt(np.sum(snap.velocity**2, axis=0))
-        m_val = max(m_val, float((speed + np.abs(snap.pressure))[collar].max()))
+        m_val = float(np.maximum(m_val, (speed + np.abs(snap.pressure))[collar].max()))  # keeps a NaN
         un = np.abs(snap.velocity[a] * sgn)
         for k, dv in enumerate(dvals):
             cls = collar & (np.abs(d - dv) < 1e-12)
             if cls.any():
-                env[k] = max(env[k], float(un[cls].max()))
+                env[k] = np.maximum(env[k], un[cls].max())
     if len(dvals) < 3:
         raise PreconditionError("collar holds fewer than 3 distance classes")
     x = dvals[:3]

@@ -492,7 +492,7 @@ def cmd_sweep(cfg: dict) -> int:
     write_csv(out / "dissipation.csv", ["nu", "dissipation", "resolved"], sweep_rep.rows)
 
     # the gate covers every integrated step, up to t_star as well as t_end
-    worst_leray = max(float(series.leray_residual.max()) for _, series in swept)
+    worst_leray = float(np.max([series.leray_residual.max() for _, series in swept]))  # keeps a NaN
     for (nu, traj), series in zip(runs, kept):
         write_csv(
             out / f"series_nu{nu:g}.csv",

@@ -12,9 +12,12 @@ same quadrature); it is kept with the tests as a mutual oracle for the
 direct route (tests/mollify_oracle.py).
 
 The direct route transforms the stack [u, u_i u_j] once; each radius is
-then one multiply by its kernel transfer and one inverse transform, which
-yields (u otimes u)^eps and the u^eps that the stress and the contraction
-share.  ``scaling_probe`` keeps that spectrum for its whole ladder.
+then one multiply by its kernel transfer and two inverse transforms, one
+per group: u^eps, which the stress and the contraction share, then
+(u otimes u)^eps, which is released as soon as the stress is formed.
+``scaling_probe`` keeps that spectrum for its whole ladder.  A rung then
+streams grad(phi u^eps) through ``grids.partials``, one component and one
+axis at a time, so it never holds more than one derivative field.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .grids import Grid, Snapshot, as_components, deriv, integrate, loglog_fit
+from .grids import Grid, Snapshot, as_components, integrate, loglog_fit, partials
 from .mollify import CutoffField, Mollifier, field_spectrum, make_mollifier, mollify_spectrum
 
 # ---------------------------------------------------------------------------
@@ -67,10 +70,12 @@ def _velocity_spectrum(vel: np.ndarray, grid: Grid) -> np.ndarray:
 
 def _mollified_stress(spectrum: np.ndarray, mol: Mollifier, grid: Grid,
                       region: np.ndarray | None) -> tuple[CommutatorStress, np.ndarray]:
-    """The stress and u^eps at one radius, from one inverse transform."""
-    smooth = mollify_spectrum(spectrum, mol.transfer(grid, region), grid)
-    ue = smooth[: grid.ndim]
-    return stress_from(smooth[grid.ndim:], ue, mol.epsilon, region), ue
+    """The stress and u^eps at one radius: u^eps, then the products, each
+    inverse-transformed on its own so their intermediates are never alive together."""
+    transfer = mol.transfer(grid, region)
+    n = grid.ndim
+    ue = mollify_spectrum(spectrum[:n], transfer, grid)
+    return stress_from(mollify_spectrum(spectrum[n:], transfer, grid), ue, mol.epsilon, region), ue
 
 
 def _as_mollifier(mollifier: Mollifier | float, grid: Grid) -> Mollifier:
@@ -106,12 +111,11 @@ def _phi_values(phi, grid):
 def contraction_grad(stress: CommutatorStress, ue: np.ndarray, phi, grid: Grid) -> float:
     """integral of R : grad(phi u^eps) over the box (trapezoid quadrature)."""
     pv = _phi_values(phi, grid)
-    n = grid.ndim
     total = np.zeros(grid.dims)
-    for j in range(n):
-        pj = pv * ue[j]
-        for i in range(n):
-            total += stress.tensor[i, j] * deriv(pj, i, grid)
+    for j in range(grid.ndim):
+        for i, g in partials(pv * ue[j], grid):
+            g *= stress.tensor[i, j]
+            total += g
     return integrate(total, grid)
 
 
@@ -218,6 +222,20 @@ def _probe_mask(grid: Grid, region: np.ndarray | None, per_axis: int = 16) -> np
     return mask
 
 
+def _probe_rung(spectrum, mol, grid, region, pv, probe, wts) -> tuple[float, float, float]:
+    """One rung's flux integral, sup |R| and sup |grad(phi u^eps)|; its fields die on return."""
+    stress, ue = _mollified_stress(spectrum, mol, grid, region)
+    contraction = np.zeros(grid.dims)
+    grad_sq = np.zeros(grid.dims)
+    for j in range(grid.ndim):
+        for i, g in partials(pv * ue[j], grid):
+            rg = stress.tensor[i, j] * g
+            contraction += np.abs(rg, out=rg)
+            grad_sq += np.multiply(g, g, out=g)
+    return (float(np.sum(contraction * wts)), float(np.abs(stress.tensor[:, :, probe]).max()),
+            float(np.sqrt(grad_sq[probe].max())))
+
+
 def scaling_probe(
     u: Snapshot | np.ndarray,
     alpha: float,
@@ -246,21 +264,8 @@ def scaling_probe(
     probe = _probe_mask(grid, region)
     wts = grid.quad_weights()
     spectrum = _velocity_spectrum(vel, grid)
-    flux_vals, sup_r, sup_g = [], [], []
-    for e in eps:
-        stress, ue = _mollified_stress(spectrum, make_mollifier(e, grid), grid, region)
-        n = grid.ndim
-        contraction = np.zeros(grid.dims)
-        grad_sq = np.zeros(grid.dims)
-        for j in range(n):
-            pj = pv * ue[j]
-            for i in range(n):
-                g = deriv(pj, i, grid)
-                contraction += np.abs(stress.tensor[i, j] * g)
-                grad_sq += g * g
-        flux_vals.append(float(np.sum(contraction * wts)))
-        sup_r.append(float(np.abs(stress.tensor[:, :, probe]).max()))
-        sup_g.append(float(np.sqrt(grad_sq[probe].max())))
+    rungs = [_probe_rung(spectrum, make_mollifier(e, grid), grid, region, pv, probe, wts) for e in eps]
+    flux_vals, sup_r, sup_g = zip(*rungs)
     return ScalingProbeResult(
         alpha,
         fit_loglog(eps, flux_vals, 3.0 * alpha - 1.0, "flux"),

@@ -18,8 +18,13 @@ field.
 Only the kernel depends on eps.  The identity is therefore split into a
 set-up that builds and transforms everything else once per snapshot (the
 products, the Euler residual, grad phi) and a per-eps step of one kernel
-multiply and one inverse transform; ``weak_energy_identity`` is the set-up
-plus one eps, and ``dr_convergence_sweep`` the set-up plus every rung.  A
+multiply per snapshot; ``weak_energy_identity`` is the set-up plus one eps,
+and ``dr_convergence_sweep`` the set-up plus every rung.  A rung
+inverse-transforms each snapshot's stack by groups, u, p, E and u_i u_j,
+each used and released before the next (the products right after the
+stress is formed), and streams grad(phi u^eps) one axis at a time, so it
+holds a handful of fields rather than the whole mollified stack.  The
+set-up's gradients (E's and grad phi) go through ``grids.partials`` too.  A
 time radius kappa is applied by ``mollify.time_mollify``.  A retained time
 where chi and chi' both vanish (the end snapshots of an un-smoothed run with
 chi spanning the trajectory) adds exactly 0 to both sides, so only its
@@ -35,7 +40,7 @@ import numpy as np
 from .commutator import (SlopeFit, contraction_grad, fit_loglog, monotone_within_10pct, quadratic_products,
                          stress_from)
 from .errors import PreconditionError
-from .grids import Trajectory, deriv, discretization_budget, integrate, trapezoid_time_weights
+from .grids import Grid, Trajectory, deriv, discretization_budget, integrate, partials, trapezoid_time_weights
 from .mollify import (
     CutoffField,
     RegionChain,
@@ -133,8 +138,9 @@ class _WeakIdentity:
     E = d_t u + div(u ox u) + grad p is the raw Euler residual (central time
     differences, one-sided at the window ends).  With kappa set, the stack is
     kappa-mollified in time before it is transformed.  Each ``report(eps)``
-    then costs one kernel multiply and one inverse transform per retained
-    time, plus the stress, grad(phi u^eps) and the sums.
+    then costs, per retained time, one kernel multiply and one inverse
+    transform per group of the stack (u, p, E, u_i u_j, in that order), plus
+    the stress, grad(phi u^eps) and the sums.
 
     A retained time where chi and chi' both vanish adds exactly 0 to lhs, rhs
     and the Euler term, so only its u is transformed and mollified, for the
@@ -163,7 +169,7 @@ class _WeakIdentity:
             stacks = (self._stack(traj, k, live) for k, live in zip(idx, self.live))
         self.spectra = [field_spectrum(f if live else self._dead(f, t)[:n], grid)
                         for f, live, t in zip(stacks, self.live, self.times)]
-        self.gphi = np.stack([deriv(test.phi.values, a, grid) for a in range(n)])
+        self.gphi = np.stack([g for _, g in partials(test.phi.values, grid)])
 
     @staticmethod
     def _dead(stack: np.ndarray, time: float) -> np.ndarray:
@@ -189,12 +195,29 @@ class _WeakIdentity:
         else:
             dudt = (vels[k + 1] - vels[k - 1]) / (2.0 * traj.dt)
         u, p = vels[k], traj.snapshots[k].pressure
-        e = dudt.copy()
-        for j in range(grid.ndim):
-            for i in range(grid.ndim):
-                e[j] += deriv(u[i] * u[j], i, grid)
-            e[j] += deriv(p, j, grid)
-        return np.concatenate([u, p[np.newaxis], quadratic_products(u), e])
+        q = quadratic_products(u)
+        e = _euler_residual(dudt, q, p, grid)
+        return np.concatenate([u, p[np.newaxis], q, e])
+
+    def _slice(self, k: int, transfer: np.ndarray, epsilon: float):
+        """Time k's max |u^eps| and, at a live time, its four integrals
+        (phi |u|^2/2, (|u|^2/2 + p) u . grad phi, E . phi u, R : grad(phi u));
+        its fields die on return."""
+        grid, pv = self.traj.grid, self.test.phi.values
+        n = grid.ndim
+        spectrum = self.spectra[k]
+        u = mollify_spectrum(spectrum[:n], transfer, grid)
+        umax = np.abs(u).max()
+        if not self.live[k]:
+            return umax, None
+        ke = 0.5 * np.sum(u * u, axis=0)
+        bern = ke + mollify_spectrum(spectrum[n], transfer, grid)
+        adv = sum(u[a] * self.gphi[a] for a in range(n))
+        kinetic, transport = integrate(pv * ke, grid), integrate(bern * adv, grid)
+        del ke, bern, adv
+        euler = integrate(np.sum(mollify_spectrum(spectrum[-n:], transfer, grid) * (pv * u), axis=0), grid)
+        stress = stress_from(mollify_spectrum(spectrum[n + 1:-n], transfer, grid), u, epsilon, self.chain.q2)
+        return umax, (kinetic, transport, euler, contraction_grad(stress, u, pv, grid))
 
     def report(self, epsilon: float) -> EnergyBalanceReport:
         traj, chain, kappa = self.traj, self.chain, self.kappa
@@ -204,9 +227,7 @@ class _WeakIdentity:
         if self.time_smoothed and chain.tau > 0 and kappa > 0.5 * chain.tau:
             raise PreconditionError(f"kappa={kappa:g} exceeds tau/2={0.5 * chain.tau:g}")
         grid = traj.grid
-        n = grid.ndim
         transfer = make_mollifier(epsilon, grid).transfer(grid, chain.q2)
-        pv = self.test.phi.values
         wts = trapezoid_time_weights(len(self.times), traj.dt)
         chi = self.test.chi(self.times)
         dchi = self.test.chi.deriv(self.times)
@@ -215,19 +236,14 @@ class _WeakIdentity:
         euler_term = 0.0
         fluxes = np.zeros(len(self.times))  # a dead time's zero keeps the sum's order
         umax = 0.0
-        for k, spectrum in enumerate(self.spectra):
-            smooth = mollify_spectrum(spectrum, transfer, grid)
-            u = smooth[:n]
-            umax = np.maximum(umax, np.abs(u).max())  # keeps a NaN, which max() would drop
-            if not self.live[k]:
+        for k in range(len(self.spectra)):
+            umax_k, sums = self._slice(k, transfer, epsilon)
+            umax = np.maximum(umax, umax_k)  # keeps a NaN, which max() would drop
+            if sums is None:
                 continue
-            p, q, e = smooth[n], smooth[n + 1:-n], smooth[-n:]
-            ke = 0.5 * np.sum(u * u, axis=0)
-            bern = ke + p
-            adv = sum(u[a] * self.gphi[a] for a in range(n))
-            lhs += wts[k] * (dchi[k] * integrate(pv * ke, grid) + chi[k] * integrate(bern * adv, grid))
-            euler_term += wts[k] * chi[k] * integrate(np.sum(e * (pv * u), axis=0), grid)
-            fluxes[k] = contraction_grad(stress_from(q, u, epsilon, chain.q2), u, pv, grid)
+            kinetic, transport, euler, fluxes[k] = sums
+            lhs += wts[k] * (dchi[k] * kinetic + chi[k] * transport)
+            euler_term += wts[k] * chi[k] * euler
 
         rhs = -float(np.sum(wts * chi * fluxes))
         residual = lhs - rhs
@@ -235,6 +251,22 @@ class _WeakIdentity:
         return EnergyBalanceReport(
             float(lhs), rhs, float(residual), float(epsilon), kappa, float(budget), float(euler_term),
         )
+
+
+def _euler_residual(dudt: np.ndarray, q: np.ndarray, p: np.ndarray, grid: Grid) -> np.ndarray:
+    """E_j = d_t u_j + sum_i d_i(u_i u_j) + d_j p, accumulated into ``dudt``.
+
+    ``q`` holds the products u_i u_j (i <= j) of ``quadratic_products``.  The
+    products and p are differentiated as separate stacks, one axis at a time.
+    """
+    n = grid.ndim
+    slot = {pair: k for k, pair in enumerate(zip(*np.triu_indices(n)))}
+    for i, g in partials(q, grid):
+        for j in range(n):
+            dudt[j] += g[slot[min(i, j), max(i, j)]]
+    for j, g in partials(p, grid):
+        dudt[j] += g
+    return dudt
 
 
 def weak_energy_identity(

@@ -323,14 +323,19 @@ def whole_steps(t: float, dt: float, name: str = "t_end") -> int:
     return n
 
 
-def _check_cfl(u, v, cfg: SolverConfig, t: float):
-    nx, ncy, hx, hy = _geometry(cfg.domain)
-    hmin = min(hx, hy)
+def _check_finite(u, v, cfg: SolverConfig, t: float) -> float:
+    """max |u|, |v| of the state at time t; a non-finite one raises, naming the step it enters."""
     umax = float(np.max([np.abs(u).max(), np.abs(v).max()]))  # NaN propagates
     if not np.isfinite(umax):
         k = int(round(t / cfg.dt)) + 1
         raise PreconditionError(f"non-finite velocity entering step {k} (t={t:g}): max |u| = {umax}")
-    umax = max(umax, 1e-300)
+    return umax
+
+
+def _check_cfl(u, v, cfg: SolverConfig, t: float):
+    nx, ncy, hx, hy = _geometry(cfg.domain)
+    hmin = min(hx, hy)
+    umax = max(_check_finite(u, v, cfg, t), 1e-300)
     adv_dt = cfg.cfl_limit * hmin / umax
     dif_dt = 0.25 * hmin**2 / cfg.nu if cfg.nu > 0 else float("inf")
     admissible = min(adv_dt, dif_dt)
@@ -435,6 +440,7 @@ def run(cfg: SolverConfig):
         rows.append((k * cfg.dt, e, acc, e + acc - e0))
         if k % cfg.snapshot_stride == 0:  # a final partial stride takes no snapshot
             snaps.append(mac_to_nodes(state, dom, tags))
+    _check_finite(state.u, state.v, cfg, state.t)  # the last state enters no step, so _check_cfl never sees it
     series = DissipationSeries(*(np.array(col) for col in zip(*rows)))
     return Trajectory(tuple(snaps), cfg.dt * cfg.snapshot_stride), series
 

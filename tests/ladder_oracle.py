@@ -10,13 +10,15 @@ products and the Euler residual for every epsilon.  They share only
 ``weak_identity_all_slices`` is the transform-once identity as it was before
 it skipped the times where chi and chi' vanish: every retained time gets its
 full stack and every sum, in the package's order of operations, so the
-package must match it bitwise.
+package must match it bitwise.  It checks which times are summed, not the
+derivative, so it takes its gradients (E's and grad phi) by the package's
+stack-gradient route, ``partials``, and inverse-transforms each stack whole.
 """
 
 import numpy as np
 
 from oflux.commutator import contraction_grad, quadratic_products, stress_from
-from oflux.grids import deriv, discretization_budget, integrate, trapezoid_time_weights
+from oflux.grids import deriv, discretization_budget, integrate, partials, trapezoid_time_weights
 from oflux.mollify import field_spectrum, make_mollifier, mollify_field, mollify_spectrum, time_kernel, time_mollify
 
 
@@ -59,25 +61,47 @@ def scaling_probe_rungs(vel, epsilons, pv, grid, probe, region=None):
     return out
 
 
-def _euler_residuals(traj):
-    grid = traj.grid
+def _time_derivatives(traj):
     vels = [s.velocity for s in traj.snapshots]
     nt = len(traj)
     out = []
     for k in range(nt):
         if nt == 1:
-            dudt = np.zeros_like(vels[0])
+            out.append(np.zeros_like(vels[0]))
         elif k == 0:
-            dudt = (vels[1] - vels[0]) / traj.dt
+            out.append((vels[1] - vels[0]) / traj.dt)
         elif k == nt - 1:
-            dudt = (vels[-1] - vels[-2]) / traj.dt
+            out.append((vels[-1] - vels[-2]) / traj.dt)
         else:
-            dudt = (vels[k + 1] - vels[k - 1]) / (2.0 * traj.dt)
-        e = dudt.copy()
+            out.append((vels[k + 1] - vels[k - 1]) / (2.0 * traj.dt))
+    return out
+
+
+def _euler_residuals(traj):
+    """E_j = d_t u_j + sum_i d_i(u_i u_j) + d_j p, one ``deriv`` per term."""
+    grid = traj.grid
+    out = []
+    for s, e in zip(traj.snapshots, _time_derivatives(traj)):
         for j in range(grid.ndim):
             for i in range(grid.ndim):
-                e[j] += deriv(vels[k][i] * vels[k][j], i, grid)
-            e[j] += deriv(traj.snapshots[k].pressure, j, grid)
+                e[j] += deriv(s.velocity[i] * s.velocity[j], i, grid)
+            e[j] += deriv(s.pressure, j, grid)
+        out.append(e)
+    return out
+
+
+def _euler_residuals_by_partials(traj):
+    """The same E, each term from ``partials``, summed in the same order."""
+    grid = traj.grid
+    out = []
+    for s, e in zip(traj.snapshots, _time_derivatives(traj)):
+        products = {(i, j): s.velocity[i] * s.velocity[j] for i in range(grid.ndim) for j in range(grid.ndim)}
+        grads = {key: dict(partials(q, grid)) for key, q in products.items()}
+        grad_p = dict(partials(s.pressure, grid))
+        for j in range(grid.ndim):
+            for i in range(grid.ndim):
+                e[j] += grads[i, j][i]
+            e[j] += grad_p[j]
         out.append(e)
     return out
 
@@ -134,7 +158,7 @@ def weak_identity_all_slices(traj, test, epsilons, chain, kappa=None):
     grid = traj.grid
     n = grid.ndim
     stacks = [np.concatenate([s.velocity, s.pressure[np.newaxis], quadratic_products(s.velocity), e])
-              for s, e in zip(traj.snapshots, _euler_residuals(traj))]
+              for s, e in zip(traj.snapshots, _euler_residuals_by_partials(traj))]
     smoothed = kappa is not None and len(traj) > 1
     idx = range(len(traj))
     if smoothed:
@@ -142,7 +166,7 @@ def weak_identity_all_slices(traj, test, epsilons, chain, kappa=None):
     times = np.array([traj.snapshots[i].time for i in idx])
     spectra = [field_spectrum(f, grid) for f in stacks]
     pv = test.phi.values
-    gphi = np.stack([deriv(pv, a, grid) for a in range(n)])
+    gphi = np.stack([g for _, g in partials(pv, grid)])
     wts = trapezoid_time_weights(len(times), traj.dt)
     chi, dchi = test.chi(times), test.chi.deriv(times)
     out = []

@@ -284,3 +284,39 @@ def test_modulus_constant_leak_detected():
     rep = modulus_check(traj, 0.2, dom)
     assert rep.intercept == pytest.approx(0.1, abs=1e-12)
     assert not rep.vanishing
+
+
+def _nan_channel_traj(dom, field):
+    """Three snapshots of a wall-bounded shear whose middle one holds one NaN
+    near the lower wall; Python's max() would drop it, as it is not first."""
+    _, y = dom.grid.meshes()
+    u = np.stack([np.broadcast_to(np.sin(np.pi * y) ** 2, dom.grid.dims).copy(), np.zeros(dom.grid.dims)])
+    p = np.broadcast_to(np.cos(np.pi * y), dom.grid.dims).copy()
+    snaps = []
+    for i in range(3):
+        data = {"velocity": u.copy(), "pressure": p.copy()}
+        if i == 1:
+            data[field][(0,) * (data[field].ndim - 2) + (3, 2)] = np.nan
+        snaps.append(Snapshot(dom.grid, data["velocity"], data["pressure"], 0.1 * i))
+    return Trajectory(tuple(snaps), 0.1)
+
+
+def test_global_balance_budget_keeps_a_nan():
+    dom = channel_domain(16, 65)
+    rep = global_balance(_nan_channel_traj(dom, "velocity"), 14 * dom.grid.spacing[1], 0.0, 0.2, dom)
+    assert np.isnan([rep.residual, rep.budget]).all()
+
+
+def test_conservation_verdict_pressure_norm_keeps_a_nan():
+    dom = channel_domain(16, 65)
+    h = dom.grid.spacing[1]
+    v = conservation_verdict(_nan_channel_traj(dom, "pressure"), [28 * h, 14 * h, 7 * h], dom)
+    assert np.isnan(v.pressure_norm)
+    assert not v.pressure_norm_finite
+    assert v.exit_code == 3 and "near-boundary-pressure" in v.verdict
+
+
+def test_modulus_bound_keeps_a_nan():
+    dom = channel_domain(16, 65)
+    rep = modulus_check(_nan_channel_traj(dom, "pressure"), 0.2, dom)
+    assert np.isnan(rep.bound_m)

@@ -664,3 +664,30 @@ def test_diagnose_time_radius_past_the_trajectory_exits_before_work(tmp_path, mo
     err = capsys.readouterr().err
     assert "time radius" in err and "internal error" not in err
     assert _no_output(out)
+
+
+def test_sweep_non_finite_final_state_exit_code(tmp_path, capsys, monkeypatch):
+    # no step starts from the last state, so only the final-state check sees its NaN
+    cfg = {
+        "geometry": "periodic",
+        "grid": "16x16",
+        "initial": {"kind": "taylor-green"},
+        "nus": [1e-2, 1e-3],
+        "dt": 0.01,
+        "t_end": 0.1,
+        "snapshot_stride": 5,
+    }
+    real_step = solver.step
+
+    def blowing_up(state, c, *args):
+        new, diss, loss = real_step(state, c, *args)
+        if c.nu == 1e-3 and state.t + c.dt >= c.t_end - 1e-12:
+            new = replace(new, u=np.full_like(new.u, np.nan))
+        return new, diss, loss
+
+    monkeypatch.setattr(solver, "step", blowing_up)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite velocity entering step 11" in err and "internal error" not in err
+    assert not out.exists()

@@ -11,7 +11,7 @@ from oflux import fieldio
 from oflux.commutator import commutator_stress, contraction_grad
 from oflux.energy_balance import ChiWindow, TestFunction, weak_energy_identity
 from oflux.errors import PreconditionError
-from oflux.grids import Snapshot, Trajectory, make_grid, wall_distance
+from oflux.grids import Snapshot, Trajectory, deriv, make_grid, partials, wall_distance
 from oflux.mollify import block_mask, cutoff_region, full_box_chain, make_mollifier, mollify_field, nested_regions
 from oflux.reports import config_hash
 
@@ -79,6 +79,27 @@ def _walled_grid(data, ndim, walls):
     axes = data.draw(st.permutations(range(ndim)))[:walls]
     kinds = ["wall" if a in axes else "periodic" for a in range(ndim)]
     return make_grid(shape, data.draw(st.tuples(*[st.floats(0.5, 3.0)] * ndim)), kinds)
+
+
+@PROPERTY
+@given(shape=st.lists(dims, min_size=2, max_size=3),
+       walls=st.lists(st.booleans(), min_size=3, max_size=3),
+       lead=st.sampled_from([(), (2,), (3, 2)]),
+       seed=seeds)
+def test_partials_matches_deriv(shape, walls, lead, seed):
+    # the stack-gradient route (real transforms) against the complex per-axis route
+    kinds = ["wall" if w else "periodic" for w in walls[: len(shape)]]
+    grid = make_grid(shape, (1.3, 0.9, 1.1)[: len(shape)], kinds)
+    f = np.random.default_rng(seed).standard_normal((*lead, *shape))
+    before = f.copy()
+    got = list(partials(f, grid))
+    assert [a for a, _ in got] == list(range(grid.ndim))
+    assert np.array_equal(f, before)
+    for a, g in got:
+        want = deriv(f, a, grid)
+        assert g.shape == f.shape
+        for c in np.ndindex(*lead):
+            assert np.abs(g[c] - want[c]).max() <= RTOL * np.abs(want[c]).max()
 
 
 @pytest.mark.parametrize("ndim", [2, 3])
