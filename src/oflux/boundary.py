@@ -29,6 +29,8 @@ from .synth import estimate_holder_exponent
 
 _STEP_LO = 0.25
 _STEP_HI = 0.5
+INTERIOR_MARGIN = 0.25  # the verdict's Hölder survey keeps points this fraction of the width off the walls
+MODULUS_TOL = 1e-8  # an envelope intercept within this of 0 counts as vanishing
 
 
 def smooth_step(s):
@@ -255,7 +257,6 @@ def conservation_verdict(
     beta: float = 1.0,
     gamma: float | None = None,
     energy_tol: float = 1e-6,
-    interior_margin: float = 0.25,
     seed: int = 0,
 ) -> ConservationVerdict:
     """Evaluate the global-conservation hypotheses on a shell ladder.
@@ -271,7 +272,7 @@ def conservation_verdict(
     trend = flux_trend_ok([v for _, v in ladder])
 
     d = domain.distance_field()
-    interior = d >= interior_margin * domain.channel_width
+    interior = d >= INTERIOR_MARGIN * domain.channel_width
     est = estimate_holder_exponent(traj.snapshots[len(traj) // 2], region=interior, seed=seed)
     alpha_ok = bool(est.exponent > 1.0 / 3.0)
 
@@ -350,7 +351,7 @@ class ModulusReport:
         }
 
 
-def modulus_check(traj: Trajectory, gamma: float, domain: Domain, tol: float = 1e-8) -> ModulusReport:
+def modulus_check(traj: Trajectory, gamma: float, domain: Domain) -> ModulusReport:
     """Near-wall modulus diagnostics.
 
     Reports M = max over the gamma-collar of |u| + |p|, the empirical
@@ -384,8 +385,8 @@ def modulus_check(traj: Trajectory, gamma: float, domain: Domain, tol: float = 1
     x = dvals[:3]
     y = env[:3]
     slope, intercept = np.polyfit(x, y, 1)
-    vanishing = bool(abs(intercept) <= tol)
+    vanishing = bool(abs(intercept) <= MODULUS_TOL)
     return ModulusReport(
         m_val, tuple(float(v) for v in dvals), tuple(float(v) for v in env),
-        float(intercept), float(slope), vanishing, tol,
+        float(intercept), float(slope), vanishing, MODULUS_TOL,
     )

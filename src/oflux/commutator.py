@@ -151,6 +151,7 @@ class SlopeFit:
 SLOPE_TOLERANCE = 0.15
 R2_GATE = 0.9
 RMS_LOG_GATE = 0.05  # fallback for flat curves, where r^2 loses meaning
+PROBES_PER_AXIS = 16  # the sup statistics' sublattice takes about this many points per axis
 
 
 def fit_loglog(epsilons, values, predicted: float, quantity: str) -> SlopeFit:
@@ -204,7 +205,7 @@ class ScalingProbeResult:
         return (self.flux, self.stress_sup, self.grad_sup)
 
 
-def _probe_mask(grid: Grid, region: np.ndarray | None, per_axis: int = 16) -> np.ndarray:
+def _probe_mask(grid: Grid, region: np.ndarray | None) -> np.ndarray:
     """Fixed strided sublattice used for sup statistics.
 
     Taking the sup over a fixed probe set keeps the number of effectively
@@ -213,7 +214,7 @@ def _probe_mask(grid: Grid, region: np.ndarray | None, per_axis: int = 16) -> np
     whole-grid max picks up as epsilon shrinks.
     """
     mask = np.zeros(grid.dims, dtype=bool)
-    sel = tuple(slice(None, None, max(1, m // per_axis)) for m in grid.dims)
+    sel = tuple(slice(None, None, max(1, m // PROBES_PER_AXIS)) for m in grid.dims)
     mask[sel] = True
     if region is not None:
         mask &= region

@@ -17,7 +17,6 @@ A trajectory is a directory of snapshot files plus ``trajectory.json``.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from pathlib import Path
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .grids import PERIODIC, WALL, Grid, Snapshot, Trajectory
-from .reports import canonical_json
+from .reports import canonical_json, read_object
 
 MAGIC = b"OFLX1"
 _KIND_CODE = {PERIODIC: 0, WALL: 1}
@@ -36,8 +35,11 @@ _TAIL = struct.Struct("<Id")  # component count, time
 
 
 def _write_field(path: str | Path, grid: Grid, comps, time: float, sidecar: dict) -> Path:
-    """Header, payload and canonical sidecar of one field file."""
+    """Header, payload and canonical sidecar of one field file; non-finite
+    data is refused, as the reader refuses it, before anything is written."""
     path = Path(path)
+    if not (math.isfinite(time) and all(np.isfinite(c).all() for c in comps)):
+        raise PreconditionError(f"{path}: non-finite time or field values")
     parts = [MAGIC, struct.pack("<I", grid.ndim)]
     for m, h, kind in zip(grid.dims, grid.spacing, grid.axis_kinds):
         parts.append(_AXIS.pack(m, h, _KIND_CODE[kind]))
@@ -95,12 +97,7 @@ def _read_field(path: Path):
     if not (math.isfinite(time) and np.isfinite(comps).all()):
         raise PreconditionError(f"{path}: non-finite time or field values")
     sidecar_path = Path(str(path) + ".json")
-    sidecar = {}
-    if sidecar_path.exists():
-        try:
-            sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise PreconditionError(f"{sidecar_path}: invalid JSON ({exc})") from exc
+    sidecar = read_object(sidecar_path) if sidecar_path.exists() else {}
     return grid, comps, time, sidecar
 
 
@@ -163,13 +160,8 @@ def write_trajectory(directory: str | Path, traj: Trajectory, tags: dict | None 
 def read_trajectory(directory: str | Path) -> Trajectory:
     directory = Path(directory)
     meta_path = directory / "trajectory.json"
-    if not meta_path.exists():
-        raise PreconditionError(f"{directory}: no trajectory.json found")
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # invalid JSON or invalid UTF-8
-        raise PreconditionError(f"{meta_path}: invalid JSON ({exc})") from exc
-    files = meta.get("files") if isinstance(meta, dict) else None
+    meta = read_object(meta_path)
+    files = meta.get("files")
     if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
         raise PreconditionError(f"{meta_path}: 'files' must be a list of file names")
     try:

@@ -24,6 +24,8 @@ from .grids import (WALL, Diagonal, Domain, Grid, Snapshot, deriv, deriv2, inver
 from .mollify import CutoffField, cutoff_region
 from .synth import holder_norm
 
+IMPERMEABILITY_TOL = 1e-8  # largest |u.n| on a wall that the Neumann solve accepts
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -130,17 +132,17 @@ def solve_channel_neumann(
     return np.ascontiguousarray(p - np.moveaxis(p, w, -1)[..., 1:-1].mean())
 
 
-def solve_pressure_channel(snap: Snapshot, domain: Domain, imp_tol: float = 1e-8) -> PressureSolveReport:
+def solve_pressure_channel(snap: Snapshot, domain: Domain) -> PressureSolveReport:
     """Neumann pressure recovery on a channel; requires u.n = 0 on the walls."""
     if domain.geometry != "channel":
         raise PreconditionError("channel pressure solve requires channel geometry")
     grid = snap.grid
     w = domain.wall_axis
     un_max = float(np.abs(np.moveaxis(snap.velocity[w], w, -1)[..., [0, -1]]).max())
-    if un_max > imp_tol:
+    if un_max > IMPERMEABILITY_TOL:
         raise PreconditionError(
             f"impermeability violated: max |u.n| on walls = {un_max:.3e} "
-            f"exceeds {imp_tol:.1e}; Neumann data would be inconsistent"
+            f"exceeds {IMPERMEABILITY_TOL:.1e}; Neumann data would be inconsistent"
         )
     g = -np.moveaxis(_advective_term(snap, w), w, -1)  # the wall planes are g[..., 0] and g[..., -1]
     source = _channel_source(snap)

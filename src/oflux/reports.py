@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .errors import PreconditionError
 
 
 def _plain(obj):
@@ -34,6 +35,21 @@ def _plain(obj):
 
 def canonical_json(obj) -> str:
     return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
+
+
+def read_object(path: str | Path) -> dict:
+    """The JSON object stored in ``path``; raises a PreconditionError naming
+    the file when it cannot be read, is not UTF-8 JSON or its top level is
+    not an object."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:  # missing, a directory, unreadable
+        raise PreconditionError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except ValueError as exc:  # a JSONDecodeError, a UnicodeDecodeError, or an integer past the digit limit
+        raise PreconditionError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise PreconditionError(f"{path}: top level must be an object")
+    return obj
 
 
 def write_json(path: str | Path, obj) -> Path:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oflux import fieldio, solver
+from oflux import cli, fieldio, solver
 from oflux.cli import main
 from oflux.grids import Domain, Snapshot, make_grid
 from oflux.reports import canonical_json, config_hash, write_csv
@@ -462,6 +462,16 @@ def test_diagnose_bad_trajectory_json_exit_code(tmp_path, capsys, meta):
     assert str(meta_path) in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("sidecar", [b"[]", b'"x"', b'{"tags": "\xff"}'], ids=["list", "string", "not utf-8"])
+def test_diagnose_bad_sidecar_exit_code(tmp_path, capsys, sidecar):
+    field = fieldio.write_snapshot(tmp_path / "f.oflx", taylor_green(make_grid((16, 16), (TWO_PI, TWO_PI))))
+    side = tmp_path / "f.oflx.json"
+    side.write_bytes(sidecar)
+    assert main(["diagnose", "--in", str(field), "--out", str(tmp_path / "d")]) == 3
+    err = capsys.readouterr().err
+    assert str(side) in err and "internal error" not in err
+
+
 def test_diagnose_trajectory_on_mixed_grids_exit_code(tmp_path, capsys):
     traj = tmp_path / "traj"
     traj.mkdir()
@@ -615,16 +625,62 @@ def test_report_manifest_hash_not_a_string_exit_code(tmp_path, capsys):
     ("diagnose", {"phi_inner": 0.8}, "diagnose.phi_inner"),
     ("diagnose", {"phi_inner": 0}, "diagnose.phi_inner"),
     ("boundary", {"energy_tol": -1}, "boundary.energy_tol"),
+    ("diagnose", {"alpha": 1.5}, "diagnose.alpha"),
+    ("diagnose", {"alpha": 0}, "diagnose.alpha"),
+    ("diagnose", {"alpha": "half"}, "diagnose.alpha"),
+    ("diagnose", {"kappa": -1}, "diagnose.kappa"),
+    ("diagnose", {"epsilons": [0.8, -0.4]}, "diagnose.epsilons"),
+    ("diagnose", {"phi_outer": 0}, "diagnose.phi_outer"),
+    ("boundary", {"etas": []}, "boundary.etas"),
+    ("boundary", {"etas": [0.2, 0.1, 0]}, "boundary.etas"),
+    ("boundary", {"gamma": 0}, "boundary.gamma"),
+    ("boundary", {"beta": -0.5}, "boundary.beta"),
 ])
 def test_bad_request_exits_before_reading_input(tmp_path, monkeypatch, capsys, command, cfg, key):
+    # the input is a single field, so a request that diagnose ignores there must still be refused
+    field = fieldio.write_snapshot(tmp_path / "in.oflx", taylor_green(make_grid((16, 16), (TWO_PI, TWO_PI))))
     loads = []
     monkeypatch.setattr(fieldio, "load_input", lambda path: loads.append(path))
     out = tmp_path / "o"
-    code = main([command, "--config", _write(tmp_path, cfg), "--in", str(tmp_path / "in"), "--out", str(out)])
+    code = main([command, "--config", _write(tmp_path, cfg), "--in", str(field), "--out", str(out)])
     assert code == 3
     err = capsys.readouterr().err
     assert key in err and "internal error" not in err
     assert loads == [] and _no_output(out)
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("gen", {"kind": "vortex"}, "gen.kind"),
+    ("gen", {"alpha": 1.0}, "gen.alpha"),
+    ("gen", {"cutoff": 0}, "gen.cutoff"),
+    ("gen", {"seed": -1}, "gen.seed"),
+    ("gen", {"kind": "taylor-green", "nu": -1}, "gen.nu"),
+    ("gen", {"grid": ""}, "gen.grid"),
+    ("sweep", {"geometry": "torus"}, "sweep.geometry"),
+    ("sweep", {"nus": []}, "sweep.nus"),
+    ("sweep", {"nus": [1e-2, -1e-3]}, "sweep.nus"),
+    ("sweep", {"dt": 0}, "sweep.dt"),
+    ("sweep", {"t_end": -0.1}, "sweep.t_end"),
+    ("sweep", {"t_star": 0}, "sweep.t_star"),
+    ("sweep", {"snapshot_stride": 0}, "sweep.snapshot_stride"),
+    ("sweep", {"cfl_limit": 0.6}, "sweep.cfl_limit"),
+    ("sweep", {"etas": [0.4, 0.3, -0.2]}, "sweep.etas"),
+    ("sweep", {"seed": -1}, "sweep.seed"),
+    ("sweep", {"initial": {"kind": "vortex"}}, "sweep.initial.kind"),
+    ("sweep", {"initial": {"kind": "fractional", "alpha": 1.2}}, "sweep.initial.alpha"),
+    ("sweep", {"initial": {"kind": "fractional", "alpha": 0.4, "cutoff": 0}}, "sweep.initial.cutoff"),
+    ("sweep", {"initial": {"kind": "poiseuille"}}, "sweep.initial.kind"),  # a channel profile on the box
+])
+def test_bad_request_exits_before_any_step(tmp_path, monkeypatch, capsys, command, cfg, key):
+    monkeypatch.setattr(solver, "step", lambda *a: pytest.fail("a solver step ran"))
+    monkeypatch.setattr(fieldio, "load_input", lambda path: pytest.fail("an input was read"))
+    base = {"kind": "fractional", "alpha": 0.4, "grid": "16x16"} if command == "gen" else \
+        dict(_SMALL_PERIODIC_SWEEP, grid="16x16")
+    out = tmp_path / "o"
+    assert main([command, "--config", _write(tmp_path, {**base, **cfg}), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert key in err and "internal error" not in err
+    assert _no_output(out)
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -691,3 +747,24 @@ def test_sweep_non_finite_final_state_exit_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "non-finite velocity entering step 11" in err and "internal error" not in err
     assert not out.exists()
+
+
+def test_readme_request_table_matches_the_schemas():
+    # one row per command and key, with the key's type, range and whether it is required
+    rows = {}
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 5:
+            rows[cells[0].strip("`"), cells[1].strip("`")] = cells[2:]
+    types = {str: "string", int: "integer", float: "number", list: "list of numbers"}
+    expected = {}
+    for command, schema in cli._SCHEMAS.items():
+        for key, spec in schema.items():
+            required = "yes" if spec.required else ""
+            if isinstance(spec.kind, dict):  # a nested object: its range is prose
+                expected[command, key] = ["object", rows.get((command, key), [None] * 3)[1], required]
+            else:
+                rng = spec.range_text()
+                expected[command, key] = [types[spec.kind], f"`{rng}`" if rng else "", required]
+    assert sorted(rows) == sorted(expected)
+    assert rows == expected

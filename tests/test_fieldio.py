@@ -138,3 +138,30 @@ def test_non_finite_payload_rejected(tmp_path, reader):
     struct.pack_into("<d", raw, len(raw) - 8, float("nan"))  # the last node of the last component
     path.write_bytes(bytes(raw))
     _rejects(path, reader, "non-finite")
+
+
+@pytest.mark.parametrize("damage", ["nan velocity", "inf pressure", "nan time", "inf scalar"])
+def test_non_finite_field_is_not_written(tmp_path, damage):
+    snap = taylor_green(make_grid((16, 16), (TWO_PI, TWO_PI)))
+    path = tmp_path / "f.oflx"
+    with pytest.raises(PreconditionError, match="non-finite") as err:
+        if damage == "nan velocity":
+            fieldio.write_snapshot(path, Snapshot(snap.grid, np.full_like(snap.velocity, np.nan), snap.pressure))
+        elif damage == "inf pressure":
+            fieldio.write_snapshot(path, Snapshot(snap.grid, snap.velocity, np.full_like(snap.pressure, np.inf)))
+        elif damage == "nan time":
+            fieldio.write_snapshot(path, Snapshot(snap.grid, snap.velocity, snap.pressure, float("nan")))
+        else:
+            fieldio.write_scalar_field(path, snap.grid, np.full(snap.grid.dims, -np.inf))
+    assert str(path) in str(err.value)
+    assert not path.exists() and not (tmp_path / "f.oflx.json").exists()
+
+
+@pytest.mark.parametrize("sidecar", [None, b"{}"], ids=["missing", "empty object"])
+def test_sidecar_may_be_missing_or_empty(tmp_path, sidecar):
+    snap = taylor_green(make_grid((16, 16), (TWO_PI, TWO_PI)))
+    path = fieldio.write_snapshot(tmp_path / "tg.oflx", snap)
+    side = tmp_path / "tg.oflx.json"
+    side.unlink() if sidecar is None else side.write_bytes(sidecar)
+    back = fieldio.read_snapshot(path)
+    assert np.array_equal(back.pressure, snap.pressure) and back.tags == {}
