@@ -56,28 +56,21 @@ def smooth_step_deriv(s):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShellSpec:
-    """Admissibility record for the boundary shell eta/4 < d < eta/2."""
-
-    eta: float
-    plane_count: int
-
-    @classmethod
-    def build(cls, domain: Domain, eta: float) -> "ShellSpec":
-        half = 0.5 * domain.channel_width
-        if not (0.0 < eta < half * (1.0 - 1e-12)):
-            raise PreconditionError(
-                f"shell scale must satisfy 0 < eta < half-width; got eta={eta:g}, half-width={half:g}"
-            )
-        d = wall_distance(domain.grid)
-        planes = int(np.sum((d > eta / 4.0) & (d < eta / 2.0)))
-        if planes < 3:
-            raise UnderResolvedError(
-                f"shell under-resolved: only {planes} grid planes fall in "
-                f"(eta/4, eta/2) = ({eta / 4:g}, {eta / 2:g}); need >= 3"
-            )
-        return cls(float(eta), planes)
+def check_shell(domain: Domain, eta: float) -> None:
+    """Refuse a boundary shell eta/4 < d < eta/2 that reaches the half-width
+    or holds fewer than 3 grid planes."""
+    half = 0.5 * domain.channel_width
+    if not (0.0 < eta < half * (1.0 - 1e-12)):
+        raise PreconditionError(
+            f"shell scale must satisfy 0 < eta < half-width; got eta={eta:g}, half-width={half:g}"
+        )
+    d = wall_distance(domain.grid)
+    planes = int(np.sum((d > eta / 4.0) & (d < eta / 2.0)))
+    if planes < 3:
+        raise UnderResolvedError(
+            f"shell under-resolved: only {planes} grid planes fall in "
+            f"(eta/4, eta/2) = ({eta / 4:g}, {eta / 2:g}); need >= 3"
+        )
 
 
 def shell_ladder(etas, domain: Domain) -> list[float]:
@@ -86,7 +79,7 @@ def shell_ladder(etas, domain: Domain) -> list[float]:
     if len(etas) < 3:
         raise PreconditionError("need a ladder of at least 3 admissible eta values")
     for e in etas:
-        ShellSpec.build(domain, e)
+        check_shell(domain, e)
     return etas
 
 
@@ -101,7 +94,7 @@ def boundary_cutoff(domain: Domain, eta: float) -> tuple[np.ndarray, np.ndarray]
     grad psi_eta = -(1/eta) step'(d/eta) n(sigma(x)); only the wall-axis
     component is nonzero on a channel.
     """
-    ShellSpec.build(domain, eta)
+    check_shell(domain, eta)
     grid = domain.grid
     d = domain.distance_field()
     psi = smooth_step(d / eta)
@@ -122,7 +115,7 @@ def _bernoulli_normal_flux(snap: Snapshot, domain: Domain) -> np.ndarray:
 
 def shell_flux(traj: Trajectory | Snapshot, eta: float, domain: Domain) -> float:
     """Phi_eta = (1/eta) int_t int_{eta/4 < d < eta/2} |(|u|^2/2 + p) u.n| dx dt."""
-    ShellSpec.build(domain, eta)
+    check_shell(domain, eta)
     if isinstance(traj, Snapshot):
         traj = Trajectory((traj,), 1.0)
     mask = shell_mask(domain, eta)
@@ -148,16 +141,6 @@ class GlobalBalanceReport:
     residual: float
     budget: float
     eta: float
-
-    def as_dict(self) -> dict:
-        return {
-            "e1": self.e1,
-            "e2": self.e2,
-            "boundary_term": self.boundary_term,
-            "residual": self.residual,
-            "budget": self.budget,
-            "eta": self.eta,
-        }
 
 
 def global_balance(traj: Trajectory, eta: float, t1: float, t2: float, domain: Domain) -> GlobalBalanceReport:
@@ -223,22 +206,6 @@ class ConservationVerdict:
     failed: tuple[str, ...] = ()
     notes: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "exit_code": self.exit_code,
-            "flux_ladder": [list(x) for x in self.flux_ladder],
-            "flux_trend_ok": self.flux_trend_ok,
-            "alpha_estimate": self.alpha_estimate,
-            "alpha_ok": self.alpha_ok,
-            "pressure_norm": self.pressure_norm,
-            "pressure_norm_finite": self.pressure_norm_finite,
-            "energy_drift": self.energy_drift,
-            "energy_ok": self.energy_ok,
-            "failed": list(self.failed),
-            "notes": self.notes,
-        }
-
 
 def flux_trend_ok(values) -> bool:
     """Ladder policy: monotone within 10% and final <= 1/4 of initial."""
@@ -283,7 +250,7 @@ def conservation_verdict(
     for snap in traj.snapshots:
         if snap.pressure is None:
             raise PreconditionError("conservation_verdict requires pressure on every snapshot")
-        pn = float(np.maximum(pn, negative_sobolev_norm(snap.pressure, beta, grid, cutoff=cf).value))  # keeps a NaN
+        pn = float(np.maximum(pn, negative_sobolev_norm(snap.pressure, beta, grid, cutoff=cf)))  # keeps a NaN
     pn_finite = bool(np.isfinite(pn))
 
     e_first = energy(traj.snapshots[0])
@@ -338,17 +305,6 @@ class ModulusReport:
     slope: float
     vanishing: bool
     tolerance: float
-
-    def as_dict(self) -> dict:
-        return {
-            "bound_m": self.bound_m,
-            "distances": list(self.distances),
-            "envelope": list(self.envelope),
-            "intercept": self.intercept,
-            "slope": self.slope,
-            "vanishing": self.vanishing,
-            "tolerance": self.tolerance,
-        }
 
 
 def modulus_check(traj: Trajectory, gamma: float, domain: Domain) -> ModulusReport:

@@ -192,13 +192,17 @@ def _parse_dims(text: str, name: str) -> tuple[int, ...]:
         raise ConfigError(f"{name}: expected like '256x256', got {text!r}") from exc
 
 
-def _parse_extents(text: str | None, ndim: int, name: str, default=2.0 * np.pi):
+def _parse_extents(text: str | None, ndim: int, name: str):
     if text is None:
-        return (default,) * ndim
+        return (2.0 * np.pi,) * ndim
     parts = text.lower().split("x")
     if len(parts) != ndim:
         raise ConfigError(f"{name}: expected {ndim} extents")
     return tuple(_floats(parts, name))
+
+
+def _grid_text(grid: Grid) -> str:
+    return "x".join(map(str, grid.dims))
 
 
 def _floats(texts, name) -> list[float]:
@@ -307,7 +311,11 @@ def cmd_diagnose(cfg: dict) -> int:
     alpha, alpha_source, est = cfg.get("alpha", "auto"), {"estimated": False}, None
     if alpha == "auto":
         window = (min(ladder), 2.0 * max(ladder))
-        est = estimate_holder_exponent(snap, seed=seed, fit_window=window)
+        try:
+            est = estimate_holder_exponent(snap, seed=seed, fit_window=window)
+        except PreconditionError as exc:
+            raise ConfigError(f"diagnose.alpha: 'auto' cannot estimate the Hölder exponent on the "
+                              f"{_grid_text(grid)} grid ({exc}); an explicit alpha runs") from exc
         alpha = est.exponent
         alpha_source = {"estimated": True, "r2": est.r2, "window": list(window)}
     probe = scaling_probe(snap, alpha, ladder, phi=phi)
@@ -319,13 +327,12 @@ def cmd_diagnose(cfg: dict) -> int:
         seminorm = holder_norm(snap, alpha, seed=seed)
     rows = list(zip(probe.flux.epsilons, probe.flux.values, probe.stress_sup.values, probe.grad_sup.values))
     write_csv(out / "scaling.csv", ["epsilon", "flux", "sup_R", "sup_grad"], rows)
-    fits = [f.as_dict() for f in probe.fits]
     verdicts = [f.passes for f in probe.fits]
     summary = {
         "alpha": alpha,
         "alpha_source": alpha_source,
         "holder_seminorm": seminorm,
-        "fits": fits,
+        "fits": probe.fits,
     }
 
     exit_code = EXIT_OK
@@ -342,14 +349,11 @@ def cmd_diagnose(cfg: dict) -> int:
         traj = data
         if any(s.pressure is None for s in traj.snapshots):
             traj = traj.map(lambda s: s.with_pressure(solve_pressure_periodic(s).pressure))
-        t1, t2 = traj.t_range
-        chain = full_box_chain(grid, eta=4.0 * max(ladder), t_range=(t1, t2), tau=0.0)
-        chi = ChiWindow(t1, t2)
-        test = TestFunction(chi, phi)
+        chain = full_box_chain(grid, eta=4.0 * max(ladder))
+        test = TestFunction(ChiWindow(*traj.t_range), phi)
         sweep = dr_convergence_sweep(traj, ladder, test, alpha, chain, kappa)
-        rep = sweep.reports[0]
-        summary["weak_identity"] = rep.as_dict()
-        summary["dr_sweep"] = sweep.as_dict()
+        summary["weak_identity"] = sweep.reports[0]
+        summary["dr_sweep"] = {"fit": sweep.fit, "alpha": sweep.alpha, "verdict": sweep.verdict}
         dtimes, defect = dr_dissipation_field(traj, max(ladder), chain)
         for k, tv in enumerate(dtimes):
             fieldio.write_scalar_field(
@@ -389,10 +393,19 @@ def cmd_boundary(cfg: dict) -> int:
     if grid.fully_periodic:
         raise PreconditionError("boundary diagnostics require a channel trajectory")
     domain = Domain(grid, "channel")
+    h = grid.spacing[domain.wall_axis]
+    if "etas" in cfg:
+        etas = [float(e) for e in cfg["etas"]]
+    else:
+        etas = [56 * h, 28 * h, 14 * h]
+        try:
+            shell_ladder(etas, domain)
+        except PreconditionError as exc:
+            raise ConfigError(f"boundary.etas: the default ladder [56h, 28h, 14h] needs about 114 points "
+                              f"across the channel, the {_grid_text(grid)} grid has "
+                              f"{grid.dims[domain.wall_axis]} ({exc}); give etas explicitly") from exc
     if any(s.pressure is None for s in traj.snapshots):
         traj = traj.map(lambda s: s.with_pressure(solve_pressure_channel(s, domain).pressure))
-    h = grid.spacing[domain.wall_axis]
-    etas = [float(e) for e in cfg["etas"]] if "etas" in cfg else [56 * h, 28 * h, 14 * h]
     gamma = cfg.get("gamma", 0.25 * domain.channel_width)
 
     verdict = conservation_verdict(traj, etas, domain, beta=cfg.get("beta", 1.0), gamma=gamma,
@@ -408,7 +421,7 @@ def cmd_boundary(cfg: dict) -> int:
     )
     write_json(
         out / "verdict.json",
-        {"verdict": verdict.as_dict(), "global_balance": bal.as_dict(), "modulus": mod.as_dict()},
+        {"verdict": verdict, "global_balance": bal, "modulus": mod},
     )
     write_manifest(out, cfg, seeds=[seed])
     print(f"boundary: {verdict.verdict}")
@@ -436,7 +449,7 @@ def cmd_sweep(cfg: dict) -> int:
         domain = Domain(grid, "periodic")
 
     init_cfg = dict(cfg.get("initial", {"kind": "taylor-green"}))
-    init_cfg.setdefault("grid", "x".join(str(m) for m in dims))
+    init_cfg.setdefault("grid", _grid_text(grid))
     if init_cfg["kind"] == "poiseuille":
         if geometry != "channel":
             raise ConfigError("sweep.initial.kind: 'poiseuille' needs a channel geometry")
@@ -492,14 +505,14 @@ def cmd_sweep(cfg: dict) -> int:
         )
         fieldio.write_trajectory(out / f"traj_nu{nu:g}", traj, tags={"nu": nu})
     summary = {
-        "dissipation_sweep": sweep_rep.as_dict(),
+        "dissipation_sweep": sweep_rep,
         "max_leray_residual": worst_leray,
         "leray_ok": bool(worst_leray <= 1e-8),
     }
     exit_code = EXIT_OK if sweep_rep.verdict.startswith("vanishing") else EXIT_NEGATIVE
     if etas is not None:
         vrep = viscous_flux_criterion(runs, etas, domain)
-        summary["viscous_flux"] = vrep.as_dict()
+        summary["viscous_flux"] = vrep
         write_csv(
             out / "viscous_flux.csv",
             ["eta"] + [f"nu={nu:g}" for nu in vrep.nus] + ["extrapolated"],

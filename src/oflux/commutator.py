@@ -31,17 +31,8 @@ from .grids import Grid, Snapshot, as_components, integrate, loglog_fit, partial
 from .mollify import CutoffField, Mollifier, field_spectrum, make_mollifier, mollify_spectrum
 
 # ---------------------------------------------------------------------------
-# stress tensors
+# stress tensors: symmetric fields of shape (n, n, *dims)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CommutatorStress:
-    """Symmetric stress tensor field, shape (n, n, *dims), valid on ``region``."""
-
-    tensor: np.ndarray
-    epsilon: float
-    region: np.ndarray | None
 
 
 def quadratic_products(vel: np.ndarray) -> np.ndarray:
@@ -50,8 +41,7 @@ def quadratic_products(vel: np.ndarray) -> np.ndarray:
     return np.stack([vel[i] * vel[j] for i, j in zip(iu, ju)])
 
 
-def stress_from(products_eps: np.ndarray, ue: np.ndarray, epsilon: float,
-                region: np.ndarray | None) -> CommutatorStress:
+def stress_from(products_eps: np.ndarray, ue: np.ndarray) -> np.ndarray:
     """R from mollified products (order of ``quadratic_products``) and u^eps."""
     n = len(ue)
     tensor = np.empty((n, n, *ue.shape[1:]))
@@ -60,7 +50,7 @@ def stress_from(products_eps: np.ndarray, ue: np.ndarray, epsilon: float,
         tensor[i, j] = r
         if i != j:
             tensor[j, i] = r
-    return CommutatorStress(tensor, epsilon, region)
+    return tensor
 
 
 def _velocity_spectrum(vel: np.ndarray, grid: Grid) -> np.ndarray:
@@ -69,13 +59,13 @@ def _velocity_spectrum(vel: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _mollified_stress(spectrum: np.ndarray, mol: Mollifier, grid: Grid,
-                      region: np.ndarray | None) -> tuple[CommutatorStress, np.ndarray]:
+                      region: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The stress and u^eps at one radius: u^eps, then the products, each
     inverse-transformed on its own so their intermediates are never alive together."""
     transfer = mol.transfer(grid, region)
     n = grid.ndim
     ue = mollify_spectrum(spectrum[:n], transfer, grid)
-    return stress_from(mollify_spectrum(spectrum[n:], transfer, grid), ue, mol.epsilon, region), ue
+    return stress_from(mollify_spectrum(spectrum[n:], transfer, grid), ue), ue
 
 
 def _as_mollifier(mollifier: Mollifier | float, grid: Grid) -> Mollifier:
@@ -87,8 +77,8 @@ def commutator_stress(
     mollifier: Mollifier | float,
     grid: Grid | None = None,
     region: np.ndarray | None = None,
-) -> CommutatorStress:
-    """(u otimes u)^eps - u^eps otimes u^eps, componentwise."""
+) -> np.ndarray:
+    """(u otimes u)^eps - u^eps otimes u^eps, componentwise; valid on ``region``."""
     vel, grid = as_components(u, grid)
     mol = _as_mollifier(mollifier, grid)
     return _mollified_stress(_velocity_spectrum(vel, grid), mol, grid, region)[0]
@@ -108,13 +98,13 @@ def _phi_values(phi, grid):
     return arr
 
 
-def contraction_grad(stress: CommutatorStress, ue: np.ndarray, phi, grid: Grid) -> float:
+def contraction_grad(stress: np.ndarray, ue: np.ndarray, phi, grid: Grid) -> float:
     """integral of R : grad(phi u^eps) over the box (trapezoid quadrature)."""
     pv = _phi_values(phi, grid)
     total = np.zeros(grid.dims)
     for j in range(grid.ndim):
         for i, g in partials(pv * ue[j], grid):
-            g *= stress.tensor[i, j]
+            g *= stress[i, j]
             total += g
     return integrate(total, grid)
 
@@ -134,18 +124,6 @@ class SlopeFit:
     predicted_slope: float
     passes: bool | None  # None when r2 < 0.9 (not assessable)
     note: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "epsilons": list(self.epsilons),
-            "values": list(self.values),
-            "slope": self.slope,
-            "r2": self.r2,
-            "predicted_slope": self.predicted_slope,
-            "passes": self.passes,
-            "note": self.note,
-        }
 
 
 SLOPE_TOLERANCE = 0.15
@@ -230,10 +208,10 @@ def _probe_rung(spectrum, mol, grid, region, pv, probe, wts) -> tuple[float, flo
     grad_sq = np.zeros(grid.dims)
     for j in range(grid.ndim):
         for i, g in partials(pv * ue[j], grid):
-            rg = stress.tensor[i, j] * g
+            rg = stress[i, j] * g
             contraction += np.abs(rg, out=rg)
             grad_sq += np.multiply(g, g, out=g)
-    return (float(np.sum(contraction * wts)), float(np.abs(stress.tensor[:, :, probe]).max()),
+    return (float(np.sum(contraction * wts)), float(np.abs(stress[:, :, probe]).max()),
             float(np.sqrt(grad_sq[probe].max())))
 
 

@@ -126,7 +126,6 @@ class Mollifier:
     spacing: tuple[float, ...]
     offsets: np.ndarray  # (k, ndim) int
     weights: np.ndarray  # (k,) float, renormalized
-    dimension: int
 
     def transfer(self, grid: Grid, region: np.ndarray | None = None) -> np.ndarray:
         """Half-spectrum (``rfftn``) of the kernel wrapped onto the grid.
@@ -158,7 +157,7 @@ def make_mollifier(epsilon: float, grid: Grid) -> Mollifier:
     w = bump(r[keep] / epsilon)
     vol = float(np.prod(h))
     w = w / (np.sum(w) * vol)
-    return Mollifier(float(epsilon), tuple(h), offsets, w, grid.ndim)
+    return Mollifier(float(epsilon), tuple(h), offsets, w)
 
 
 def _kernel_grid(mol: Mollifier, grid: Grid) -> np.ndarray:
@@ -294,11 +293,7 @@ def set_distance(a_mask: np.ndarray, b_mask: np.ndarray, grid: Grid) -> float:
 
 @dataclass(frozen=True)
 class RegionChain:
-    """Nested index sets Q3 sub Q2 sub Q1 sub Qtilde with margin ``eta``.
-
-    Optional time bookkeeping (``t_range`` and margin ``tau``) marks the
-    admissible window for space-time mollification.
-    """
+    """Nested index sets Q3 sub Q2 sub Q1 sub Qtilde with margin ``eta``."""
 
     grid: Grid
     q3: np.ndarray
@@ -306,8 +301,6 @@ class RegionChain:
     q1: np.ndarray
     qtilde: np.ndarray
     eta: float
-    t_range: tuple[float, float] | None = None
-    tau: float = 0.0
 
     def __post_init__(self):
         if not self.q3.any():
@@ -326,28 +319,16 @@ class RegionChain:
                         f"region margins violated: set distance {gap:g} < eta={self.eta:g}"
                     )
 
-    def time_window(self, shrink: int) -> tuple[float, float]:
-        if self.t_range is None:
-            raise PreconditionError("region chain carries no time window")
-        t1, t2 = self.t_range
-        return (t1 + shrink * self.tau, t2 - shrink * self.tau)
 
-
-def full_box_chain(grid: Grid, eta: float, t_range=None, tau: float = 0.0) -> RegionChain:
+def full_box_chain(grid: Grid, eta: float) -> RegionChain:
     """On a fully periodic grid every region may be the whole box."""
     if not grid.fully_periodic:
         raise PreconditionError("full-box chains require a fully periodic grid")
     full = np.ones(grid.dims, dtype=bool)
-    return RegionChain(grid, full, full.copy(), full.copy(), full.copy(), eta, t_range, tau)
+    return RegionChain(grid, full, full.copy(), full.copy(), full.copy(), eta)
 
 
-def nested_regions(
-    support: np.ndarray,
-    eta: float,
-    grid: Grid,
-    t_range=None,
-    tau: float = 0.0,
-) -> RegionChain:
+def nested_regions(support: np.ndarray, eta: float, grid: Grid) -> RegionChain:
     """Grow the three nested regions outward from ``support`` by steps of ``eta``.
 
     Q_i is the set of nodes within i*eta of the support (rounding is outward:
@@ -375,7 +356,7 @@ def nested_regions(
                 "domain too small for margins: support sits "
                 f"{clearance:g} from a wall; maximal feasible eta is {clearance / 4:g}"
             )
-    return RegionChain(grid, q3, q2, q1, qtilde, eta, t_range, tau)
+    return RegionChain(grid, q3, q2, q1, qtilde, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +366,11 @@ def nested_regions(
 
 @dataclass(frozen=True)
 class CutoffField:
-    """Scalar field in [0,1]: exactly 1 on ``inner``, exactly 0 outside ``outer``."""
+    """Scalar field in [0,1]: exactly 1 on its inner region, exactly 0 outside
+    its outer one; ``width`` is the gap between the two."""
 
     grid: Grid
     values: np.ndarray
-    inner: np.ndarray
-    outer: np.ndarray
     width: float
 
 
@@ -408,7 +388,7 @@ def cutoff_region(grid: Grid, inner: np.ndarray, outer: np.ndarray) -> CutoffFie
         raise PreconditionError("inner region must be nonempty")
     comp = ~outer
     if not comp.any():
-        return CutoffField(grid, np.ones(grid.dims), inner, outer, float("inf"))
+        return CutoffField(grid, np.ones(grid.dims), float("inf"))
     d = _distance_to_set(comp, grid)
     gap = float(d[inner].min())  # the inner/complement set distance
     floor = 2.0 * min(grid.spacing)  # resolution along the transition direction
@@ -419,7 +399,7 @@ def cutoff_region(grid: Grid, inner: np.ndarray, outer: np.ndarray) -> CutoffFie
     values = smooth_ramp(d / gap)
     values[inner] = 1.0
     values[comp] = 0.0
-    return CutoffField(grid, values, inner, outer, gap)
+    return CutoffField(grid, values, gap)
 
 
 def block_mask(grid: Grid, lo_frac, hi_frac) -> np.ndarray:

@@ -35,15 +35,6 @@ IMPERMEABILITY_TOL = 1e-8  # largest |u.n| on a wall that the Neumann solve acce
 class PressureSolveReport:
     pressure: np.ndarray
     residual: float
-    gauge: str
-    boundary_condition: str
-
-
-@dataclass(frozen=True)
-class SobolevNormEstimate:
-    beta: float
-    value: float
-    region: str
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +58,7 @@ def solve_pressure_periodic(snap: Snapshot) -> PressureSolveReport:
                   for spectrum, (i, j) in zip(spectra, zip(*np.triu_indices(grid.ndim))))
     p, src = neg_lap.inverse(np.stack([src_hat * inverse_eigenvalues(k2), src_hat]))
     residual = float(np.abs(neg_lap(p) - src).max())
-    return PressureSolveReport(p, residual, "zero-mean", "periodic")
+    return PressureSolveReport(p, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +141,7 @@ def solve_pressure_channel(snap: Snapshot, domain: Domain) -> PressureSolveRepor
 
     lap = sum(deriv2(p, a, grid) for a in range(grid.ndim))
     residual = float(np.abs(np.moveaxis(-lap - source, w, -1)[..., 1:-1]).max())
-    return PressureSolveReport(p, residual, "zero-mean (interior nodes)", "neumann: dp/dn = -(u.grad u).n")
+    return PressureSolveReport(p, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -158,27 +149,20 @@ def solve_pressure_channel(snap: Snapshot, domain: Domain) -> PressureSolveRepor
 # ---------------------------------------------------------------------------
 
 
-def negative_sobolev_norm(
-    field: np.ndarray,
-    beta: float,
-    grid: Grid,
-    cutoff: CutoffField | None = None,
-    region: np.ndarray | None = None,
-) -> SobolevNormEstimate:
+def negative_sobolev_norm(field: np.ndarray, beta: float, grid: Grid,
+                          cutoff: CutoffField | None = None) -> float:
     """Spectrally weighted H^{-beta} norm: sqrt(sum (1+|k|^2)^-beta |f_hat|^2).
 
-    The field is multiplied by the cutoff (or restricted to ``region``),
-    extended periodically along periodic axes and odd-extended along a wall
-    axis, and transformed with the volume normalization that makes beta = 0
-    reproduce the L^2 norm exactly.
+    The field is multiplied by the cutoff, extended periodically along
+    periodic axes and odd-extended along a wall axis, and transformed with
+    the volume normalization that makes beta = 0 reproduce the L^2 norm
+    exactly.
     """
     if beta < 0:
         raise PreconditionError("beta must be nonnegative")
     f = np.array(field, dtype=float)
     if cutoff is not None:
         f = f * cutoff.values
-    elif region is not None:
-        f = np.where(region, f, 0.0)
 
     wall_axes = [a for a in range(grid.ndim) if grid.axis_kinds[a] == WALL]
     if len(wall_axes) > 1:
@@ -207,9 +191,7 @@ def negative_sobolev_norm(
     )
     k2 = sum(k * k for k in ks)
     weight = (1.0 + k2) ** (-beta)
-    value = scale * float(np.sqrt(np.sum(weight * np.abs(f_hat) ** 2)))
-    descr = "full grid" if region is None and cutoff is None else "cutoff region"
-    return SobolevNormEstimate(float(beta), value, descr)
+    return scale * float(np.sqrt(np.sum(weight * np.abs(f_hat) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +239,7 @@ def interior_holder_check(
         outer = d < gamma
         inner = d < gamma / 2.0
         cf = cutoff_region(grid, inner, outer)
-        nsn = negative_sobolev_norm(snap.pressure, beta, grid, cutoff=cf).value
+        nsn = negative_sobolev_norm(snap.pressure, beta, grid, cutoff=cf)
     else:
         nsn = 0.0
     denom = u_norm**2 + nsn

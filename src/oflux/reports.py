@@ -3,10 +3,16 @@
 Outputs are byte-deterministic: canonical JSON sorts keys, floats are
 serialized with shortest round-trip repr, and no timestamps or host
 information ever enter a report directory.
+
+This is the one place a result record becomes JSON: a dataclass instance
+is written as the object of its fields, tuples and arrays as lists, numpy
+scalars as Python numbers.  A record written to a report therefore holds
+exactly the fields its JSON shows.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -18,6 +24,8 @@ from .errors import PreconditionError
 
 
 def _plain(obj):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -468,13 +468,6 @@ class DissipationSweepReport:
     verdict: str
     flagged: tuple
 
-    def as_dict(self) -> dict:
-        return {
-            "rows": [list(r) for r in self.rows],
-            "verdict": self.verdict,
-            "flagged": [list(r) for r in self.flagged],
-        }
-
 
 def dissipation_report(swept, domain: Domain, dt: float, t_star: float) -> DissipationSweepReport:
     """nu -> nu * int_0^{t*} ||grad u||^2 over a decreasing viscosity ladder.
@@ -529,16 +522,6 @@ class ViscousFluxReport:
     extrapolated: tuple
     eta_trend_ok: bool
     verdict: str
-
-    def as_dict(self) -> dict:
-        return {
-            "etas": list(self.etas),
-            "nus": list(self.nus),
-            "flux": [list(r) for r in self.flux],
-            "extrapolated": list(self.extrapolated),
-            "eta_trend_ok": self.eta_trend_ok,
-            "verdict": self.verdict,
-        }
 
 
 def viscous_flux_criterion(runs, etas, domain: Domain) -> ViscousFluxReport:

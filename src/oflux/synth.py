@@ -158,10 +158,7 @@ def fractional_field(alpha: float, cutoff: int | None, seed: int, grid: Grid) ->
 class HolderEstimate:
     exponent: float
     seminorm: float
-    pair_count: int
-    scale_range: tuple[float, float]
     r2: float
-    seed: int
     degenerate: str | None = None
 
 
@@ -277,8 +274,8 @@ def _increment_survey(
 
     The smallest admissible shell (separations from 2h) is exhaustive; larger
     shells are sampled orbit-wise with the seeded generator.  Returns
-    per-offset (r_eff, s_max) points, per-rung (r, S) maxima, the pair count,
-    and the surveyed scale range.
+    per-offset (r_eff, s_max) points, per-rung (r, S) maxima, and the number
+    of rungs in the ladder.
     """
     _check_region(grid, region)
     h = min(grid.spacing)
@@ -294,7 +291,6 @@ def _increment_survey(
         r *= np.sqrt(2.0)
     points = []  # (r_eff, s)
     rung_points = []  # (r at argmax, rung max)
-    pair_count = 0
     hvec = np.asarray(grid.spacing)
     for j, r_lo in enumerate(rungs):
         r_hi = min(r_lo * np.sqrt(2.0), r_max * (1.0 + 1e-12))
@@ -313,14 +309,13 @@ def _increment_survey(
                 s, cnt = _offset_max_increment(vel, o, _valid_bases(grid, region, o))
                 if cnt > 0:
                     points.append((r_eff, s))
-                    pair_count += cnt
                     if s > best_s:
                         best_s, best_r = s, r_eff
         if best_r is not None:
             rung_points.append((best_r, best_s))
     if not points:
         raise PreconditionError("no admissible node pairs in the region")
-    return np.array(points), np.array(rung_points), pair_count, len(rungs), (2.0 * h, r_max)
+    return np.array(points), np.array(rung_points), len(rungs)
 
 
 def holder_norm(
@@ -335,7 +330,7 @@ def holder_norm(
     if not (0.0 < alpha <= 1.0):
         raise PreconditionError("alpha must lie in (0,1]")
     vel, grid = as_components(field, grid)
-    points, _, _, _, _ = _increment_survey(vel, grid, region, r_max, seed)
+    points, _, _ = _increment_survey(vel, grid, region, r_max, seed)
     q = points[:, 1] / points[:, 0] ** alpha
     return float(q.max())
 
@@ -363,15 +358,13 @@ def estimate_holder_exponent(
     default the fit is capped at the saturation guard.
     """
     vel, grid = as_components(field, grid)
-    points, rung_pts, pair_count, n_rungs, scale_range = _increment_survey(
-        vel, grid, region, r_max, seed
-    )
+    points, rung_pts, n_rungs = _increment_survey(vel, grid, region, r_max, seed)
     if n_rungs < 4 or len(rung_pts) < 4:
         raise PreconditionError(f"separation ladder has {len(rung_pts)} rungs; need at least 4")
     scale = float(np.abs(vel).max())
     live = rung_pts[:, 1] > 1e-13 * max(scale, 1.0)
     if not live.any():
-        return HolderEstimate(1.0, 0.0, pair_count, scale_range, 1.0, seed, "degenerate: zero increments")
+        return HolderEstimate(1.0, 0.0, 1.0, "degenerate: zero increments")
 
     order = np.argsort(rung_pts[:, 0])
     rung_sorted = rung_pts[order]
@@ -391,8 +384,8 @@ def estimate_holder_exponent(
     live = sel[:, 1] > 1e-13 * max(scale, 1.0)
     sel = sel[live]
     if len(sel) < 2:
-        return HolderEstimate(1.0, 0.0, pair_count, scale_range, 1.0, seed, "degenerate: zero increments")
+        return HolderEstimate(1.0, 0.0, 1.0, "degenerate: zero increments")
     slope, r2, _ = loglog_fit(sel[:, 0], sel[:, 1])
     exponent = float(np.clip(slope, 0.0, 1.0))
     q = points[:, 1] / points[:, 0] ** exponent
-    return HolderEstimate(exponent, float(q.max()), pair_count, scale_range, r2, seed)
+    return HolderEstimate(exponent, float(q.max()), r2)

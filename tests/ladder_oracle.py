@@ -181,7 +181,7 @@ def weak_identity_all_slices(traj, test, epsilons, chain, kappa=None):
             adv = sum(u[a] * gphi[a] for a in range(n))
             lhs += wts[k] * (dchi[k] * integrate(pv * ke, grid) + chi[k] * integrate((ke + p) * adv, grid))
             euler_term += wts[k] * chi[k] * integrate(np.sum(e * (pv * u), axis=0), grid)
-            fluxes.append(contraction_grad(stress_from(q, u, epsilon, chain.q2), u, pv, grid))
+            fluxes.append(contraction_grad(stress_from(q, u), u, pv, grid))
             umax = np.maximum(umax, np.abs(u).max())
         rhs = -float(np.sum(wts * chi * np.asarray(fluxes)))
         budget = discretization_budget(grid, traj.dt if smoothed else 0.0, umax)

@@ -11,7 +11,6 @@ three times along each periodic axis.
 import numpy as np
 from scipy import ndimage
 
-from oflux.commutator import CommutatorStress
 from oflux.grids import PERIODIC, as_components
 from oflux.mollify import Mollifier, make_mollifier, mollify_field
 
@@ -55,7 +54,7 @@ def commutator_via_increments(u, mollifier, grid=None, region=None):
         tensor[i, j] = r
         if i != j:
             tensor[j, i] = r
-    return CommutatorStress(tensor, mol.epsilon, region)
+    return tensor
 
 
 def distance_via_tiling(mask, grid):

@@ -3,8 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from oflux.boundary import (
-    ShellSpec,
     boundary_cutoff,
+    check_shell,
     conservation_verdict,
     global_balance,
     modulus_check,
@@ -50,13 +50,13 @@ def test_smooth_step_derivative_nonneg_and_unit_mass():
 def test_shell_spec_rejects_thin_shell():
     dom = channel_domain(32, 33)
     with pytest.raises(UnderResolvedError, match="under-resolved"):
-        ShellSpec.build(dom, 6 * dom.grid.spacing[1])
+        check_shell(dom, 6 * dom.grid.spacing[1])
 
 
 def test_shell_spec_bounds():
     dom = channel_domain(32, 65)
     with pytest.raises(PreconditionError):
-        ShellSpec.build(dom, 0.7)  # above the half-width
+        check_shell(dom, 0.7)  # above the half-width
 
 
 def test_boundary_cutoff_values_and_gradient():
@@ -227,15 +227,15 @@ def test_conservation_verdict_builds_the_wall_cutoff_once(monkeypatch):
     traj = _steady_shear_traj(dom).map(lambda s: Snapshot(s.grid, s.velocity, (1.0 + s.time) * wave, s.time))
     h = dom.grid.spacing[1]
     etas = [56 * h, 28 * h, 14 * h]
-    expected = conservation_verdict(traj, etas, dom).as_dict()
+    expected = conservation_verdict(traj, etas, dom)
     # the per-snapshot maximum with a cutoff rebuilt for every snapshot
     d = dom.distance_field()
     gamma = 0.5 * max(etas)
     norms = [
-        negative_sobolev_norm(s.pressure, 1.0, dom.grid, cutoff=cutoff_region(dom.grid, d < gamma / 2, d < gamma)).value
+        negative_sobolev_norm(s.pressure, 1.0, dom.grid, cutoff=cutoff_region(dom.grid, d < gamma / 2, d < gamma))
         for s in traj.snapshots
     ]
-    assert expected["pressure_norm"] == max(norms)
+    assert expected.pressure_norm == max(norms)
 
     calls = []
 
@@ -244,7 +244,7 @@ def test_conservation_verdict_builds_the_wall_cutoff_once(monkeypatch):
         return cutoff_region(*args, **kwargs)
 
     monkeypatch.setattr(boundary, "cutoff_region", counting)
-    assert conservation_verdict(traj, etas, dom).as_dict() == expected
+    assert conservation_verdict(traj, etas, dom) == expected
     assert len(calls) == 1
 
 

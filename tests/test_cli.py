@@ -7,7 +7,7 @@ import pytest
 
 from oflux import cli, fieldio, solver
 from oflux.cli import main
-from oflux.grids import Domain, Snapshot, make_grid
+from oflux.grids import Domain, Snapshot, Trajectory, make_grid
 from oflux.reports import canonical_json, config_hash, write_csv
 from oflux.solver import SolverConfig, dissipation_sweep, run
 from oflux.synth import fractional_field, taylor_green
@@ -113,8 +113,6 @@ def test_boundary_command_steady_and_leak(tmp_path):
     dom = channel_domain(128, 129)
     _, y = dom.grid.meshes()
     prof = np.sin(np.pi * y) ** 2
-    from oflux.grids import Snapshot, Trajectory
-
     u = np.stack([np.broadcast_to(prof, dom.grid.dims).copy(), np.zeros(dom.grid.dims)])
     p = np.zeros(dom.grid.dims)
     traj = Trajectory(tuple(Snapshot(dom.grid, u, p, 0.1 * i) for i in range(3)), 0.1)
@@ -702,6 +700,35 @@ def test_negative_seed_exit_code(tmp_path, monkeypatch, capsys, argv, key):
     err = capsys.readouterr().err
     assert key in err and "internal error" not in err
     assert _no_output(out)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_diagnose_auto_alpha_on_a_coarse_grid_names_the_key(tmp_path, capsys, n):
+    # too few separation rungs for the Hölder estimate (16²) or inside its fit window (32²)
+    grid = make_grid((n, n), (TWO_PI, TWO_PI))
+    field = fieldio.write_snapshot(tmp_path / "f.oflx", fractional_field(0.4, None, 0, grid))
+    out = tmp_path / "d"
+    assert main(["diagnose", "--in", str(field), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "diagnose.alpha" in err and f"{n}x{n} grid" in err and "an explicit alpha runs" in err
+    assert _no_output(out)
+    assert main(["diagnose", "--in", str(field), "--alpha", "0.4", "--out", str(out)]) in (0, 2)
+
+
+@pytest.mark.parametrize("ny, code", [(65, 3), (114, 0)])
+def test_boundary_default_shells_need_114_points_across(tmp_path, capsys, ny, code):
+    # the default ladder's 56h reaches the half-width of a channel with fewer points across
+    dom = channel_domain(16, ny)
+    _, y = dom.grid.meshes()
+    u = np.stack([np.broadcast_to(np.sin(np.pi * y) ** 2, dom.grid.dims).copy(), np.zeros(dom.grid.dims)])
+    traj = Trajectory(tuple(Snapshot(dom.grid, u, None, 0.1 * i) for i in range(3)), 0.1)
+    fieldio.write_trajectory(tmp_path / "traj", traj)
+    out = tmp_path / "b"
+    assert main(["boundary", "--in", str(tmp_path / "traj"), "--out", str(out)]) == code
+    if code == 3:
+        err = capsys.readouterr().err
+        assert "boundary.etas" in err and "114 points across" in err and f"16x{ny} grid" in err
+        assert _no_output(out)
 
 
 def test_diagnose_time_radius_past_the_trajectory_exits_before_work(tmp_path, monkeypatch, capsys):

@@ -25,8 +25,8 @@ def phi128(box128):
 def test_constant_field_zero_stress(box64):
     vel = np.stack([np.full(box64.dims, 1.5), np.full(box64.dims, -2.0)])
     mol = make_mollifier(4 * box64.max_spacing, box64)
-    assert np.abs(commutator_stress(vel, mol, box64).tensor).max() <= 1e-14
-    assert np.abs(commutator_via_increments(vel, mol, box64).tensor).max() <= 1e-14
+    assert np.abs(commutator_stress(vel, mol, box64)).max() <= 1e-14
+    assert np.abs(commutator_via_increments(vel, mol, box64)).max() <= 1e-14
 
 
 def test_linear_field_kernel_second_moment():
@@ -45,7 +45,7 @@ def test_linear_field_kernel_second_moment():
     pred = np.array([[m2[0, 0], -m2[0, 1]], [-m2[1, 0], m2[1, 1]]])
     for i in range(2):
         for j in range(2):
-            assert np.abs(stress.tensor[i, j][region] - pred[i, j]).max() <= 1e-12
+            assert np.abs(stress[i, j][region] - pred[i, j]).max() <= 1e-12
 
 
 def test_single_mode_dense_quadrature_oracle():
@@ -69,7 +69,7 @@ def test_single_mode_dense_quadrature_oracle():
         for j in range(2):
             oracle[i, j] = conv(vel[i] * vel[j]) - ue[i] * ue[j]
     stress = commutator_stress(vel, mol, g)
-    assert np.abs(stress.tensor - oracle).max() <= 1e-12
+    assert np.abs(stress - oracle).max() <= 1e-12
 
 
 def test_identity_paths_randomized(box128):
@@ -84,7 +84,7 @@ def test_identity_paths_randomized(box128):
         mol = make_mollifier(eps, box128)
         a = commutator_stress(f, mol)
         b = commutator_via_increments(f, mol)
-        assert np.abs(a.tensor - b.tensor).max() <= 1e-12
+        assert np.abs(a - b).max() <= 1e-12
 
 
 def test_identity_terms_individually_nonzero(box128):
@@ -97,13 +97,13 @@ def test_identity_terms_individually_nonzero(box128):
     assert np.abs(fluct).max() > 1e-3  # the Reynolds-type term is nonzero
     a = commutator_stress(f, mol)
     b = commutator_via_increments(f, mol)
-    assert np.abs(a.tensor - b.tensor).max() <= 1e-12
+    assert np.abs(a - b).max() <= 1e-12
 
 
 def test_symmetry_exact(box64):
     f = fractional_field(0.5, None, 8, box64)
     stress = commutator_stress(f, make_mollifier(4 * box64.max_spacing, box64))
-    assert np.array_equal(stress.tensor[0, 1], stress.tensor[1, 0])
+    assert np.array_equal(stress[0, 1], stress[1, 0])
 
 
 def test_translation_equivariance(box64):
@@ -112,7 +112,7 @@ def test_translation_equivariance(box64):
     s0 = commutator_stress(f, mol)
     shifted = np.roll(f.velocity, shift=(5, -3), axis=(1, 2))
     s1 = commutator_stress(shifted, mol, box64)
-    assert np.abs(np.roll(s0.tensor, shift=(5, -3), axis=(2, 3)) - s1.tensor).max() <= 1e-12
+    assert np.abs(np.roll(s0, shift=(5, -3), axis=(2, 3)) - s1).max() <= 1e-12
 
 
 def test_amplitude_scaling(box64):
@@ -123,7 +123,7 @@ def test_amplitude_scaling(box64):
     lam = 2.0
     s1 = commutator_stress(f, mol)
     s2 = commutator_stress(lam * f.velocity, mol, box64)
-    assert np.abs(s2.tensor - lam**2 * s1.tensor).max() <= 1e-13
+    assert np.abs(s2 - lam**2 * s1).max() <= 1e-13
     f1 = _flux(f.velocity, mol, phi, box64)
     f2 = _flux(lam * f.velocity, mol, phi, box64)
     assert f2 == pytest.approx(lam**3 * f1, rel=1e-13)

@@ -34,7 +34,7 @@ def _asym_test_function(grid, t1=0.0, t2=0.4):
 
 def test_weak_identity_steady_taylor_green(box128):
     traj = steady_tg_trajectory(box128)
-    chain = full_box_chain(box128, eta=10.0, t_range=(0.0, 0.4), tau=0.0)
+    chain = full_box_chain(box128, eta=10.0)
     rep = weak_energy_identity(traj, _sym_test_function(box128), 8 * box128.max_spacing, chain)
     assert abs(rep.lhs) <= 1e-6
     assert abs(rep.residual) <= 1e-6
@@ -46,7 +46,7 @@ def test_weak_identity_zero_field(box64):
         for i in range(5)
     )
     traj = Trajectory(snaps, 0.1)
-    chain = full_box_chain(box64, eta=10.0, t_range=(0.0, 0.4), tau=0.0)
+    chain = full_box_chain(box64, eta=10.0)
     rep = weak_energy_identity(traj, _sym_test_function(box64), 6 * box64.max_spacing, chain)
     assert rep.lhs == 0.0 and rep.rhs == 0.0
 
@@ -58,7 +58,7 @@ def test_weak_identity_refinement_order():
     for n in (64, 128):
         g = make_grid((n, n), (TWO_PI, TWO_PI))
         traj = steady_tg_trajectory(g)
-        chain = full_box_chain(g, eta=10.0, t_range=(0.0, 0.4), tau=0.0)
+        chain = full_box_chain(g, eta=10.0)
         rep = weak_energy_identity(traj, _asym_test_function(g), 8 * g.max_spacing, chain)
         vals[n] = rep
         assert abs(rep.residual) <= 1e-6
@@ -72,7 +72,7 @@ def test_weak_identity_frozen_field_budget(box128):
     f = fractional_field(0.5, None, 3, box128)
     p = solve_pressure_periodic(f).pressure
     traj = frozen_trajectory(Snapshot(box128, f.velocity, p), n_snaps=5, dt=0.1)
-    chain = full_box_chain(box128, eta=10.0, t_range=(0.0, 0.4), tau=0.0)
+    chain = full_box_chain(box128, eta=10.0)
     rep = weak_energy_identity(traj, _sym_test_function(box128), 8 * box128.max_spacing, chain)
 
     # a frozen field is not an Euler solution: residual carries the (reported)
@@ -82,7 +82,7 @@ def test_weak_identity_frozen_field_budget(box128):
     f64 = fractional_field(0.5, None, 3, g64)
     p64 = solve_pressure_periodic(f64).pressure
     traj64 = frozen_trajectory(Snapshot(g64, f64.velocity, p64), n_snaps=5, dt=0.1)
-    chain64 = full_box_chain(g64, eta=10.0, t_range=(0.0, 0.4), tau=0.0)
+    chain64 = full_box_chain(g64, eta=10.0)
     rep64 = weak_energy_identity(traj64, _sym_test_function(g64), 8 * g64.max_spacing, chain64)
     budget = abs(rep64.algebra_defect)  # coarse-grid defect bounds the fine one
     assert abs(rep.algebra_defect) <= 3.0 * budget
@@ -92,7 +92,7 @@ def test_weak_identity_frozen_field_budget(box128):
 def test_pressure_gauge_invariance(box64):
     f = taylor_green(box64)
     traj = steady_tg_trajectory(box64)
-    chain = full_box_chain(box64, eta=10.0, t_range=(0.0, 0.4), tau=0.0)
+    chain = full_box_chain(box64, eta=10.0)
     test = _asym_test_function(box64)
     rep0 = weak_energy_identity(traj, test, 6 * box64.max_spacing, chain)
     shifted = traj.map(lambda s: Snapshot(s.grid, s.velocity, s.pressure + 7.0 - 7.0, s.time))
@@ -122,7 +122,7 @@ def test_time_reversal_antisymmetry(box64):
         ),
         0.1,
     )
-    chain = full_box_chain(box64, eta=10.0, t_range=(0.0, 0.4), tau=0.0)
+    chain = full_box_chain(box64, eta=10.0)
     test = _sym_test_function(box64)
     a = weak_energy_identity(traj, test, 6 * box64.max_spacing, chain)
     b = weak_energy_identity(rev, test, 6 * box64.max_spacing, chain)
@@ -132,7 +132,7 @@ def test_time_reversal_antisymmetry(box64):
 
 def test_dr_field_steady_taylor_green(box128):
     traj = steady_tg_trajectory(box128)
-    chain = full_box_chain(box128, eta=10.0, t_range=(0.0, 0.4), tau=0.0)
+    chain = full_box_chain(box128, eta=10.0)
     _, defect = dr_dissipation_field(traj, 4 * box128.max_spacing, chain)
     assert np.abs(defect).max() <= 1e-5
 
@@ -141,7 +141,7 @@ def test_dr_field_constant(box64):
     vel = np.stack([np.full(box64.dims, 1.0), np.full(box64.dims, -1.0)])
     snaps = tuple(Snapshot(box64, vel, np.zeros(box64.dims), 0.1 * i) for i in range(3))
     traj = Trajectory(snaps, 0.1)
-    chain = full_box_chain(box64, eta=10.0, t_range=(0.0, 0.2), tau=0.0)
+    chain = full_box_chain(box64, eta=10.0)
     _, defect = dr_dissipation_field(traj, 4 * box64.max_spacing, chain)
     assert np.abs(defect).max() <= 1e-14
 
@@ -151,7 +151,7 @@ def test_dr_field_integrates_to_weak_lhs(box64):
     f = fractional_field(0.5, None, 9, box64)
     p = solve_pressure_periodic(f).pressure
     traj = frozen_trajectory(Snapshot(box64, f.velocity, p), n_snaps=5, dt=0.1)
-    chain = full_box_chain(box64, eta=10.0, t_range=(0.0, 0.4), tau=0.0)
+    chain = full_box_chain(box64, eta=10.0)
     test = _asym_test_function(box64)
     eps = 6 * box64.max_spacing
     times, defect = dr_dissipation_field(traj, eps, chain)
@@ -169,7 +169,7 @@ def test_dr_sweep_band_limited(box128):
     f = fractional_field(0.5, 2, 3, box128)
     p = solve_pressure_periodic(f).pressure
     traj = frozen_trajectory(Snapshot(box128, f.velocity, p), n_snaps=3, dt=0.1)
-    chain = full_box_chain(box128, eta=10.0, t_range=(0.0, 0.2), tau=0.0)
+    chain = full_box_chain(box128, eta=10.0)
     test = _sym_test_function(box128, 0.0, 0.2)
     h = box128.max_spacing
     res = dr_convergence_sweep(traj, [16 * h, 12 * h, 9 * h, 7 * h, 5 * h, 4 * h], test, 1.0, chain)
@@ -181,7 +181,7 @@ def test_dr_sweep_below_threshold_inconclusive(box128):
     f = fractional_field(0.25, None, 1, box128)
     p = solve_pressure_periodic(f).pressure
     traj = frozen_trajectory(Snapshot(box128, f.velocity, p), n_snaps=3, dt=0.1)
-    chain = full_box_chain(box128, eta=10.0, t_range=(0.0, 0.2), tau=0.0)
+    chain = full_box_chain(box128, eta=10.0)
     test = _sym_test_function(box128, 0.0, 0.2)
     h = box128.max_spacing
     res = dr_convergence_sweep(traj, [16 * h, 12 * h, 9 * h, 7 * h, 5 * h], test, 0.25, chain)
@@ -194,7 +194,7 @@ def test_dr_sweep_zero_field(box64):
         for i in range(3)
     )
     traj = Trajectory(snaps, 0.1)
-    chain = full_box_chain(box64, eta=10.0, t_range=(0.0, 0.2), tau=0.0)
+    chain = full_box_chain(box64, eta=10.0)
     test = _sym_test_function(box64, 0.0, 0.2)
     h = box64.max_spacing
     res = dr_convergence_sweep(traj, [8 * h, 6 * h, 5 * h, 4 * h], test, 0.6, chain)
@@ -204,6 +204,6 @@ def test_dr_sweep_zero_field(box64):
 def test_weak_identity_requires_pressure(box64):
     f = fractional_field(0.5, None, 1, box64)
     traj = frozen_trajectory(f, n_snaps=3, dt=0.1)
-    chain = full_box_chain(box64, eta=10.0, t_range=(0.0, 0.2), tau=0.0)
+    chain = full_box_chain(box64, eta=10.0)
     with pytest.raises(PreconditionError, match="pressure"):
         weak_energy_identity(traj, _sym_test_function(box64, 0.0, 0.2), 4 * box64.max_spacing, chain)

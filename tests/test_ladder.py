@@ -66,7 +66,7 @@ def test_dr_sweep_matches_per_rung_oracle(shape, seed, kappa):
     grid = _grid(shape)
     traj = _trajectory(grid, seed, 3 if kappa is None else 6)
     t1, t2 = traj.t_range
-    chain = full_box_chain(grid, eta=10.0, t_range=(t1, t2), tau=0.0)
+    chain = full_box_chain(grid, eta=10.0)
     test = TestFunction(ChiWindow(t1, t2), _phi(grid))
     eps = [c * grid.max_spacing for c in LADDER]
     got = dr_convergence_sweep(traj, eps, test, 0.5, chain, kappa)
@@ -86,7 +86,7 @@ def test_dr_sweep_euler_derivatives_do_not_grow_with_rungs(monkeypatch, shape):
     grid = _grid(shape)
     traj = _trajectory(grid, 0, 3)
     t1, t2 = traj.t_range
-    chain = full_box_chain(grid, eta=10.0, t_range=(t1, t2), tau=0.0)
+    chain = full_box_chain(grid, eta=10.0)
     test = TestFunction(ChiWindow(t1, t2), _phi(grid))
     calls = []
 
@@ -117,7 +117,7 @@ def test_dr_sweep_matches_all_slices_oracle_bitwise(shape, seed, kappa, window):
     # times where chi and chi' vanish are skipped; every output keeps its bits
     grid = _grid(shape)
     traj = _trajectory(grid, seed, 3 if (kappa, window) == (None, "full") else 8)
-    chain = full_box_chain(grid, eta=10.0, t_range=traj.t_range, tau=0.0)
+    chain = full_box_chain(grid, eta=10.0)
     test = _windowed(grid, traj, window)
     eps = [c * grid.max_spacing for c in LADDER]
     got = dr_convergence_sweep(traj, eps, test, 0.5, chain, kappa)
@@ -132,7 +132,7 @@ def test_dr_sweep_never_hides_a_nan(kappa, window, field):
     # a NaN anywhere, a zero-weight time included, gives an error or a non-finite report
     grid = _grid((9, 10))
     clean = _trajectory(grid, 1, 8)
-    chain = full_box_chain(grid, eta=10.0, t_range=clean.t_range, tau=0.0)
+    chain = full_box_chain(grid, eta=10.0)
     test = _windowed(grid, clean, window)
     eps = [c * grid.max_spacing for c in LADDER]
     for k in range(len(clean)):
@@ -158,7 +158,7 @@ def test_dr_sweep_budget_keeps_a_nan():
     vel[0, 5, 5] = np.nan
     snaps[1] = Snapshot(grid, vel, snaps[1].pressure, snaps[1].time)
     traj = Trajectory(tuple(snaps), clean.dt)
-    chain = full_box_chain(grid, eta=10.0, t_range=traj.t_range, tau=0.0)
+    chain = full_box_chain(grid, eta=10.0)
     got = dr_convergence_sweep(traj, [c * grid.max_spacing for c in LADDER], _windowed(grid, traj, "full"),
                                0.5, chain)
     for r in got.reports:
@@ -176,7 +176,7 @@ def test_dr_field_differentiates_interior_times_only(monkeypatch, shape):
         return deriv(f, axis, g)
 
     monkeypatch.setattr(energy_balance, "deriv", counting_deriv)
-    chain = full_box_chain(grid, eta=10.0, t_range=traj.t_range, tau=0.0)
+    chain = full_box_chain(grid, eta=10.0)
     times, defect = dr_dissipation_field(traj, 3 * grid.max_spacing, chain)
     assert len(times) == len(defect) == len(traj) - 2
     assert len(calls) == (len(traj) - 2) * grid.ndim
@@ -204,7 +204,7 @@ def test_ladders_hold_few_fields_at_a_time():
     traj = traj.map(lambda s: s.with_pressure(solve_pressure_periodic(s).pressure))
     ladder = [m * grid.max_spacing for m in (18, 15, 12, 10, 8, 6, 5, 4)]
     phi = cutoff_region(grid, block_mask(grid, 0.3, 0.7), block_mask(grid, 0.1, 0.9))
-    chain = full_box_chain(grid, eta=4.0 * max(ladder), t_range=traj.t_range, tau=0.0)
+    chain = full_box_chain(grid, eta=4.0 * max(ladder))
     test = TestFunction(ChiWindow(*traj.t_range), phi)
     identity, setup = _peak_fields(lambda: _WeakIdentity(traj, test, chain, None), grid)
     _, rung = _peak_fields(lambda: identity.report(ladder[-1]), grid)
