@@ -10,7 +10,6 @@ simulated flows.
 __version__ = "0.1.0"
 
 from .grids import (  # noqa: F401
-    Domain,
     Grid,
     Snapshot,
     Trajectory,

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import PreconditionError, UnderResolvedError
 from .commutator import monotone_within_10pct
-from .grids import (Domain, Snapshot, Trajectory, discretization_budget, energy, integrate,
-                    trapezoid_time_weights, wall_distance)
+from .grids import (Grid, Snapshot, Trajectory, discretization_budget, energy, integrate,
+                    trapezoid_time_weights, wall_distance, wall_normal_sign)
 from .mollify import _BUMP_MASS, bump, bump_cdf, cutoff_region
 from .pressure import negative_sobolev_norm
 from .synth import estimate_holder_exponent
@@ -56,15 +56,15 @@ def smooth_step_deriv(s):
 # ---------------------------------------------------------------------------
 
 
-def check_shell(domain: Domain, eta: float) -> None:
+def check_shell(grid: Grid, eta: float) -> None:
     """Refuse a boundary shell eta/4 < d < eta/2 that reaches the half-width
     or holds fewer than 3 grid planes."""
-    half = 0.5 * domain.channel_width
+    half = 0.5 * grid.extents[grid.wall_axis]
     if not (0.0 < eta < half * (1.0 - 1e-12)):
         raise PreconditionError(
             f"shell scale must satisfy 0 < eta < half-width; got eta={eta:g}, half-width={half:g}"
         )
-    d = wall_distance(domain.grid)
+    d = wall_distance(grid)
     planes = int(np.sum((d > eta / 4.0) & (d < eta / 2.0)))
     if planes < 3:
         raise UnderResolvedError(
@@ -73,57 +73,55 @@ def check_shell(domain: Domain, eta: float) -> None:
         )
 
 
-def shell_ladder(etas, domain: Domain) -> list[float]:
+def shell_ladder(etas, grid: Grid) -> list[float]:
     """An eta ladder in decreasing order, at least 3 scales, each an admissible shell."""
     etas = sorted((float(e) for e in etas), reverse=True)
     if len(etas) < 3:
         raise PreconditionError("need a ladder of at least 3 admissible eta values")
     for e in etas:
-        check_shell(domain, e)
+        check_shell(grid, e)
     return etas
 
 
-def shell_mask(domain: Domain, eta: float) -> np.ndarray:
-    d = domain.distance_field()
+def shell_mask(grid: Grid, eta: float) -> np.ndarray:
+    d = np.broadcast_to(wall_distance(grid), grid.dims)
     return (d > eta / 4.0) & (d < eta / 2.0)
 
 
-def boundary_cutoff(domain: Domain, eta: float) -> tuple[np.ndarray, np.ndarray]:
+def boundary_cutoff(grid: Grid, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """psi_eta = step(d/eta) and its analytic gradient field.
 
     grad psi_eta = -(1/eta) step'(d/eta) n(sigma(x)); only the wall-axis
     component is nonzero on a channel.
     """
-    check_shell(domain, eta)
-    grid = domain.grid
-    d = domain.distance_field()
+    check_shell(grid, eta)
+    d = np.broadcast_to(wall_distance(grid), grid.dims)
     psi = smooth_step(d / eta)
-    sgn = domain.normal_sign_field()
     grad = np.zeros((grid.ndim, *grid.dims))
-    grad[domain.wall_axis] = -(1.0 / eta) * smooth_step_deriv(d / eta) * sgn
+    grad[grid.wall_axis] = -(1.0 / eta) * smooth_step_deriv(d / eta) * wall_normal_sign(grid)
     return psi, grad
 
 
-def _bernoulli_normal_flux(snap: Snapshot, domain: Domain) -> np.ndarray:
+def _bernoulli_normal_flux(snap: Snapshot) -> np.ndarray:
     """(|u|^2/2 + p) u . n(sigma(x)) on the grid (signed)."""
     if snap.pressure is None:
         raise PreconditionError("shell diagnostics require pressure")
     ke = 0.5 * np.sum(snap.velocity**2, axis=0)
-    un = snap.velocity[domain.wall_axis] * domain.normal_sign_field()
+    un = snap.velocity[snap.grid.wall_axis] * wall_normal_sign(snap.grid)
     return (ke + snap.pressure) * un
 
 
-def shell_flux(traj: Trajectory | Snapshot, eta: float, domain: Domain) -> float:
+def shell_flux(traj: Trajectory | Snapshot, eta: float) -> float:
     """Phi_eta = (1/eta) int_t int_{eta/4 < d < eta/2} |(|u|^2/2 + p) u.n| dx dt."""
-    check_shell(domain, eta)
     if isinstance(traj, Snapshot):
         traj = Trajectory((traj,), 1.0)
-    mask = shell_mask(domain, eta)
-    vol = domain.grid.cell_volume()
+    check_shell(traj.grid, eta)
+    mask = shell_mask(traj.grid, eta)
+    vol = traj.grid.cell_volume()
     wts = trapezoid_time_weights(len(traj), traj.dt)
     total = 0.0
     for snap, w in zip(traj.snapshots, wts):
-        dens = np.abs(_bernoulli_normal_flux(snap, domain))
+        dens = np.abs(_bernoulli_normal_flux(snap))
         total += w * float(dens[mask].sum()) * vol
     return float(total / eta)
 
@@ -143,7 +141,7 @@ class GlobalBalanceReport:
     eta: float
 
 
-def global_balance(traj: Trajectory, eta: float, t1: float, t2: float, domain: Domain) -> GlobalBalanceReport:
+def global_balance(traj: Trajectory, eta: float, t1: float, t2: float) -> GlobalBalanceReport:
     """Discrete form of the cutoff energy balance between two snapshot times.
 
     e_i = int |u(t_i)|^2/2 psi_eta dx;  boundary_term integrates the signed
@@ -159,21 +157,21 @@ def global_balance(traj: Trajectory, eta: float, t1: float, t2: float, domain: D
     if i2 <= i1:
         raise PreconditionError("t1 must precede t2")
 
-    if domain.geometry == "periodic":
+    if grid.fully_periodic:
         psi = np.ones(grid.dims)
         e1 = energy(traj.snapshots[i1])
         e2 = energy(traj.snapshots[i2])
         bt = 0.0
     else:
-        psi, _ = boundary_cutoff(domain, eta)
+        psi, _ = boundary_cutoff(grid, eta)
         e1 = 0.5 * integrate(np.sum(traj.snapshots[i1].velocity ** 2, axis=0) * psi, grid)
         e2 = 0.5 * integrate(np.sum(traj.snapshots[i2].velocity ** 2, axis=0) * psi, grid)
-        d = domain.distance_field()
+        d = np.broadcast_to(wall_distance(grid), grid.dims)
         kernel = (1.0 / eta) * smooth_step_deriv(d / eta)
         sub = traj.snapshots[i1 : i2 + 1]
         bt = 0.0
         for snap, w in zip(sub, trapezoid_time_weights(len(sub), traj.dt)):
-            dens = _bernoulli_normal_flux(snap, domain) * kernel
+            dens = _bernoulli_normal_flux(snap) * kernel
             bt += w * integrate(dens, grid)
     residual = (e2 - e1) + bt
     umax = float(np.max([np.abs(s.velocity).max() for s in traj.snapshots[i1 : i2 + 1]]))  # keeps a NaN
@@ -220,7 +218,6 @@ def flux_trend_ok(values) -> bool:
 def conservation_verdict(
     traj: Trajectory,
     etas,
-    domain: Domain,
     beta: float = 1.0,
     gamma: float | None = None,
     energy_tol: float = 1e-6,
@@ -232,14 +229,14 @@ def conservation_verdict(
     (c) finiteness of the near-boundary H^-beta pressure norm, (d) relative
     energy constancy between the first and last snapshot times.
     """
-    etas = shell_ladder(etas, domain)
     grid = traj.grid
+    etas = shell_ladder(etas, grid)
 
-    ladder = [(e, shell_flux(traj, e, domain)) for e in etas]
+    ladder = [(e, shell_flux(traj, e)) for e in etas]
     trend = flux_trend_ok([v for _, v in ladder])
 
-    d = domain.distance_field()
-    interior = d >= INTERIOR_MARGIN * domain.channel_width
+    d = np.broadcast_to(wall_distance(grid), grid.dims)
+    interior = d >= INTERIOR_MARGIN * grid.extents[grid.wall_axis]
     est = estimate_holder_exponent(traj.snapshots[len(traj) // 2], region=interior, seed=seed)
     alpha_ok = bool(est.exponent > 1.0 / 3.0)
 
@@ -307,20 +304,20 @@ class ModulusReport:
     tolerance: float
 
 
-def modulus_check(traj: Trajectory, gamma: float, domain: Domain) -> ModulusReport:
+def modulus_check(traj: Trajectory, gamma: float) -> ModulusReport:
     """Near-wall modulus diagnostics.
 
     Reports M = max over the gamma-collar of |u| + |p|, the empirical
     envelope omega(d) = max |u.n| per distance class, and whether a linear
     fit through the three nearest-wall classes extrapolates to ~0 at d = 0.
     """
-    if not (0.0 < gamma < 0.5 * domain.channel_width):
-        raise PreconditionError("gamma must be below the channel half-width")
     grid = traj.grid
-    d = domain.distance_field()
+    a = grid.wall_axis
+    if not (0.0 < gamma < 0.5 * grid.extents[a]):
+        raise PreconditionError("gamma must be below the channel half-width")
+    d = np.broadcast_to(wall_distance(grid), grid.dims)
     collar = d < gamma
-    sgn = domain.normal_sign_field()
-    a = domain.wall_axis
+    sgn = wall_normal_sign(grid)
 
     m_val = 0.0
     dvals = np.unique(np.round(d[collar], 12))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, PreconditionError, ToolkitError
 from . import fieldio
-from .grids import Domain, Grid, Snapshot, Trajectory, make_grid
+from .grids import Grid, Snapshot, Trajectory, make_grid
 from .mollify import block_mask, cutoff_region, full_box_chain, time_reach
 from .synth import estimate_holder_exponent, fractional_field, holder_norm, shear_flow, taylor_green
 from .pressure import solve_pressure_channel, solve_pressure_periodic
@@ -392,26 +392,26 @@ def cmd_boundary(cfg: dict) -> int:
     grid = traj.grid
     if grid.fully_periodic:
         raise PreconditionError("boundary diagnostics require a channel trajectory")
-    domain = Domain(grid, "channel")
-    h = grid.spacing[domain.wall_axis]
+    w = grid.wall_axis
+    h = grid.spacing[w]
     if "etas" in cfg:
         etas = [float(e) for e in cfg["etas"]]
     else:
         etas = [56 * h, 28 * h, 14 * h]
         try:
-            shell_ladder(etas, domain)
+            shell_ladder(etas, grid)
         except PreconditionError as exc:
             raise ConfigError(f"boundary.etas: the default ladder [56h, 28h, 14h] needs about 114 points "
                               f"across the channel, the {_grid_text(grid)} grid has "
-                              f"{grid.dims[domain.wall_axis]} ({exc}); give etas explicitly") from exc
+                              f"{grid.dims[w]} ({exc}); give etas explicitly") from exc
     if any(s.pressure is None for s in traj.snapshots):
-        traj = traj.map(lambda s: s.with_pressure(solve_pressure_channel(s, domain).pressure))
-    gamma = cfg.get("gamma", 0.25 * domain.channel_width)
+        traj = traj.map(lambda s: s.with_pressure(solve_pressure_channel(s).pressure))
+    gamma = cfg.get("gamma", 0.25 * grid.extents[w])
 
-    verdict = conservation_verdict(traj, etas, domain, beta=cfg.get("beta", 1.0), gamma=gamma,
+    verdict = conservation_verdict(traj, etas, beta=cfg.get("beta", 1.0), gamma=gamma,
                                    energy_tol=cfg.get("energy_tol", 1e-6), seed=seed)
-    bal = global_balance(traj, max(etas), traj.times[0], traj.times[-1], domain)
-    mod = modulus_check(traj, gamma, domain)
+    bal = global_balance(traj, max(etas), traj.times[0], traj.times[-1])
+    mod = modulus_check(traj, gamma)
 
     write_csv(out / "ladder.csv", ["eta", "phi_eta"], [(e, v) for e, v in verdict.flux_ladder])
     write_csv(
@@ -442,11 +442,9 @@ def cmd_sweep(cfg: dict) -> int:
     if geometry == "channel":
         extents = _parse_extents(cfg.get("extent", "6.283185307179586x1.0"), len(dims), "sweep.extent")
         grid = make_grid(dims, extents, ("periodic", "wall"))
-        domain = Domain(grid, "channel")
     else:
         extents = _parse_extents(cfg.get("extent"), len(dims), "sweep.extent")
         grid = make_grid(dims, extents)
-        domain = Domain(grid, "periodic")
 
     init_cfg = dict(cfg.get("initial", {"kind": "taylor-green"}))
     init_cfg.setdefault("grid", _grid_text(grid))
@@ -460,8 +458,9 @@ def cmd_sweep(cfg: dict) -> int:
         initial = Snapshot(grid, np.stack([u0, np.zeros(grid.dims)]))
     else:
         initial = _build_generated(init_cfg, "sweep.initial")
-        if initial.grid.dims != grid.dims:
-            raise ConfigError("sweep.initial grid does not match sweep.grid")
+        if initial.grid != grid:
+            raise ConfigError(f"sweep.initial: the initial field's grid {initial.grid} "
+                              f"is not the sweep's grid {grid}")
 
     nus = sorted(map(float, cfg["nus"]), reverse=True)
     etas = None  # the shell ladder is checked before any integration
@@ -470,14 +469,14 @@ def cmd_sweep(cfg: dict) -> int:
             raise ConfigError("sweep.etas: the shell-flux criterion needs a channel geometry and at least "
                               f"2 viscosities, got a {geometry} sweep with {len(nus)}")
         try:
-            etas = shell_ladder(cfg["etas"], domain)
+            etas = shell_ladder(cfg["etas"], grid)
         except PreconditionError as exc:
             raise ConfigError(f"sweep.etas: {exc}") from exc
     dt, t_end = cfg["dt"], cfg["t_end"]
     t_star = cfg.get("t_star", t_end)
     n_end = whole_steps(t_end, dt, "t_end")
     whole_steps(t_star, dt, "t_star")  # rejected before any integration
-    base = SolverConfig(domain, nus[0], dt, max(t_end, t_star), initial, cfg.get("cfl_limit", 0.5),
+    base = SolverConfig(nus[0], dt, max(t_end, t_star), initial, cfg.get("cfl_limit", 0.5),
                         cfg.get("snapshot_stride", max(1, n_end // 8)))
 
     # One run per nu to max(t_end, t_star): the dissipation is read at t_star,
@@ -492,7 +491,7 @@ def cmd_sweep(cfg: dict) -> int:
         traj, series = truncate(traj, series, n_end)
         runs.append((nu, traj))
         kept.append(series)
-    sweep_rep = dissipation_report(swept, domain, dt, t_star)
+    sweep_rep = dissipation_report(swept, grid, dt, t_star)
     write_csv(out / "dissipation.csv", ["nu", "dissipation", "resolved"], sweep_rep.rows)
 
     # the gate covers every integrated step, up to t_star as well as t_end
@@ -504,14 +503,15 @@ def cmd_sweep(cfg: dict) -> int:
             series.rows(),
         )
         fieldio.write_trajectory(out / f"traj_nu{nu:g}", traj, tags={"nu": nu})
+    leray_ok = bool(worst_leray <= 1e-8)
     summary = {
         "dissipation_sweep": sweep_rep,
         "max_leray_residual": worst_leray,
-        "leray_ok": bool(worst_leray <= 1e-8),
+        "leray_ok": leray_ok,
     }
-    exit_code = EXIT_OK if sweep_rep.verdict.startswith("vanishing") else EXIT_NEGATIVE
+    exit_code = EXIT_OK if leray_ok and sweep_rep.verdict.startswith("vanishing") else EXIT_NEGATIVE
     if etas is not None:
-        vrep = viscous_flux_criterion(runs, etas, domain)
+        vrep = viscous_flux_criterion(runs, etas)
         summary["viscous_flux"] = vrep
         write_csv(
             out / "viscous_flux.csv",
@@ -525,7 +525,8 @@ def cmd_sweep(cfg: dict) -> int:
             exit_code = max(exit_code, EXIT_NEGATIVE)
     write_json(out / "verdict.json", summary)
     write_manifest(out, cfg, seeds=[cfg.get("seed", 0)])
-    print(f"sweep: {sweep_rep.verdict}; max leray residual {worst_leray:.2e}")
+    print(f"sweep: {sweep_rep.verdict}; max leray residual {worst_leray:.2e}"
+          + ("" if leray_ok else " fails the Leray-Hopf gate (<= 1e-8)"))
     return exit_code
 
 

@@ -1,4 +1,4 @@
-"""Grids, domains, fields, and the basic calculus every diagnostic consumes.
+"""Grids, fields, and the basic calculus every diagnostic consumes.
 
 Conventions
 -----------
@@ -9,6 +9,9 @@ Conventions
   ``m`` is identified with node 0 and is not stored.
 * A wall axis of extent L and ``m`` points has spacing ``L/(m-1)``; nodes 0
   and ``m-1`` sit exactly on the two wall planes.
+* The grid is the geometry: a fully periodic grid is a box, and a channel
+  has exactly one wall axis (``Grid.wall_axis``).  The boundary enters only
+  through the distance ``wall_distance`` and the normal ``wall_normal_sign``.
 * Quadrature is trapezoidal everywhere: full weight on periodic axes, half
   weight on wall planes.
 * Differentiation is spectral along periodic axes (Nyquist derivative set to
@@ -119,6 +122,15 @@ class Grid:
     def fully_periodic(self) -> bool:
         return all(k == PERIODIC for k in self.axis_kinds)
 
+    @property
+    def wall_axis(self) -> int:
+        """The channel's one wall axis, which carries the boundary normal."""
+        walls = [a for a, kind in enumerate(self.axis_kinds) if kind == WALL]
+        if len(walls) != 1:
+            raise PreconditionError(f"no boundary normal: a channel has exactly one wall axis, "
+                                    f"this grid has {len(walls)}")
+        return walls[0]
+
 
 def make_grid(
     dims: Sequence[int],
@@ -142,55 +154,17 @@ def wall_distance(grid: Grid) -> np.ndarray:
     return d
 
 
-@dataclass(frozen=True)
-class Domain:
-    """A grid together with its global geometry.
+def wall_normal_sign(grid: Grid) -> np.ndarray:
+    """Sign s such that the outward normal at the nearest wall is s e_wall,
+    broadcastable to ``grid.dims``.
 
-    ``periodic`` is a fully periodic box; ``channel`` is periodic in the
-    tangential axes with wall planes on exactly one axis.
+    The nearest wall of a point at wall coordinate y is the lower plane when
+    y <= L/2 (ties resolve to the lower wall), whose outward normal points in
+    -e_wall; the upper plane has outward normal +e_wall.
     """
-
-    grid: Grid
-    geometry: str
-
-    def __post_init__(self):
-        if self.geometry not in ("periodic", "channel"):
-            raise PreconditionError(f"unknown geometry {self.geometry!r}")
-        walls = [k for k in self.grid.axis_kinds if k == WALL]
-        if self.geometry == "periodic" and walls:
-            raise PreconditionError("periodic domain cannot have wall axes")
-        if self.geometry == "channel" and len(walls) != 1:
-            raise PreconditionError("channel geometry requires exactly one wall axis")
-
-    @property
-    def wall_axis(self) -> int:
-        if self.geometry != "channel":
-            raise PreconditionError("no boundary: domain is fully periodic")
-        return self.grid.axis_kinds.index(WALL)
-
-    @property
-    def channel_width(self) -> float:
-        return self.grid.extents[self.wall_axis]
-
-    def distance_field(self) -> np.ndarray:
-        """d(x) = distance to the nearest wall plane, broadcast to the grid."""
-        if self.geometry != "channel":
-            raise PreconditionError("no boundary: domain is fully periodic")
-        return np.broadcast_to(wall_distance(self.grid), self.grid.dims).copy()
-
-    def normal_sign_field(self) -> np.ndarray:
-        """Sign s such that the outward normal at the nearest wall is s*e_wall.
-
-        The nearest wall of a point at wall coordinate y is the lower plane
-        when y <= L/2 (ties resolve to the lower wall), whose outward normal
-        points in -e_wall; the upper plane has outward normal +e_wall.
-        """
-        a = self.wall_axis
-        y = self.grid.axis_coords(a)
-        s = np.where(y <= 0.5 * self.channel_width, -1.0, 1.0)
-        shape = [1] * self.grid.ndim
-        shape[a] = self.grid.dims[a]
-        return np.broadcast_to(s.reshape(shape), self.grid.dims).copy()
+    a = grid.wall_axis
+    s = np.where(grid.axis_coords(a) <= 0.5 * grid.extents[a], -1.0, 1.0)
+    return s.reshape([-1 if b == a else 1 for b in range(grid.ndim)])
 
 
 @dataclass(frozen=True)

@@ -369,7 +369,6 @@ class CutoffField:
     """Scalar field in [0,1]: exactly 1 on its inner region, exactly 0 outside
     its outer one; ``width`` is the gap between the two."""
 
-    grid: Grid
     values: np.ndarray
     width: float
 
@@ -388,7 +387,7 @@ def cutoff_region(grid: Grid, inner: np.ndarray, outer: np.ndarray) -> CutoffFie
         raise PreconditionError("inner region must be nonempty")
     comp = ~outer
     if not comp.any():
-        return CutoffField(grid, np.ones(grid.dims), float("inf"))
+        return CutoffField(np.ones(grid.dims), float("inf"))
     d = _distance_to_set(comp, grid)
     gap = float(d[inner].min())  # the inner/complement set distance
     floor = 2.0 * min(grid.spacing)  # resolution along the transition direction
@@ -399,7 +398,7 @@ def cutoff_region(grid: Grid, inner: np.ndarray, outer: np.ndarray) -> CutoffFie
     values = smooth_ramp(d / gap)
     values[inner] = 1.0
     values[comp] = 0.0
-    return CutoffField(grid, values, gap)
+    return CutoffField(values, gap)
 
 
 def block_mask(grid: Grid, lo_frac, hi_frac) -> np.ndarray:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .commutator import quadratic_products
-from .grids import (WALL, Diagonal, Domain, Grid, Snapshot, deriv, deriv2, inverse_eigenvalues,
-                    second_difference_eigenvalues, spectrum_wavenumbers)
+from .grids import (WALL, Diagonal, Grid, Snapshot, deriv, deriv2, inverse_eigenvalues,
+                    second_difference_eigenvalues, spectrum_wavenumbers, wall_distance)
 from .mollify import CutoffField, cutoff_region
 from .synth import holder_norm
 
@@ -95,7 +95,7 @@ def _channel_source(snap: Snapshot) -> np.ndarray:
 
 
 def solve_channel_neumann(
-    source: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray, domain: Domain
+    source: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray, grid: Grid
 ) -> np.ndarray:
     """Solve -Lap p = source with dp/dy = g_lo, g_hi on the two wall planes.
 
@@ -104,8 +104,7 @@ def solve_channel_neumann(
     right side is projected to the solvable subspace; the returned field has
     zero interior-node mean.
     """
-    grid = domain.grid
-    w = domain.wall_axis
+    w = grid.wall_axis
     ny = grid.dims[w]
     h = grid.spacing[w]
 
@@ -123,12 +122,10 @@ def solve_channel_neumann(
     return np.ascontiguousarray(p - np.moveaxis(p, w, -1)[..., 1:-1].mean())
 
 
-def solve_pressure_channel(snap: Snapshot, domain: Domain) -> PressureSolveReport:
+def solve_pressure_channel(snap: Snapshot) -> PressureSolveReport:
     """Neumann pressure recovery on a channel; requires u.n = 0 on the walls."""
-    if domain.geometry != "channel":
-        raise PreconditionError("channel pressure solve requires channel geometry")
     grid = snap.grid
-    w = domain.wall_axis
+    w = grid.wall_axis
     un_max = float(np.abs(np.moveaxis(snap.velocity[w], w, -1)[..., [0, -1]]).max())
     if un_max > IMPERMEABILITY_TOL:
         raise PreconditionError(
@@ -137,7 +134,7 @@ def solve_pressure_channel(snap: Snapshot, domain: Domain) -> PressureSolveRepor
         )
     g = -np.moveaxis(_advective_term(snap, w), w, -1)  # the wall planes are g[..., 0] and g[..., -1]
     source = _channel_source(snap)
-    p = solve_channel_neumann(source, g[..., 0], g[..., -1], domain)
+    p = solve_channel_neumann(source, g[..., 0], g[..., -1], grid)
 
     lap = sum(deriv2(p, a, grid) for a in range(grid.ndim))
     residual = float(np.abs(np.moveaxis(-lap - source, w, -1)[..., 1:-1]).max())
@@ -215,12 +212,12 @@ def interior_holder_check(
     chain,
     alpha: float,
     beta: float = 1.0,
-    domain: Domain | None = None,
     gamma: float | None = None,
     seed: int = 0,
 ) -> InteriorHolderReport:
     """Compare ||p||_{C^a(Q2)} against ||u||^2_{C^a(Qtilde)} plus the
-    near-boundary H^{-beta} pressure norm.
+    near-boundary H^{-beta} pressure norm, which is taken over the gamma-collar
+    of a channel's walls and is 0 on a fully periodic grid.
 
     The constant in the underlying elliptic estimate is unquantified, so the
     ratio is a diagnostic to track across refinements, not a pass/fail.
@@ -232,13 +229,11 @@ def interior_holder_check(
     grid = snap.grid
     p_norm = holder_norm(snap.pressure, alpha, region=chain.q2, grid=grid, seed=seed)
     u_norm = holder_norm(snap, alpha, region=chain.qtilde, seed=seed)
-    if domain is not None and domain.geometry == "channel":
+    if not grid.fully_periodic:
         if gamma is None:
-            gamma = domain.channel_width / 8.0
-        d = domain.distance_field()
-        outer = d < gamma
-        inner = d < gamma / 2.0
-        cf = cutoff_region(grid, inner, outer)
+            gamma = grid.extents[grid.wall_axis] / 8.0
+        d = np.broadcast_to(wall_distance(grid), grid.dims)
+        cf = cutoff_region(grid, d < gamma / 2.0, d < gamma)
         nsn = negative_sobolev_norm(snap.pressure, beta, grid, cutoff=cf)
     else:
         nsn = 0.0

@@ -36,7 +36,7 @@ import numpy as np
 
 from .boundary import flux_trend_ok, shell_flux, shell_ladder
 from .errors import PreconditionError
-from .grids import (Diagonal, Domain, Snapshot, Trajectory, divergence, inverse_eigenvalues,
+from .grids import (Diagonal, Grid, Snapshot, Trajectory, divergence, inverse_eigenvalues,
                     second_difference_eigenvalues)
 from .pressure import solve_pressure_channel
 
@@ -47,7 +47,8 @@ from .pressure import solve_pressure_channel
 
 @dataclass(frozen=True)
 class SolverConfig:
-    domain: Domain
+    """A run from ``initial``, on the initial snapshot's grid."""
+
     nu: float
     dt: float
     t_end: float
@@ -56,9 +57,10 @@ class SolverConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if self.domain.grid.ndim != 2:
+        grid = self.initial.grid
+        if grid.ndim != 2:
             raise PreconditionError("the solver is 2D only")
-        if self.domain.geometry == "channel" and self.domain.wall_axis != 1:
+        if not grid.fully_periodic and grid.wall_axis != 1:
             raise PreconditionError("channel solver expects the wall axis to be axis 1")
         if not (0.0 < self.cfl_limit <= 0.5):
             raise PreconditionError("cfl_limit must lie in (0, 0.5]")
@@ -87,11 +89,10 @@ class MacState:
     t: float
 
 
-def _geometry(domain: Domain):
+def _geometry(grid: Grid):
     """(nx, ncy, hx, hy): cells across x and y (the channel's lie between its
     wall nodes) and the spacings."""
-    grid = domain.grid
-    ncy = grid.dims[1] - 1 if domain.geometry == "channel" else grid.dims[1]
+    ncy = grid.dims[1] if grid.fully_periodic else grid.dims[1] - 1
     return grid.dims[0], ncy, grid.spacing[0], grid.spacing[1]
 
 
@@ -100,21 +101,21 @@ def _geometry(domain: Domain):
 # ---------------------------------------------------------------------------
 
 
-def _divergence(u, v, domain: Domain):
-    nx, ncy, hx, hy = _geometry(domain)
+def _divergence(u, v, grid: Grid):
+    nx, ncy, hx, hy = _geometry(grid)
     dux = (np.roll(u, -1, axis=0) - u) / hx
-    if domain.geometry == "periodic":
+    if grid.fully_periodic:
         dvy = (np.roll(v, -1, axis=1) - v) / hy
     else:
         dvy = (v[:, 1:] - v[:, :-1]) / hy
     return dux + dvy
 
 
-def _grad_correct(u, v, q, domain: Domain):
+def _grad_correct(u, v, q, grid: Grid):
     """Subtract the staggered gradient of q from (u, v)."""
-    nx, ncy, hx, hy = _geometry(domain)
+    nx, ncy, hx, hy = _geometry(grid)
     u = u - (q - np.roll(q, 1, axis=0)) / hx
-    if domain.geometry == "periodic":
+    if grid.fully_periodic:
         v = v - (q - np.roll(q, 1, axis=1)) / hy
     else:
         v = v.copy()
@@ -122,10 +123,10 @@ def _grad_correct(u, v, q, domain: Domain):
     return u, v
 
 
-def _laplacian_eigenvalues(domain: Domain, phase_y) -> np.ndarray:
+def _laplacian_eigenvalues(grid: Grid, phase_y) -> np.ndarray:
     """5-point Laplacian eigenvalues on ``Diagonal``'s spectrum: the real-FFT
     half of the periodic x modes plus the y eigenvalues at ``phase_y``."""
-    nx, ncy, hx, hy = _geometry(domain)
+    nx, ncy, hx, hy = _geometry(grid)
     lam_x = second_difference_eigenvalues(np.pi * np.arange(nx // 2 + 1) / nx, hx)
     return lam_x[:, None] + second_difference_eigenvalues(phase_y, hy)[None, :]
 
@@ -134,26 +135,26 @@ class _Projector(Diagonal):
     """Inverse Laplacian of the MAC projection (channel: homogeneous Neumann,
     DCT-II); the mean mode is zeroed, which is the compatibility gauge."""
 
-    def __init__(self, domain: Domain):
-        nx, ncy, hx, hy = _geometry(domain)
-        periodic = domain.geometry == "periodic"
-        lam = _laplacian_eigenvalues(domain, (1.0 if periodic else 0.5) * np.pi * np.arange(ncy) / ncy)
+    def __init__(self, grid: Grid):
+        nx, ncy, hx, hy = _geometry(grid)
+        periodic = grid.fully_periodic
+        lam = _laplacian_eigenvalues(grid, (1.0 if periodic else 0.5) * np.pi * np.arange(ncy) / ncy)
         super().__init__((nx, ncy), inverse_eigenvalues(lam), None if periodic else (1, "dct", 2))
 
 
-def project(u, v, domain: Domain, projector: _Projector):
-    q = projector(_divergence(u, v, domain))
-    return _grad_correct(u, v, q, domain)
+def project(u, v, grid: Grid, projector: _Projector):
+    q = projector(_divergence(u, v, grid))
+    return _grad_correct(u, v, q, grid)
 
 
-def _ghost_u(u, domain: Domain):
+def _ghost_u(u, grid: Grid):
     """u with one ghost layer in y (no-slip: mirror-negated across the wall)."""
-    if domain.geometry == "periodic":
+    if grid.fully_periodic:
         return np.concatenate([u[:, -1:], u, u[:, :1]], axis=1)
     return np.concatenate([-u[:, :1], u, -u[:, -1:]], axis=1)
 
 
-def advection(u, v, domain: Domain):
+def advection(u, v, grid: Grid):
     """Energy-conserving convective terms (du, dv) = -div(u w) on the MAC grid.
 
     Centered-average fluxes make the operator skew-symmetric on the
@@ -161,10 +162,10 @@ def advection(u, v, domain: Domain):
     the interpolated cell divergence, which the projection keeps at zero, so
     the inviscid core neither creates nor destroys kinetic energy.
     """
-    nx, ncy, hx, hy = _geometry(domain)
-    per = domain.geometry == "periodic"
+    nx, ncy, hx, hy = _geometry(grid)
+    per = grid.fully_periodic
 
-    ug = _ghost_u(u, domain)  # (nx, ncy+2)
+    ug = _ghost_u(u, grid)  # (nx, ncy+2)
     if per:
         vg = np.concatenate([v, v[:, :1]], axis=1)  # y-faces j = 0..ncy
     else:
@@ -211,10 +212,10 @@ class _Diffuser:
     c = nu dt / 2: u sees no-slip ghosts (-u0, DST-II), v lives on the
     interior faces with the wall faces held at zero (DST-I)."""
 
-    def __init__(self, domain: Domain, nu: float, dt: float):
+    def __init__(self, grid: Grid, nu: float, dt: float):
         self.c = c = 0.5 * nu * dt
-        nx, ncy, hx, hy = _geometry(domain)
-        amp = _crank_nicolson(c, _laplacian_eigenvalues(domain, 0.5 * np.pi * np.arange(1, ncy + 1) / ncy))
+        nx, ncy, hx, hy = _geometry(grid)
+        amp = _crank_nicolson(c, _laplacian_eigenvalues(grid, 0.5 * np.pi * np.arange(1, ncy + 1) / ncy))
         self.u = Diagonal((nx, ncy), amp, (1, "dst", 2))
         self.v = Diagonal((nx, ncy - 1), amp[:, :-1], (1, "dst", 1))  # v's phases are u's but the last
 
@@ -231,15 +232,15 @@ class _Diffuser:
 # ---------------------------------------------------------------------------
 
 
-def kinetic_energy(u, v, domain: Domain) -> float:
-    nx, ncy, hx, hy = _geometry(domain)
+def kinetic_energy(u, v, grid: Grid) -> float:
+    nx, ncy, hx, hy = _geometry(grid)
     return 0.5 * hx * hy * (float(np.sum(u * u)) + float(np.sum(v * v)))
 
 
-def gradient_norm_sq(u, v, domain: Domain) -> float:
+def gradient_norm_sq(u, v, grid: Grid) -> float:
     """||grad u||^2 in the channel's staggered inner product, exactly -<w, L w>
     (periodic in x; the no-slip ghosts and zero wall faces across y)."""
-    nx, ncy, hx, hy = _geometry(domain)
+    nx, ncy, hx, hy = _geometry(grid)
     vol = hx * hy
     total = 0.0
     total += float(np.sum((np.roll(u, -1, axis=0) - u) ** 2)) / hx**2
@@ -265,9 +266,9 @@ def _spectral_shift(f: np.ndarray, axis: int, frac: float) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(f, axis=axis) * phase, n=m, axis=axis)
 
 
-def nodes_to_mac(snap: Snapshot, domain: Domain) -> MacState:
+def nodes_to_mac(snap: Snapshot) -> MacState:
     un, vn = snap.velocity[0], snap.velocity[1]
-    if domain.geometry == "periodic":
+    if snap.grid.fully_periodic:
         u = _spectral_shift(un, 1, 0.5)
         v = _spectral_shift(vn, 0, 0.5)
     else:
@@ -280,10 +281,9 @@ def nodes_to_mac(snap: Snapshot, domain: Domain) -> MacState:
     return MacState(u, v, snap.time)
 
 
-def mac_to_nodes(state: MacState, domain: Domain, tags: dict | None = None) -> Snapshot:
-    grid = domain.grid
+def mac_to_nodes(state: MacState, grid: Grid, tags: dict | None = None) -> Snapshot:
     u, v = state.u, state.v
-    if domain.geometry == "periodic":
+    if grid.fully_periodic:
         un = _spectral_shift(u, 1, -0.5)
         vn = _spectral_shift(v, 0, -0.5)
     else:
@@ -295,7 +295,7 @@ def mac_to_nodes(state: MacState, domain: Domain, tags: dict | None = None) -> S
     div = float(np.abs(divergence(probe)).max())
     out_tags = dict(tags or {})
     out_tags["divergence_free"] = div * 1.5 + 1e-15
-    out_tags["impermeable"] = domain.geometry == "channel"
+    out_tags["impermeable"] = not grid.fully_periodic
     return Snapshot(grid, probe.velocity, None, state.t, out_tags)
 
 
@@ -333,7 +333,7 @@ def _check_finite(u, v, cfg: SolverConfig, t: float) -> float:
 
 
 def _check_cfl(u, v, cfg: SolverConfig, t: float):
-    nx, ncy, hx, hy = _geometry(cfg.domain)
+    nx, ncy, hx, hy = _geometry(cfg.initial.grid)
     hmin = min(hx, hy)
     umax = max(_check_finite(u, v, cfg, t), 1e-300)
     adv_dt = cfg.cfl_limit * hmin / umax
@@ -347,35 +347,35 @@ def _check_cfl(u, v, cfg: SolverConfig, t: float):
         )
 
 
-def _stencil_finish(domain: Domain, nu: float, dt: float, projector: _Projector):
+def _stencil_finish(grid: Grid, nu: float, dt: float, projector: _Projector):
     """The channel's finish: project, Crank-Nicolson, project, each a solve of
     its own.  It returns (u, v, dissipation, loss of the second projection)."""
-    diffuser = _Diffuser(domain, nu, dt)
+    diffuser = _Diffuser(grid, nu, dt)
 
     def finish(u, v):
-        u2, v2 = project(u, v, domain, projector)
+        u2, v2 = project(u, v, grid, projector)
         u3, v3 = diffuser.step(u2, v2)
-        diss = nu * dt * gradient_norm_sq(0.5 * (u2 + u3), 0.5 * (v2 + v3), domain) if nu > 0 else 0.0
-        e_before = kinetic_energy(u3, v3, domain)
-        u4, v4 = project(u3, v3, domain, projector)
-        return u4, v4, diss, e_before - kinetic_energy(u4, v4, domain)
+        diss = nu * dt * gradient_norm_sq(0.5 * (u2 + u3), 0.5 * (v2 + v3), grid) if nu > 0 else 0.0
+        e_before = kinetic_energy(u3, v3, grid)
+        u4, v4 = project(u3, v3, grid, projector)
+        return u4, v4, diss, e_before - kinetic_energy(u4, v4, grid)
 
     return finish
 
 
-def _spectral_finish(domain: Domain, nu: float, dt: float, projector: _Projector):
+def _spectral_finish(grid: Grid, nu: float, dt: float, projector: _Projector):
     """The periodic box's finish amp * P, in the projector's transform (x
     halved, y whole).  P subtracts g q^, q^ = (d . w^) / lam (the projector's
     mult), with the forward difference d = (e^{i theta} - 1) / h and the
     backward one g = -conj(d).  The dissipation nu dt <m, -L m> at the CN
     midpoint m^ = (1 + amp) / 2 * P w^ is read off by Parseval; the last
     projection removes nothing."""
-    nx, ny, hx, hy = _geometry(domain)
+    nx, ny, hx, hy = _geometry(grid)
     kx = np.arange(nx // 2 + 1)[:, None]
     theta_x, theta_y = 2.0 * np.pi * kx / nx, 2.0 * np.pi * np.arange(ny) / ny
     d = ((np.exp(1j * theta_x) - 1.0) / hx, (np.exp(1j * theta_y) - 1.0) / hy)
     g = [-np.conj(d_a) for d_a in d]
-    lam = _laplacian_eigenvalues(domain, 0.5 * theta_y)
+    lam = _laplacian_eigenvalues(grid, 0.5 * theta_y)
     amp = _crank_nicolson(0.5 * nu * dt, lam)
     # Parseval: sum |f|^2 over the cells is sum |f^|^2 over the whole spectrum / (nx ny); a half-
     # spectrum x mode stands for its mirror -kx too, except kx = 0 and an even nx's Nyquist mode
@@ -395,51 +395,48 @@ def _spectral_finish(domain: Domain, nu: float, dt: float, projector: _Projector
     return finish
 
 
-_FINISH = {"periodic": _spectral_finish, "channel": _stencil_finish}
-
-
 def step(state: MacState, cfg: SolverConfig, projector=None, finish=None):
     """One time step; returns (state, dissipation_increment, projection_loss)."""
-    dom = cfg.domain
+    grid = cfg.initial.grid
     if projector is None:
-        projector = _Projector(dom)
+        projector = _Projector(grid)
     if finish is None:
-        finish = _FINISH[dom.geometry](dom, cfg.nu, cfg.dt, projector)
+        finish = (_spectral_finish if grid.fully_periodic else _stencil_finish)(grid, cfg.nu, cfg.dt, projector)
     u, v = state.u, state.v
     dt = cfg.dt
     _check_cfl(u, v, cfg, state.t)
 
-    du1, dv1 = advection(u, v, dom)
-    u1, v1 = project(u + dt * du1, v + dt * dv1, dom, projector)
-    du2, dv2 = advection(u1, v1, dom)
+    du1, dv1 = advection(u, v, grid)
+    u1, v1 = project(u + dt * du1, v + dt * dv1, grid, projector)
+    du2, dv2 = advection(u1, v1, grid)
     u3, v3, diss, proj_loss = finish(u + 0.5 * dt * (du1 + du2), v + 0.5 * dt * (dv1 + dv2))
     return MacState(u3, v3, state.t + dt), diss, proj_loss
 
 
 def run(cfg: SolverConfig):
     """Integrate to t_end; returns (node Trajectory, DissipationSeries)."""
-    dom = cfg.domain
-    projector = _Projector(dom)
-    finish = _FINISH[dom.geometry](dom, cfg.nu, cfg.dt, projector)
-    state = nodes_to_mac(cfg.initial, dom)
-    u, v = project(state.u, state.v, dom, projector)
+    grid = cfg.initial.grid
+    projector = _Projector(grid)
+    finish = (_spectral_finish if grid.fully_periodic else _stencil_finish)(grid, cfg.nu, cfg.dt, projector)
+    state = nodes_to_mac(cfg.initial)
+    u, v = project(state.u, state.v, grid, projector)
     state = MacState(u, v, 0.0)
 
     n_steps = whole_steps(cfg.t_end, cfg.dt)
-    e0 = kinetic_energy(state.u, state.v, dom)
+    e0 = kinetic_energy(state.u, state.v, grid)
     rows = [(0.0, e0, 0.0, 0.0)]  # t, E, cumulative dissipation, Leray residual
     tags = dict(cfg.initial.tags)
     tags["nu"] = cfg.nu
-    snaps = [mac_to_nodes(state, dom, tags)]
+    snaps = [mac_to_nodes(state, grid, tags)]
     acc = 0.0
     for k in range(1, n_steps + 1):
         state, diss, _ = step(state, cfg, projector, finish)
         state = MacState(state.u, state.v, k * cfg.dt)
         acc += diss
-        e = kinetic_energy(state.u, state.v, dom)
+        e = kinetic_energy(state.u, state.v, grid)
         rows.append((k * cfg.dt, e, acc, e + acc - e0))
         if k % cfg.snapshot_stride == 0:  # a final partial stride takes no snapshot
-            snaps.append(mac_to_nodes(state, dom, tags))
+            snaps.append(mac_to_nodes(state, grid, tags))
     _check_finite(state.u, state.v, cfg, state.t)  # the last state enters no step, so _check_cfl never sees it
     series = DissipationSeries(*(np.array(col) for col in zip(*rows)))
     return Trajectory(tuple(snaps), cfg.dt * cfg.snapshot_stride), series
@@ -469,7 +466,7 @@ class DissipationSweepReport:
     flagged: tuple
 
 
-def dissipation_report(swept, domain: Domain, dt: float, t_star: float) -> DissipationSweepReport:
+def dissipation_report(swept, grid: Grid, dt: float, t_star: float) -> DissipationSweepReport:
     """nu -> nu * int_0^{t*} ||grad u||^2 over a decreasing viscosity ladder.
 
     ``swept`` holds (nu, DissipationSeries) pairs of runs with step dt that
@@ -481,7 +478,7 @@ def dissipation_report(swept, domain: Domain, dt: float, t_star: float) -> Dissi
     swept = sorted(((float(nu), series) for nu, series in swept), key=lambda p: -p[0])
     if not swept:
         raise PreconditionError("empty viscosity ladder")
-    hy = domain.grid.spacing[1]
+    hy = grid.spacing[1]
     rows = []
     flagged = []
     for nu, series in swept:
@@ -489,7 +486,7 @@ def dissipation_report(swept, domain: Domain, dt: float, t_star: float) -> Dissi
             raise PreconditionError(f"t_star={t_star:g} lies past the end of the nu={nu:g} run")
         value = float(series.cumulative_dissipation[n_star])
         resolved = True
-        if domain.geometry == "channel" and np.sqrt(nu * t_star) < 4.0 * hy:
+        if not grid.fully_periodic and np.sqrt(nu * t_star) < 4.0 * hy:
             resolved = False
         rows.append((nu, value, resolved))
         if not resolved:
@@ -511,7 +508,7 @@ def dissipation_sweep(cfg: SolverConfig, nus, t_star: float) -> DissipationSweep
     """Run ``cfg`` to t_star at every viscosity in ``nus`` and report the
     dissipation ladder (see ``dissipation_report``)."""
     swept = [(nu, run(replace(cfg, nu=nu, t_end=t_star))[1]) for nu in nus]
-    return dissipation_report(swept, cfg.domain, cfg.dt, t_star)
+    return dissipation_report(swept, cfg.initial.grid, cfg.dt, t_star)
 
 
 @dataclass(frozen=True)
@@ -524,7 +521,7 @@ class ViscousFluxReport:
     verdict: str
 
 
-def viscous_flux_criterion(runs, etas, domain: Domain) -> ViscousFluxReport:
+def viscous_flux_criterion(runs, etas) -> ViscousFluxReport:
     """Shell-flux matrix Phi_eta(nu) over solver runs, with the nu -> 0
     Richardson extrapolation (linear, two smallest viscosities) and the
     ladder-trend verdict on the extrapolated values.
@@ -533,11 +530,12 @@ def viscous_flux_criterion(runs, etas, domain: Domain) -> ViscousFluxReport:
     node snapshots so diagnostics use the Bernoulli pressure of the momentum
     balance, not the projector's internal pseudo-pressure.
     """
-    if domain.geometry != "channel":
-        raise PreconditionError("viscous flux criterion requires channel geometry")
     if len(runs) < 2:
         raise PreconditionError("need at least 2 viscosities")
-    etas = shell_ladder(etas, domain)
+    grid = runs[0][1].grid
+    if grid.fully_periodic:
+        raise PreconditionError("viscous flux criterion requires channel geometry")
+    etas = shell_ladder(etas, grid)
     runs = sorted(runs, key=lambda r: -r[0])
     nus = [nu for nu, _ in runs]
 
@@ -545,13 +543,13 @@ def viscous_flux_criterion(runs, etas, domain: Domain) -> ViscousFluxReport:
     for nu, traj in runs:
         snaps = []
         for s in traj.snapshots:
-            rep = solve_pressure_channel(s, domain)
+            rep = solve_pressure_channel(s)
             snaps.append(s.with_pressure(rep.pressure))
         with_p.append(Trajectory(tuple(snaps), traj.dt))
 
     flux = []
     for eta in etas:
-        flux.append(tuple(shell_flux(tr, eta, domain) for tr in with_p))
+        flux.append(tuple(shell_flux(tr, eta) for tr in with_p))
     nu1, nu2 = nus[-2], nus[-1]  # two smallest
     extrap = []
     for row in flux:

@@ -226,19 +226,16 @@ def _valid_bases(grid: Grid, region: np.ndarray | None, offset) -> np.ndarray | 
     return valid
 
 
-def _offset_max_increment(vel: np.ndarray, offset, valid: np.ndarray | None = None) -> tuple[float, int]:
+def _offset_max_increment(vel: np.ndarray, offset, valid: np.ndarray | None = None) -> float:
     """Max Euclidean increment |u(x) - u(x - o*h)| over the base nodes in
-    ``valid`` (every node when None), and the number of those nodes."""
-    count = vel[0].size if valid is None else int(valid.sum())
-    if count == 0:
-        return 0.0, 0
+    ``valid`` (every node when None), which must hold at least one node."""
     diff = np.roll(vel, shift=tuple(offset), axis=tuple(range(1, vel.ndim)))
     np.subtract(vel, diff, out=diff)
     np.square(diff, out=diff)
     diff2 = diff[0]
     for comp in diff[1:]:  # components in axis order, as a sum over axis 0 adds them
         diff2 += comp
-    return float(np.sqrt((diff2 if valid is None else diff2[valid]).max())), count
+    return float(np.sqrt((diff2 if valid is None else diff2[valid]).max()))
 
 
 def _region_extent(grid: Grid, region: np.ndarray | None) -> float:
@@ -306,11 +303,13 @@ def _increment_survey(
         for orbit in orbits:
             for o in orbit:
                 r_eff = float(np.sqrt(np.sum((o * hvec) ** 2)))
-                s, cnt = _offset_max_increment(vel, o, _valid_bases(grid, region, o))
-                if cnt > 0:
-                    points.append((r_eff, s))
-                    if s > best_s:
-                        best_s, best_r = s, r_eff
+                valid = _valid_bases(grid, region, o)
+                if valid is not None and not valid.any():
+                    continue
+                s = _offset_max_increment(vel, o, valid)
+                points.append((r_eff, s))
+                if s > best_s:
+                    best_s, best_r = s, r_eff
         if best_r is not None:
             rung_points.append((best_r, best_s))
     if not points:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oflux.grids import Domain, Snapshot, Trajectory, make_grid
+from oflux.grids import Snapshot, Trajectory, make_grid
 from oflux.synth import taylor_green
 
 TWO_PI = 2.0 * np.pi
@@ -22,9 +22,8 @@ def box256():
     return make_grid((256, 256), (TWO_PI, TWO_PI))
 
 
-def channel_domain(nx=64, ny=65, lx=TWO_PI, ly=1.0):
-    grid = make_grid((nx, ny), (lx, ly), ("periodic", "wall"))
-    return Domain(grid, "channel")
+def channel_grid(nx=64, ny=65, lx=TWO_PI, ly=1.0):
+    return make_grid((nx, ny), (lx, ly), ("periodic", "wall"))
 
 
 def steady_tg_trajectory(grid, n_snaps=5, dt=0.1):
@@ -45,10 +44,9 @@ def frozen_trajectory(snap, n_snaps=3, dt=0.1):
     return Trajectory(snaps, dt)
 
 
-def stream_channel_field(domain):
+def stream_channel_field(grid):
     """Divergence-free channel field from the stream function sin(x) sin(pi y),
     with its exact Euler pressure (pi^2/4) cos 2x + (1/4) cos 2 pi y."""
-    grid = domain.grid
     x, y = grid.meshes()
     u = np.pi * np.sin(x) * np.cos(np.pi * y)
     v = -np.cos(x) * np.sin(np.pi * y)

@@ -15,13 +15,13 @@ from oflux.boundary import conservation_verdict, global_balance, shell_flux
 from oflux.cli import main as cli_main
 from oflux.commutator import commutator_stress, scaling_probe
 from oflux.energy_balance import ChiWindow, TestFunction, dr_convergence_sweep, weak_energy_identity
-from oflux.grids import Domain, Snapshot, Trajectory, energy, make_grid
+from oflux.grids import Snapshot, Trajectory, energy, make_grid, wall_distance, wall_normal_sign
 from oflux.mollify import block_mask, cutoff_region, full_box_chain, make_mollifier
 from oflux.pressure import solve_pressure_channel, solve_pressure_periodic
 from oflux.solver import SolverConfig, dissipation_sweep, run
 from oflux.synth import estimate_holder_exponent, fractional_field, shear_flow, taylor_green
 
-from conftest import TWO_PI, channel_domain, steady_tg_trajectory, stream_channel_field
+from conftest import TWO_PI, channel_grid, steady_tg_trajectory, stream_channel_field
 from mollify_oracle import commutator_via_increments
 
 # every solver run executed by this suite registers its worst Leray residual
@@ -140,9 +140,9 @@ def test_criterion_04_pressure_oracle(box64):
 
     errs = {}
     for n in (33, 65, 129):
-        dom = channel_domain(n - 1, n)
-        s = stream_channel_field(dom)
-        r = solve_pressure_channel(s, dom)
+        grid = channel_grid(n - 1, n)
+        s = stream_channel_field(grid)
+        r = solve_pressure_channel(s)
         exact = s.pressure - s.pressure[:, 1:-1].mean()
         errs[n] = float(np.abs(r.pressure - exact).max())
     o1 = float(np.log2(errs[33] / errs[65]))
@@ -203,24 +203,24 @@ def test_criterion_06_shear_stationarity():
 
 
 def test_criterion_07_global_balance():
-    dom = channel_domain(128, 129)
-    snap = stream_channel_field(dom)
+    grid = channel_grid(128, 129)
+    snap = stream_channel_field(grid)
     traj = Trajectory(
         tuple(Snapshot(snap.grid, snap.velocity, snap.pressure, 0.1 * i) for i in range(3)), 0.1
     )
-    h = dom.grid.spacing[1]
-    bal = global_balance(traj, 56 * h, 0.0, 0.2, dom)
+    h = grid.spacing[1]
+    bal = global_balance(traj, 56 * h, 0.0, 0.2)
 
-    _, y = dom.grid.meshes()
+    _, y = grid.meshes()
     prof = np.sin(np.pi * y) ** 2
-    d = dom.distance_field()
-    sgn = dom.normal_sign_field()
+    d = np.broadcast_to(wall_distance(grid), grid.dims)
+    sgn = wall_normal_sign(grid)
     leak = np.where(d < 0.3, 0.1 * sgn, 0.0)
-    u2 = np.stack([np.broadcast_to(prof, dom.grid.dims).copy(), leak])
+    u2 = np.stack([np.broadcast_to(prof, grid.dims).copy(), leak])
     traj2 = Trajectory(
-        tuple(Snapshot(dom.grid, u2, np.ones(dom.grid.dims), 0.1 * i) for i in range(3)), 0.1
+        tuple(Snapshot(grid, u2, np.ones(grid.dims), 0.1 * i) for i in range(3)), 0.1
     )
-    v2 = conservation_verdict(traj2, [56 * h, 28 * h, 14 * h], dom)
+    v2 = conservation_verdict(traj2, [56 * h, 28 * h, 14 * h])
     flipped = "shell-flux" in v2.verdict and v2.verdict.startswith("hypotheses fail")
     _report(7, abs(bal.residual) <= 1e-6 and flipped,
             f"steady balance residual {abs(bal.residual):.2e} (<= 1e-6); "
@@ -231,15 +231,15 @@ def test_criterion_07_global_balance():
 
 
 def test_criterion_08_shell_flux_decay():
-    dom = channel_domain(128, 129, ly=1.0)
-    h = dom.grid.spacing[1]
-    d = dom.distance_field()
-    sgn = dom.normal_sign_field()
-    u = np.stack([np.zeros(dom.grid.dims), d * sgn])  # u.n = d, Bernoulli = 1
+    grid = channel_grid(128, 129, ly=1.0)
+    h = grid.spacing[1]
+    d = np.broadcast_to(wall_distance(grid), grid.dims)
+    sgn = wall_normal_sign(grid)
+    u = np.stack([np.zeros(grid.dims), d * sgn])  # u.n = d, Bernoulli = 1
     ke = 0.5 * np.sum(u**2, axis=0)
-    snap = Snapshot(dom.grid, u, 1.0 - ke, 0.0)
+    snap = Snapshot(grid, u, 1.0 - ke, 0.0)
     etas = [56 * h, 28 * h, 14 * h]  # a 4x ladder
-    vals = [shell_flux(snap, e, dom) for e in etas]
+    vals = [shell_flux(snap, e) for e in etas]
     monotone = all(vals[i + 1] <= vals[i] * 1.10 for i in range(len(vals) - 1))
     quarter = vals[-1] <= 0.25 * vals[0]
     _report(8, monotone and quarter,
@@ -252,8 +252,7 @@ def test_criterion_08_shell_flux_decay():
 
 def test_criterion_09_leray_hopf_budget():
     g = make_grid((64, 64), (TWO_PI, TWO_PI))
-    dom = Domain(g, "periodic")
-    cfg = SolverConfig(dom, 0.01, 0.005, 1.0, taylor_green(g, 0.0, 0.01), snapshot_stride=50)
+    cfg = SolverConfig(0.01, 0.005, 1.0, taylor_green(g, 0.0, 0.01), snapshot_stride=50)
     _, series = _run_logged(cfg)
     e0 = series.kinetic_energy[0]
     budget = e0 * (1.0 - np.exp(-4 * 0.01 * 1.0))
@@ -268,23 +267,22 @@ def test_criterion_09_leray_hopf_budget():
 
 def test_criterion_10_dissipation_sweep():
     g = make_grid((128, 128), (TWO_PI, TWO_PI))
-    dom = Domain(g, "periodic")
-    cfg = SolverConfig(dom, 1e-2, 0.005, 0.5, taylor_green(g, 0.0, 1e-2), snapshot_stride=100)
+    cfg = SolverConfig(1e-2, 0.005, 0.5, taylor_green(g, 0.0, 1e-2), snapshot_stride=100)
     rep = dissipation_sweep(cfg, [1e-2, 3e-3, 1e-3], 0.5)
     vals = [r[1] for r in rep.rows]
     decreasing = all(vals[i + 1] < vals[i] for i in range(len(vals) - 1))
     halved = vals[-1] <= 0.5 * vals[0]
 
     # channel entries with thin boundary layers are flagged, never asserted
-    domc = channel_domain(64, 65)
-    x, y = domc.grid.meshes()
+    gridc = channel_grid(64, 65)
+    x, y = gridc.meshes()
     prof = np.sin(np.pi * y) ** 2
-    u0 = np.ascontiguousarray(np.broadcast_to(prof, domc.grid.dims) + 0.05 * np.sin(2 * x) * prof)
-    init = Snapshot(domc.grid, np.stack([u0, np.zeros(domc.grid.dims)]))
-    cfgc = SolverConfig(domc, 1e-2, 0.0025, 0.2, init, snapshot_stride=40)
+    u0 = np.ascontiguousarray(np.broadcast_to(prof, gridc.dims) + 0.05 * np.sin(2 * x) * prof)
+    init = Snapshot(gridc, np.stack([u0, np.zeros(gridc.dims)]))
+    cfgc = SolverConfig(1e-2, 0.0025, 0.2, init, snapshot_stride=40)
     repc = dissipation_sweep(cfgc, [1e-2, 1e-4], 0.2)
     flags_ok = all(
-        resolved == (np.sqrt(nu * 0.2) >= 4 * domc.grid.spacing[1])
+        resolved == (np.sqrt(nu * 0.2) >= 4 * gridc.spacing[1])
         for nu, _, resolved in repc.rows
     ) and len(repc.flagged) >= 1
     _report(10, decreasing and halved and flags_ok,
@@ -297,16 +295,16 @@ def test_criterion_10_dissipation_sweep():
 
 def test_criterion_09b_leray_every_run():
     # channel run for good measure, then check the full log
-    domc = channel_domain(64, 65)
-    _, y = domc.grid.meshes()
+    gridc = channel_grid(64, 65)
+    _, y = gridc.meshes()
     prof = np.sin(np.pi * y) ** 2
-    init = Snapshot(domc.grid, np.stack([np.broadcast_to(prof, domc.grid.dims).copy(), np.zeros(domc.grid.dims)]))
-    _run_logged(SolverConfig(domc, 0.01, 0.0025, 0.25, init, snapshot_stride=25))
+    init = Snapshot(gridc, np.stack([np.broadcast_to(prof, gridc.dims).copy(), np.zeros(gridc.dims)]))
+    _run_logged(SolverConfig(0.01, 0.0025, 0.25, init, snapshot_stride=25))
 
     g = make_grid((128, 128), (TWO_PI, TWO_PI))
     f = fractional_field(0.9, 4, 3, g)
     init2 = Snapshot(g, 0.25 * f.velocity)
-    _run_logged(SolverConfig(Domain(g, "periodic"), 0.0, 0.002, 0.5, init2, snapshot_stride=250))
+    _run_logged(SolverConfig(0.0, 0.002, 0.5, init2, snapshot_stride=250))
 
     worst = max(LERAY_LOG)
     _report(9, worst <= 1e-8,

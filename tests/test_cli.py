@@ -7,12 +7,12 @@ import pytest
 
 from oflux import cli, fieldio, solver
 from oflux.cli import main
-from oflux.grids import Domain, Snapshot, Trajectory, make_grid
+from oflux.grids import Snapshot, Trajectory, make_grid, wall_distance, wall_normal_sign
 from oflux.reports import canonical_json, config_hash, write_csv
 from oflux.solver import SolverConfig, dissipation_sweep, run
 from oflux.synth import fractional_field, taylor_green
 
-from conftest import TWO_PI, channel_domain
+from conftest import TWO_PI, channel_grid
 
 
 def _read_all_bytes(directory):
@@ -110,12 +110,12 @@ def test_diagnose_under_resolved_ladder(tmp_path, capsys):
 
 
 def test_boundary_command_steady_and_leak(tmp_path):
-    dom = channel_domain(128, 129)
-    _, y = dom.grid.meshes()
+    grid = channel_grid(128, 129)
+    _, y = grid.meshes()
     prof = np.sin(np.pi * y) ** 2
-    u = np.stack([np.broadcast_to(prof, dom.grid.dims).copy(), np.zeros(dom.grid.dims)])
-    p = np.zeros(dom.grid.dims)
-    traj = Trajectory(tuple(Snapshot(dom.grid, u, p, 0.1 * i) for i in range(3)), 0.1)
+    u = np.stack([np.broadcast_to(prof, grid.dims).copy(), np.zeros(grid.dims)])
+    p = np.zeros(grid.dims)
+    traj = Trajectory(tuple(Snapshot(grid, u, p, 0.1 * i) for i in range(3)), 0.1)
     tdir = tmp_path / "steady"
     fieldio.write_trajectory(tdir, traj)
     code = main(["boundary", "--in", str(tdir), "--out", str(tmp_path / "bs")])
@@ -123,12 +123,12 @@ def test_boundary_command_steady_and_leak(tmp_path):
     verdict = json.loads((tmp_path / "bs" / "verdict.json").read_text())
     assert verdict["verdict"]["exit_code"] == 0
 
-    d = dom.distance_field()
-    sgn = dom.normal_sign_field()
+    d = np.broadcast_to(wall_distance(grid), grid.dims)
+    sgn = wall_normal_sign(grid)
     leak = np.where(d < 0.3, 0.1 * sgn, 0.0)
-    u2 = np.stack([np.broadcast_to(prof, dom.grid.dims).copy(), leak])
-    p2 = np.ones(dom.grid.dims)
-    traj2 = Trajectory(tuple(Snapshot(dom.grid, u2, p2, 0.1 * i) for i in range(3)), 0.1)
+    u2 = np.stack([np.broadcast_to(prof, grid.dims).copy(), leak])
+    p2 = np.ones(grid.dims)
+    traj2 = Trajectory(tuple(Snapshot(grid, u2, p2, 0.1 * i) for i in range(3)), 0.1)
     tdir2 = tmp_path / "leak"
     fieldio.write_trajectory(tdir2, traj2)
     code2 = main(["boundary", "--in", str(tdir2), "--out", str(tmp_path / "bl")])
@@ -290,24 +290,24 @@ def test_sweep_non_finite_config_value_exit_code(tmp_path, capsys):
 
 
 def _small_sweep(geometry):
-    """A CLI sweep config on a small grid with its solver domain and initial state."""
+    """A CLI sweep config on a small grid with its initial state."""
     if geometry == "periodic":
         cfg = dict(_SMALL_PERIODIC_SWEEP, t_end=0.2, snapshot_stride=4)  # t_end on a snapshot
         grid = make_grid((32, 32), (TWO_PI, TWO_PI))
-        return cfg, Domain(grid, "periodic"), taylor_green(grid, 0.0, 0.01)
+        return cfg, taylor_green(grid, 0.0, 0.01)
     cfg = {"geometry": "channel", "grid": "32x33", "initial": {"kind": "poiseuille"},
            "nus": [2e-2, 1e-2], "dt": 0.005, "t_end": 0.1, "snapshot_stride": 3}  # t_end between snapshots
-    dom = channel_domain(32, 33, ly=1.0)
-    x, y = dom.grid.meshes()
-    prof = np.sin(np.pi * y / dom.grid.extents[1]) ** 2
-    u0 = np.ascontiguousarray(np.broadcast_to(prof, dom.grid.dims) + 0.05 * np.sin(2 * x) * prof)
-    return cfg, dom, Snapshot(dom.grid, np.stack([u0, np.zeros(dom.grid.dims)]))
+    grid = channel_grid(32, 33, ly=1.0)
+    x, y = grid.meshes()
+    prof = np.sin(np.pi * y / grid.extents[1]) ** 2
+    u0 = np.ascontiguousarray(np.broadcast_to(prof, grid.dims) + 0.05 * np.sin(2 * x) * prof)
+    return cfg, Snapshot(grid, np.stack([u0, np.zeros(grid.dims)]))
 
 
 @pytest.mark.parametrize("ratio", [0.65, 1.0, 1.5], ids=["t_star<t_end", "t_star=t_end", "t_star>t_end"])
 @pytest.mark.parametrize("geometry", ["periodic", "channel"])
 def test_sweep_integrates_each_viscosity_once(tmp_path, monkeypatch, geometry, ratio):
-    cfg, _, _ = _small_sweep(geometry)
+    cfg, _ = _small_sweep(geometry)
     cfg["t_star"] = ratio * cfg["t_end"]
     calls = []
     real_step = solver.step
@@ -325,11 +325,11 @@ def test_sweep_integrates_each_viscosity_once(tmp_path, monkeypatch, geometry, r
 @pytest.mark.parametrize("ratio", [0.65, 1.5], ids=["t_star<t_end", "t_star>t_end"])
 @pytest.mark.parametrize("geometry", ["periodic", "channel"])
 def test_sweep_outputs_match_separate_runs(tmp_path, geometry, ratio):
-    cfg, dom, initial = _small_sweep(geometry)
+    cfg, initial = _small_sweep(geometry)
     t_star = cfg["t_star"] = ratio * cfg["t_end"]
     out = tmp_path / "s"
     assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) in (0, 2)
-    base = SolverConfig(dom, cfg["nus"][0], cfg["dt"], cfg["t_end"], initial,
+    base = SolverConfig(cfg["nus"][0], cfg["dt"], cfg["t_end"], initial,
                         snapshot_stride=cfg["snapshot_stride"])
 
     rows = json.loads((out / "verdict.json").read_text())["dissipation_sweep"]["rows"]
@@ -395,12 +395,32 @@ def test_sweep_leray_gate_covers_steps_past_t_end(tmp_path):
     cfg = dict(_SMALL_PERIODIC_SWEEP, t_end=0.13, t_star=0.2)
     out = tmp_path / "s"
     assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) in (0, 2)
-    _, dom, initial = _small_sweep("periodic")
+    _, initial = _small_sweep("periodic")
     worst = max(
-        float(run(SolverConfig(dom, nu, cfg["dt"], cfg["t_star"], initial))[1].leray_residual.max())
+        float(run(SolverConfig(nu, cfg["dt"], cfg["t_star"], initial))[1].leray_residual.max())
         for nu in cfg["nus"]
     )
     assert json.loads((out / "verdict.json").read_text())["max_leray_residual"] == worst
+
+
+def test_sweep_failed_leray_gate_exits_2(tmp_path, capsys):
+    # a rough fractional field on 16^2 leaves a residual of about 2e-6, above the 1e-8 gate
+    cfg = dict(_SMALL_PERIODIC_SWEEP, grid="16x16", initial={"kind": "fractional", "alpha": 0.5}, nus=[1e-2, 1e-3])
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["leray_ok"] is False and verdict["max_leray_residual"] > 1e-8
+    assert "Leray-Hopf gate" in capsys.readouterr().out
+
+
+def test_sweep_initial_on_another_box_exit_code(tmp_path, capsys):
+    # the generated Taylor-Green field lives on 2 pi, the sweep's box is 4 x 4
+    cfg = dict(_SMALL_PERIODIC_SWEEP, grid="16x16", extent="4x4", initial={"kind": "taylor-green"}, nus=[1e-2, 1e-3])
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "sweep.initial" in err and "extents=(4.0, 4.0)" in err and f"extents=({TWO_PI!r}, {TWO_PI!r})" in err
+    assert _no_output(out)
 
 
 @pytest.mark.parametrize("alpha", ["auto", "0.6"])
@@ -718,10 +738,10 @@ def test_diagnose_auto_alpha_on_a_coarse_grid_names_the_key(tmp_path, capsys, n)
 @pytest.mark.parametrize("ny, code", [(65, 3), (114, 0)])
 def test_boundary_default_shells_need_114_points_across(tmp_path, capsys, ny, code):
     # the default ladder's 56h reaches the half-width of a channel with fewer points across
-    dom = channel_domain(16, ny)
-    _, y = dom.grid.meshes()
-    u = np.stack([np.broadcast_to(np.sin(np.pi * y) ** 2, dom.grid.dims).copy(), np.zeros(dom.grid.dims)])
-    traj = Trajectory(tuple(Snapshot(dom.grid, u, None, 0.1 * i) for i in range(3)), 0.1)
+    grid = channel_grid(16, ny)
+    _, y = grid.meshes()
+    u = np.stack([np.broadcast_to(np.sin(np.pi * y) ** 2, grid.dims).copy(), np.zeros(grid.dims)])
+    traj = Trajectory(tuple(Snapshot(grid, u, None, 0.1 * i) for i in range(3)), 0.1)
     fieldio.write_trajectory(tmp_path / "traj", traj)
     out = tmp_path / "b"
     assert main(["boundary", "--in", str(tmp_path / "traj"), "--out", str(out)]) == code

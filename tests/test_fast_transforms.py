@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oflux.grids import Domain, Snapshot, make_grid
+from oflux.grids import Snapshot, make_grid
 from oflux.pressure import solve_channel_neumann, solve_pressure_periodic
 from oflux.solver import _Diffuser, _Projector, _spectral_finish, project
 
-from conftest import channel_domain
+from conftest import channel_grid
 import tridiag_oracle as oracle
 
 RTOL = 1e-12
@@ -29,10 +29,10 @@ def _close(got, want):
 @PROPERTY
 @given(nx=dims, ny=dims, seed=seeds)
 def test_projection_matches_thomas(nx, ny, seed):
-    dom = channel_domain(nx, ny, lx=1.7, ly=0.9)
-    hx, hy = dom.grid.spacing
+    grid = channel_grid(nx, ny, lx=1.7, ly=0.9)
+    hx, hy = grid.spacing
     rhs = np.random.default_rng(seed).standard_normal((nx, ny - 1))
-    q = _Projector(dom)(rhs)
+    q = _Projector(grid)(rhs)
     ref = oracle.project_solve(rhs, hx, hy)
     # both gauges fix only the additive constant
     assert _close(q - q.mean(), ref - ref.mean())
@@ -41,13 +41,13 @@ def test_projection_matches_thomas(nx, ny, seed):
 @PROPERTY
 @given(nx=dims, ny=dims, seed=seeds, nu=st.floats(1e-4, 1.0), dt=st.floats(1e-4, 0.1))
 def test_diffusion_matches_thomas(nx, ny, seed, nu, dt):
-    dom = channel_domain(nx, ny, lx=2.3, ly=1.0)
-    hx, hy = dom.grid.spacing
+    grid = channel_grid(nx, ny, lx=2.3, ly=1.0)
+    hx, hy = grid.spacing
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((nx, ny - 1))
     v = rng.standard_normal((nx, ny))
     v[:, 0] = v[:, -1] = 0.0
-    un, vn = _Diffuser(dom, nu, dt).step(u, v)
+    un, vn = _Diffuser(grid, nu, dt).step(u, v)
     c = 0.5 * nu * dt
     assert _close(un, oracle.diffuse_u(u, c, hx, hy))
     assert _close(vn, oracle.diffuse_v(v, c, hx, hy))
@@ -57,12 +57,12 @@ def test_diffusion_matches_thomas(nx, ny, seed, nu, dt):
 @PROPERTY
 @given(nx=dims, ny=dims, seed=seeds)
 def test_neumann_pressure_matches_thomas_2d(nx, ny, seed):
-    dom = channel_domain(nx, ny, lx=3.1, ly=1.2)
+    grid = channel_grid(nx, ny, lx=3.1, ly=1.2)
     rng = np.random.default_rng(seed)
     source = rng.standard_normal((nx, ny))
     g_lo, g_hi = rng.standard_normal((2, nx))
-    p = solve_channel_neumann(source, g_lo, g_hi, dom)
-    assert _close(p, oracle.neumann_solve(source, g_lo, g_hi, dom))
+    p = solve_channel_neumann(source, g_lo, g_hi, grid)
+    assert _close(p, oracle.neumann_solve(source, g_lo, g_hi, grid))
 
 
 @PROPERTY
@@ -70,26 +70,26 @@ def test_neumann_pressure_matches_thomas_2d(nx, ny, seed):
 def test_neumann_pressure_matches_thomas_3d(shape, wall, seed):
     kinds = ["periodic"] * 3
     kinds[wall] = "wall"
-    dom = Domain(make_grid(shape, (2.0, 1.5, 1.0), kinds), "channel")
+    grid = make_grid(shape, (2.0, 1.5, 1.0), kinds)
     rng = np.random.default_rng(seed)
     source = rng.standard_normal(shape)
     tangential = tuple(m for a, m in enumerate(shape) if a != wall)
     g_lo, g_hi = rng.standard_normal((2, *tangential))
-    p = solve_channel_neumann(source, g_lo, g_hi, dom)
-    assert _close(p, oracle.neumann_solve(source, g_lo, g_hi, dom))
+    p = solve_channel_neumann(source, g_lo, g_hi, grid)
+    assert _close(p, oracle.neumann_solve(source, g_lo, g_hi, grid))
 
 
 def _box(nx, ny, lx, ly):
-    return Domain(make_grid((nx, ny), (lx, ly)), "periodic")
+    return make_grid((nx, ny), (lx, ly))
 
 
 @PROPERTY
 @given(nx=dims, ny=dims, seed=seeds)
 def test_periodic_projection_matches_dense_stencil(nx, ny, seed):
-    dom = _box(nx, ny, 1.7, 0.9)
-    hx, hy = dom.grid.spacing
+    grid = _box(nx, ny, 1.7, 0.9)
+    hx, hy = grid.spacing
     rhs = np.random.default_rng(seed).standard_normal((nx, ny))
-    q = _Projector(dom)(rhs)
+    q = _Projector(grid)(rhs)
     assert _close(q, oracle.periodic_project_solve(rhs, hx, hy))
 
 
@@ -107,17 +107,17 @@ def test_periodic_pressure_matches_complex_fft(ndim, data, seed):
 @PROPERTY
 @given(nx=dims, ny=dims, seed=seeds, nu=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)), dt=st.floats(1e-4, 0.1))
 def test_periodic_spectral_finish_matches_stencil_route(nx, ny, seed, nu, dt):
-    dom = _box(nx, ny, 1.9, 0.8)
+    grid = _box(nx, ny, 1.9, 0.8)
     u, v = np.random.default_rng(seed).standard_normal((2, nx, ny))  # not divergence-free
-    projector = _Projector(dom)
-    uf, vf, diss, loss = _spectral_finish(dom, nu, dt, projector)(u, v)
+    projector = _Projector(grid)
+    uf, vf, diss, loss = _spectral_finish(grid, nu, dt, projector)(u, v)
 
-    hx, hy = dom.grid.spacing
+    hx, hy = grid.spacing
     c = 0.5 * nu * dt
-    u2, v2 = project(u, v, dom, projector)
+    u2, v2 = project(u, v, grid, projector)
     u3, v3 = oracle.periodic_diffuse(u2, c, hx, hy), oracle.periodic_diffuse(v2, c, hx, hy)
     want = nu * dt * oracle.periodic_gradient_norm_sq(0.5 * (u2 + u3), 0.5 * (v2 + v3), hx, hy)
-    u4, v4 = project(u3, v3, dom, projector)
+    u4, v4 = project(u3, v3, grid, projector)
     assert _close(uf, u4) and _close(vf, v4)
     assert abs(diss - want) <= RTOL * want
     assert loss == 0.0

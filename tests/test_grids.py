@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from oflux.errors import PreconditionError
 from oflux.grids import (
-    Domain,
     Snapshot,
     Trajectory,
     deriv,
@@ -10,10 +9,12 @@ from oflux.grids import (
     energy,
     make_grid,
     trapezoid_time_weights,
+    wall_distance,
+    wall_normal_sign,
 )
 from oflux.synth import taylor_green
 
-from conftest import TWO_PI, channel_domain
+from conftest import TWO_PI, channel_grid
 
 
 def test_make_grid_spacings():
@@ -35,18 +36,23 @@ def test_make_grid_rejects_bad_extent():
 
 def test_distance_tie_resolves_to_lower_wall():
     # node 32 of 65 sits at mid-channel, as far from either wall plane
-    dom = channel_domain(64, 65, ly=1.0)
-    assert dom.grid.axis_coords(1)[32] == 0.5
-    assert dom.distance_field()[0, 32] == 0.5
-    sgn = dom.normal_sign_field()
+    grid = channel_grid(64, 65, ly=1.0)
+    assert grid.axis_coords(1)[32] == 0.5
+    assert np.broadcast_to(wall_distance(grid), grid.dims)[0, 32] == 0.5
+    sgn = wall_normal_sign(grid)
     assert np.all(sgn[:, 32] == -1.0)
     assert np.all(sgn[:, 31] == -1.0) and np.all(sgn[:, 33] == 1.0)
 
 
-def test_distance_requires_channel():
-    g = make_grid((16, 16), (1.0, 1.0))
-    with pytest.raises(PreconditionError, match="no boundary"):
-        Domain(g, "periodic").distance_field()
+def test_wall_axis_needs_exactly_one_wall():
+    assert make_grid((16, 17, 16), (1.0, 1.0, 1.0), ("periodic", "wall", "periodic")).wall_axis == 1
+    box = make_grid((16, 16), (1.0, 1.0))
+    for g in (box, make_grid((16, 16), (1.0, 1.0), "wall")):
+        with pytest.raises(PreconditionError, match="no boundary"):
+            g.wall_axis
+        with pytest.raises(PreconditionError, match="no boundary"):
+            wall_normal_sign(g)
+    assert np.all(wall_distance(box) == np.inf)
 
 
 def test_trapezoid_time_weights():
@@ -69,10 +75,10 @@ def test_divergence_taylor_green(box64):
 
 def test_divergence_linear_along_wall_axis():
     # linear field along the wall axis: central and one-sided closures are exact
-    dom = channel_domain(32, 33)
-    _, y = dom.grid.meshes()
-    u2 = np.stack([np.zeros(dom.grid.dims), np.broadcast_to(y, dom.grid.dims).copy()])
-    div2 = divergence(Snapshot(dom.grid, u2))
+    grid = channel_grid(32, 33)
+    _, y = grid.meshes()
+    u2 = np.stack([np.zeros(grid.dims), np.broadcast_to(y, grid.dims).copy()])
+    div2 = divergence(Snapshot(grid, u2))
     assert np.abs(div2 - 1.0).max() <= 1e-12
 
 
@@ -100,10 +106,10 @@ def test_energy_axis_permutation_invariant(box128):
 
 def test_distance_field_gradient_is_minus_normal():
     # |grad d + n(sigma)| <= 1e-12 where d < half-width (central differences)
-    dom = channel_domain(32, 65, ly=1.0)
-    d = dom.distance_field()
-    sgn = dom.normal_sign_field()
-    hy = dom.grid.spacing[1]
+    grid = channel_grid(32, 65, ly=1.0)
+    d = np.broadcast_to(wall_distance(grid), grid.dims)
+    sgn = wall_normal_sign(grid)
+    hy = grid.spacing[1]
     grad_y = (d[:, 2:] - d[:, :-2]) / (2 * hy)
     inner = np.abs(d[:, 1:-1] - 0.5) > 1.5 * hy  # exclude the mid-channel kink
     err = np.abs(grad_y + sgn[:, 1:-1])
@@ -124,8 +130,8 @@ def test_divergence_order_on_smooth_channel_field():
 
     defects = {}
     for ny in (33, 65):
-        dom = channel_domain(ny - 1, ny)
-        snap = stream_channel_field(dom)
+        grid = channel_grid(ny - 1, ny)
+        snap = stream_channel_field(grid)
         defects[ny] = np.abs(divergence(snap)).max()
     assert np.log2(defects[33] / defects[65]) >= 1.7
 

@@ -12,7 +12,7 @@ from oflux.pressure import (
 )
 from oflux.synth import estimate_holder_exponent, fractional_field, taylor_green
 
-from conftest import TWO_PI, channel_domain, stream_channel_field
+from conftest import TWO_PI, channel_grid, stream_channel_field
 
 
 def test_periodic_taylor_green_oracle(box64):
@@ -36,30 +36,30 @@ def test_periodic_solve_is_exact_in_discrete_algebra(box128):
 
 
 def test_channel_unidirectional_shear():
-    dom = channel_domain(64, 65)
-    _, y = dom.grid.meshes()
+    grid = channel_grid(64, 65)
+    _, y = grid.meshes()
     u = np.stack(
-        [np.broadcast_to(np.sin(np.pi * y), dom.grid.dims).copy(), np.zeros(dom.grid.dims)]
+        [np.broadcast_to(np.sin(np.pi * y), grid.dims).copy(), np.zeros(grid.dims)]
     )
-    rep = solve_pressure_channel(Snapshot(dom.grid, u), dom)
+    rep = solve_pressure_channel(Snapshot(grid, u))
     assert np.abs(rep.pressure).max() <= 1e-10
     assert rep.residual <= 1e-10
 
 
 def test_channel_impermeability_guard():
-    dom = channel_domain(32, 33)
-    vel = np.zeros((2, *dom.grid.dims))
+    grid = channel_grid(32, 33)
+    vel = np.zeros((2, *grid.dims))
     vel[1, :, 0] = 0.05
     with pytest.raises(PreconditionError, match="impermeability violated"):
-        solve_pressure_channel(Snapshot(dom.grid, vel), dom)
+        solve_pressure_channel(Snapshot(grid, vel))
 
 
 def test_channel_manufactured_solution_order():
     errs = {}
     for n in (33, 65, 129):
-        dom = channel_domain(n - 1, n)
-        snap = stream_channel_field(dom)
-        rep = solve_pressure_channel(snap, dom)
+        grid = channel_grid(n - 1, n)
+        snap = stream_channel_field(grid)
+        rep = solve_pressure_channel(snap)
         exact = snap.pressure - snap.pressure[:, 1:-1].mean()
         errs[n] = float(np.abs(rep.pressure - exact).max())
     order1 = np.log2(errs[33] / errs[65])
@@ -70,9 +70,9 @@ def test_channel_manufactured_solution_order():
 
 def test_gauge_invariance_perturb_and_rerun():
     # adding a constant to p then re-zeroing the gauge leaves diagnostics alone
-    dom = channel_domain(64, 65)
-    snap = stream_channel_field(dom)
-    rep = solve_pressure_channel(snap, dom)
+    grid = channel_grid(64, 65)
+    snap = stream_channel_field(grid)
+    rep = solve_pressure_channel(snap)
     shifted = rep.pressure + 11.0
     shifted = shifted - shifted[:, 1:-1].mean()
     assert np.abs(shifted - rep.pressure).max() <= 1e-12
@@ -101,13 +101,13 @@ def test_sobolev_monotone_in_beta(box64):
 
 
 def test_sobolev_channel_beta_zero_is_trapezoid_l2():
-    dom = channel_domain(32, 33)
-    _, y = dom.grid.meshes()
-    f = np.broadcast_to(np.sin(np.pi * y), dom.grid.dims).copy()
-    norm = negative_sobolev_norm(f, 0.0, dom.grid)
+    grid = channel_grid(32, 33)
+    _, y = grid.meshes()
+    f = np.broadcast_to(np.sin(np.pi * y), grid.dims).copy()
+    norm = negative_sobolev_norm(f, 0.0, grid)
     from oflux.grids import integrate
 
-    l2 = np.sqrt(integrate(f**2, dom.grid))
+    l2 = np.sqrt(integrate(f**2, grid))
     assert abs(norm - l2) <= 1e-12
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from oflux.errors import PreconditionError
-from oflux.grids import Domain, Snapshot, divergence, make_grid
+from oflux.grids import Snapshot, divergence, make_grid, wall_distance, wall_normal_sign
 from oflux.solver import (
     CFLViolation,
     MacState,
@@ -23,42 +23,42 @@ from oflux.solver import (
 )
 from oflux.synth import fractional_field, taylor_green
 
-from conftest import TWO_PI, channel_domain
+from conftest import TWO_PI, channel_grid
 import tridiag_oracle
 from tridiag_oracle import lap_x, lap_y_u, lap_y_v
 
 
 @pytest.fixture(scope="module")
 def periodic64():
-    return Domain(make_grid((64, 64), (TWO_PI, TWO_PI)), "periodic")
+    return make_grid((64, 64), (TWO_PI, TWO_PI))
 
 
-def _channel_init(dom, amp=0.05):
-    x, y = dom.grid.meshes()
-    prof = np.sin(np.pi * y / dom.grid.extents[1]) ** 2
-    u0 = np.ascontiguousarray(np.broadcast_to(prof, dom.grid.dims) + amp * np.sin(2 * x) * prof)
-    return Snapshot(dom.grid, np.stack([u0, np.zeros(dom.grid.dims)]))
+def _channel_init(grid, amp=0.05):
+    x, y = grid.meshes()
+    prof = np.sin(np.pi * y / grid.extents[1]) ** 2
+    u0 = np.ascontiguousarray(np.broadcast_to(prof, grid.dims) + amp * np.sin(2 * x) * prof)
+    return Snapshot(grid, np.stack([u0, np.zeros(grid.dims)]))
 
 
 def test_zero_initial_data_stays_zero(periodic64):
-    z = Snapshot(periodic64.grid, np.zeros((2, *periodic64.grid.dims)))
-    traj, series = run(SolverConfig(periodic64, 0.01, 0.01, 0.1, z, snapshot_stride=5))
+    z = Snapshot(periodic64, np.zeros((2, *periodic64.dims)))
+    traj, series = run(SolverConfig(0.01, 0.01, 0.1, z, snapshot_stride=5))
     assert max(np.abs(s.velocity).max() for s in traj.snapshots) == 0.0
     assert series.cumulative_dissipation[-1] == 0.0
 
 
 def test_taylor_green_accuracy(periodic64):
-    init = taylor_green(periodic64.grid, 0.0, 0.01)
-    traj, series = run(SolverConfig(periodic64, 0.01, 0.005, 1.0, init, snapshot_stride=50))
-    exact = taylor_green(periodic64.grid, 1.0, 0.01)
+    init = taylor_green(periodic64, 0.0, 0.01)
+    traj, series = run(SolverConfig(0.01, 0.005, 1.0, init, snapshot_stride=50))
+    exact = taylor_green(periodic64, 1.0, 0.01)
     err = traj.snapshots[-1].velocity - exact.velocity
-    l2 = np.sqrt(np.sum(err**2) * periodic64.grid.cell_volume())
+    l2 = np.sqrt(np.sum(err**2) * periodic64.cell_volume())
     assert l2 <= 1e-3
 
 
 def test_taylor_green_dissipation_budget(periodic64):
-    init = taylor_green(periodic64.grid, 0.0, 0.01)
-    _, series = run(SolverConfig(periodic64, 0.01, 0.005, 1.0, init, snapshot_stride=50))
+    init = taylor_green(periodic64, 0.0, 0.01)
+    _, series = run(SolverConfig(0.01, 0.005, 1.0, init, snapshot_stride=50))
     e0 = series.kinetic_energy[0]
     budget = e0 * (1.0 - np.exp(-4 * 0.01 * 1.0))
     assert abs(series.cumulative_dissipation[-1] - budget) <= 0.01 * budget
@@ -67,8 +67,8 @@ def test_taylor_green_dissipation_budget(periodic64):
 
 
 def test_divergence_free_after_every_step(periodic64):
-    cfg = SolverConfig(periodic64, 0.01, 0.01, 0.05, taylor_green(periodic64.grid, 0.0, 0.01))
-    state = nodes_to_mac(cfg.initial, periodic64)
+    cfg = SolverConfig(0.01, 0.01, 0.05, taylor_green(periodic64, 0.0, 0.01))
+    state = nodes_to_mac(cfg.initial)
     proj = _Projector(periodic64)
     u, v = project(state.u, state.v, periodic64, proj)
     state = MacState(u, v, 0.0)
@@ -78,8 +78,8 @@ def test_divergence_free_after_every_step(periodic64):
 
 
 def test_cfl_violation_reports_admissible_dt(periodic64):
-    init = taylor_green(periodic64.grid)
-    cfg = SolverConfig(periodic64, 0.0, 0.2, 1.0, init)
+    init = taylor_green(periodic64)
+    cfg = SolverConfig(0.0, 0.2, 1.0, init)
     with pytest.raises(CFLViolation) as err:
         run(cfg)
     assert err.value.admissible_dt < 0.2
@@ -87,14 +87,14 @@ def test_cfl_violation_reports_admissible_dt(periodic64):
 
 @pytest.mark.parametrize("geometry", ["periodic", "channel"])
 def test_non_finite_state_raises(geometry):
-    dom = Domain(make_grid((32, 32), (TWO_PI, TWO_PI)), "periodic")
-    init = taylor_green(dom.grid)
+    grid = make_grid((32, 32), (TWO_PI, TWO_PI))
+    init = taylor_green(grid)
     if geometry == "channel":
-        dom = channel_domain(32, 33)
-        init = _channel_init(dom)
+        grid = channel_grid(32, 33)
+        init = _channel_init(grid)
     vel = init.velocity.copy()
     vel[1, 16, 16] = np.nan  # one node of the wall-normal component
-    cfg = SolverConfig(dom, 0.01, 0.01, 0.1, Snapshot(dom.grid, vel))
+    cfg = SolverConfig(0.01, 0.01, 0.1, Snapshot(grid, vel))
     with pytest.raises(PreconditionError, match="non-finite velocity entering step 1"):
         run(cfg)
 
@@ -104,15 +104,15 @@ def test_non_finite_state_raises(geometry):
     [("nu", float("nan")), ("dt", float("nan")), ("t_end", float("inf")), ("snapshot_stride", 0)],
 )
 def test_solver_config_rejects_bad_numbers(periodic64, field, value):
-    args = dict(domain=periodic64, nu=0.01, dt=0.01, t_end=0.1, initial=taylor_green(periodic64.grid))
+    args = dict(nu=0.01, dt=0.01, t_end=0.1, initial=taylor_green(periodic64))
     args[field] = value
     with pytest.raises(PreconditionError, match=field):
         SolverConfig(**args)
 
 
 def test_projection_idempotent(periodic64):
-    f = fractional_field(0.5, None, 2, periodic64.grid)
-    st = nodes_to_mac(f, periodic64)
+    f = fractional_field(0.5, None, 2, periodic64)
+    st = nodes_to_mac(f)
     proj = _Projector(periodic64)
     u1, v1 = project(st.u, st.v, periodic64, proj)
     u2, v2 = project(u1, v1, periodic64, proj)
@@ -122,10 +122,9 @@ def test_projection_idempotent(periodic64):
 
 def test_euler_energy_conservation_128():
     g = make_grid((128, 128), (TWO_PI, TWO_PI))
-    dom = Domain(g, "periodic")
     f = fractional_field(0.9, 4, 3, g)
     init = Snapshot(g, 0.25 * f.velocity)  # modest amplitude keeps RK drift tiny
-    traj, series = run(SolverConfig(dom, 0.0, 0.002, 1.0, init, snapshot_stride=500))
+    traj, series = run(SolverConfig(0.0, 0.002, 1.0, init, snapshot_stride=500))
     drift = abs(series.kinetic_energy[-1] - series.kinetic_energy[0])
     assert drift <= 1e-6
     assert series.leray_residual.max() <= 1e-8
@@ -135,8 +134,7 @@ def test_refinement_order_taylor_green():
     errs = {}
     for n in (32, 64, 128):
         g = make_grid((n, n), (TWO_PI, TWO_PI))
-        dom = Domain(g, "periodic")
-        cfg = SolverConfig(dom, 0.01, 0.0025, 0.5, taylor_green(g, 0.0, 0.01), snapshot_stride=200)
+        cfg = SolverConfig(0.01, 0.0025, 0.5, taylor_green(g, 0.0, 0.01), snapshot_stride=200)
         traj, series = run(cfg)
         exact = taylor_green(g, 0.5, 0.01)
         errs[n] = float(np.sqrt(np.sum((traj.snapshots[-1].velocity - exact.velocity) ** 2) * g.cell_volume()))
@@ -148,7 +146,7 @@ def test_refinement_order_taylor_green():
 def test_skew_advection_energy_neutral(periodic64):
     rng = np.random.default_rng(0)
     proj = _Projector(periodic64)
-    u, v = project(rng.standard_normal(periodic64.grid.dims), rng.standard_normal(periodic64.grid.dims), periodic64, proj)
+    u, v = project(rng.standard_normal(periodic64.dims), rng.standard_normal(periodic64.dims), periodic64, proj)
     du, dv = advection(u, v, periodic64)
     scale = kinetic_energy(u, v, periodic64)
     assert abs(np.sum(u * du) + np.sum(v * dv)) <= 1e-11 * scale
@@ -157,47 +155,47 @@ def test_skew_advection_energy_neutral(periodic64):
 @settings(max_examples=25, deadline=None)
 @given(nx=hst.integers(8, 17), ny=hst.integers(8, 17), channel=hst.booleans(), seed=hst.integers(0, 2**32 - 1))
 def test_advection_one_corner_flux_is_bitwise_the_two_flux_form(nx, ny, channel, seed):
-    dom = channel_domain(nx, ny, 1.3, 0.7) if channel else Domain(make_grid((nx, ny), (1.3, 0.7)), "periodic")
+    grid = channel_grid(nx, ny, 1.3, 0.7) if channel else make_grid((nx, ny), (1.3, 0.7))
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((nx, ny - 1 if channel else ny))
     v = rng.standard_normal((nx, ny))
     if channel:
         v[:, 0] = v[:, -1] = 0.0
-    for got, want in zip(advection(u, v, dom), tridiag_oracle.advection(u, v, dom)):
+    for got, want in zip(advection(u, v, grid), tridiag_oracle.advection(u, v, grid)):
         assert np.array_equal(got, want)
 
 
 def test_channel_advection_energy_neutral():
-    dom = channel_domain(64, 65)
+    grid = channel_grid(64, 65)
     rng = np.random.default_rng(1)
     u = rng.standard_normal((64, 64))
     v = rng.standard_normal((64, 65))
     v[:, 0] = v[:, -1] = 0.0
-    u, v = project(u, v, dom, _Projector(dom))
-    du, dv = advection(u, v, dom)
-    assert abs(np.sum(u * du) + np.sum(v * dv)) <= 1e-11 * kinetic_energy(u, v, dom)
+    u, v = project(u, v, grid, _Projector(grid))
+    du, dv = advection(u, v, grid)
+    assert abs(np.sum(u * du) + np.sum(v * dv)) <= 1e-11 * kinetic_energy(u, v, grid)
 
 
 def test_diffusion_energy_compatible():
     # <w, L w> == -||grad w||^2 in the staggered inner product (audit basis)
-    dom = channel_domain(32, 33)
+    grid = channel_grid(32, 33)
     rng = np.random.default_rng(4)
     u = rng.standard_normal((32, 32))
     v = rng.standard_normal((32, 33))
     v[:, 0] = v[:, -1] = 0.0
-    hx, hy = dom.grid.spacing
+    hx, hy = grid.spacing
     lap_u = lap_y_u(u, hy) + lap_x(u, hx)
     lap_v = lap_y_v(v, hy) + lap_x(v, hx)
     lap_v[:, 0] = lap_v[:, -1] = 0.0
-    ip = (np.sum(u * lap_u) + np.sum(v * lap_v)) * dom.grid.cell_volume()
-    g2 = gradient_norm_sq(u, v, dom)
+    ip = (np.sum(u * lap_u) + np.sum(v * lap_v)) * grid.cell_volume()
+    g2 = gradient_norm_sq(u, v, grid)
     assert abs(ip + g2) <= 1e-10 * max(g2, 1.0)
 
 
 def test_channel_run_no_slip_and_leray():
-    dom = channel_domain(64, 65)
-    init = _channel_init(dom)
-    traj, series = run(SolverConfig(dom, 0.01, 0.0025, 0.25, init, snapshot_stride=25))
+    grid = channel_grid(64, 65)
+    init = _channel_init(grid)
+    traj, series = run(SolverConfig(0.01, 0.0025, 0.25, init, snapshot_stride=25))
     assert series.leray_residual.max() <= 1e-8
     last = traj.snapshots[-1]
     assert np.abs(last.velocity[:, :, 0]).max() == 0.0
@@ -205,17 +203,16 @@ def test_channel_run_no_slip_and_leray():
 
 
 def test_channel_requires_no_slip_initial():
-    dom = channel_domain(32, 33)
-    vel = np.zeros((2, *dom.grid.dims))
+    grid = channel_grid(32, 33)
+    vel = np.zeros((2, *grid.dims))
     vel[0, :, 0] = 1.0  # slip on the lower wall
     with pytest.raises(PreconditionError, match="no-slip"):
-        nodes_to_mac(Snapshot(dom.grid, vel), dom)
+        nodes_to_mac(Snapshot(grid, vel))
 
 
 def test_dissipation_sweep_periodic_decreasing():
     g = make_grid((128, 128), (TWO_PI, TWO_PI))
-    dom = Domain(g, "periodic")
-    cfg = SolverConfig(dom, 1e-2, 0.005, 0.5, taylor_green(g, 0.0, 1e-2), snapshot_stride=100)
+    cfg = SolverConfig(1e-2, 0.005, 0.5, taylor_green(g, 0.0, 1e-2), snapshot_stride=100)
     rep = dissipation_sweep(cfg, [1e-2, 3e-3, 1e-3], 0.5)
     vals = [r[1] for r in rep.rows]
     assert all(vals[i + 1] < vals[i] for i in range(2))
@@ -225,59 +222,59 @@ def test_dissipation_sweep_periodic_decreasing():
 
 
 def test_dissipation_sweep_zero_data(periodic64):
-    z = Snapshot(periodic64.grid, np.zeros((2, *periodic64.grid.dims)))
-    cfg = SolverConfig(periodic64, 1e-2, 0.01, 0.1, z)
+    z = Snapshot(periodic64, np.zeros((2, *periodic64.dims)))
+    cfg = SolverConfig(1e-2, 0.01, 0.1, z)
     rep = dissipation_sweep(cfg, [1e-2, 1e-3], 0.1)
     assert all(r[1] == 0.0 for r in rep.rows)
 
 
 def test_dissipation_sweep_channel_flags_thin_layers():
-    dom = channel_domain(64, 65)
-    init = _channel_init(dom)
-    cfg = SolverConfig(dom, 1e-2, 0.0025, 0.2, init, snapshot_stride=40)
+    grid = channel_grid(64, 65)
+    init = _channel_init(grid)
+    cfg = SolverConfig(1e-2, 0.0025, 0.2, init, snapshot_stride=40)
     rep = dissipation_sweep(cfg, [1e-2, 1e-3, 1e-4], 0.2)
-    hy = dom.grid.spacing[1]
+    hy = grid.spacing[1]
     for nu, _, resolved in rep.rows:
         assert resolved == (np.sqrt(nu * 0.2) >= 4 * hy)
     assert rep.flagged  # thin boundary layers reported, never asserted
 
 
 def test_viscous_flux_criterion_positive():
-    dom = channel_domain(64, 65)
-    init = _channel_init(dom)
+    grid = channel_grid(64, 65)
+    init = _channel_init(grid)
     runs = []
     for nu in (0.02, 0.01):
-        traj, series = run(SolverConfig(dom, nu, 0.0025, 0.3, init, snapshot_stride=40))
+        traj, series = run(SolverConfig(nu, 0.0025, 0.3, init, snapshot_stride=40))
         assert series.leray_residual.max() <= 1e-8
         runs.append((nu, traj))
-    h = dom.grid.spacing[1]
-    rep = viscous_flux_criterion(runs, [28 * h, 14 * h, 7 * h], dom)
+    h = grid.spacing[1]
+    rep = viscous_flux_criterion(runs, [28 * h, 14 * h, 7 * h])
     assert rep.eta_trend_ok
     # no-slip walls: the wall-plane integrand vanishes; fluxes are finite
     assert all(np.isfinite(v) for row in rep.flux for v in row)
 
 
 def test_viscous_flux_criterion_blowing_negative():
-    dom = channel_domain(64, 65)
-    init = _channel_init(dom)
+    grid = channel_grid(64, 65)
+    init = _channel_init(grid)
     runs = []
     for nu in (0.02, 0.01):
-        traj, _ = run(SolverConfig(dom, nu, 0.0025, 0.2, init, snapshot_stride=40))
-        sgn = dom.normal_sign_field()
+        traj, _ = run(SolverConfig(nu, 0.0025, 0.2, init, snapshot_stride=40))
+        sgn = wall_normal_sign(grid)
         blown = traj.map(
             lambda s: Snapshot(
                 s.grid,
-                np.stack([s.velocity[0], s.velocity[1] + 0.05 * sgn * _interior_mask(dom)]),
+                np.stack([s.velocity[0], s.velocity[1] + 0.05 * sgn * _interior_mask(grid)]),
                 None,
                 s.time,
             )
         )
         runs.append((nu, blown))
-    h = dom.grid.spacing[1]
-    rep = viscous_flux_criterion(runs, [28 * h, 14 * h, 7 * h], dom)
+    h = grid.spacing[1]
+    rep = viscous_flux_criterion(runs, [28 * h, 14 * h, 7 * h])
     assert not rep.eta_trend_ok
 
 
-def _interior_mask(dom):
-    d = dom.distance_field()
+def _interior_mask(grid):
+    d = np.broadcast_to(wall_distance(grid), grid.dims)
     return np.where(d > 0, 1.0, 0.0)

@@ -107,11 +107,10 @@ def diffuse_v(v, c, hx, hy):
     return out
 
 
-def neumann_solve(source, g_lo, g_hi, domain):
+def neumann_solve(source, g_lo, g_hi, grid):
     """Node Neumann solve of -Lap p = source, dp/dy = g_lo, g_hi on the walls
     (spectral tangential Laplacian), with interior-node mean zero."""
-    grid = domain.grid
-    w = domain.wall_axis
+    w = grid.wall_axis
     ny = grid.dims[w]
     h = grid.spacing[w]
     per_axes = [a for a in range(grid.ndim) if a != w]
@@ -189,11 +188,11 @@ def periodic_pressure_solve(velocity, grid):
     return np.fft.ifftn(p_hat).real
 
 
-def advection(u, v, domain):
+def advection(u, v, grid):
     """MAC convective terms (du, dv) = -div(u w), the corner flux computed
     separately for the u and the v equation."""
-    hx, hy = domain.grid.spacing
-    if domain.geometry == "periodic":
+    hx, hy = grid.spacing
+    if grid.fully_periodic:
         ug = np.concatenate([u[:, -1:], u, u[:, :1]], axis=1)
         vg = np.concatenate([v, v[:, :1]], axis=1)
     else:
@@ -207,7 +206,7 @@ def advection(u, v, domain):
     fxy = v_corner * u_corner
     du = -((fxx - np.roll(fxx, 1, axis=0)) / hx + (fxy[:, 1:] - fxy[:, :-1]) / hy)
 
-    if domain.geometry == "periodic":
+    if grid.fully_periodic:
         u_cor = 0.5 * (np.roll(u, 1, axis=1) + u)
         v_cor = 0.5 * (np.roll(v, 1, axis=0) + v)
         g_cor = u_cor * v_cor
