@@ -163,11 +163,11 @@ def global_balance(traj: Trajectory, eta: float, t1: float, t2: float) -> Global
         e2 = energy(traj.snapshots[i2])
         bt = 0.0
     else:
-        psi, _ = boundary_cutoff(grid, eta)
+        psi, grad = boundary_cutoff(grid, eta)
         e1 = 0.5 * integrate(np.sum(traj.snapshots[i1].velocity ** 2, axis=0) * psi, grid)
         e2 = 0.5 * integrate(np.sum(traj.snapshots[i2].velocity ** 2, axis=0) * psi, grid)
-        d = np.broadcast_to(wall_distance(grid), grid.dims)
-        kernel = (1.0 / eta) * smooth_step_deriv(d / eta)
+        kernel = -grad[grid.wall_axis] * wall_normal_sign(grid)  # (1/eta) step'(d/eta), +0.0 off the shell
+        del grad
         sub = traj.snapshots[i1 : i2 + 1]
         bt = 0.0
         for snap, w in zip(sub, trapezoid_time_weights(len(sub), traj.dt)):

@@ -11,13 +11,13 @@ is algebraically identical in the discrete algebra (same kernel samples,
 same quadrature); it is kept with the tests as a mutual oracle for the
 direct route (tests/mollify_oracle.py).
 
-The direct route transforms the stack [u, u_i u_j] once; each radius is
-then one multiply by its kernel transfer and two inverse transforms, one
-per group: u^eps, which the stress and the contraction share, then
-(u otimes u)^eps, which is released as soon as the stress is formed.
-``scaling_probe`` keeps that spectrum for its whole ladder.  A rung then
-streams grad(phi u^eps) through ``grids.partials``, one component and one
-axis at a time, so it never holds more than one derivative field.
+The direct route transforms u and the products u_i u_j once each, apart;
+each radius is then one multiply by its kernel transfer and two inverse
+transforms, one per group: u^eps, which the stress and the contraction
+share, then (u otimes u)^eps, which is released as soon as the stress is
+formed.  ``scaling_probe`` keeps both spectra for its whole ladder.  A rung
+then streams grad(phi u^eps) through ``grids.partials``, one component and
+one axis at a time, so it never holds more than one derivative field.
 """
 
 from __future__ import annotations
@@ -53,19 +53,19 @@ def stress_from(products_eps: np.ndarray, ue: np.ndarray) -> np.ndarray:
     return tensor
 
 
-def _velocity_spectrum(vel: np.ndarray, grid: Grid) -> np.ndarray:
-    """Half-spectrum of the stack [u, u_i u_j (i <= j)]."""
-    return field_spectrum(np.concatenate([vel, quadratic_products(vel)]), grid)
+def _velocity_spectrum(vel: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Half-spectra of u and of the products u_i u_j (i <= j), transformed apart."""
+    return field_spectrum(vel, grid), field_spectrum(quadratic_products(vel), grid)
 
 
-def _mollified_stress(spectrum: np.ndarray, mol: Mollifier, grid: Grid,
+def _mollified_stress(spectrum: tuple[np.ndarray, np.ndarray], mol: Mollifier, grid: Grid,
                       region: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The stress and u^eps at one radius: u^eps, then the products, each
     inverse-transformed on its own so their intermediates are never alive together."""
     transfer = mol.transfer(grid, region)
-    n = grid.ndim
-    ue = mollify_spectrum(spectrum[:n], transfer, grid)
-    return stress_from(mollify_spectrum(spectrum[n:], transfer, grid), ue), ue
+    u_hat, q_hat = spectrum
+    ue = mollify_spectrum(u_hat, transfer, grid)
+    return stress_from(mollify_spectrum(q_hat, transfer, grid), ue), ue
 
 
 def _as_mollifier(mollifier: Mollifier | float, grid: Grid) -> Mollifier:

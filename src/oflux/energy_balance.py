@@ -16,16 +16,19 @@ analytic; snapshots are only finite-differenced inside the pointwise defect
 field.
 
 Only the kernel depends on eps.  The identity is therefore split into a
-set-up that builds and transforms everything else once per snapshot (the
-products, the Euler residual, grad phi) and a per-eps step of one kernel
-multiply per snapshot; ``weak_energy_identity`` is the set-up plus one eps,
-and ``dr_convergence_sweep`` the set-up plus every rung.  A rung
-inverse-transforms each snapshot's stack by groups, u, p, E and u_i u_j,
-each used and released before the next (the products right after the
-stress is formed), and streams grad(phi u^eps) one axis at a time, so it
-holds a handful of fields rather than the whole mollified stack.  The
-set-up's gradients (E's and grad phi) go through ``grids.partials`` too.  A
-time radius kappa is applied by ``mollify.time_mollify``.  A retained time
+set-up that builds and transforms everything else once per snapshot and a
+per-eps step of one kernel multiply per snapshot; ``weak_energy_identity``
+is the set-up plus one eps, and ``dr_convergence_sweep`` the set-up plus
+every rung.  The set-up keeps each snapshot's half-spectra by group, u, p,
+u_i u_j and the Euler residual E, each transformed as soon as it is built,
+so no stack of all of them is ever formed; the products are released once
+E is formed.  A rung inverse-transforms the groups in the order u, p, E,
+u_i u_j, each used and released before the next (the products right after
+the stress is formed), and streams grad(phi u^eps) one axis at a time, so
+it holds a handful of fields rather than every mollified group.  The
+set-up's gradients (E's and grad phi) go through ``grids.partial`` and
+``grids.partials`` too.  A time radius kappa is applied group by group by
+``mollify.time_mollify``, before the transforms.  A retained time
 where chi and chi' both vanish (the end snapshots of an un-smoothed run with
 chi spanning the trajectory) adds exactly 0 to both sides, so only its
 velocity is transformed and mollified, for the discretization budget.
@@ -40,7 +43,8 @@ import numpy as np
 from .commutator import (SlopeFit, contraction_grad, fit_loglog, monotone_within_10pct, quadratic_products,
                          stress_from)
 from .errors import PreconditionError
-from .grids import Grid, Trajectory, deriv, discretization_budget, integrate, partials, trapezoid_time_weights
+from .grids import (Grid, Trajectory, deriv, discretization_budget, integrate, partial, partials,
+                    trapezoid_time_weights)
 from .mollify import (
     CutoffField,
     RegionChain,
@@ -114,19 +118,21 @@ class _WeakIdentity:
     """The identity split into epsilon-independent set-up and per-epsilon work.
 
     Set-up, once: the pressure and chi/phi checks, grad(phi), and per retained
-    time the half-spectrum of the stack [u, p, u_i u_j (i <= j), E], where
+    time the half-spectra of four groups, u, p, u_i u_j (i <= j) and E, where
     E = d_t u + div(u ox u) + grad p is the raw Euler residual (central time
-    differences, one-sided at the window ends).  With kappa set, the stack is
+    differences, one-sided at the window ends).  Each group is transformed
+    as soon as it is built, and the products are released once E is formed.
+    With kappa set, every snapshot's groups are built first and each group is
     kappa-mollified in time before it is transformed.  Each ``report(eps)``
     then costs, per retained time, one kernel multiply and one inverse
-    transform per group of the stack (u, p, E, u_i u_j, in that order), plus
-    the stress, grad(phi u^eps) and the sums.
+    transform per group (u, p, E, u_i u_j, in that order), plus the stress,
+    grad(phi u^eps) and the sums.
 
     A retained time where chi and chi' both vanish adds exactly 0 to lhs, rhs
     and the Euler term, so only its u is transformed and mollified, for the
     budget's max |u^eps|; without kappa its Euler residual is never built.
-    Such a dead time must hold finite data, since a NaN there would no longer
-    reach the sums.
+    Such a dead time must hold finite u and p, since a NaN there would no
+    longer reach the sums.
     """
 
     def __init__(self, traj: Trajectory, test: TestFunction, chain: RegionChain,
@@ -135,49 +141,49 @@ class _WeakIdentity:
         if any(s.pressure is None for s in traj.snapshots):
             raise PreconditionError("weak energy identity requires pressure on every snapshot")
         grid = traj.grid
-        n = grid.ndim
         nt = len(traj)
         self.time_smoothed = kappa is not None and nt > 1
         if self.time_smoothed:
-            idx, stacks = time_mollify([self._stack(traj, k) for k in range(nt)], kappa, traj.dt)
+            built = [list(self._groups(traj, k)) for k in range(nt)]
+            columns = [time_mollify(column, kappa, traj.dt) for column in zip(*built)]
+            del built
+            idx, groups = columns[0][0], zip(*(smoothed for _, smoothed in columns))
         else:
             idx = range(nt)
         self.traj, self.test, self.chain, self.kappa = traj, test, chain, kappa
         self.times = np.array([traj.snapshots[i].time for i in idx])
         self.live = (test.chi(self.times) != 0) | (test.chi.deriv(self.times) != 0)
-        if not self.time_smoothed:  # built one at a time as they are transformed
-            stacks = (self._stack(traj, k, live) for k, live in zip(idx, self.live))
-        self.spectra = [field_spectrum(f if live else self._dead(f, t)[:n], grid)
-                        for f, live, t in zip(stacks, self.live, self.times)]
+        if not self.time_smoothed:  # each group built as it is transformed
+            groups = (self._groups(traj, k, live) for k, live in zip(idx, self.live))
+        self.spectra = [self._spectra(g, live, t, grid) for g, live, t in zip(groups, self.live, self.times)]
         self.gphi = np.stack([g for _, g in partials(test.phi.values, grid)])
 
     @staticmethod
-    def _dead(stack: np.ndarray, time: float) -> np.ndarray:
-        """``stack`` at a dead time, once it is checked finite."""
-        if not np.isfinite(stack).all():
-            raise PreconditionError(f"non-finite field values at t={time:g}, where chi and chi' vanish")
-        return stack
+    def _groups(traj: Trajectory, k: int, live: bool = True):
+        """Yield u, p, u_i u_j and E at snapshot k, each as it is built; u and
+        p alone at a dead time."""
+        snap = traj.snapshots[k]
+        u, p = snap.velocity, snap.pressure
+        yield u
+        yield p
+        if not live:
+            return
+        q = quadratic_products(u)
+        yield q
+        e = _euler_residual(_time_derivative(traj, k), q, p, traj.grid)
+        del q  # the products die once E is formed and the consumer moves on
+        yield e
 
     @staticmethod
-    def _stack(traj: Trajectory, k: int, live: bool = True) -> np.ndarray:
-        """[u, p, u_i u_j, E] at snapshot k; [u, p] alone at a dead time."""
-        grid = traj.grid
-        vels = [s.velocity for s in traj.snapshots]
-        if not live:
-            return np.concatenate([vels[k], traj.snapshots[k].pressure[np.newaxis]])
-        nt = len(traj)
-        if nt == 1:
-            dudt = np.zeros_like(vels[0])
-        elif k == 0:
-            dudt = (vels[1] - vels[0]) / traj.dt
-        elif k == nt - 1:
-            dudt = (vels[-1] - vels[-2]) / traj.dt
-        else:
-            dudt = (vels[k + 1] - vels[k - 1]) / (2.0 * traj.dt)
-        u, p = vels[k], traj.snapshots[k].pressure
-        q = quadratic_products(u)
-        e = _euler_residual(dudt, q, p, grid)
-        return np.concatenate([u, p[np.newaxis], q, e])
+    def _spectra(groups, live: bool, time: float, grid: Grid) -> list[np.ndarray]:
+        """Each group's half-spectrum; at a dead time u's alone, once u and p
+        are checked finite."""
+        if live:
+            return [field_spectrum(g, grid) for g in groups]
+        u, p, *_ = groups
+        if not (np.isfinite(u).all() and np.isfinite(p).all()):
+            raise PreconditionError(f"non-finite field values at t={time:g}, where chi and chi' vanish")
+        return [field_spectrum(u, grid)]
 
     def _slice(self, k: int, transfer: np.ndarray, epsilon: float):
         """Time k's max |u^eps| and, at a live time, its four integrals
@@ -185,18 +191,19 @@ class _WeakIdentity:
         its fields die on return."""
         grid, pv = self.traj.grid, self.test.phi.values
         n = grid.ndim
-        spectrum = self.spectra[k]
-        u = mollify_spectrum(spectrum[:n], transfer, grid)
+        u_hat, *rest = self.spectra[k]
+        u = mollify_spectrum(u_hat, transfer, grid)
         umax = np.abs(u).max()
         if not self.live[k]:
             return umax, None
+        p_hat, q_hat, e_hat = rest
         ke = 0.5 * np.sum(u * u, axis=0)
-        bern = ke + mollify_spectrum(spectrum[n], transfer, grid)
+        bern = ke + mollify_spectrum(p_hat, transfer, grid)
         adv = sum(u[a] * self.gphi[a] for a in range(n))
         kinetic, transport = integrate(pv * ke, grid), integrate(bern * adv, grid)
         del ke, bern, adv
-        euler = integrate(np.sum(mollify_spectrum(spectrum[-n:], transfer, grid) * (pv * u), axis=0), grid)
-        stress = stress_from(mollify_spectrum(spectrum[n + 1:-n], transfer, grid), u)
+        euler = integrate(np.sum(mollify_spectrum(e_hat, transfer, grid) * (pv * u), axis=0), grid)
+        stress = stress_from(mollify_spectrum(q_hat, transfer, grid), u)
         return umax, (kinetic, transport, euler, contraction_grad(stress, u, pv, grid))
 
     def report(self, epsilon: float) -> EnergyBalanceReport:
@@ -232,17 +239,31 @@ class _WeakIdentity:
         )
 
 
+def _time_derivative(traj: Trajectory, k: int) -> np.ndarray:
+    """d_t u at snapshot k: central differences, one-sided at the ends, 0 on one snapshot."""
+    vels = [s.velocity for s in traj.snapshots]
+    nt = len(traj)
+    if nt == 1:
+        return np.zeros_like(vels[0])
+    if k == 0:
+        return (vels[1] - vels[0]) / traj.dt
+    if k == nt - 1:
+        return (vels[-1] - vels[-2]) / traj.dt
+    return (vels[k + 1] - vels[k - 1]) / (2.0 * traj.dt)
+
+
 def _euler_residual(dudt: np.ndarray, q: np.ndarray, p: np.ndarray, grid: Grid) -> np.ndarray:
     """E_j = d_t u_j + sum_i d_i(u_i u_j) + d_j p, accumulated into ``dudt``.
 
-    ``q`` holds the products u_i u_j (i <= j) of ``quadratic_products``.  The
-    products and p are differentiated as separate stacks, one axis at a time.
+    ``q`` holds the products u_i u_j (i <= j) of ``quadratic_products``.
+    Along axis i only the n products that hold u_i are differentiated, one at
+    a time; p's gradient streams one axis at a time.
     """
     n = grid.ndim
     slot = {pair: k for k, pair in enumerate(zip(*np.triu_indices(n)))}
-    for i, g in partials(q, grid):
+    for i in range(n):
         for j in range(n):
-            dudt[j] += g[slot[min(i, j), max(i, j)]]
+            dudt[j] += partial(q[slot[min(i, j), max(i, j)]], i, grid)
     for j, g in partials(p, grid):
         dudt[j] += g
     return dudt
@@ -288,19 +309,18 @@ def dr_dissipation_field(
         raise PreconditionError("defect field requires pressure on every snapshot")
     kes, divs = [], []
     for k, s in enumerate(traj.snapshots):
-        stack = np.concatenate([s.velocity, s.pressure[np.newaxis]])
-        smooth = mollify_spectrum(field_spectrum(stack, grid), transfer, grid)
-        u, p = smooth[:n], smooth[n]
+        u = mollify_spectrum(field_spectrum(s.velocity, grid), transfer, grid)
         ke = 0.5 * np.sum(u * u, axis=0)
         kes.append(ke)
         if 0 < k < len(traj) - 1:  # the end times only feed the time differences
-            flux = (ke + p) * u
+            flux = (ke + mollify_spectrum(field_spectrum(s.pressure, grid), transfer, grid)) * u
             divs.append(sum(deriv(flux[a], a, grid) for a in range(n)))
-    out = []
+            del flux
+    out = np.empty((len(traj) - 2, *grid.dims))
     for k in range(1, len(traj) - 1):
         ddt = (kes[k + 1] - kes[k - 1]) / (2.0 * traj.dt)
-        out.append(-(ddt + divs[k - 1]))
-    return traj.times[1:-1], np.stack(out)
+        out[k - 1] = -(ddt + divs[k - 1])
+    return traj.times[1:-1], out
 
 
 # ---------------------------------------------------------------------------

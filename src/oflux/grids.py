@@ -18,10 +18,10 @@ Conventions
   zero, which keeps the operator antisymmetric) and second-order central
   along wall axes with one-sided closures on the wall planes.
 * A stack's gradient goes through ``partials``, which yields one axis's
-  derivative at a time on a real transform pair, so a caller never holds
-  the whole n x n gradient.  ``deriv`` and ``deriv2`` serve single-axis
-  callers on the complex transform pair, whose calls the benchmark's layer
-  trace counts.
+  derivative at a time on a real transform pair (``partial`` is one axis),
+  so a caller never holds the whole n x n gradient.  ``deriv`` and
+  ``deriv2`` serve single-axis callers on the complex transform pair, whose
+  calls the benchmark's layer trace counts.
 
 All types are immutable after construction; operations are pure functions,
 and reductions use numpy's pairwise summation so results are reproducible.
@@ -282,26 +282,29 @@ def deriv(f: np.ndarray, axis: int, grid: Grid) -> np.ndarray:
     return _wall_deriv(f, axis, grid, ax)
 
 
-def partials(f: np.ndarray, grid: Grid) -> Iterator[tuple[int, np.ndarray]]:
-    """(a, d_a f) for a = 0..n-1, one axis at a time.
+def partial(f: np.ndarray, axis: int, grid: Grid) -> np.ndarray:
+    """d_axis f on real transforms.
 
-    ``f`` may carry leading component axes.  A periodic axis is one ``rfft``,
-    a multiply by i k and one ``irfft``; a wall axis takes ``deriv``'s
-    stencil.  On an even side i k times the real Nyquist coefficient is
-    imaginary, which ``irfft`` discards, so the Nyquist derivative is 0 as
-    in ``deriv``.
+    ``f`` may carry leading component axes; ``axis`` counts grid axes.  A
+    periodic axis is one ``rfft``, a multiply by i k and one ``irfft``; a
+    wall axis takes ``deriv``'s stencil.  On an even side i k times the real
+    Nyquist coefficient is imaginary, which ``irfft`` discards, so the
+    Nyquist derivative is 0 as in ``deriv``.
     """
-    lead = f.ndim - grid.ndim
+    ax = axis + f.ndim - grid.ndim
+    if grid.axis_kinds[axis] != PERIODIC:
+        return _wall_deriv(f, axis, grid, ax)
+    m = grid.dims[axis]
+    ik = 2j * np.pi * np.fft.rfftfreq(m, d=grid.extents[axis] / m)
+    fh = np.fft.rfft(f, axis=ax)
+    fh *= ik.reshape([-1 if b == ax else 1 for b in range(f.ndim)])
+    return np.fft.irfft(fh, n=m, axis=ax)
+
+
+def partials(f: np.ndarray, grid: Grid) -> Iterator[tuple[int, np.ndarray]]:
+    """(a, d_a f) for a = 0..n-1 by ``partial``, one axis at a time."""
     for a in range(grid.ndim):
-        ax = a + lead
-        if grid.axis_kinds[a] != PERIODIC:
-            yield a, _wall_deriv(f, a, grid, ax)
-            continue
-        m = grid.dims[a]
-        ik = 2j * np.pi * np.fft.rfftfreq(m, d=grid.extents[a] / m)
-        fh = np.fft.rfft(f, axis=ax)
-        fh *= ik.reshape([-1 if b == ax else 1 for b in range(f.ndim)])
-        yield a, np.fft.irfft(fh, n=m, axis=ax)
+        yield a, partial(f, a, grid)
 
 
 def deriv2(f: np.ndarray, axis: int, grid: Grid) -> np.ndarray:

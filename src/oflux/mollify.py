@@ -206,9 +206,14 @@ def field_spectrum(f: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def mollify_spectrum(spectrum: np.ndarray, transfer: np.ndarray, grid: Grid) -> np.ndarray:
-    """Mollified field from its half-spectrum: one multiply, one inverse transform."""
-    lead = spectrum.ndim - grid.ndim
-    return np.fft.irfftn(spectrum * transfer, s=grid.dims, axes=tuple(range(lead, spectrum.ndim)))
+    """Mollified field from its half-spectrum: one multiply and one inverse
+    transform per leading component, each written straight into one output,
+    so only one component's intermediates are alive at a time."""
+    lead = spectrum.shape[: spectrum.ndim - grid.ndim]
+    out = np.empty(lead + grid.dims)
+    for c in np.ndindex(lead):
+        np.fft.irfftn(spectrum[c] * transfer, s=grid.dims, axes=tuple(range(grid.ndim)), out=out[c])
+    return out
 
 
 def mollify_field(
@@ -231,7 +236,7 @@ def mollify_field(
 # ---------------------------------------------------------------------------
 
 
-_EDT_CHUNK = 1 << 20  # elements of the (rows, line, lines) candidate block per line pass
+_EDT_CHUNK = 1 << 16  # elements of the (rows, line, lines) candidate block per line pass
 
 
 def _distance_to_set(mask: np.ndarray, grid: Grid) -> np.ndarray:

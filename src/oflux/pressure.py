@@ -56,8 +56,9 @@ def solve_pressure_periodic(snap: Snapshot) -> PressureSolveReport:
     # off the diagonal): the part a real inverse transform sees
     src_hat = sum(-(0.5 if i == j else 1.0) * (ks[i] * ks[j] + mirror[i] * mirror[j]) * spectrum
                   for spectrum, (i, j) in zip(spectra, zip(*np.triu_indices(grid.ndim))))
-    p, src = neg_lap.inverse(np.stack([src_hat * inverse_eigenvalues(k2), src_hat]))
-    residual = float(np.abs(neg_lap(p) - src).max())
+    # two inverses, not one of a stack: p must not be a view that keeps src alive
+    p = neg_lap.inverse(src_hat * inverse_eigenvalues(k2))
+    residual = float(np.abs(neg_lap(p) - neg_lap.inverse(src_hat)).max())
     return PressureSolveReport(p, residual)
 
 

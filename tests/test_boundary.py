@@ -13,7 +13,8 @@ from oflux.boundary import (
     smooth_step_deriv,
 )
 from oflux.errors import PreconditionError, UnderResolvedError
-from oflux.grids import Snapshot, Trajectory, energy, wall_distance, wall_normal_sign
+from oflux.grids import (Snapshot, Trajectory, energy, integrate, trapezoid_time_weights, wall_distance,
+                         wall_normal_sign)
 
 from conftest import TWO_PI, channel_grid
 
@@ -140,6 +141,26 @@ def test_global_balance_zero_field():
     traj = Trajectory(tuple(Snapshot(grid, z, np.zeros(grid.dims), 0.1 * i) for i in range(3)), 0.1)
     rep = global_balance(traj, 14 * grid.spacing[1], 0.0, 0.2)
     assert rep.e1 == 0.0 and rep.e2 == 0.0 and rep.residual == 0.0
+
+
+def test_global_balance_kernel_is_the_cutoff_gradient():
+    # the boundary term integrates the Bernoulli flux against (1/eta) step'(d/eta); read
+    # off psi's gradient as -grad psi . n it keeps every bit, and +0.0 off the shell
+    grid = channel_grid(32, 65)
+    rng = np.random.default_rng(2)
+    traj = Trajectory(tuple(Snapshot(grid, rng.standard_normal((2, *grid.dims)), rng.standard_normal(grid.dims),
+                                     0.1 * i) for i in range(4)), 0.1)
+    eta = 14 * grid.spacing[1]
+    kernel = (1.0 / eta) * smooth_step_deriv(np.broadcast_to(wall_distance(grid), grid.dims) / eta)
+    _, grad = boundary_cutoff(grid, eta)
+    from_grad = -grad[grid.wall_axis] * wall_normal_sign(grid)
+    assert from_grad.tobytes() == kernel.tobytes()
+    assert not np.signbit(from_grad[from_grad == 0.0]).any()
+    want = 0.0
+    for snap, w in zip(traj.snapshots[1:4], trapezoid_time_weights(3, traj.dt)):
+        ke = 0.5 * np.sum(snap.velocity ** 2, axis=0)
+        want += w * integrate((ke + snap.pressure) * snap.velocity[1] * wall_normal_sign(grid) * kernel, grid)
+    assert global_balance(traj, eta, 0.1, 0.3).boundary_term == want
 
 
 def test_global_balance_periodic_degenerate(box64):

@@ -9,8 +9,10 @@ from oflux.mollify import (
     bump,
     bump_cdf,
     cutoff_region,
+    field_spectrum,
     make_mollifier,
     mollify_field,
+    mollify_spectrum,
     nested_regions,
     set_distance,
     time_kernel,
@@ -181,6 +183,35 @@ def test_cutoff_region_runs_one_distance_transform(monkeypatch, kinds):
     cf = cutoff_region(grid, inner, outer)
     assert len(calls) == 1
     assert cf.width == gap
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 1 << 10])
+@pytest.mark.parametrize("dims, kinds", [((64, 65), "periodic"), ((64, 65), ("periodic", "wall")),
+                                         ((24, 25, 26), "periodic")])
+def test_cutoff_region_is_bitwise_the_same_at_any_distance_block(monkeypatch, chunk, dims, kinds):
+    # the candidate block bounds the distance pass's memory, not its minima: all rows
+    # of a line pass at once (2^20), a few (the module's 2^16) or one (2^10)
+    grid = make_grid(dims, (TWO_PI, 1.0, 2.0)[: len(dims)], kinds)
+    inner, outer = block_mask(grid, 0.35, 0.65), block_mask(grid, 0.2, 0.8)
+    want = cutoff_region(grid, inner, outer)
+    monkeypatch.setattr(mollify, "_EDT_CHUNK", chunk)
+    got = cutoff_region(grid, inner, outer)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.width == want.width
+
+
+@pytest.mark.parametrize("lead, dims", [((), (64, 64)), ((1,), (64, 64)), ((3,), (64, 64)),
+                                        ((5,), (256, 256)), ((2, 3), (8, 9, 10))])
+def test_mollify_spectrum_matches_the_stacked_inverse_bitwise(lead, dims):
+    # one inverse transform per component, written into one output, keeps every bit
+    grid = make_grid(dims, (TWO_PI,) * len(dims))
+    f = np.random.default_rng(len(lead) + sum(lead)).standard_normal(lead + dims)
+    spectrum = field_spectrum(f, grid)
+    transfer = make_mollifier(3.0 * grid.max_spacing, grid).transfer(grid)
+    want = np.fft.irfftn(spectrum * transfer, s=dims, axes=tuple(range(len(lead), f.ndim)))
+    got = mollify_spectrum(spectrum, transfer, grid)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_cutoff_region_zero_width_error(box64):

@@ -35,6 +35,14 @@ def test_periodic_solve_is_exact_in_discrete_algebra(box128):
     assert abs(rep.pressure.mean()) <= 1e-14
 
 
+def test_periodic_pressure_owns_its_memory(box64):
+    # a view into the solve's output would keep its source field alive beside every
+    # pressure a trajectory stores
+    rep = solve_pressure_periodic(fractional_field(0.4, None, 3, box64))
+    assert rep.pressure.base is None and rep.pressure.flags.owndata
+    assert rep.pressure.shape == box64.dims
+
+
 def test_channel_unidirectional_shear():
     grid = channel_grid(64, 65)
     _, y = grid.meshes()
