@@ -207,12 +207,12 @@ def field_spectrum(f: np.ndarray, grid: Grid) -> np.ndarray:
 
 def mollify_spectrum(spectrum: np.ndarray, transfer: np.ndarray, grid: Grid) -> np.ndarray:
     """Mollified field from its half-spectrum: one multiply and one inverse
-    transform per leading component, each written straight into one output,
-    so only one component's intermediates are alive at a time."""
+    transform per leading component, each copied into one output, so only
+    one component's intermediates are alive at a time."""
     lead = spectrum.shape[: spectrum.ndim - grid.ndim]
     out = np.empty(lead + grid.dims)
     for c in np.ndindex(lead):
-        np.fft.irfftn(spectrum[c] * transfer, s=grid.dims, axes=tuple(range(grid.ndim)), out=out[c])
+        out[c] = np.fft.irfftn(spectrum[c] * transfer, s=grid.dims, axes=tuple(range(grid.ndim)))
     return out
 
 
