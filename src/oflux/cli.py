@@ -463,6 +463,10 @@ def cmd_sweep(cfg: dict) -> int:
                               f"is not the sweep's grid {grid}")
 
     nus = sorted(map(float, cfg["nus"]), reverse=True)
+    labels = {f"{nu:g}" for nu in nus}  # each names its run's output files
+    if len(labels) < len(nus):
+        raise ConfigError("sweep.nus: the viscosities must differ in the 6 significant digits that name "
+                          f"their output files, got {reprlib.repr(cfg['nus'])}")
     etas = None  # the shell ladder is checked before any integration
     if "etas" in cfg:
         if geometry != "channel" or len(nus) < 2:
@@ -480,8 +484,9 @@ def cmd_sweep(cfg: dict) -> int:
                         cfg.get("snapshot_stride", max(1, n_end // 8)))
 
     # One run per nu to max(t_end, t_star): the dissipation is read at t_star,
-    # trajectories and series are cut at t_end.  Every nu is integrated before
-    # any file is written, so a failing run leaves no partial output.
+    # trajectories and series are cut at t_end.  Every nu is integrated and
+    # every criterion evaluated before any file is written, so a failing run
+    # leaves no partial output.
     swept = []
     runs = []
     kept = []
@@ -492,6 +497,7 @@ def cmd_sweep(cfg: dict) -> int:
         runs.append((nu, traj))
         kept.append(series)
     sweep_rep = dissipation_report(swept, grid, dt, t_star)
+    vrep = viscous_flux_criterion(runs, etas) if etas is not None else None
     write_csv(out / "dissipation.csv", ["nu", "dissipation", "resolved"], sweep_rep.rows)
 
     # the gate covers every integrated step, up to t_star as well as t_end
@@ -510,8 +516,7 @@ def cmd_sweep(cfg: dict) -> int:
         "leray_ok": leray_ok,
     }
     exit_code = EXIT_OK if leray_ok and sweep_rep.verdict.startswith("vanishing") else EXIT_NEGATIVE
-    if etas is not None:
-        vrep = viscous_flux_criterion(runs, etas)
+    if vrep is not None:
         summary["viscous_flux"] = vrep
         write_csv(
             out / "viscous_flux.csv",

@@ -1,7 +1,11 @@
 """Mollification commutator stress and its scaling diagnostics.
 
 The stored orientation is R = (u otimes u)^eps - u^eps otimes u^eps
-everywhere; contraction_grad contracts exactly this tensor against grad(phi u^eps).
+everywhere; contraction_grad contracts exactly this stress against grad(phi u^eps).
+R is symmetric, so it is stored as its n(n+1)/2 distinct entries R_ij,
+i <= j, in the products' order of ``quadratic_products``: one row per pair,
+shape (n(n+1)/2, *dims).  ``symmetric_pairs`` is the one place that order
+is decided; R_ji is read from the row of R_ij.
 The increment route
 
     R = int rho_eps(y) (delta_y u otimes delta_y u) dy
@@ -14,10 +18,11 @@ direct route (tests/mollify_oracle.py).
 The direct route transforms u and the products u_i u_j once each, apart;
 each radius is then one multiply by its kernel transfer and two inverse
 transforms, one per group: u^eps, which the stress and the contraction
-share, then (u otimes u)^eps, which is released as soon as the stress is
-formed.  ``scaling_probe`` keeps both spectra for its whole ladder.  A rung
-then streams grad(phi u^eps) through ``grids.partials``, one component and
-one axis at a time, so it never holds more than one derivative field.
+share, then (u otimes u)^eps, from which u^eps_i u^eps_j is subtracted in
+place to give the stress.  ``scaling_probe`` keeps both spectra for its
+whole ladder.  A rung then streams grad(phi u^eps) through
+``grids.partials``, one component and one axis at a time, so it never holds
+more than one derivative field.
 """
 
 from __future__ import annotations
@@ -31,26 +36,32 @@ from .grids import Grid, Snapshot, as_components, integrate, loglog_fit, partial
 from .mollify import CutoffField, Mollifier, field_spectrum, make_mollifier, mollify_spectrum
 
 # ---------------------------------------------------------------------------
-# stress tensors: symmetric fields of shape (n, n, *dims)
+# symmetric pair fields: one row per pair (i, j), i <= j, shape (n(n+1)/2, *dims)
 # ---------------------------------------------------------------------------
 
 
+def symmetric_pairs(n: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The products' order: the pairs (i, j), i <= j, row-major, and the n x n
+    table of their rows, where row[i, j] == row[j, i]."""
+    iu, ju = np.triu_indices(n)
+    row = np.empty((n, n), dtype=int)
+    row[iu, ju] = row[ju, iu] = np.arange(len(iu))
+    return list(zip(iu.tolist(), ju.tolist())), row
+
+
 def quadratic_products(vel: np.ndarray) -> np.ndarray:
-    """u_i u_j for i <= j in row-major order: shape (n(n+1)/2, *dims)."""
-    iu, ju = np.triu_indices(len(vel))
-    return np.stack([vel[i] * vel[j] for i, j in zip(iu, ju)])
+    """u_i u_j in the products' order: shape (n(n+1)/2, *dims)."""
+    pairs, _ = symmetric_pairs(len(vel))
+    return np.stack([vel[i] * vel[j] for i, j in pairs])
 
 
 def stress_from(products_eps: np.ndarray, ue: np.ndarray) -> np.ndarray:
-    """R from mollified products (order of ``quadratic_products``) and u^eps."""
-    n = len(ue)
-    tensor = np.empty((n, n, *ue.shape[1:]))
-    for k, (i, j) in enumerate(zip(*np.triu_indices(n))):
-        r = products_eps[k] - ue[i] * ue[j]
-        tensor[i, j] = r
-        if i != j:
-            tensor[j, i] = r
-    return tensor
+    """R from mollified products and u^eps: u^eps_i u^eps_j is subtracted from
+    ``products_eps`` in place, which is returned, still in the products' order."""
+    pairs, _ = symmetric_pairs(len(ue))
+    for k, (i, j) in enumerate(pairs):
+        products_eps[k] -= ue[i] * ue[j]
+    return products_eps
 
 
 def _velocity_spectrum(vel: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -78,7 +89,8 @@ def commutator_stress(
     grid: Grid | None = None,
     region: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(u otimes u)^eps - u^eps otimes u^eps, componentwise; valid on ``region``."""
+    """(u otimes u)^eps - u^eps otimes u^eps, valid on ``region``: its rows R_ij,
+    i <= j, in the products' order, shape (n(n+1)/2, *dims)."""
     vel, grid = as_components(u, grid)
     mol = _as_mollifier(mollifier, grid)
     return _mollified_stress(_velocity_spectrum(vel, grid), mol, grid, region)[0]
@@ -99,12 +111,14 @@ def _phi_values(phi, grid):
 
 
 def contraction_grad(stress: np.ndarray, ue: np.ndarray, phi, grid: Grid) -> float:
-    """integral of R : grad(phi u^eps) over the box (trapezoid quadrature)."""
+    """integral of R : grad(phi u^eps) over the box (trapezoid quadrature);
+    ``stress`` is in the products' order."""
     pv = _phi_values(phi, grid)
+    _, row = symmetric_pairs(grid.ndim)
     total = np.zeros(grid.dims)
     for j in range(grid.ndim):
         for i, g in partials(pv * ue[j], grid):
-            g *= stress[i, j]
+            g *= stress[row[i, j]]
             total += g
     return integrate(total, grid)
 
@@ -204,14 +218,15 @@ def _probe_mask(grid: Grid, region: np.ndarray | None) -> np.ndarray:
 def _probe_rung(spectrum, mol, grid, region, pv, probe, wts) -> tuple[float, float, float]:
     """One rung's flux integral, sup |R| and sup |grad(phi u^eps)|; its fields die on return."""
     stress, ue = _mollified_stress(spectrum, mol, grid, region)
+    _, row = symmetric_pairs(grid.ndim)
     contraction = np.zeros(grid.dims)
     grad_sq = np.zeros(grid.dims)
     for j in range(grid.ndim):
         for i, g in partials(pv * ue[j], grid):
-            rg = stress[i, j] * g
+            rg = stress[row[i, j]] * g
             contraction += np.abs(rg, out=rg)
             grad_sq += np.multiply(g, g, out=g)
-    return (float(np.sum(contraction * wts)), float(np.abs(stress[:, :, probe]).max()),
+    return (float(np.sum(contraction * wts)), float(np.abs(stress[:, probe]).max()),
             float(np.sqrt(grad_sq[probe].max())))
 
 

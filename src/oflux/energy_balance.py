@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .commutator import (SlopeFit, contraction_grad, fit_loglog, monotone_within_10pct, quadratic_products,
-                         stress_from)
+                         stress_from, symmetric_pairs)
 from .errors import PreconditionError
 from .grids import (Grid, Trajectory, deriv, discretization_budget, integrate, partial, partials,
                     trapezoid_time_weights)
@@ -255,15 +255,15 @@ def _time_derivative(traj: Trajectory, k: int) -> np.ndarray:
 def _euler_residual(dudt: np.ndarray, q: np.ndarray, p: np.ndarray, grid: Grid) -> np.ndarray:
     """E_j = d_t u_j + sum_i d_i(u_i u_j) + d_j p, accumulated into ``dudt``.
 
-    ``q`` holds the products u_i u_j (i <= j) of ``quadratic_products``.
+    ``q`` holds the products u_i u_j in the order of ``quadratic_products``.
     Along axis i only the n products that hold u_i are differentiated, one at
     a time; p's gradient streams one axis at a time.
     """
     n = grid.ndim
-    slot = {pair: k for k, pair in enumerate(zip(*np.triu_indices(n)))}
+    _, row = symmetric_pairs(n)
     for i in range(n):
         for j in range(n):
-            dudt[j] += partial(q[slot[min(i, j), max(i, j)]], i, grid)
+            dudt[j] += partial(q[row[i, j]], i, grid)
     for j, g in partials(p, grid):
         dudt[j] += g
     return dudt

@@ -18,6 +18,7 @@ A trajectory is a directory of snapshot files plus ``trajectory.json``.
 from __future__ import annotations
 
 import math
+import reprlib
 import struct
 from pathlib import Path
 
@@ -117,6 +118,11 @@ def read_snapshot(path: str | Path) -> Snapshot:
     grid, comps, time, sidecar = _read_field(path)
     ncomp, naxes = len(comps), grid.ndim
     has_pressure = sidecar.get("has_pressure", ncomp == naxes + 1)
+    tags = sidecar.get("tags", {})
+    if not isinstance(has_pressure, bool):
+        raise PreconditionError(f"{path}.json: 'has_pressure' must be true or false, got {reprlib.repr(has_pressure)}")
+    if not isinstance(tags, dict):
+        raise PreconditionError(f"{path}.json: 'tags' must be an object, got {reprlib.repr(tags)}")
     if has_pressure:
         if ncomp != naxes + 1:
             raise PreconditionError(f"{path}: component count inconsistent with pressure flag")
@@ -125,7 +131,7 @@ def read_snapshot(path: str | Path) -> Snapshot:
         if ncomp != naxes:
             raise PreconditionError(f"{path}: component count does not match axis count")
         velocity, pressure = comps, None
-    return Snapshot(grid, velocity, pressure, time, sidecar.get("tags", {}))
+    return Snapshot(grid, velocity, pressure, time, tags)
 
 
 def write_scalar_field(path: str | Path, grid: Grid, values: np.ndarray, time: float = 0.0,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .commutator import quadratic_products
+from .commutator import quadratic_products, symmetric_pairs
 from .grids import (WALL, Diagonal, Grid, Snapshot, deriv, deriv2, inverse_eigenvalues,
                     second_difference_eigenvalues, spectrum_wavenumbers, wall_distance)
 from .mollify import CutoffField, cutoff_region
@@ -55,7 +55,7 @@ def solve_pressure_periodic(snap: Snapshot) -> PressureSolveReport:
     # each product's symbol is the Hermitian-even part of -k_i k_j (doubled
     # off the diagonal): the part a real inverse transform sees
     src_hat = sum(-(0.5 if i == j else 1.0) * (ks[i] * ks[j] + mirror[i] * mirror[j]) * spectrum
-                  for spectrum, (i, j) in zip(spectra, zip(*np.triu_indices(grid.ndim))))
+                  for spectrum, (i, j) in zip(spectra, symmetric_pairs(grid.ndim)[0]))
     # two inverses, not one of a stack: p must not be a view that keeps src alive
     p = neg_lap.inverse(src_hat * inverse_eigenvalues(k2))
     residual = float(np.abs(neg_lap(p) - neg_lap.inverse(src_hat)).max())

@@ -395,13 +395,18 @@ def _spectral_finish(grid: Grid, nu: float, dt: float, projector: _Projector):
     return finish
 
 
+def _finish(grid: Grid, cfg: SolverConfig, projector: _Projector):
+    """The step's finish: the spectral one on a fully periodic grid, the stencil's otherwise."""
+    return (_spectral_finish if grid.fully_periodic else _stencil_finish)(grid, cfg.nu, cfg.dt, projector)
+
+
 def step(state: MacState, cfg: SolverConfig, projector=None, finish=None):
     """One time step; returns (state, dissipation_increment, projection_loss)."""
     grid = cfg.initial.grid
     if projector is None:
         projector = _Projector(grid)
     if finish is None:
-        finish = (_spectral_finish if grid.fully_periodic else _stencil_finish)(grid, cfg.nu, cfg.dt, projector)
+        finish = _finish(grid, cfg, projector)
     u, v = state.u, state.v
     dt = cfg.dt
     _check_cfl(u, v, cfg, state.t)
@@ -417,7 +422,7 @@ def run(cfg: SolverConfig):
     """Integrate to t_end; returns (node Trajectory, DissipationSeries)."""
     grid = cfg.initial.grid
     projector = _Projector(grid)
-    finish = (_spectral_finish if grid.fully_periodic else _stencil_finish)(grid, cfg.nu, cfg.dt, projector)
+    finish = _finish(grid, cfg, projector)
     state = nodes_to_mac(cfg.initial)
     u, v = project(state.u, state.v, grid, projector)
     state = MacState(u, v, 0.0)
@@ -538,14 +543,10 @@ def viscous_flux_criterion(runs, etas) -> ViscousFluxReport:
     etas = shell_ladder(etas, grid)
     runs = sorted(runs, key=lambda r: -r[0])
     nus = [nu for nu, _ in runs]
+    if nus[-2] == nus[-1]:
+        raise PreconditionError(f"the extrapolation needs two distinct smallest viscosities, got {nus[-1]:g} twice")
 
-    with_p = []
-    for nu, traj in runs:
-        snaps = []
-        for s in traj.snapshots:
-            rep = solve_pressure_channel(s)
-            snaps.append(s.with_pressure(rep.pressure))
-        with_p.append(Trajectory(tuple(snaps), traj.dt))
+    with_p = [traj.map(lambda s: s.with_pressure(solve_pressure_channel(s).pressure)) for _, traj in runs]
 
     flux = []
     for eta in etas:

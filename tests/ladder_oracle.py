@@ -27,15 +27,16 @@ def _products(vel):
     return {(i, j): vel[i] * vel[j] for i in range(n) for j in range(i, n)}
 
 
+def _row(i, j, n):
+    """The row of the pair (i, j) or (j, i) among the pairs i <= j, row-major."""
+    i, j = min(i, j), max(i, j)
+    return i * n - i * (i - 1) // 2 + j - i
+
+
 def _stress(products, ue, mol, grid, region):
-    """(u_i u_j)^eps - u^eps_i u^eps_j, each product mollified on its own."""
-    n = grid.ndim
-    tensor = np.empty((n, n, *grid.dims))
-    for (i, j), q in products.items():
-        r = mollify_field(q, mol, grid, region) - ue[i] * ue[j]
-        tensor[i, j] = r
-        tensor[j, i] = r
-    return tensor
+    """(u_i u_j)^eps - u^eps_i u^eps_j, each product mollified on its own, in
+    the order of ``products``: the pairs i <= j, row-major."""
+    return np.stack([mollify_field(q, mol, grid, region) - ue[i] * ue[j] for (i, j), q in products.items()])
 
 
 def scaling_probe_rungs(vel, epsilons, pv, grid, probe, region=None):
@@ -51,11 +52,11 @@ def scaling_probe_rungs(vel, epsilons, pv, grid, probe, region=None):
             pj = pv * ue[j]
             for i in range(grid.ndim):
                 g = deriv(pj, i, grid)
-                contraction += np.abs(stress[i, j] * g)
+                contraction += np.abs(stress[_row(i, j, grid.ndim)] * g)
                 grad_sq += g * g
         out.append((
             float(np.sum(contraction * grid.quad_weights())),
-            float(np.abs(stress[:, :, probe]).max()),
+            float(np.abs(stress[:, probe]).max()),
             float(np.sqrt(grad_sq[probe].max())),
         ))
     return out
@@ -147,7 +148,7 @@ def weak_identity_rung(traj, test, epsilon, chain, kappa=None):
         total = np.zeros(grid.dims)
         for j in range(n):
             for i in range(n):
-                total += stress[i, j] * deriv(pv * u[j], i, grid)
+                total += stress[_row(i, j, n)] * deriv(pv * u[j], i, grid)
         fluxes.append(integrate(total, grid))
     rhs = -float(np.sum(wts * chi * np.asarray(fluxes)))
     return float(lhs), rhs, float(euler_term)

@@ -32,7 +32,7 @@ def commutator_via_increments(u, mollifier, grid=None, region=None):
     """Increment form of the stress; equals commutator_stress in exact arithmetic.
 
     R = sum_o w_o h^n (delta_o u ox delta_o u) - (u - u^eps) ox (u - u^eps),
-    delta_o u = u(x - o h) - u(x).
+    delta_o u = u(x - o h) - u(x), as its rows R_ij, i <= j, row-major.
     """
     vel, grid = as_components(u, grid)
     mol = mollifier if isinstance(mollifier, Mollifier) else make_mollifier(float(mollifier), grid)
@@ -48,13 +48,8 @@ def commutator_via_increments(u, mollifier, grid=None, region=None):
         t1 += (w * vol) * delta[iu] * delta[ju]
     ue = mollify_field(vel, mol, grid, region)
     fluct = vel - ue
-    tensor = np.empty((n, n, *grid.dims))
-    for k, (i, j) in enumerate(zip(iu, ju)):
-        r = t1[k] - fluct[i] * fluct[j]
-        tensor[i, j] = r
-        if i != j:
-            tensor[j, i] = r
-    return tensor
+    t1 -= fluct[iu] * fluct[ju]
+    return t1
 
 
 def distance_via_tiling(mask, grid):

@@ -7,6 +7,7 @@ import pytest
 
 from oflux import cli, fieldio, solver
 from oflux.cli import main
+from oflux.errors import PreconditionError
 from oflux.grids import Snapshot, Trajectory, make_grid, wall_distance, wall_normal_sign
 from oflux.reports import canonical_json, config_hash, write_csv
 from oflux.solver import SolverConfig, dissipation_sweep, run
@@ -480,7 +481,8 @@ def test_diagnose_bad_trajectory_json_exit_code(tmp_path, capsys, meta):
     assert str(meta_path) in err and "internal error" not in err
 
 
-@pytest.mark.parametrize("sidecar", [b"[]", b'"x"', b'{"tags": "\xff"}'], ids=["list", "string", "not utf-8"])
+@pytest.mark.parametrize("sidecar", [b"[]", b'"x"', b'{"tags": "\xff"}', b'{"tags": 5}'],
+                         ids=["list", "string", "not utf-8", "tags not an object"])
 def test_diagnose_bad_sidecar_exit_code(tmp_path, capsys, sidecar):
     field = fieldio.write_snapshot(tmp_path / "f.oflx", taylor_green(make_grid((16, 16), (TWO_PI, TWO_PI))))
     side = tmp_path / "f.oflx.json"
@@ -564,6 +566,40 @@ def test_sweep_initial_wrong_type_exit_code(tmp_path, capsys, initial, key):
     assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert f"sweep.initial.{key}" in err and "internal error" not in err
+    assert _no_output(out)
+
+
+@pytest.mark.parametrize("nus", [[0.01, 0.01], [0.01, 0.0100000001]], ids=["repeated", "same file name"])
+def test_sweep_repeated_viscosity_exits_before_integrating(tmp_path, monkeypatch, capsys, nus):
+    cfg = {"geometry": "channel", "grid": "16x65", "initial": {"kind": "poiseuille"},
+           "nus": nus, "dt": 0.001, "t_end": 0.005, "etas": [0.4, 0.3, 0.2]}
+    steps = []
+    real_step = solver.step
+
+    def counting_step(*args):
+        steps.append(args[0].t)
+        return real_step(*args)
+
+    monkeypatch.setattr(solver, "step", counting_step)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "sweep.nus" in err and "internal error" not in err
+    assert steps == []
+    assert _no_output(out)
+
+
+def test_sweep_failing_flux_criterion_writes_nothing(tmp_path, monkeypatch, capsys):
+    cfg = {"geometry": "channel", "grid": "16x33", "initial": {"kind": "poiseuille"},
+           "nus": [1e-2, 5e-3], "dt": 0.001, "t_end": 0.005, "etas": [0.4, 0.3, 0.2]}
+
+    def failing_criterion(runs, etas):
+        raise PreconditionError("shell flux failed (injected)")
+
+    monkeypatch.setattr(cli, "viscous_flux_criterion", failing_criterion)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    assert "injected" in capsys.readouterr().err
     assert _no_output(out)
 
 

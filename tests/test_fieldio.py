@@ -165,3 +165,15 @@ def test_sidecar_may_be_missing_or_empty(tmp_path, sidecar):
     side.unlink() if sidecar is None else side.write_bytes(sidecar)
     back = fieldio.read_snapshot(path)
     assert np.array_equal(back.pressure, snap.pressure) and back.tags == {}
+
+
+@pytest.mark.parametrize("sidecar", [b'{"tags": 5}', b'{"tags": ["seed"]}', b'{"has_pressure": 1}',
+                                     b'{"has_pressure": null}'],
+                         ids=["tags a number", "tags a list", "pressure flag a number", "pressure flag null"])
+def test_sidecar_of_the_wrong_type_rejected(tmp_path, sidecar):
+    path = fieldio.write_snapshot(tmp_path / "tg.oflx", taylor_green(make_grid((16, 16), (TWO_PI, TWO_PI))))
+    side = tmp_path / "tg.oflx.json"
+    side.write_bytes(sidecar)
+    with pytest.raises(PreconditionError) as err:
+        fieldio.read_snapshot(path)
+    assert str(side) in str(err.value)

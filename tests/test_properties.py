@@ -55,6 +55,7 @@ def test_commutator_direct_matches_increments(nx, ny, kind, seed, c):
     grid, vel, mol, region = _case(nx, ny, kind, seed, c, 2)
     direct = commutator_stress(vel, mol, grid, region)
     increments = commutator_via_increments(vel, mol, grid, region)
+    assert direct.shape == increments.shape == (3, nx, ny)  # R_00, R_01, R_11
     assert np.abs(direct - increments).max() <= RTOL * max(1.0, np.abs(vel).max() ** 2)
 
 

@@ -275,6 +275,13 @@ def test_viscous_flux_criterion_blowing_negative():
     assert not rep.eta_trend_ok
 
 
+def test_viscous_flux_criterion_rejects_equal_smallest_viscosities():
+    grid = channel_grid(16, 33)
+    traj, _ = run(SolverConfig(0.01, 0.001, 0.005, _channel_init(grid), snapshot_stride=1))
+    with pytest.raises(PreconditionError, match="two distinct smallest viscosities"):
+        viscous_flux_criterion([(0.02, traj), (0.01, traj), (0.01, traj)], [0.4, 0.3, 0.2])
+
+
 def _interior_mask(grid):
     d = np.broadcast_to(wall_distance(grid), grid.dims)
     return np.where(d > 0, 1.0, 0.0)
