@@ -17,6 +17,18 @@ circulant and commute, so the finish is one symbol amp * P on one spectrum
 of (u, v); the last projection, a no-op there, drops out.  The tests keep
 the box's stencil route as the finish's reference.
 
+The MAC stencils (advection, divergence, gradient, the channel's gradient
+norm and node <-> MAC resampling) make no ``np.roll`` copies.  Each neighbour
+difference or average op(f[k+1], f[k]) is one ufunc call into an ``out``
+array (``_ahead``, ``_behind``): on whole-row slices along x, and along the
+box's periodic y on the flat view of C-contiguous arrays, followed by a fix
+of the wrap column; the channel's y has no wrap and takes plain slices.
+Intermediates go into two flat work arrays that a run allocates once
+(``_scratch``) and hands to every step, so an advection call allocates only
+its two outputs.  Every element keeps the binary operations, and their
+order, of the roll forms in ``tests/tridiag_oracle.py`` (divide by h, negate
+last), so the floats are those of the roll forms, bit for bit.
+
 Energy audit: with the plain staggered inner product, the CN half-step
 removes exactly nu*dt*||grad m||^2 (m the CN midpoint; on the box read off
 the finish's spectrum by Parseval) per step and the projection is
@@ -101,26 +113,73 @@ def _geometry(grid: Grid):
 # ---------------------------------------------------------------------------
 
 
-def _divergence(u, v, grid: Grid):
-    nx, ncy, hx, hy = _geometry(grid)
-    dux = (np.roll(u, -1, axis=0) - u) / hx
-    if grid.fully_periodic:
-        dvy = (np.roll(v, -1, axis=1) - v) / hy
+def _ahead(op, f, axis: int, out):
+    """out[k] = op(f[k+1], f[k]) along axis 0 or a periodic axis 1, cyclically."""
+    if axis == 0:
+        op(f[1:], f[:-1], out=out[:-1])
+        op(f[0], f[-1], out=out[-1])
     else:
-        dvy = (v[:, 1:] - v[:, :-1]) / hy
-    return dux + dvy
+        assert out.flags.c_contiguous  # reshape(-1) would write into a copy
+        flat = f.reshape(-1)
+        op(flat[1:], flat[:-1], out=out.reshape(-1)[:-1])
+        op(f[:, 0], f[:, -1], out=out[:, -1])  # the wrap column
+    return out
+
+
+def _behind(op, f, axis: int, out):
+    """out[k+1] = op(f[k+1], f[k]) along axis 0 or a periodic axis 1, cyclically."""
+    if axis == 0:
+        op(f[1:], f[:-1], out=out[1:])
+        op(f[0], f[-1], out=out[0])
+    else:
+        assert out.flags.c_contiguous
+        flat = f.reshape(-1)
+        op(flat[1:], flat[:-1], out=out.reshape(-1)[1:])
+        op(f[:, 0], f[:, -1], out=out[:, 0])
+    return out
+
+
+def _scratch(grid: Grid):
+    """A run's two flat work arrays of one grid field each; ``_take`` shapes them."""
+    return tuple(np.empty(grid.dims[0] * grid.dims[1]) for _ in range(2))
+
+
+def _take(buf, shape):
+    """A C-contiguous (nx, m) view of the head of a flat work array."""
+    return buf[: shape[0] * shape[1]].reshape(shape)
+
+
+def _divergence(u, v, grid: Grid, scratch=None):
+    """The cell divergence; with ``scratch`` it lives in the first work array."""
+    nx, ncy, hx, hy = _geometry(grid)
+    a, b = scratch or _scratch(grid)
+    out = _ahead(np.subtract, u, 0, _take(a, (nx, ncy)))
+    out /= hx
+    dvy = _take(b, (nx, ncy))
+    if grid.fully_periodic:
+        _ahead(np.subtract, v, 1, dvy)
+    else:
+        np.subtract(v[:, 1:], v[:, :-1], out=dvy)
+    dvy /= hy
+    out += dvy
+    return out
 
 
 def _grad_correct(u, v, q, grid: Grid):
-    """Subtract the staggered gradient of q from (u, v)."""
+    """Subtract the staggered gradient of q from (u, v), into new arrays."""
     nx, ncy, hx, hy = _geometry(grid)
-    u = u - (q - np.roll(q, 1, axis=0)) / hx
+    un = _behind(np.subtract, q, 0, np.empty(u.shape))
+    un /= hx
+    np.subtract(u, un, out=un)
+    vn = np.empty(v.shape)
     if grid.fully_periodic:
-        v = v - (q - np.roll(q, 1, axis=1)) / hy
+        dq, vi = _behind(np.subtract, q, 1, vn), v
     else:
-        v = v.copy()
-        v[:, 1:-1] -= (q[:, 1:] - q[:, :-1]) / hy
-    return u, v
+        vn[:, 0], vn[:, -1] = v[:, 0], v[:, -1]  # the wall faces keep their values
+        dq, vi = np.subtract(q[:, 1:], q[:, :-1], out=vn[:, 1:-1]), v[:, 1:-1]
+    dq /= hy
+    np.subtract(vi, dq, out=dq)
+    return un, vn
 
 
 def _laplacian_eigenvalues(grid: Grid, phase_y) -> np.ndarray:
@@ -142,58 +201,77 @@ class _Projector(Diagonal):
         super().__init__((nx, ncy), inverse_eigenvalues(lam), None if periodic else (1, "dct", 2))
 
 
-def project(u, v, grid: Grid, projector: _Projector):
-    q = projector(_divergence(u, v, grid))
+def project(u, v, grid: Grid, projector: _Projector, scratch=None):
+    q = projector(_divergence(u, v, grid, scratch))
     return _grad_correct(u, v, q, grid)
 
 
-def _ghost_u(u, grid: Grid):
-    """u with one ghost layer in y (no-slip: mirror-negated across the wall)."""
-    if grid.fully_periodic:
-        return np.concatenate([u[:, -1:], u, u[:, :1]], axis=1)
-    return np.concatenate([-u[:, :1], u, -u[:, -1:]], axis=1)
-
-
-def advection(u, v, grid: Grid):
+def advection(u, v, grid: Grid, scratch=None):
     """Energy-conserving convective terms (du, dv) = -div(u w) on the MAC grid.
 
     Centered-average fluxes make the operator skew-symmetric on the
     discretely divergence-free subspace: the energy production telescopes to
     the interpolated cell divergence, which the projection keeps at zero, so
-    the inviscid core neither creates nor destroys kinetic energy.
+    the inviscid core neither creates nor destroys kinetic energy.  The
+    intermediates live in ``scratch`` (a run's ``_scratch``); only (du, dv)
+    are allocated.
     """
     nx, ncy, hx, hy = _geometry(grid)
     per = grid.fully_periodic
+    a, b = scratch or _scratch(grid)
+    add, sub = np.add, np.subtract
 
-    ug = _ghost_u(u, grid)  # (nx, ncy+2)
+    # the corner flux u v on the corner lattice serves both components: (nx, ncy)
+    # corners on the box (corner j below face j), (nx, ncy+1) with the walls'
+    fxy = _behind(add, v, 0, _take(a, v.shape))  # x-avg of v at corners
+    fxy *= 0.5
+    u_corner = _take(b, v.shape)  # y-avg of u at corners
     if per:
-        vg = np.concatenate([v, v[:, :1]], axis=1)  # y-faces j = 0..ncy
-    else:
-        vg = v  # includes both wall faces (zero there)
-
-    # the corner flux u v on the (nx, ncy+1) corner lattice serves both components
-    v_corner = 0.5 * (vg + np.roll(vg, 1, axis=0))  # x-avg of v at corners
-    u_corner = 0.5 * (ug[:, :-1] + ug[:, 1:])  # y-avg of u at corners
-    fxy = v_corner * u_corner
+        _behind(add, u, 1, u_corner)
+    else:  # no-slip ghosts -u mirror u across each wall
+        add(u[:, :-1], u[:, 1:], out=u_corner[:, 1:-1])
+        for wall in (0, -1):
+            np.negative(u[:, wall], out=u_corner[:, wall])
+            u_corner[:, wall] += u[:, wall]
+    u_corner *= 0.5
+    fxy *= u_corner
 
     # --- u-component: control volumes around x-faces ------------------------
-    u_c = 0.5 * (u + np.roll(u, -1, axis=0))  # at cell centers
-    fxx = u_c * u_c
-    du = -((fxx - np.roll(fxx, 1, axis=0)) / hx + (fxy[:, 1:] - fxy[:, :-1]) / hy)
+    fxx = _ahead(add, u, 0, _take(b, u.shape))  # u at cell centers
+    fxx *= 0.5
+    fxx *= fxx
+    du = _behind(sub, fxx, 0, np.empty(u.shape))
+    du /= hx
+    dfy = _take(b, u.shape)
+    if per:
+        _ahead(sub, fxy, 1, dfy)
+    else:
+        sub(fxy[:, 1:], fxy[:, :-1], out=dfy)
+    dfy /= hy
+    du += dfy
+    np.negative(du, out=du)
 
     # --- v-component: control volumes around y-faces ------------------------
+    dv = np.empty(v.shape)
     if per:
-        g = fxy[:, :-1]  # corner j sits below face j; face ncy wraps to face 0
-        v_c = 0.5 * (v + np.roll(v, -1, axis=1))  # at cell centers
-        fyy = v_c * v_c
-        dv = -((np.roll(g, -1, axis=0) - g) / hx + (fyy - np.roll(fyy, 1, axis=1)) / hy)
+        g, inner = fxy, dv  # corner j sits below face j
+        fyy = _ahead(add, v, 1, _take(b, v.shape))  # v at cell centers
     else:
-        g = fxy[:, 1:-1]  # the interior corners, level with the interior faces
-        v_c = 0.5 * (v[:, :-1] + v[:, 1:])  # at cell centers (nx, ncy)
-        fyy = v_c * v_c
-        dv = np.zeros_like(v)
-        dv[:, 1:-1] = -((np.roll(g, -1, axis=0) - g) / hx + (fyy[:, 1:] - fyy[:, :-1]) / hy)
-
+        dv[:, 0] = dv[:, -1] = 0.0
+        g, inner = fxy[:, 1:-1], dv[:, 1:-1]  # the interior corners, level with the interior faces
+        fyy = add(v[:, :-1], v[:, 1:], out=_take(b, u.shape))
+    _ahead(sub, g, 0, inner)
+    inner /= hx
+    fyy *= 0.5
+    fyy *= fyy
+    dfy = _take(a, inner.shape)
+    if per:
+        _behind(sub, fyy, 1, dfy)
+    else:
+        sub(fyy[:, 1:], fyy[:, :-1], out=dfy)
+    dfy /= hy
+    inner += dfy
+    np.negative(inner, out=inner)
     return du, dv
 
 
@@ -237,17 +315,24 @@ def kinetic_energy(u, v, grid: Grid) -> float:
     return 0.5 * hx * hy * (float(np.sum(u * u)) + float(np.sum(v * v)))
 
 
-def gradient_norm_sq(u, v, grid: Grid) -> float:
+def gradient_norm_sq(u, v, grid: Grid, scratch=None) -> float:
     """||grad u||^2 in the channel's staggered inner product, exactly -<w, L w>
-    (periodic in x; the no-slip ghosts and zero wall faces across y)."""
+    (periodic in x; the no-slip ghosts and zero wall faces across y).  Each
+    difference is squared and summed in the first work array of ``scratch``."""
     nx, ncy, hx, hy = _geometry(grid)
+    work = (scratch or _scratch(grid))[0]
+
+    def squares(diff):
+        np.square(diff, out=diff)
+        return float(np.sum(diff))
+
     vol = hx * hy
     total = 0.0
-    total += float(np.sum((np.roll(u, -1, axis=0) - u) ** 2)) / hx**2
-    total += float(np.sum((np.roll(v, -1, axis=0) - v) ** 2)) / hx**2
-    total += float(np.sum((u[:, 1:] - u[:, :-1]) ** 2)) / hy**2
+    total += squares(_ahead(np.subtract, u, 0, _take(work, u.shape))) / hx**2
+    total += squares(_ahead(np.subtract, v, 0, _take(work, v.shape))) / hx**2
+    total += squares(np.subtract(u[:, 1:], u[:, :-1], out=_take(work, (nx, ncy - 1)))) / hy**2
     total += 2.0 * float(np.sum(u[:, 0] ** 2) + np.sum(u[:, -1] ** 2)) / hy**2
-    total += float(np.sum((v[:, 1:] - v[:, :-1]) ** 2)) / hy**2
+    total += squares(np.subtract(v[:, 1:], v[:, :-1], out=_take(work, (nx, ncy)))) / hy**2
     return vol * total
 
 
@@ -276,7 +361,8 @@ def nodes_to_mac(snap: Snapshot) -> MacState:
         if wall_max > 1e-10:
             raise PreconditionError(f"channel runs require no-slip initial data; max |u| on walls = {wall_max:.3e}")
         u = 0.5 * (un[:, :-1] + un[:, 1:])
-        v = 0.5 * (vn + np.roll(vn, -1, axis=0))
+        v = _ahead(np.add, vn, 0, np.empty(vn.shape))
+        v *= 0.5
         v[:, 0] = v[:, -1] = 0.0
     return MacState(u, v, snap.time)
 
@@ -289,7 +375,8 @@ def mac_to_nodes(state: MacState, grid: Grid, tags: dict | None = None) -> Snaps
     else:
         un = np.zeros(grid.dims)
         un[:, 1:-1] = 0.5 * (u[:, :-1] + u[:, 1:])
-        vn = 0.5 * (v + np.roll(v, 1, axis=0))
+        vn = _behind(np.add, v, 0, np.empty(v.shape))
+        vn *= 0.5
         vn[:, 0] = vn[:, -1] = 0.0
     probe = Snapshot(grid, np.stack([un, vn]), None, state.t)
     div = float(np.abs(divergence(probe)).max())
@@ -347,17 +434,17 @@ def _check_cfl(u, v, cfg: SolverConfig, t: float):
         )
 
 
-def _stencil_finish(grid: Grid, nu: float, dt: float, projector: _Projector):
+def _stencil_finish(grid: Grid, nu: float, dt: float, projector: _Projector, scratch):
     """The channel's finish: project, Crank-Nicolson, project, each a solve of
     its own.  It returns (u, v, dissipation, loss of the second projection)."""
     diffuser = _Diffuser(grid, nu, dt)
 
     def finish(u, v):
-        u2, v2 = project(u, v, grid, projector)
+        u2, v2 = project(u, v, grid, projector, scratch)
         u3, v3 = diffuser.step(u2, v2)
-        diss = nu * dt * gradient_norm_sq(0.5 * (u2 + u3), 0.5 * (v2 + v3), grid) if nu > 0 else 0.0
+        diss = nu * dt * gradient_norm_sq(0.5 * (u2 + u3), 0.5 * (v2 + v3), grid, scratch) if nu > 0 else 0.0
         e_before = kinetic_energy(u3, v3, grid)
-        u4, v4 = project(u3, v3, grid, projector)
+        u4, v4 = project(u3, v3, grid, projector, scratch)
         return u4, v4, diss, e_before - kinetic_energy(u4, v4, grid)
 
     return finish
@@ -395,25 +482,30 @@ def _spectral_finish(grid: Grid, nu: float, dt: float, projector: _Projector):
     return finish
 
 
-def _finish(grid: Grid, cfg: SolverConfig, projector: _Projector):
+def _finish(grid: Grid, cfg: SolverConfig, projector: _Projector, scratch):
     """The step's finish: the spectral one on a fully periodic grid, the stencil's otherwise."""
-    return (_spectral_finish if grid.fully_periodic else _stencil_finish)(grid, cfg.nu, cfg.dt, projector)
+    if grid.fully_periodic:
+        return _spectral_finish(grid, cfg.nu, cfg.dt, projector)
+    return _stencil_finish(grid, cfg.nu, cfg.dt, projector, scratch)
 
 
-def step(state: MacState, cfg: SolverConfig, projector=None, finish=None):
-    """One time step; returns (state, dissipation_increment, projection_loss)."""
+def step(state: MacState, cfg: SolverConfig, projector=None, finish=None, scratch=None):
+    """One time step; returns (state, dissipation_increment, projection_loss).
+    A run passes its projector, finish and ``_scratch`` work arrays, built once."""
     grid = cfg.initial.grid
+    if scratch is None:
+        scratch = _scratch(grid)
     if projector is None:
         projector = _Projector(grid)
     if finish is None:
-        finish = _finish(grid, cfg, projector)
+        finish = _finish(grid, cfg, projector, scratch)
     u, v = state.u, state.v
     dt = cfg.dt
     _check_cfl(u, v, cfg, state.t)
 
-    du1, dv1 = advection(u, v, grid)
-    u1, v1 = project(u + dt * du1, v + dt * dv1, grid, projector)
-    du2, dv2 = advection(u1, v1, grid)
+    du1, dv1 = advection(u, v, grid, scratch)
+    u1, v1 = project(u + dt * du1, v + dt * dv1, grid, projector, scratch)
+    du2, dv2 = advection(u1, v1, grid, scratch)
     u3, v3, diss, proj_loss = finish(u + 0.5 * dt * (du1 + du2), v + 0.5 * dt * (dv1 + dv2))
     return MacState(u3, v3, state.t + dt), diss, proj_loss
 
@@ -421,10 +513,10 @@ def step(state: MacState, cfg: SolverConfig, projector=None, finish=None):
 def run(cfg: SolverConfig):
     """Integrate to t_end; returns (node Trajectory, DissipationSeries)."""
     grid = cfg.initial.grid
-    projector = _Projector(grid)
-    finish = _finish(grid, cfg, projector)
+    projector, scratch = _Projector(grid), _scratch(grid)
+    finish = _finish(grid, cfg, projector, scratch)
     state = nodes_to_mac(cfg.initial)
-    u, v = project(state.u, state.v, grid, projector)
+    u, v = project(state.u, state.v, grid, projector, scratch)
     state = MacState(u, v, 0.0)
 
     n_steps = whole_steps(cfg.t_end, cfg.dt)
@@ -435,7 +527,7 @@ def run(cfg: SolverConfig):
     snaps = [mac_to_nodes(state, grid, tags)]
     acc = 0.0
     for k in range(1, n_steps + 1):
-        state, diss, _ = step(state, cfg, projector, finish)
+        state, diss, _ = step(state, cfg, projector, finish, scratch)
         state = MacState(state.u, state.v, k * cfg.dt)
         acc += diss
         e = kinetic_energy(state.u, state.v, grid)
@@ -551,6 +643,9 @@ def viscous_flux_criterion(runs, etas) -> ViscousFluxReport:
     flux = []
     for eta in etas:
         flux.append(tuple(shell_flux(tr, eta) for tr in with_p))
+        for nu, f in zip(nus, flux[-1]):
+            if not np.isfinite(f):  # max(0.0, nan) below would read it as a vanishing flux
+                raise PreconditionError(f"non-finite shell flux {f} at nu={nu:g}, eta={eta:g}")
     nu1, nu2 = nus[-2], nus[-1]  # two smallest
     extrap = []
     for row in flux:

@@ -1,20 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from oflux.errors import PreconditionError
-from oflux.grids import Snapshot, divergence, make_grid, wall_distance, wall_normal_sign
+from oflux.grids import Snapshot, Trajectory, divergence, make_grid, wall_distance, wall_normal_sign
 from oflux.solver import (
     CFLViolation,
     MacState,
     SolverConfig,
     _Projector,
     _divergence,
+    _grad_correct,
+    _scratch,
     advection,
     dissipation_sweep,
     gradient_norm_sq,
     kinetic_energy,
+    mac_to_nodes,
     nodes_to_mac,
     project,
     run,
@@ -152,17 +157,96 @@ def test_skew_advection_energy_neutral(periodic64):
     assert abs(np.sum(u * du) + np.sum(v * dv)) <= 1e-11 * scale
 
 
-@settings(max_examples=25, deadline=None)
-@given(nx=hst.integers(8, 17), ny=hst.integers(8, 17), channel=hst.booleans(), seed=hst.integers(0, 2**32 - 1))
-def test_advection_one_corner_flux_is_bitwise_the_two_flux_form(nx, ny, channel, seed):
+MAC_CASES = dict(
+    nx=hst.integers(8, 17),
+    ny=hst.integers(8, 17),
+    channel=hst.booleans(),
+    sliced=hst.booleans(),
+    seed=hst.integers(0, 2**32 - 1),
+)
+
+
+def _mac_fields(nx, ny, channel, sliced, seed):
+    """A grid and random (u, v, q) on its MAC layout; ``sliced`` draws each as
+    the leading columns of a wider array, so that none is contiguous."""
     grid = channel_grid(nx, ny, 1.3, 0.7) if channel else make_grid((nx, ny), (1.3, 0.7))
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal((nx, ny - 1 if channel else ny))
-    v = rng.standard_normal((nx, ny))
+    ncy = ny - 1 if channel else ny
+
+    def draw(m):
+        return rng.standard_normal((nx, m + 3 * sliced))[:, :m]
+
+    u, v, q = draw(ncy), draw(ny), draw(ncy)
     if channel:
         v[:, 0] = v[:, -1] = 0.0
-    for got, want in zip(advection(u, v, grid), tridiag_oracle.advection(u, v, grid)):
-        assert np.array_equal(got, want)
+    return grid, u, v, q
+
+
+def _stale_scratch(grid):
+    """Work arrays that hold NaN, so that a stencil reading before writing shows."""
+    scratch = _scratch(grid)
+    for buf in scratch:
+        buf.fill(np.nan)
+    return scratch
+
+
+def _same_bytes(got, want):
+    # tobytes, not array_equal: -0.0 == +0.0 would hide a changed sign of zero
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(**MAC_CASES)
+def test_advection_one_corner_flux_is_bitwise_the_two_flux_form(nx, ny, channel, sliced, seed):
+    grid, u, v, _ = _mac_fields(nx, ny, channel, sliced, seed)
+    want = tridiag_oracle.advection(u, v, grid)
+    for scratch in (None, _stale_scratch(grid)):
+        for got, w in zip(advection(u, v, grid, scratch), want):
+            assert _same_bytes(got, w)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**MAC_CASES)
+def test_mac_stencils_are_bitwise_their_roll_forms(nx, ny, channel, sliced, seed):
+    grid, u, v, q = _mac_fields(nx, ny, channel, sliced, seed)
+    for scratch in (None, _stale_scratch(grid)):
+        assert _same_bytes(_divergence(u, v, grid, scratch), tridiag_oracle.divergence(u, v, grid))
+        if channel:
+            assert _same_bytes(gradient_norm_sq(u, v, grid, scratch), tridiag_oracle.gradient_norm_sq(u, v, grid))
+    for got, want in zip(_grad_correct(u, v, q, grid), tridiag_oracle.grad_correct(u, v, q, grid)):
+        assert _same_bytes(got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=hst.integers(8, 17), ny=hst.integers(8, 17), sliced=hst.booleans(), seed=hst.integers(0, 2**32 - 1))
+def test_channel_resampling_is_bitwise_its_roll_form(nx, ny, sliced, seed):
+    grid, u, v, _ = _mac_fields(nx, ny, True, sliced, seed)
+    nodes = np.random.default_rng(seed).standard_normal((2, nx, ny + 3 * sliced))[:, :, :ny]
+    nodes[:, :, 0] = nodes[:, :, -1] = 0.0  # no-slip
+    state = nodes_to_mac(Snapshot(grid, nodes))
+    for got, want in zip((state.u, state.v), tridiag_oracle.channel_to_mac(nodes[0], nodes[1])):
+        assert _same_bytes(got, want)
+    snap = mac_to_nodes(MacState(u, v, 0.0), grid)
+    assert _same_bytes(snap.velocity, np.stack(tridiag_oracle.channel_to_nodes(u, v)))
+
+
+# du and dv are two grid fields; on the channel numpy's iterator adds its
+# buffers (a fixed 64 KB each, about 3 fields at 64 x 65) for the strided
+# wall-axis slices.
+@pytest.mark.parametrize("channel, bound", [(False, 2.5), (True, 6.0)])
+def test_advection_allocates_only_its_outputs(channel, bound):
+    grid = channel_grid(64, 65) if channel else make_grid((64, 64), (TWO_PI, TWO_PI))
+    _, u, v, _ = _mac_fields(64, grid.dims[1], channel, False, 3)
+    scratch = _scratch(grid)
+    advection(u, v, grid, scratch)  # warm
+    tracemalloc.start()
+    try:
+        advection(u, v, grid, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * 64 * grid.dims[1]) <= bound
 
 
 def test_channel_advection_energy_neutral():
@@ -200,6 +284,31 @@ def test_channel_run_no_slip_and_leray():
     last = traj.snapshots[-1]
     assert np.abs(last.velocity[:, :, 0]).max() == 0.0
     assert np.abs(last.velocity[:, :, -1]).max() == 0.0
+
+
+def test_channel_mirror_symmetry_is_bitwise():
+    # y -> 1 - y with v -> -v maps the channel equations onto themselves
+    grid = channel_grid(32, 33)
+    x, y = grid.meshes()
+    prof = np.sin(np.pi * y / grid.extents[1]) ** 2
+    skew = 1.0 + 0.5 * y / grid.extents[1]  # no mirror symmetry of its own
+    vel = np.stack([np.broadcast_to(f, grid.dims) for f in (prof * skew + 0.05 * np.sin(2 * x) * prof,
+                                                         0.05 * np.cos(x) * prof * skew)])
+
+    def mirror(w):
+        m = w[:, :, ::-1].copy()
+        m[1] *= -1.0
+        return m
+
+    ends = []
+    for w in (vel, mirror(vel)):
+        traj, series = run(SolverConfig(1e-2, 1e-3, 0.05, Snapshot(grid, np.ascontiguousarray(w)), snapshot_stride=50))
+        ends.append((traj.snapshots[-1].velocity, series.kinetic_energy))
+    (got, e_got), (back, e_back) = ends
+    want = mirror(back)
+    assert _same_bytes(got[:, :, 1:-1], want[:, :, 1:-1])
+    assert np.array_equal(got, want)  # the walls' v is 0, whose sign the mirror's negation flips
+    assert np.allclose(e_got, e_back, rtol=1e-14, atol=0.0)  # sums in another order: round-off only
 
 
 def test_channel_requires_no_slip_initial():
@@ -280,6 +389,19 @@ def test_viscous_flux_criterion_rejects_equal_smallest_viscosities():
     traj, _ = run(SolverConfig(0.01, 0.001, 0.005, _channel_init(grid), snapshot_stride=1))
     with pytest.raises(PreconditionError, match="two distinct smallest viscosities"):
         viscous_flux_criterion([(0.02, traj), (0.01, traj), (0.01, traj)], [0.4, 0.3, 0.2])
+
+
+def test_viscous_flux_criterion_rejects_a_non_finite_flux():
+    grid = channel_grid(32, 65)
+    runs = [(nu, run(SolverConfig(nu, 1e-3, 0.01, _channel_init(grid), snapshot_stride=2))[0])
+            for nu in (1e-2, 5e-3, 2.5e-3)]
+    nu, traj = runs[-1]
+    last = traj.snapshots[-1]
+    vel = last.velocity.copy()
+    vel[0, 16, 32] = np.nan
+    runs[-1] = (nu, Trajectory(traj.snapshots[:-1] + (Snapshot(grid, vel, None, last.time),), traj.dt))
+    with pytest.raises(PreconditionError, match="non-finite shell flux nan at nu=0.0025, eta=0.4"):
+        viscous_flux_criterion(runs, [0.4, 0.2, 0.1])
 
 
 def _interior_mask(grid):

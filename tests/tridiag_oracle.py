@@ -9,8 +9,11 @@ norm -<w, L w> that the solver's spectral finish reproduces), and the
 pressure solve on the complex FFT, one ``fftn`` per product u_i u_j, whose
 real part the real transforms reproduce.
 
-Also the solver's MAC advection with the corner flux u v formed twice, once
-per momentum component, which the one-flux form reproduces bit for bit.
+Also the solver's MAC stencils in their ``np.roll`` forms, which the
+roll-free stencils reproduce bit for bit: the advection with the corner flux
+u v formed twice, once per momentum component; the cell divergence; the
+gradient correction; the channel's gradient norm; and the channel's
+node <-> MAC resampling.
 """
 
 import numpy as np
@@ -223,3 +226,57 @@ def advection(u, v, grid):
         dv = np.zeros_like(v)
         dv[:, 1:-1] = -((np.roll(g_cor, -1, axis=0) - g_cor) / hx + (fyy[:, 1:] - fyy[:, :-1]) / hy)
     return du, dv
+
+
+def divergence(u, v, grid):
+    """The MAC cell divergence (forward differences of u along x, v along y)."""
+    hx, hy = grid.spacing
+    dux = (np.roll(u, -1, axis=0) - u) / hx
+    if grid.fully_periodic:
+        dvy = (np.roll(v, -1, axis=1) - v) / hy
+    else:
+        dvy = (v[:, 1:] - v[:, :-1]) / hy
+    return dux + dvy
+
+
+def grad_correct(u, v, q, grid):
+    """(u, v) minus the staggered (backward-difference) gradient of q; the
+    channel's wall faces keep their values."""
+    hx, hy = grid.spacing
+    u = u - (q - np.roll(q, 1, axis=0)) / hx
+    if grid.fully_periodic:
+        v = v - (q - np.roll(q, 1, axis=1)) / hy
+    else:
+        v = v.copy()
+        v[:, 1:-1] -= (q[:, 1:] - q[:, :-1]) / hy
+    return u, v
+
+
+def gradient_norm_sq(u, v, grid):
+    """The channel's ||grad w||^2 in the staggered inner product, term by term."""
+    hx, hy = grid.spacing
+    total = 0.0
+    total += float(np.sum((np.roll(u, -1, axis=0) - u) ** 2)) / hx**2
+    total += float(np.sum((np.roll(v, -1, axis=0) - v) ** 2)) / hx**2
+    total += float(np.sum((u[:, 1:] - u[:, :-1]) ** 2)) / hy**2
+    total += 2.0 * float(np.sum(u[:, 0] ** 2) + np.sum(u[:, -1] ** 2)) / hy**2
+    total += float(np.sum((v[:, 1:] - v[:, :-1]) ** 2)) / hy**2
+    return hx * hy * total
+
+
+def channel_to_mac(un, vn):
+    """Channel nodes -> MAC faces: u averaged across y onto the cells, v across x
+    onto the y-faces, with the wall faces zeroed."""
+    u = 0.5 * (un[:, :-1] + un[:, 1:])
+    v = 0.5 * (vn + np.roll(vn, -1, axis=0))
+    v[:, 0] = v[:, -1] = 0.0
+    return u, v
+
+
+def channel_to_nodes(u, v):
+    """MAC faces -> channel nodes, the inverse averages, walls held at zero."""
+    un = np.zeros(v.shape)
+    un[:, 1:-1] = 0.5 * (u[:, :-1] + u[:, 1:])
+    vn = 0.5 * (v + np.roll(v, 1, axis=0))
+    vn[:, 0] = vn[:, -1] = 0.0
+    return un, vn
