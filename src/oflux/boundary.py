@@ -21,6 +21,7 @@ from .grids import (Grid, Snapshot, Trajectory, discretization_budget, energy, i
                     trapezoid_time_weights, wall_distance, wall_normal_sign)
 from .mollify import _BUMP_MASS, bump, bump_cdf, cutoff_region
 from .pressure import negative_sobolev_norm
+from .reports import Verdict, verdict
 from .synth import estimate_holder_exponent
 
 # ---------------------------------------------------------------------------
@@ -183,16 +184,9 @@ def global_balance(traj: Trajectory, eta: float, t1: float, t2: float) -> Global
 # verdict logic
 # ---------------------------------------------------------------------------
 
-VERDICT_CONSERVED = "hypotheses consistent and energy conserved"
-VERDICT_NOT_CONSERVED = (
-    "hypotheses consistent and energy NOT conserved (flag: discretization or hypothesis failure)"
-)
-
-
 @dataclass(frozen=True)
 class ConservationVerdict:
-    verdict: str
-    exit_code: int
+    verdict: Verdict
     flux_ladder: tuple[tuple[float, float], ...]  # (eta, Phi_eta)
     flux_trend_ok: bool
     alpha_estimate: float
@@ -263,18 +257,9 @@ def conservation_verdict(
     if not pn_finite:
         failed.append("near-boundary-pressure: H^-beta norm not finite")
 
-    if failed:
-        verdict = "hypotheses fail (" + "; ".join(failed) + ")"
-        code = 3
-    elif energy_ok:
-        verdict = VERDICT_CONSERVED
-        code = 0
-    else:
-        verdict = VERDICT_NOT_CONSERVED
-        code = 2
+    key = "boundary.hypotheses_fail" if failed else "boundary.conserved" if energy_ok else "boundary.not_conserved"
     return ConservationVerdict(
-        verdict,
-        code,
+        verdict(key, reasons="; ".join(failed)),
         tuple((e, v) for e, v in ladder),
         trend,
         est.exponent,

@@ -6,7 +6,9 @@ writes a manifest (tool version, config hash, seeds) next to its outputs
 and is byte-deterministic for a fixed config and seed.
 
 Exit codes: 0 completed with positive verdicts, 2 completed with a negative
-verdict, 3 hypothesis or precondition failure, 1 internal error.
+verdict, 3 hypothesis or precondition failure, 1 internal error.  Each
+verdict's code is in ``reports.VERDICTS`` (README "Exit codes"); a command
+exits with the largest, stores it as "exit_code", and ``report`` returns it.
 """
 
 from __future__ import annotations
@@ -31,11 +33,10 @@ from .commutator import scaling_probe
 from .energy_balance import ChiWindow, TestFunction, dr_convergence_sweep, dr_dissipation_field
 from .boundary import conservation_verdict, global_balance, modulus_check, shell_ladder
 from .solver import SolverConfig, dissipation_report, run, truncate, viscous_flux_criterion, whole_steps
-from .reports import config_hash, read_object, write_csv, write_json, write_manifest
+from .reports import config_hash, exit_code, read_object, verdict, write_csv, write_json, write_manifest
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
-EXIT_NEGATIVE = 2
 EXIT_PRECONDITION = 3
 
 
@@ -302,11 +303,11 @@ def cmd_diagnose(cfg: dict) -> int:
     if scale < 1e-14:
         rows = [(e, 0.0, 0.0, 0.0) for e in sorted(ladder, reverse=True)]
         write_csv(out / "scaling.csv", ["epsilon", "flux", "sup_R", "sup_grad"], rows)
-        summary = {"verdict": "degenerate: zero field (all probes vanish)", "alpha": None, "fits": []}
-        write_json(out / "summary.json", summary)
+        zero = verdict("probe.zero_field")
+        write_json(out / "summary.json", {"verdict": zero, "alpha": None, "fits": [], "exit_code": zero.code})
         write_manifest(out, cfg, seeds=[seed])
         print("diagnose: zero field, all probes vanish")
-        return EXIT_OK
+        return zero.code
 
     alpha, alpha_source, est = cfg.get("alpha", "auto"), {"estimated": False}, None
     if alpha == "auto":
@@ -327,23 +328,16 @@ def cmd_diagnose(cfg: dict) -> int:
         seminorm = holder_norm(snap, alpha, seed=seed)
     rows = list(zip(probe.flux.epsilons, probe.flux.values, probe.stress_sup.values, probe.grad_sup.values))
     write_csv(out / "scaling.csv", ["epsilon", "flux", "sup_R", "sup_grad"], rows)
-    verdicts = [f.passes for f in probe.fits]
+    passes = [f.passes for f in probe.fits]
+    verdicts = [verdict("probe.below_prediction" if False in passes else
+                        "probe.not_assessable" if None in passes else "probe.consistent")]
     summary = {
         "alpha": alpha,
         "alpha_source": alpha_source,
         "holder_seminorm": seminorm,
         "fits": probe.fits,
+        "verdict": verdicts[0],
     }
-
-    exit_code = EXIT_OK
-    if any(v is False for v in verdicts):
-        summary["verdict"] = "scaling exponents below prediction"
-        exit_code = EXIT_NEGATIVE
-    elif any(v is None for v in verdicts):
-        summary["verdict"] = "not assessable: a fit has r2 < 0.9"
-        exit_code = EXIT_NEGATIVE
-    else:
-        summary["verdict"] = "scaling exponents consistent with the commutator estimates"
 
     if isinstance(data, Trajectory) and len(data) >= 3:
         traj = data
@@ -354,6 +348,7 @@ def cmd_diagnose(cfg: dict) -> int:
         sweep = dr_convergence_sweep(traj, ladder, test, alpha, chain, kappa)
         summary["weak_identity"] = sweep.reports[0]
         summary["dr_sweep"] = {"fit": sweep.fit, "alpha": sweep.alpha, "verdict": sweep.verdict}
+        verdicts.append(sweep.verdict)
         dtimes, defect = dr_dissipation_field(traj, max(ladder), chain)
         for k, tv in enumerate(dtimes):
             fieldio.write_scalar_field(
@@ -365,9 +360,8 @@ def cmd_diagnose(cfg: dict) -> int:
             ["epsilon", "weak_lhs", "weak_rhs", "identity_residual"],
             [(r.epsilon, r.lhs, r.rhs, r.residual) for r in sweep.reports],
         )
-        if sweep.verdict.startswith("not consistent"):
-            exit_code = max(exit_code, EXIT_NEGATIVE)
 
+    summary["exit_code"] = exit_code(verdicts)
     write_json(out / "summary.json", summary)
     write_manifest(out, cfg, seeds=[seed])
     print(f"diagnose: {summary['verdict']}")
@@ -376,7 +370,7 @@ def cmd_diagnose(cfg: dict) -> int:
             f"  {f.quantity}: slope={f.slope:.3f} predicted={f.predicted_slope:.3f} "
             f"r2={f.r2:.3f} passes={f.passes}"
         )
-    return exit_code
+    return summary["exit_code"]
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +381,9 @@ def cmd_diagnose(cfg: dict) -> int:
 def cmd_boundary(cfg: dict) -> int:
     out = Path(cfg.get("out", "."))
     seed = cfg.get("seed", 0)
-    data = fieldio.load_input(cfg["input"])
-    traj = data if isinstance(data, Trajectory) else Trajectory((data,), 1.0)
+    traj = fieldio.load_input(cfg["input"])
+    if not isinstance(traj, Trajectory) or len(traj) < 2:
+        raise PreconditionError(f"boundary.input: {cfg['input']} holds one snapshot; at least 2 snapshots are needed")
     grid = traj.grid
     if grid.fully_periodic:
         raise PreconditionError("boundary diagnostics require a channel trajectory")
@@ -408,26 +403,24 @@ def cmd_boundary(cfg: dict) -> int:
         traj = traj.map(lambda s: s.with_pressure(solve_pressure_channel(s).pressure))
     gamma = cfg.get("gamma", 0.25 * grid.extents[w])
 
-    verdict = conservation_verdict(traj, etas, beta=cfg.get("beta", 1.0), gamma=gamma,
-                                   energy_tol=cfg.get("energy_tol", 1e-6), seed=seed)
+    cons = conservation_verdict(traj, etas, beta=cfg.get("beta", 1.0), gamma=gamma,
+                                energy_tol=cfg.get("energy_tol", 1e-6), seed=seed)
     bal = global_balance(traj, max(etas), traj.times[0], traj.times[-1])
     mod = modulus_check(traj, gamma)
 
-    write_csv(out / "ladder.csv", ["eta", "phi_eta"], [(e, v) for e, v in verdict.flux_ladder])
+    write_csv(out / "ladder.csv", ["eta", "phi_eta"], [(e, v) for e, v in cons.flux_ladder])
     write_csv(
         out / "modulus.csv",
         ["distance", "envelope"],
         list(zip(mod.distances, mod.envelope)),
     )
-    write_json(
-        out / "verdict.json",
-        {"verdict": verdict, "global_balance": bal, "modulus": mod},
-    )
+    code = cons.verdict.code
+    write_json(out / "verdict.json", {"verdict": cons, "global_balance": bal, "modulus": mod, "exit_code": code})
     write_manifest(out, cfg, seeds=[seed])
-    print(f"boundary: {verdict.verdict}")
-    print(f"  energy drift: {verdict.energy_drift:.3e}; balance residual: {bal.residual:.3e}")
+    print(f"boundary: {cons.verdict}")
+    print(f"  energy drift: {cons.energy_drift:.3e}; balance residual: {bal.residual:.3e}")
     print(f"  modulus intercept: {mod.intercept:.3e} (vanishing: {mod.vanishing})")
-    return verdict.exit_code
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +503,15 @@ def cmd_sweep(cfg: dict) -> int:
         )
         fieldio.write_trajectory(out / f"traj_nu{nu:g}", traj, tags={"nu": nu})
     leray_ok = bool(worst_leray <= 1e-8)
+    verdicts = [sweep_rep.verdict] + ([] if leray_ok else [verdict("leray.fails")])
     summary = {
         "dissipation_sweep": sweep_rep,
         "max_leray_residual": worst_leray,
         "leray_ok": leray_ok,
     }
-    exit_code = EXIT_OK if leray_ok and sweep_rep.verdict.startswith("vanishing") else EXIT_NEGATIVE
     if vrep is not None:
         summary["viscous_flux"] = vrep
+        verdicts.append(vrep.verdict)
         write_csv(
             out / "viscous_flux.csv",
             ["eta"] + [f"nu={nu:g}" for nu in vrep.nus] + ["extrapolated"],
@@ -526,13 +520,12 @@ def cmd_sweep(cfg: dict) -> int:
                 for i in range(len(vrep.etas))
             ],
         )
-        if not vrep.eta_trend_ok:
-            exit_code = max(exit_code, EXIT_NEGATIVE)
+    summary["exit_code"] = exit_code(verdicts)
     write_json(out / "verdict.json", summary)
     write_manifest(out, cfg, seeds=[cfg.get("seed", 0)])
     print(f"sweep: {sweep_rep.verdict}; max leray residual {worst_leray:.2e}"
-          + ("" if leray_ok else " fails the Leray-Hopf gate (<= 1e-8)"))
-    return exit_code
+          + ("" if leray_ok else f" {verdict('leray.fails')}"))
+    return summary["exit_code"]
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +557,12 @@ def cmd_report(cfg: dict) -> int:
         for key, val in payload.items():
             if isinstance(val, dict) and "verdict" in val:
                 print(f"  {key}: {val['verdict']}")
-                if isinstance(val.get("exit_code"), int):
-                    code = max(code, val["exit_code"])
             elif key == "verdict":
                 print(f"  {key}: {val}")
+        stored = payload.get("exit_code")
+        if type(stored) is not int:  # a bool is not a code
+            raise PreconditionError(f"{p}: the command's exit_code must be an integer, got {reprlib.repr(stored)}")
+        code = max(code, stored)
     return code
 
 

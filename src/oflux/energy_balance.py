@@ -53,6 +53,7 @@ from .mollify import (
     mollify_spectrum,
     time_mollify,
 )
+from .reports import Verdict, verdict
 
 # ---------------------------------------------------------------------------
 # test functions
@@ -332,7 +333,7 @@ def dr_dissipation_field(
 class DrSweepResult:
     fit: SlopeFit
     alpha: float
-    verdict: str
+    verdict: Verdict
     reports: tuple[EnergyBalanceReport, ...]
 
 
@@ -361,16 +362,9 @@ def dr_convergence_sweep(
     predicted = 3.0 * alpha - 1.0
     fit = fit_loglog(eps, values, predicted, "weak_residual")
     if predicted <= 0.0:
-        verdict = (
-            "non-vanishing/inconclusive: predicted slope 3*alpha-1 = "
-            f"{predicted:.3f} <= 0 (alpha <= 1/3: no conservation claim)"
-        )
+        key = "weak_identity.no_claim"
+    elif fit.passes is True and monotone_within_10pct(values):
+        key = "weak_identity.consistent"
     else:
-        ok = fit.passes is True and monotone_within_10pct(values)
-        if ok:
-            verdict = "consistent with conservation"
-        elif fit.passes is None:
-            verdict = f"not assessable: fit r2={fit.r2:.3f} below 0.9"
-        else:
-            verdict = "not consistent: defect does not vanish at the predicted rate"
-    return DrSweepResult(fit, float(alpha), verdict, reports)
+        key = "weak_identity.not_assessable" if fit.passes is None else "weak_identity.not_consistent"
+    return DrSweepResult(fit, float(alpha), verdict(key, predicted=predicted, r2=fit.r2), reports)

@@ -7,7 +7,8 @@ information ever enter a report directory.
 This is the one place a result record becomes JSON: a dataclass instance
 is written as the object of its fields, tuples and arrays as lists, numpy
 scalars as Python numbers.  A record written to a report therefore holds
-exactly the fields its JSON shows.
+exactly the fields its JSON shows.  ``VERDICTS`` is the one table of
+verdict texts and exit codes.
 """
 
 from __future__ import annotations
@@ -21,6 +22,49 @@ import numpy as np
 
 from . import __version__
 from .errors import PreconditionError
+
+# key: (text, exit code); 0 a positive verdict, 2 a negative one, 3 a failed hypothesis
+VERDICTS = {
+    "probe.zero_field": ("degenerate: zero field (all probes vanish)", 0),
+    "probe.consistent": ("scaling exponents consistent with the commutator estimates", 0),
+    "probe.below_prediction": ("scaling exponents below prediction", 2),
+    "probe.not_assessable": ("not assessable: a fit has r2 < 0.9", 2),
+    "weak_identity.no_claim": ("non-vanishing/inconclusive: predicted slope 3*alpha-1 = {predicted:.3f} <= 0 "
+                               "(alpha <= 1/3: no conservation claim)", 0),
+    "weak_identity.consistent": ("consistent with conservation", 0),
+    "weak_identity.not_assessable": ("not assessable: fit r2={r2:.3f} below 0.9", 0),
+    "weak_identity.not_consistent": ("not consistent: defect does not vanish at the predicted rate", 2),
+    "boundary.conserved": ("hypotheses consistent and energy conserved", 0),
+    "boundary.not_conserved": ("hypotheses consistent and energy NOT conserved "
+                               "(flag: discretization or hypothesis failure)", 2),
+    "boundary.hypotheses_fail": ("hypotheses fail ({reasons})", 3),
+    "dissipation.vanishing": ("vanishing-dissipation trend consistent", 0),
+    "dissipation.not_vanishing": ("dissipation does not vanish along the ladder", 2),
+    "dissipation.inconclusive": ("inconclusive: fewer than 2 resolved entries", 2),
+    "viscous_flux.vanishing": ("boundary flux vanishes along the shell ladder (nu -> 0 extrapolation)", 0),
+    "viscous_flux.not_vanishing": ("boundary flux does NOT vanish along the shell ladder", 2),
+    "leray.fails": ("fails the Leray-Hopf gate (<= 1e-8)", 2),
+}
+
+
+class Verdict(str):
+    """A verdict's text, which carries its ``VERDICTS`` key and exit code; it is written as plain text."""
+
+    key: str
+    code: int
+
+
+def verdict(key: str, **values) -> Verdict:
+    """The verdict ``key``: its table text formatted with ``values``."""
+    text, code = VERDICTS[key]
+    out = Verdict(text.format(**values))
+    out.key, out.code = key, code
+    return out
+
+
+def exit_code(verdicts) -> int:
+    """A command's exit code: the largest code among its verdicts."""
+    return max(map(lambda v: v.code, verdicts))
 
 
 def _plain(obj):

@@ -51,6 +51,7 @@ from .errors import PreconditionError
 from .grids import (Diagonal, Grid, Snapshot, Trajectory, divergence, inverse_eigenvalues,
                     second_difference_eigenvalues)
 from .pressure import solve_pressure_channel
+from .reports import Verdict, verdict
 
 # ---------------------------------------------------------------------------
 # configuration and state
@@ -559,7 +560,7 @@ def truncate(traj: Trajectory, series: DissipationSeries, n_steps: int):
 @dataclass(frozen=True)
 class DissipationSweepReport:
     rows: tuple  # (nu, value, resolved)
-    verdict: str
+    verdict: Verdict
     flagged: tuple
 
 
@@ -590,15 +591,12 @@ def dissipation_report(swept, grid: Grid, dt: float, t_star: float) -> Dissipati
             flagged.append((nu, value))
     live = [(n, v) for n, v, ok in rows if ok]
     if len(live) < 2:
-        verdict = "inconclusive: fewer than 2 resolved entries"
+        key = "dissipation.inconclusive"
     else:
         vals = [v for _, v in live]
         decreasing = all(vals[k + 1] < vals[k] for k in range(len(vals) - 1))
-        if decreasing and vals[-1] <= 0.5 * vals[0]:
-            verdict = "vanishing-dissipation trend consistent"
-        else:
-            verdict = "dissipation does not vanish along the ladder"
-    return DissipationSweepReport(tuple(rows), verdict, tuple(flagged))
+        key = "dissipation.vanishing" if decreasing and vals[-1] <= 0.5 * vals[0] else "dissipation.not_vanishing"
+    return DissipationSweepReport(tuple(rows), verdict(key), tuple(flagged))
 
 
 def dissipation_sweep(cfg: SolverConfig, nus, t_star: float) -> DissipationSweepReport:
@@ -615,7 +613,7 @@ class ViscousFluxReport:
     flux: tuple  # flux[i][j] = Phi_{eta_i}(nu_j)
     extrapolated: tuple
     eta_trend_ok: bool
-    verdict: str
+    verdict: Verdict
 
 
 def viscous_flux_criterion(runs, etas) -> ViscousFluxReport:
@@ -653,11 +651,7 @@ def viscous_flux_criterion(runs, etas) -> ViscousFluxReport:
         f0 = (nu1 * f2 - nu2 * f1) / (nu1 - nu2)
         extrap.append(max(0.0, float(f0)))
     trend = flux_trend_ok(extrap)
-    verdict = (
-        "boundary flux vanishes along the shell ladder (nu -> 0 extrapolation)"
-        if trend
-        else "boundary flux does NOT vanish along the shell ladder"
-    )
     return ViscousFluxReport(
-        tuple(etas), tuple(nus), tuple(flux), tuple(extrap), bool(trend), verdict
+        tuple(etas), tuple(nus), tuple(flux), tuple(extrap), bool(trend),
+        verdict("viscous_flux.vanishing" if trend else "viscous_flux.not_vanishing"),
     )

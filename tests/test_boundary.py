@@ -185,7 +185,7 @@ def test_conservation_verdict_steady_positive():
     h = grid.spacing[1]
     v = conservation_verdict(traj, [56 * h, 28 * h, 14 * h])
     assert v.verdict == "hypotheses consistent and energy conserved"
-    assert v.exit_code == 0
+    assert v.verdict.code == 0
     assert v.energy_drift <= 1e-8
 
 
@@ -203,7 +203,7 @@ def test_conservation_verdict_leak_flips():
     v = conservation_verdict(traj, [56 * h, 28 * h, 14 * h])
     assert v.verdict.startswith("hypotheses fail")
     assert "shell-flux" in v.verdict
-    assert v.exit_code == 3
+    assert v.verdict.code == 3
 
 
 def test_conservation_verdict_zero_field_trivial():
@@ -214,7 +214,7 @@ def test_conservation_verdict_zero_field_trivial():
     )
     h = grid.spacing[1]
     v = conservation_verdict(traj, [56 * h, 28 * h, 14 * h])
-    assert v.exit_code == 0
+    assert v.verdict.code == 0
 
 
 def test_conservation_verdict_gauge_and_time_shift_invariance():
@@ -333,7 +333,7 @@ def test_conservation_verdict_pressure_norm_keeps_a_nan():
     v = conservation_verdict(_nan_channel_traj(grid, "pressure"), [28 * h, 14 * h, 7 * h])
     assert np.isnan(v.pressure_norm)
     assert not v.pressure_norm_finite
-    assert v.exit_code == 3 and "near-boundary-pressure" in v.verdict
+    assert v.verdict.code == 3 and "near-boundary-pressure" in v.verdict
 
 
 def test_modulus_bound_keeps_a_nan():

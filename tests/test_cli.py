@@ -122,7 +122,7 @@ def test_boundary_command_steady_and_leak(tmp_path):
     code = main(["boundary", "--in", str(tdir), "--out", str(tmp_path / "bs")])
     assert code == 0
     verdict = json.loads((tmp_path / "bs" / "verdict.json").read_text())
-    assert verdict["verdict"]["exit_code"] == 0
+    assert verdict["exit_code"] == 0
 
     d = np.broadcast_to(wall_distance(grid), grid.dims)
     sgn = wall_normal_sign(grid)
@@ -174,6 +174,39 @@ def test_report_detects_tampered_config(tmp_path):
     payload["t"] = 9.9
     cfg_path.write_text(canonical_json(payload))
     assert main(["report", "--in", str(gen_out)]) == 3
+
+
+def test_report_returns_the_code_the_command_exited_with(tmp_path, capsys):
+    sweep_cfg = {"grid": "16x16", "nus": [0.01], "dt": 0.01, "t_end": 0.05}
+    assert main(["sweep", "--config", _write(tmp_path, sweep_cfg), "--out", str(tmp_path / "s")]) == 2
+    assert main(["report", "--in", str(tmp_path / "s")]) == 2  # "inconclusive: fewer than 2 resolved entries"
+    gen_out = tmp_path / "g"
+    assert main(["gen", "--kind", "fractional", "--alpha", "0.2", "--grid", "64x64", "--out", str(gen_out)]) == 0
+    diag_out = tmp_path / "d"
+    assert main(["diagnose", "--in", str(gen_out / "field.oflx"), "--alpha", "0.9", "--out", str(diag_out)]) == 2
+    assert main(["report", "--in", str(diag_out)]) == 2  # "scaling exponents below prediction"
+
+    summary = json.loads((diag_out / "summary.json").read_text())
+    del summary["exit_code"]
+    for stored in ({}, {"exit_code": True}, {"exit_code": "2"}):
+        (diag_out / "summary.json").write_text(json.dumps(summary | stored))
+        capsys.readouterr()
+        assert main(["report", "--in", str(diag_out)]) == 3
+        err = capsys.readouterr().err
+        assert "summary.json" in err and "exit_code" in err and "internal error" not in err
+
+
+def test_boundary_refuses_a_single_snapshot_before_any_solve(tmp_path, monkeypatch, capsys):
+    grid = channel_grid(32, 129)
+    _, y = grid.meshes()
+    u = np.stack([np.broadcast_to(np.sin(np.pi * y) ** 2, grid.dims), np.zeros(grid.dims)])
+    fieldio.write_snapshot(tmp_path / "one.oflx", Snapshot(grid, u))  # no pressure: the command would solve it
+    monkeypatch.setattr(cli, "solve_pressure_channel", lambda s: pytest.fail("the pressure was solved"))
+    out = tmp_path / "b"
+    assert main(["boundary", "--in", str(tmp_path / "one.oflx"), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "boundary.input" in err and "at least 2 snapshots" in err and "internal error" not in err
+    assert not out.exists()
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ exit 3 and name ``<cmd>.<key>`` before any input is read, any solver step
 runs or any file is written.  A request inside every range, on inputs of
 8-16 points per side (a channel trajectory for ``boundary`` runs to 65
 points across), must end in 0, 2 or 3, never in an internal error, and
-write nothing when it ends in 3.
+write nothing when it ends in 3; ``report`` on what it wrote returns its code.
 Every size-like value is bounded (grid sides, ladder length, stride, at
 most 20 solver steps per viscosity), so no request allocates more than a
 few MB; nothing starts a process.
@@ -253,6 +253,8 @@ def test_admitted_request_never_exits_1(tmp_path, capsys, command):
         err = capsys.readouterr().err
         assert code in (0, 2, 3), err
         assert command == "report" or (work / "out").is_dir() == (code != 3)  # an exit 3 writes nothing
+        if command != "report" and (work / "out").is_dir():
+            assert main(["report", "--in", str(work / "out")]) == code  # the stored code is the command's own
 
     check()
 
