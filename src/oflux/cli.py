@@ -1,14 +1,20 @@
 """Command-line surface: gen, diagnose, boundary, sweep, report.
 
-Configuration comes from an optional JSON file (--config) with flag
-overrides; unknown keys are rejected with their location.  Every command
-writes a manifest (tool version, config hash, seeds) next to its outputs
-and is byte-deterministic for a fixed config and seed.
+A request is an optional JSON object (--config) under flags: each key of
+the command's table (``_SCHEMAS``) that is not an object is the flag
+--<key>, with hyphens for underscores and --in for "input".  Every request
+value, from a flag's text or from the file, is held to its key's type and
+range; an unknown key is rejected with its location.  Every command writes
+a manifest (tool version, config hash, seeds) next to its outputs and is
+byte-deterministic for a fixed config and seed.
 
 Exit codes: 0 completed with positive verdicts, 2 completed with a negative
-verdict, 3 hypothesis or precondition failure, 1 internal error.  Each
-verdict's code is in ``reports.VERDICTS`` (README "Exit codes"); a command
-exits with the largest, stores it as "exit_code", and ``report`` returns it.
+verdict, 3 hypothesis or precondition failure, 1 internal error.  A refused
+request (a malformed command line, a value outside its key's range, an
+input the command cannot use) exits 3 and writes nothing.  A completed
+command exits with the largest code among its verdicts (``reports.VERDICTS``,
+README "Exit codes") and stores it as "exit_code" in the report it writes,
+a verdict's 3 included; ``report`` returns it.
 """
 
 from __future__ import annotations
@@ -61,9 +67,10 @@ class Key:
 
     ``kind`` is str (a non-empty string), int, float (a finite number; an
     integer widens to one), list (a ladder: a non-empty list of finite
-    numbers) or a nested schema, such as ``sweep.initial``'s.  A number, and
-    each rung, must pass the ``_RANGES`` test named by ``range``; ``words``
-    are the strings the key takes (a str key without words takes any).
+    numbers, widened alike) or a nested schema, such as ``sweep.initial``'s.
+    A number, and each rung, must pass the ``_RANGES`` test named by
+    ``range``; ``words`` are the strings the key takes (a str key without
+    words takes any).
     """
 
     kind: type | dict
@@ -85,9 +92,7 @@ class Key:
         if self.kind is list:
             if not (isinstance(val, list) and val):
                 raise ConfigError(f"{name}: expected a non-empty list of numbers, got {reprlib.repr(val)}")
-            for x in val:
-                Key(float, self.range).check(x, name)
-            return val
+            return [Key(float, self.range).check(x, name) for x in val]
         if self.kind is str or isinstance(val, str) and self.words:
             if not (isinstance(val, str) and val):
                 raise ConfigError(f"{name}: expected a non-empty string, got {reprlib.repr(val)}")
@@ -162,15 +167,29 @@ _SCHEMAS = {
 }
 
 
-def _load_config(command: str, path: str | None, overrides: dict) -> dict:
-    """The request: the --config object under the flag overrides, with "out"
-    from OFLUX_OUTPUT_DIR when neither sets it, held to the command's schema."""
+def _load_config(command: str, path: str | None, flags: dict) -> dict:
+    """The request: the --config object under the flags, with "out" from
+    OFLUX_OUTPUT_DIR when neither sets it, held to the command's schema."""
     cfg = read_object(path) if path else {}
-    cfg.update(overrides)
+    cfg.update({key: _from_flag(text, _SCHEMAS[command][key]) for key, text in flags.items()})
     if os.environ.get("OFLUX_OUTPUT_DIR") and "out" in _SCHEMAS[command]:
         cfg.setdefault("out", os.environ["OFLUX_OUTPUT_DIR"])
     _check(cfg, _SCHEMAS[command], command)
     return cfg
+
+
+def _from_flag(text: str, spec: Key):
+    """A flag's text as its key's kind: a ladder split at commas, an int or a
+    float parsed, a string or a word as given.  Text that does not parse stays
+    text, so ``Key.check`` refuses it as it refuses that string in a config."""
+    if spec.kind is list:
+        return [_from_flag(rung, Key(float)) for rung in text.split(",")]
+    if spec.kind is str or text in spec.words:
+        return text
+    try:
+        return spec.kind(text)
+    except ValueError:
+        return text
 
 
 def _check(cfg: dict, schema: dict, where: str) -> None:
@@ -199,22 +218,17 @@ def _parse_extents(text: str | None, ndim: int, name: str):
     parts = text.lower().split("x")
     if len(parts) != ndim:
         raise ConfigError(f"{name}: expected {ndim} extents")
-    return tuple(_floats(parts, name))
+    try:
+        extents = tuple(float(t) for t in parts)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: expected numbers, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in extents):
+        raise ConfigError(f"{name}: expected finite numbers, got {text!r}")
+    return extents
 
 
 def _grid_text(grid: Grid) -> str:
     return "x".join(map(str, grid.dims))
-
-
-def _floats(texts, name) -> list[float]:
-    """Finite numbers parsed from strings: a flag's comma-separated list, an extent."""
-    try:
-        out = [float(t) for t in texts]
-    except ValueError as exc:
-        raise ConfigError(f"{name}: expected numbers, got {texts!r}") from exc
-    if not all(math.isfinite(v) for v in out):
-        raise ConfigError(f"{name}: expected finite numbers, got {texts!r}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +260,7 @@ def _build_generated(cfg: dict, where: str = "gen") -> Snapshot:
 
 
 def cmd_gen(cfg: dict) -> int:
+    """Generate a synthetic field."""
     snap = _build_generated(cfg)
     path = Path(cfg["out"])
     if path.suffix != ".oflx":
@@ -273,6 +288,7 @@ def _diag_phi(grid: Grid, inner_frac: float, outer_frac: float):
 
 
 def cmd_diagnose(cfg: dict) -> int:
+    """Scaling probes and the weak energy identity."""
     out = Path(cfg.get("out", "."))
     seed = cfg.get("seed", 0)
     phi_inner, phi_outer = cfg.get("phi_inner", 0.4), cfg.get("phi_outer", 0.8)
@@ -289,7 +305,7 @@ def cmd_diagnose(cfg: dict) -> int:
     if not grid.fully_periodic:
         raise PreconditionError("diagnose currently probes fully periodic fields")
     scale = float(np.abs(snap.velocity).max())
-    ladder = [float(e) for e in cfg["epsilons"]] if "epsilons" in cfg else _default_ladder(grid)
+    ladder = cfg["epsilons"] if "epsilons" in cfg else _default_ladder(grid)
     floor = 2.0 * grid.max_spacing
     bad = [e for e in ladder if e < floor]
     if bad:
@@ -342,7 +358,7 @@ def cmd_diagnose(cfg: dict) -> int:
     if isinstance(data, Trajectory) and len(data) >= 3:
         traj = data
         if any(s.pressure is None for s in traj.snapshots):
-            traj = traj.map(lambda s: s.with_pressure(solve_pressure_periodic(s).pressure))
+            traj = traj.map(lambda s: s.with_pressure(solve_pressure_periodic(s)))
         chain = full_box_chain(grid, eta=4.0 * max(ladder))
         test = TestFunction(ChiWindow(*traj.t_range), phi)
         sweep = dr_convergence_sweep(traj, ladder, test, alpha, chain, kappa)
@@ -379,6 +395,7 @@ def cmd_diagnose(cfg: dict) -> int:
 
 
 def cmd_boundary(cfg: dict) -> int:
+    """Shell fluxes, global balance, verdict."""
     out = Path(cfg.get("out", "."))
     seed = cfg.get("seed", 0)
     traj = fieldio.load_input(cfg["input"])
@@ -390,7 +407,7 @@ def cmd_boundary(cfg: dict) -> int:
     w = grid.wall_axis
     h = grid.spacing[w]
     if "etas" in cfg:
-        etas = [float(e) for e in cfg["etas"]]
+        etas = cfg["etas"]
     else:
         etas = [56 * h, 28 * h, 14 * h]
         try:
@@ -400,7 +417,7 @@ def cmd_boundary(cfg: dict) -> int:
                               f"across the channel, the {_grid_text(grid)} grid has "
                               f"{grid.dims[w]} ({exc}); give etas explicitly") from exc
     if any(s.pressure is None for s in traj.snapshots):
-        traj = traj.map(lambda s: s.with_pressure(solve_pressure_channel(s).pressure))
+        traj = traj.map(lambda s: s.with_pressure(solve_pressure_channel(s)))
     gamma = cfg.get("gamma", 0.25 * grid.extents[w])
 
     cons = conservation_verdict(traj, etas, beta=cfg.get("beta", 1.0), gamma=gamma,
@@ -429,6 +446,7 @@ def cmd_boundary(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
+    """Viscosity sweep with the NS solver."""
     out = Path(cfg.get("out", "."))
     geometry = cfg.get("geometry", "periodic")
     dims = _parse_dims(cfg.get("grid", "128x128"), "sweep.grid")
@@ -455,7 +473,7 @@ def cmd_sweep(cfg: dict) -> int:
             raise ConfigError(f"sweep.initial: the initial field's grid {initial.grid} "
                               f"is not the sweep's grid {grid}")
 
-    nus = sorted(map(float, cfg["nus"]), reverse=True)
+    nus = sorted(cfg["nus"], reverse=True)
     labels = {f"{nu:g}" for nu in nus}  # each names its run's output files
     if len(labels) < len(nus):
         raise ConfigError("sweep.nus: the viscosities must differ in the 6 significant digits that name "
@@ -534,6 +552,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_report(cfg: dict) -> int:
+    """Summarize an existing report directory."""
     indir = Path(cfg["input"])
     manifest_path = indir / "manifest.json"
     manifest = read_object(manifest_path)
@@ -571,65 +590,25 @@ def cmd_report(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file; flags override file values")
-    p.add_argument("--out", help="output directory (or OFLUX_OUTPUT_DIR)")
+_METAVARS = {str: "TEXT", int: "INT", float: "NUMBER", list: "N,N,..."}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A subcommand per ``_SCHEMAS`` entry and a flag per key that is not an
+    object, its value left as text for ``_from_flag``; --config is the one
+    flag outside the table."""
     ap = argparse.ArgumentParser(prog="oflux", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen", help="generate synthetic fields")
-    _add_common(g)
-    g.add_argument("--kind", choices=_GEN["kind"].words)
-    g.add_argument("--grid")
-    g.add_argument("--extent")
-    g.add_argument("--alpha", type=float)
-    g.add_argument("--cutoff", type=int)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--nu", type=float)
-    g.add_argument("--t", type=float)
-
-    d = sub.add_parser("diagnose", help="scaling probes and the weak energy identity")
-    _add_common(d)
-    d.add_argument("--in", dest="input")
-    d.add_argument("--alpha")
-    d.add_argument("--epsilons", help="comma-separated ladder")
-    d.add_argument("--seed", type=int)
-
-    b = sub.add_parser("boundary", help="shell fluxes, global balance, verdict")
-    _add_common(b)
-    b.add_argument("--in", dest="input")
-    b.add_argument("--etas", help="comma-separated ladder")
-    b.add_argument("--gamma", type=float)
-    b.add_argument("--beta", type=float)
-
-    s = sub.add_parser("sweep", help="viscosity sweep with the NS solver")
-    _add_common(s)
-    s.add_argument("--nus", help="comma-separated viscosities")
-    s.add_argument("--dt", type=float)
-    s.add_argument("--t-end", dest="t_end", type=float)
-    s.add_argument("--t-star", dest="t_star", type=float)
-
-    r = sub.add_parser("report", help="summarize an existing report directory")
-    r.add_argument("--in", dest="input")
-    r.add_argument("--config", help="unused; accepted for symmetry")
+    for command, schema in _SCHEMAS.items():
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__, argument_default=argparse.SUPPRESS,
+                           allow_abbrev=False)  # a flag is a whole key: --cut is not --cutoff
+        p.add_argument("--config", metavar="FILE", help="JSON request file; flags override its values")
+        for key, spec in schema.items():
+            if not isinstance(spec.kind, dict):
+                p.add_argument("--in" if key == "input" else "--" + key.replace("_", "-"), dest=key,
+                               metavar=_METAVARS[spec.kind],
+                               help="; ".join(filter(None, [spec.range_text(), "required" if spec.required else ""])))
     return ap
-
-
-def _overrides(args) -> dict:
-    skip = {"command", "config"}
-    out = {}
-    for key, val in vars(args).items():
-        if key in skip or val is None:
-            continue
-        if _SCHEMAS[args.command][key].kind is list:  # a ladder flag is a comma-separated list
-            val = _floats(val.split(","), f"{args.command}.{key}")
-        if key == "alpha" and isinstance(val, str) and val != "auto":
-            val = _floats([val], f"{args.command}.alpha")[0]
-        out[key] = val
-    return out
 
 
 _COMMANDS = {
@@ -642,10 +621,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.command, args.config, _overrides(args))
-        return _COMMANDS[args.command](cfg)
+        flags = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse printed a usage error, or the help (code 0)
+        return EXIT_PRECONDITION if exc.code else EXIT_OK
+    command = flags.pop("command")
+    try:
+        cfg = _load_config(command, flags.pop("config", None), flags)
+        return _COMMANDS[command](cfg)
     except (ConfigError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

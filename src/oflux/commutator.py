@@ -234,7 +234,7 @@ def scaling_probe(
     u: Snapshot | np.ndarray,
     alpha: float,
     epsilons,
-    phi=None,
+    phi,
     grid: Grid | None = None,
     region: np.ndarray | None = None,
 ) -> ScalingProbeResult:
@@ -246,8 +246,6 @@ def scaling_probe(
     log-log fits carry the predicted exponents 3*alpha-1, 2*alpha, alpha-1.
     """
     vel, grid = as_components(u, grid)
-    if phi is None:
-        raise PreconditionError("scaling_probe requires a spatial cutoff phi")
     eps = sorted((float(e) for e in epsilons), reverse=True)
     if len(eps) < 4:
         raise PreconditionError("need at least 4 admissible ladder rungs")

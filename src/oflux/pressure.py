@@ -27,22 +27,11 @@ from .synth import holder_norm
 IMPERMEABILITY_TOL = 1e-8  # largest |u.n| on a wall that the Neumann solve accepts
 
 # ---------------------------------------------------------------------------
-# reports
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PressureSolveReport:
-    pressure: np.ndarray
-    residual: float
-
-
-# ---------------------------------------------------------------------------
 # periodic solve
 # ---------------------------------------------------------------------------
 
 
-def solve_pressure_periodic(snap: Snapshot) -> PressureSolveReport:
+def solve_pressure_periodic(snap: Snapshot) -> np.ndarray:
     """Spectral inversion of -Lap p = d_i d_j (u_i u_j) with zero-mean gauge."""
     grid = snap.grid
     if not grid.fully_periodic:
@@ -56,10 +45,7 @@ def solve_pressure_periodic(snap: Snapshot) -> PressureSolveReport:
     # off the diagonal): the part a real inverse transform sees
     src_hat = sum(-(0.5 if i == j else 1.0) * (ks[i] * ks[j] + mirror[i] * mirror[j]) * spectrum
                   for spectrum, (i, j) in zip(spectra, symmetric_pairs(grid.ndim)[0]))
-    # two inverses, not one of a stack: p must not be a view that keeps src alive
-    p = neg_lap.inverse(src_hat * inverse_eigenvalues(k2))
-    residual = float(np.abs(neg_lap(p) - neg_lap.inverse(src_hat)).max())
-    return PressureSolveReport(p, residual)
+    return neg_lap.inverse(src_hat * inverse_eigenvalues(k2))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +109,7 @@ def solve_channel_neumann(
     return np.ascontiguousarray(p - np.moveaxis(p, w, -1)[..., 1:-1].mean())
 
 
-def solve_pressure_channel(snap: Snapshot) -> PressureSolveReport:
+def solve_pressure_channel(snap: Snapshot) -> np.ndarray:
     """Neumann pressure recovery on a channel; requires u.n = 0 on the walls."""
     grid = snap.grid
     w = grid.wall_axis
@@ -134,12 +120,7 @@ def solve_pressure_channel(snap: Snapshot) -> PressureSolveReport:
             f"exceeds {IMPERMEABILITY_TOL:.1e}; Neumann data would be inconsistent"
         )
     g = -np.moveaxis(_advective_term(snap, w), w, -1)  # the wall planes are g[..., 0] and g[..., -1]
-    source = _channel_source(snap)
-    p = solve_channel_neumann(source, g[..., 0], g[..., -1], grid)
-
-    lap = sum(deriv2(p, a, grid) for a in range(grid.ndim))
-    residual = float(np.abs(np.moveaxis(-lap - source, w, -1)[..., 1:-1]).max())
-    return PressureSolveReport(p, residual)
+    return solve_channel_neumann(_channel_source(snap), g[..., 0], g[..., -1], grid)
 
 
 # ---------------------------------------------------------------------------

@@ -636,7 +636,7 @@ def viscous_flux_criterion(runs, etas) -> ViscousFluxReport:
     if nus[-2] == nus[-1]:
         raise PreconditionError(f"the extrapolation needs two distinct smallest viscosities, got {nus[-1]:g} twice")
 
-    with_p = [traj.map(lambda s: s.with_pressure(solve_pressure_channel(s).pressure)) for _, traj in runs]
+    with_p = [traj.map(lambda s: s.with_pressure(solve_pressure_channel(s))) for _, traj in runs]
 
     flux = []
     for eta in etas:

@@ -223,7 +223,7 @@ def test_diagnose_trajectory_runs_dr_sweep(tmp_path):
 
     g = make_grid((64, 64), (TWO_PI, TWO_PI))
     f = fractional_field(0.6, None, 2, g)
-    p = solve_pressure_periodic(f).pressure
+    p = solve_pressure_periodic(f)
     traj = Trajectory(tuple(Snapshot(g, f.velocity, p, 0.1 * i) for i in range(3)), 0.1)
     tdir = tmp_path / "traj"
     fieldio.write_trajectory(tdir, traj)
@@ -884,3 +884,12 @@ def test_readme_request_table_matches_the_schemas():
                 expected[command, key] = [types[spec.kind], f"`{rng}`" if rng else "", required]
     assert sorted(rows) == sorted(expected)
     assert rows == expected
+    # every row but an object's is a flag: --<key> with hyphens, --in for input; its value stays text
+    parser = cli.build_parser()
+    for (command, key), (kind, _, _) in rows.items():
+        flag = "--in" if key == "input" else "--" + key.replace("_", "-")
+        if kind == "object":
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, f"{flag}=1"])
+        else:
+            assert vars(parser.parse_args([command, f"{flag}=1"])) == {"command": command, key: "1"}

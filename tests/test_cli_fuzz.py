@@ -1,11 +1,15 @@
 """In-process fuzzing of ``cli.main`` with requests drawn from ``cli._SCHEMAS``.
 
-A value outside its key's type or range, or a missing required key, must
-exit 3 and name ``<cmd>.<key>`` before any input is read, any solver step
-runs or any file is written.  A request inside every range, on inputs of
+A value outside its key's type or range, in the config or as its flag's
+text, or a missing required key, must exit 3 and name ``<cmd>.<key>``
+before any input is read, any solver step runs or any file is written; a
+malformed command line exits 3 too.  A flag and the same value in the
+config make the same request.  A request inside every range, on inputs of
 8-16 points per side (a channel trajectory for ``boundary`` runs to 65
-points across), must end in 0, 2 or 3, never in an internal error, and
-write nothing when it ends in 3; ``report`` on what it wrote returns its code.
+points across), must end in 0, 2 or 3, never in an internal error.  The
+exit-3 rule: a refused request writes nothing, and a completed command
+whose verdict has code 3 writes its report with ``"exit_code": 3``; so
+``report`` on whatever a command wrote returns the command's code.
 Every size-like value is bounded (grid sides, ladder length, stride, at
 most 20 solver steps per viscosity), so no request allocates more than a
 few MB; nothing starts a process.
@@ -23,6 +27,7 @@ from hypothesis import strategies as st
 from oflux import cli, fieldio, solver
 from oflux.cli import Key, main
 from oflux.grids import Snapshot, Trajectory, make_grid
+from oflux.reports import canonical_json
 from oflux.synth import fractional_field
 
 # derandomized, so every run draws the same requests; raise max_examples to search further
@@ -37,6 +42,33 @@ def _keys():
             yield f"{command}.{key}", spec
     for key, spec in cli._SCHEMAS["sweep"]["initial"].kind.items():
         yield f"sweep.initial.{key}", spec
+
+
+def _flag(key: str) -> str:
+    return "--in" if key == "input" else "--" + key.replace("_", "-")
+
+
+def _flag_text(value) -> str:
+    """``value`` as a flag's text: a ladder comma-separated, a float by repr."""
+    if isinstance(value, list):
+        return ",".join(map(_flag_text, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _text_admitted(spec: Key, text: str) -> bool:
+    """Whether ``spec`` takes ``text`` as a flag value: a free string takes any
+    non-empty text, a number key the text of a finite number in its range."""
+    if spec.kind is list:
+        return all(_text_admitted(Key(float, spec.range), rung) for rung in text.split(","))
+    if text in spec.words:
+        return True
+    if spec.kind is str:
+        return not spec.words and text != ""
+    try:
+        value = spec.kind(text)
+    except ValueError:
+        return False
+    return math.isfinite(value) and (not spec.range or cli._RANGES[spec.range](value))
 
 
 def _outside(spec: Key):
@@ -93,18 +125,75 @@ def test_refused_request_does_no_work(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # a default output directory would land here
     config = tmp_path / "request.json"
 
+    def refused(command, request, path, *flags):
+        config.write_text(json.dumps(request))
+        assert main([command, "--config", str(config), *flags]) == 3
+        err = capsys.readouterr().err
+        assert path in err and "internal error" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["request.json"]
+
     @settings(FUZZ, max_examples=300)
     @given(case=refused_requests())
     def check(case):
         command, request, path = case
         request = {k: str(tmp_path / "out") if v == OUT else v for k, v in request.items()}
-        config.write_text(json.dumps(request))
-        assert main([command, "--config", str(config)]) == 3
-        err = capsys.readouterr().err
-        assert path in err and "internal error" not in err
-        assert [p.name for p in tmp_path.iterdir()] == ["request.json"]
+        refused(command, request, path)
+        key = path.split(".")[1]
+        spec = cli._SCHEMAS[command][key]
+        if key in request and path.count(".") == 1 and not isinstance(spec.kind, dict):
+            text = _flag_text(request.pop(key))  # the same value as its flag's text
+            if not _text_admitted(spec, text):  # "None" is a string, "1" an integer
+                refused(command, request, path, f"{_flag(key)}={text}")  # "=": a text may start with "-"
 
     check()
+
+
+def _inside(spec: Key):
+    """Values that ``spec`` takes, integers included where a float widens."""
+    if spec.kind is list:
+        return st.lists(_inside(Key(float, spec.range)), min_size=1, max_size=3)
+    if spec.kind is str:
+        return st.sampled_from(spec.words) if spec.words else st.text("abcxyz019-.", min_size=1, max_size=6)
+    number = st.integers(-3, 3) if spec.kind is int else st.integers(-3, 3) | st.floats(-3.0, 3.0)
+    if spec.range:
+        number = number.filter(cli._RANGES[spec.range])
+    return number | st.sampled_from(spec.words) if spec.words else number
+
+
+def test_flag_and_config_make_the_same_request(tmp_path, monkeypatch):
+    # the request a command receives, as config.json would hold it, but with "out" kept
+    seen = []
+    for command in cli._SCHEMAS:
+        monkeypatch.setitem(cli._COMMANDS, command, lambda cfg: seen.append(canonical_json(cfg)) or 0)
+    monkeypatch.delenv("OFLUX_OUTPUT_DIR", raising=False)
+    flags = [(command, key, spec) for command, schema in cli._SCHEMAS.items()
+             for key, spec in schema.items() if not isinstance(spec.kind, dict)]
+    by_config, by_flag = tmp_path / "config.json", tmp_path / "flag.json"
+
+    @FUZZ
+    @given(case=st.sampled_from(flags).flatmap(lambda c: st.tuples(st.just(c), _inside(c[2]))))
+    def check(case):
+        (command, key, _), value = case
+        seen.clear()
+        base = {k: "o" if v == OUT else v for k, v in BASE[command].items()}
+        by_config.write_text(json.dumps({**base, key: value}))
+        by_flag.write_text(json.dumps(base))
+        assert main([command, "--config", str(by_config)]) == 0
+        assert main([command, "--config", str(by_flag), f"{_flag(key)}={_flag_text(value)}"]) == 0
+        assert seen[0] == seen[1]
+
+    check()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["diagnose", "--bogus", "1"], 3), (["gen", "--cut", "3"], 3), (["sweep", "--dt"], 3), ([], 3), (["nope"], 3),
+    (["sweep", "--help"], 0),
+], ids=["unknown-flag", "abbreviated-flag", "flag-without-value", "no-command", "unknown-command", "help"])
+def test_usage_errors_exit_3_and_help_exits_0(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    assert "usage: oflux" in capsys.readouterr()[code == 3]  # the help goes to stdout, an error to stderr
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +341,10 @@ def test_admitted_request_never_exits_1(tmp_path, capsys, command):
         code = main([command, "--config", str(config)])
         err = capsys.readouterr().err
         assert code in (0, 2, 3), err
-        assert command == "report" or (work / "out").is_dir() == (code != 3)  # an exit 3 writes nothing
-        if command != "report" and (work / "out").is_dir():
-            assert main(["report", "--in", str(work / "out")]) == code  # the stored code is the command's own
+        if command != "report":
+            assert (work / "out").is_dir() or code == 3  # only a refused request writes nothing
+            if (work / "out").is_dir():  # a verdict's 3 is written, as 0 and 2 are
+                assert main(["report", "--in", str(work / "out")]) == code  # the stored code is the command's own
 
     check()
 

@@ -70,7 +70,7 @@ def test_weak_identity_frozen_field_budget(box128):
     # frozen-in-time field: the time term vanishes exactly; the identity
     # residual stays within 3x the refinement-backed discretization budget
     f = fractional_field(0.5, None, 3, box128)
-    p = solve_pressure_periodic(f).pressure
+    p = solve_pressure_periodic(f)
     traj = frozen_trajectory(Snapshot(box128, f.velocity, p), n_snaps=5, dt=0.1)
     chain = full_box_chain(box128, eta=10.0)
     rep = weak_energy_identity(traj, _sym_test_function(box128), 8 * box128.max_spacing, chain)
@@ -80,7 +80,7 @@ def test_weak_identity_frozen_field_budget(box128):
     # discretization, gauged by a 64 -> 128 refinement study
     g64 = make_grid((64, 64), (TWO_PI, TWO_PI))
     f64 = fractional_field(0.5, None, 3, g64)
-    p64 = solve_pressure_periodic(f64).pressure
+    p64 = solve_pressure_periodic(f64)
     traj64 = frozen_trajectory(Snapshot(g64, f64.velocity, p64), n_snaps=5, dt=0.1)
     chain64 = full_box_chain(g64, eta=10.0)
     rep64 = weak_energy_identity(traj64, _sym_test_function(g64), 8 * g64.max_spacing, chain64)
@@ -112,7 +112,7 @@ def test_time_reversal_antisymmetry(box64):
     for i in range(n):
         scale = 1.0 + 0.1 * np.sin(1.3 * i)
         vel = scale * base.velocity
-        p = solve_pressure_periodic(Snapshot(box64, vel)).pressure
+        p = solve_pressure_periodic(Snapshot(box64, vel))
         snaps.append(Snapshot(box64, vel, p, 0.1 * i))
     traj = Trajectory(tuple(snaps), 0.1)
     rev = Trajectory(
@@ -149,7 +149,7 @@ def test_dr_field_constant(box64):
 def test_dr_field_integrates_to_weak_lhs(box64):
     # frozen field: <D_eps, chi phi> equals the weak lhs (discrete parts match)
     f = fractional_field(0.5, None, 9, box64)
-    p = solve_pressure_periodic(f).pressure
+    p = solve_pressure_periodic(f)
     traj = frozen_trajectory(Snapshot(box64, f.velocity, p), n_snaps=5, dt=0.1)
     chain = full_box_chain(box64, eta=10.0)
     test = _asym_test_function(box64)
@@ -167,7 +167,7 @@ def test_dr_field_integrates_to_weak_lhs(box64):
 
 def test_dr_sweep_band_limited(box128):
     f = fractional_field(0.5, 2, 3, box128)
-    p = solve_pressure_periodic(f).pressure
+    p = solve_pressure_periodic(f)
     traj = frozen_trajectory(Snapshot(box128, f.velocity, p), n_snaps=3, dt=0.1)
     chain = full_box_chain(box128, eta=10.0)
     test = _sym_test_function(box128, 0.0, 0.2)
@@ -179,7 +179,7 @@ def test_dr_sweep_band_limited(box128):
 
 def test_dr_sweep_below_threshold_inconclusive(box128):
     f = fractional_field(0.25, None, 1, box128)
-    p = solve_pressure_periodic(f).pressure
+    p = solve_pressure_periodic(f)
     traj = frozen_trajectory(Snapshot(box128, f.velocity, p), n_snaps=3, dt=0.1)
     chain = full_box_chain(box128, eta=10.0)
     test = _sym_test_function(box128, 0.0, 0.2)

@@ -213,7 +213,7 @@ def test_ladders_hold_few_fields_at_a_time():
     grid = make_grid((64, 64), (2 * np.pi, 2 * np.pi))
     vel = fractional_field(0.4, None, 0, grid).velocity
     traj = Trajectory(tuple(Snapshot(grid, vel, None, 0.1 * k) for k in range(3)), 0.1)
-    traj = traj.map(lambda s: s.with_pressure(solve_pressure_periodic(s).pressure))
+    traj = traj.map(lambda s: s.with_pressure(solve_pressure_periodic(s)))
     ladder = [m * grid.max_spacing for m in (18, 15, 12, 10, 8, 6, 5, 4)]
     phi = cutoff_region(grid, block_mask(grid, 0.3, 0.7), block_mask(grid, 0.1, 0.9))
     chain = full_box_chain(grid, eta=4.0 * max(ladder))
