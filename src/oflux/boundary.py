@@ -28,8 +28,6 @@ from .synth import estimate_holder_exponent
 # the smooth step
 # ---------------------------------------------------------------------------
 
-_STEP_LO = 0.25
-_STEP_HI = 0.5
 INTERIOR_MARGIN = 0.25  # the verdict's Hölder survey keeps points this fraction of the width off the walls
 MODULUS_TOL = 1e-8  # an envelope intercept within this of 0 counts as vanishing
 

@@ -29,13 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionError, ToolkitError
+from .errors import ConfigError, PreconditionError
 from . import fieldio
 from .grids import Grid, Snapshot, Trajectory, make_grid
 from .mollify import block_mask, cutoff_region, full_box_chain, time_reach
 from .synth import estimate_holder_exponent, fractional_field, holder_norm, shear_flow, taylor_green
 from .pressure import solve_pressure_channel, solve_pressure_periodic
-from .commutator import scaling_probe
+from .commutator import epsilon_ladder, scaling_probe
 from .energy_balance import ChiWindow, TestFunction, dr_convergence_sweep, dr_dissipation_field
 from .boundary import conservation_verdict, global_balance, modulus_check, shell_ladder
 from .solver import SolverConfig, dissipation_report, run, truncate, viscous_flux_criterion, whole_steps
@@ -304,20 +304,17 @@ def cmd_diagnose(cfg: dict) -> int:
     grid = snap.grid
     if not grid.fully_periodic:
         raise PreconditionError("diagnose currently probes fully periodic fields")
+    try:
+        ladder = epsilon_ladder(cfg["epsilons"] if "epsilons" in cfg else _default_ladder(grid), grid)
+    except PreconditionError as exc:  # the default ladder is always admissible
+        admissible = sorted({e for e in cfg["epsilons"] if e >= 2.0 * grid.max_spacing}, reverse=True)
+        raise ConfigError(f"diagnose.epsilons: {exc}; admissible ladder: "
+                          f"{admissible if len(admissible) >= 4 else _default_ladder(grid)}") from exc
     scale = float(np.abs(snap.velocity).max())
-    ladder = cfg["epsilons"] if "epsilons" in cfg else _default_ladder(grid)
-    floor = 2.0 * grid.max_spacing
-    bad = [e for e in ladder if e < floor]
-    if bad:
-        admissible = [e for e in ladder if e >= floor]
-        raise PreconditionError(
-            f"under-resolved epsilon request: rungs {bad} below the 2h floor {floor:g}; "
-            f"admissible ladder: {admissible or _default_ladder(grid)}"
-        )
     phi = _diag_phi(grid, phi_inner, phi_outer)
 
     if scale < 1e-14:
-        rows = [(e, 0.0, 0.0, 0.0) for e in sorted(ladder, reverse=True)]
+        rows = [(e, 0.0, 0.0, 0.0) for e in ladder]
         write_csv(out / "scaling.csv", ["epsilon", "flux", "sup_R", "sup_grad"], rows)
         zero = verdict("probe.zero_field")
         write_json(out / "summary.json", {"verdict": zero, "alpha": None, "fits": [], "exit_code": zero.code})
@@ -416,9 +413,12 @@ def cmd_boundary(cfg: dict) -> int:
             raise ConfigError(f"boundary.etas: the default ladder [56h, 28h, 14h] needs about 114 points "
                               f"across the channel, the {_grid_text(grid)} grid has "
                               f"{grid.dims[w]} ({exc}); give etas explicitly") from exc
+    gamma = cfg.get("gamma", 0.25 * grid.extents[w])
+    if not gamma < 0.5 * grid.extents[w]:
+        raise ConfigError(f"boundary.gamma: the collar must be below the channel half-width "
+                          f"{0.5 * grid.extents[w]:g}, got {gamma:g}")
     if any(s.pressure is None for s in traj.snapshots):
         traj = traj.map(lambda s: s.with_pressure(solve_pressure_channel(s)))
-    gamma = cfg.get("gamma", 0.25 * grid.extents[w])
 
     cons = conservation_verdict(traj, etas, beta=cfg.get("beta", 1.0), gamma=gamma,
                                 energy_tol=cfg.get("energy_tol", 1e-6), seed=seed)
@@ -505,6 +505,9 @@ def cmd_sweep(cfg: dict) -> int:
         traj, series = run(replace(base, nu=nu))
         swept.append((nu, series))
         traj, series = truncate(traj, series, n_end)
+        if etas is not None:  # solved once for the criterion and stored in traj_nu* for `boundary`:
+            # diagnostics use the Bernoulli pressure of the momentum balance, not the projector's
+            traj = traj.map(lambda s: s.with_pressure(solve_pressure_channel(s)))
         runs.append((nu, traj))
         kept.append(series)
     sweep_rep = dissipation_report(swept, grid, dt, t_star)
@@ -629,12 +632,9 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(command, flags.pop("config", None), flags)
         return _COMMANDS[command](cfg)
-    except (ConfigError, PreconditionError) as exc:
+    except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -146,6 +146,17 @@ RMS_LOG_GATE = 0.05  # fallback for flat curves, where r^2 loses meaning
 PROBES_PER_AXIS = 16  # the sup statistics' sublattice takes about this many points per axis
 
 
+def epsilon_ladder(epsilons, grid: Grid) -> list[float]:
+    """An epsilon ladder in decreasing order: at least 4 distinct rungs, each at or above the 2h floor."""
+    eps = sorted((float(e) for e in epsilons), reverse=True)
+    if len(eps) < 4 or len(set(eps)) < len(eps):
+        raise PreconditionError(f"need at least 4 distinct ladder rungs, got {eps}")
+    floor = 2.0 * grid.max_spacing
+    if eps[-1] < floor:
+        raise PreconditionError(f"rungs {[e for e in eps if e < floor]} below the 2h floor {floor:g}")
+    return eps
+
+
 def fit_loglog(epsilons, values, predicted: float, quantity: str) -> SlopeFit:
     """Least-squares log-log fit with the pass rule slope >= predicted - 0.15.
 
@@ -246,12 +257,7 @@ def scaling_probe(
     log-log fits carry the predicted exponents 3*alpha-1, 2*alpha, alpha-1.
     """
     vel, grid = as_components(u, grid)
-    eps = sorted((float(e) for e in epsilons), reverse=True)
-    if len(eps) < 4:
-        raise PreconditionError("need at least 4 admissible ladder rungs")
-    floor = 2.0 * grid.max_spacing
-    if min(eps) < floor:
-        raise PreconditionError(f"ladder rung below the 2h floor ({floor:g})")
+    eps = epsilon_ladder(epsilons, grid)
     pv = _phi_values(phi, grid)
     probe = _probe_mask(grid, region)
     wts = grid.quad_weights()

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutator import (SlopeFit, contraction_grad, fit_loglog, monotone_within_10pct, quadratic_products,
-                         stress_from, symmetric_pairs)
+from .commutator import (SlopeFit, contraction_grad, epsilon_ladder, fit_loglog, monotone_within_10pct,
+                         quadratic_products, stress_from, symmetric_pairs)
 from .errors import PreconditionError
 from .grids import (Grid, Trajectory, deriv, discretization_budget, integrate, partial, partials,
                     trapezoid_time_weights)
@@ -353,9 +353,7 @@ def dr_convergence_sweep(
     "non-vanishing/inconclusive".  The epsilon-independent set-up of the
     identity runs once; each rung is one kernel multiply per retained time.
     """
-    eps = sorted((float(e) for e in epsilons), reverse=True)
-    if len(eps) < 4:
-        raise PreconditionError("need at least 4 admissible ladder rungs")
+    eps = epsilon_ladder(epsilons, traj.grid)
     identity = _WeakIdentity(traj, test, chain, kappa)
     reports = tuple(identity.report(e) for e in eps)
     values = [abs(r.rhs) for r in reports]

@@ -6,11 +6,7 @@ anything unexpected with 1.
 """
 
 
-class ToolkitError(Exception):
-    """Base class for all oflux errors."""
-
-
-class PreconditionError(ToolkitError):
+class PreconditionError(Exception):
     """An operation was called outside its admissible parameter range."""
 
 

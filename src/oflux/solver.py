@@ -50,7 +50,6 @@ from .boundary import flux_trend_ok, shell_flux, shell_ladder
 from .errors import PreconditionError
 from .grids import (Diagonal, Grid, Snapshot, Trajectory, divergence, inverse_eigenvalues,
                     second_difference_eigenvalues)
-from .pressure import solve_pressure_channel
 from .reports import Verdict, verdict
 
 # ---------------------------------------------------------------------------
@@ -621,9 +620,9 @@ def viscous_flux_criterion(runs, etas) -> ViscousFluxReport:
     Richardson extrapolation (linear, two smallest viscosities) and the
     ladder-trend verdict on the extrapolated values.
 
-    ``runs`` is a list of (nu, trajectory); pressures are re-solved from the
-    node snapshots so diagnostics use the Bernoulli pressure of the momentum
-    balance, not the projector's internal pseudo-pressure.
+    ``runs`` is a list of (nu, trajectory) whose snapshots carry the
+    Bernoulli pressure of the momentum balance, not the projector's internal
+    pseudo-pressure; a run without it is refused.
     """
     if len(runs) < 2:
         raise PreconditionError("need at least 2 viscosities")
@@ -635,12 +634,13 @@ def viscous_flux_criterion(runs, etas) -> ViscousFluxReport:
     nus = [nu for nu, _ in runs]
     if nus[-2] == nus[-1]:
         raise PreconditionError(f"the extrapolation needs two distinct smallest viscosities, got {nus[-1]:g} twice")
-
-    with_p = [traj.map(lambda s: s.with_pressure(solve_pressure_channel(s))) for _, traj in runs]
+    for nu, traj in runs:
+        if any(s.pressure is None for s in traj.snapshots):
+            raise PreconditionError(f"the nu={nu:g} run's snapshots carry no pressure")
 
     flux = []
     for eta in etas:
-        flux.append(tuple(shell_flux(tr, eta) for tr in with_p))
+        flux.append(tuple(shell_flux(tr, eta) for _, tr in runs))
         for nu, f in zip(nus, flux[-1]):
             if not np.isfinite(f):  # max(0.0, nan) below would read it as a vanishing flux
                 raise PreconditionError(f"non-finite shell flux {f} at nu={nu:g}, eta={eta:g}")

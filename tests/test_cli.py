@@ -110,6 +110,19 @@ def test_diagnose_under_resolved_ladder(tmp_path, capsys):
     assert "admissible ladder" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilons", ["0.6,0.6,0.5,0.4,0.3", "0.6,0.5,0.4"], ids=["repeated rung", "3 rungs"])
+def test_diagnose_bad_ladder_exits_before_any_probe(tmp_path, monkeypatch, capsys, epsilons):
+    grid = make_grid((64, 64), (TWO_PI, TWO_PI))
+    field = fieldio.write_snapshot(tmp_path / "f.oflx", fractional_field(0.4, None, 0, grid))
+    monkeypatch.setattr(cli, "estimate_holder_exponent", lambda *a, **k: pytest.fail("the survey ran"))
+    monkeypatch.setattr(cli, "scaling_probe", lambda *a, **k: pytest.fail("a probe ran"))
+    out = tmp_path / "d"
+    assert main(["diagnose", "--in", str(field), "--epsilons", epsilons, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "diagnose.epsilons" in err and "admissible ladder" in err and "internal error" not in err
+    assert _no_output(out)
+
+
 def test_boundary_command_steady_and_leak(tmp_path):
     grid = channel_grid(128, 129)
     _, y = grid.meshes()
@@ -207,6 +220,64 @@ def test_boundary_refuses_a_single_snapshot_before_any_solve(tmp_path, monkeypat
     err = capsys.readouterr().err
     assert "boundary.input" in err and "at least 2 snapshots" in err and "internal error" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma", ["0.5", "0.6"])
+def test_boundary_gamma_past_the_half_width_exits_before_any_solve(tmp_path, monkeypatch, capsys, gamma):
+    grid = channel_grid(16, 65)  # unit height: the half-width is 0.5
+    _, y = grid.meshes()
+    u = np.stack([np.broadcast_to(np.sin(np.pi * y) ** 2, grid.dims), np.zeros(grid.dims)])
+    traj = Trajectory(tuple(Snapshot(grid, u, None, 0.1 * i) for i in range(3)), 0.1)
+    fieldio.write_trajectory(tmp_path / "traj", traj)
+    solves = []
+    monkeypatch.setattr(cli, "solve_pressure_channel", lambda s: solves.append(s.time))
+    monkeypatch.setattr(cli, "conservation_verdict", lambda *a, **k: pytest.fail("the verdict ran"))
+    out = tmp_path / "b"
+    argv = ["boundary", "--in", str(tmp_path / "traj"), "--etas", "0.4,0.3,0.2", "--gamma", gamma, "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "boundary.gamma" in err and "half-width" in err and "internal error" not in err
+    assert solves == [] and _no_output(out)
+
+
+def _channel_sweep_with_etas(tmp_path, monkeypatch):
+    """Run the small channel sweep with the shell criterion; return its output
+    directory and the times of the channel pressure solves made through ``cli``."""
+    cfg = {"geometry": "channel", "grid": "16x65", "initial": {"kind": "poiseuille"},
+           "nus": [1e-2, 5e-3], "dt": 0.001, "t_end": 0.005, "etas": [0.4, 0.3, 0.2]}
+    solved = []
+    real_solve = cli.solve_pressure_channel
+
+    def counting_solve(snap):
+        solved.append(snap.time)
+        return real_solve(snap)
+
+    monkeypatch.setattr(cli, "solve_pressure_channel", counting_solve)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) in (0, 2)
+    return out, solved
+
+
+def test_channel_sweep_solves_each_pressure_once_and_boundary_reads_it(tmp_path, monkeypatch):
+    out, solved = _channel_sweep_with_etas(tmp_path, monkeypatch)
+    trajs = [fieldio.load_input(out / f"traj_nu{nu:g}") for nu in (1e-2, 5e-3)]
+    assert all(s.pressure is not None for traj in trajs for s in traj.snapshots)
+    assert len(solved) == sum(len(traj) for traj in trajs)  # each written snapshot once per nu
+    solved.clear()
+    assert main(["boundary", "--in", str(out / "traj_nu0.005"), "--etas", "0.4,0.3,0.2",
+                 "--out", str(tmp_path / "b")]) in (0, 2)
+    assert solved == []
+
+
+def test_boundary_bytes_do_not_depend_on_a_stored_pressure(tmp_path, monkeypatch):
+    out, _ = _channel_sweep_with_etas(tmp_path, monkeypatch)
+    stored = fieldio.load_input(out / "traj_nu0.005")
+    bare = stored.map(lambda s: Snapshot(s.grid, s.velocity, None, s.time, s.tags))
+    fieldio.write_trajectory(tmp_path / "bare", bare, tags={"nu": 0.005})
+    for name, traj in (("stored", out / "traj_nu0.005"), ("bare", tmp_path / "bare")):
+        assert main(["boundary", "--in", str(traj), "--etas", "0.4,0.3,0.2", "--out", str(tmp_path / name)]) in (0, 2)
+    for name in ("verdict.json", "ladder.csv", "modulus.csv"):
+        assert (tmp_path / "stored" / name).read_bytes() == (tmp_path / "bare" / name).read_bytes()
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from oflux import solver
 from oflux.errors import PreconditionError
 from oflux.grids import Snapshot, Trajectory, divergence, make_grid, wall_distance, wall_normal_sign
+from oflux.pressure import solve_pressure_channel
 from oflux.solver import (
     CFLViolation,
     MacState,
@@ -36,6 +38,11 @@ from tridiag_oracle import lap_x, lap_y_u, lap_y_v
 @pytest.fixture(scope="module")
 def periodic64():
     return make_grid((64, 64), (TWO_PI, TWO_PI))
+
+
+def _with_pressure(traj):
+    """The trajectory with each snapshot's Bernoulli pressure, as ``sweep`` stores it."""
+    return traj.map(lambda s: s.with_pressure(solve_pressure_channel(s)))
 
 
 def _channel_init(grid, amp=0.05):
@@ -355,7 +362,7 @@ def test_viscous_flux_criterion_positive():
     for nu in (0.02, 0.01):
         traj, series = run(SolverConfig(nu, 0.0025, 0.3, init, snapshot_stride=40))
         assert series.leray_residual.max() <= 1e-8
-        runs.append((nu, traj))
+        runs.append((nu, _with_pressure(traj)))
     h = grid.spacing[1]
     rep = viscous_flux_criterion(runs, [28 * h, 14 * h, 7 * h])
     assert rep.eta_trend_ok
@@ -378,7 +385,7 @@ def test_viscous_flux_criterion_blowing_negative():
                 s.time,
             )
         )
-        runs.append((nu, blown))
+        runs.append((nu, _with_pressure(blown)))
     h = grid.spacing[1]
     rep = viscous_flux_criterion(runs, [28 * h, 14 * h, 7 * h])
     assert not rep.eta_trend_ok
@@ -400,8 +407,17 @@ def test_viscous_flux_criterion_rejects_a_non_finite_flux():
     vel = last.velocity.copy()
     vel[0, 16, 32] = np.nan
     runs[-1] = (nu, Trajectory(traj.snapshots[:-1] + (Snapshot(grid, vel, None, last.time),), traj.dt))
+    runs = [(nu, _with_pressure(traj)) for nu, traj in runs]
     with pytest.raises(PreconditionError, match="non-finite shell flux nan at nu=0.0025, eta=0.4"):
         viscous_flux_criterion(runs, [0.4, 0.2, 0.1])
+
+
+def test_viscous_flux_criterion_refuses_a_run_without_pressure(monkeypatch):
+    grid = channel_grid(16, 33)
+    traj, _ = run(SolverConfig(0.01, 0.001, 0.005, _channel_init(grid), snapshot_stride=1))
+    monkeypatch.setattr(solver, "shell_flux", lambda *a: pytest.fail("a shell flux was computed"))
+    with pytest.raises(PreconditionError, match="nu=0.01 run's snapshots carry no pressure"):
+        viscous_flux_criterion([(0.02, _with_pressure(traj)), (0.01, traj)], [0.4, 0.3, 0.2])
 
 
 def _interior_mask(grid):
