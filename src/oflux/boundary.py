@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError, UnderResolvedError
+from .errors import PreconditionError
 from .commutator import monotone_within_10pct
 from .grids import (Grid, Snapshot, Trajectory, discretization_budget, energy, integrate,
                     trapezoid_time_weights, wall_distance, wall_normal_sign)
@@ -66,7 +66,7 @@ def check_shell(grid: Grid, eta: float) -> None:
     d = wall_distance(grid)
     planes = int(np.sum((d > eta / 4.0) & (d < eta / 2.0)))
     if planes < 3:
-        raise UnderResolvedError(
+        raise PreconditionError(
             f"shell under-resolved: only {planes} grid planes fall in "
             f"(eta/4, eta/2) = ({eta / 4:g}, {eta / 2:g}); need >= 3"
         )
@@ -197,6 +197,12 @@ class ConservationVerdict:
     notes: dict = field(default_factory=dict)
 
 
+def interior_region(grid: Grid) -> np.ndarray:
+    """The nodes of the verdict's interior Hölder survey: at least
+    ``INTERIOR_MARGIN`` of the channel width off the walls."""
+    return np.broadcast_to(wall_distance(grid), grid.dims) >= INTERIOR_MARGIN * grid.extents[grid.wall_axis]
+
+
 def flux_trend_ok(values) -> bool:
     """Ladder policy: monotone within 10% and final <= 1/4 of initial."""
     v = list(values)
@@ -227,13 +233,12 @@ def conservation_verdict(
     ladder = [(e, shell_flux(traj, e)) for e in etas]
     trend = flux_trend_ok([v for _, v in ladder])
 
-    d = np.broadcast_to(wall_distance(grid), grid.dims)
-    interior = d >= INTERIOR_MARGIN * grid.extents[grid.wall_axis]
-    est = estimate_holder_exponent(traj.snapshots[len(traj) // 2], region=interior, seed=seed)
+    est = estimate_holder_exponent(traj.snapshots[len(traj) // 2], region=interior_region(grid), seed=seed)
     alpha_ok = bool(est.exponent > 1.0 / 3.0)
 
     if gamma is None:
         gamma = 0.5 * max(etas)
+    d = np.broadcast_to(wall_distance(grid), grid.dims)
     cf = cutoff_region(grid, d < gamma / 2.0, d < gamma)
     pn = 0.0
     for snap in traj.snapshots:

@@ -29,15 +29,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionError
+from .errors import PreconditionError
 from . import fieldio
 from .grids import Grid, Snapshot, Trajectory, make_grid
 from .mollify import block_mask, cutoff_region, full_box_chain, time_reach
-from .synth import estimate_holder_exponent, fractional_field, holder_norm, shear_flow, taylor_green
-from .pressure import solve_pressure_channel, solve_pressure_periodic
+from .synth import (MIN_RUNGS, estimate_holder_exponent, fractional_field, holder_norm, separation_ladder,
+                    shear_flow, taylor_green)
+from .pressure import fill_pressures
 from .commutator import epsilon_ladder, scaling_probe
 from .energy_balance import ChiWindow, TestFunction, dr_convergence_sweep, dr_dissipation_field
-from .boundary import conservation_verdict, global_balance, modulus_check, shell_ladder
+from .boundary import conservation_verdict, global_balance, interior_region, modulus_check, shell_ladder
 from .solver import SolverConfig, dissipation_report, run, truncate, viscous_flux_criterion, whole_steps
 from .reports import config_hash, exit_code, read_object, verdict, write_csv, write_json, write_manifest
 
@@ -83,30 +84,30 @@ class Key:
 
     def check(self, val, name: str):
         """``val``, widened to a float for a float key, if it has the key's
-        type and range; otherwise a ConfigError naming ``name``."""
+        type and range; otherwise a PreconditionError naming ``name``."""
         if isinstance(self.kind, dict):
             if not isinstance(val, dict):
-                raise ConfigError(f"{name}: expected an object, got {type(val).__name__}")
+                raise PreconditionError(f"{name}: expected an object, got {type(val).__name__}")
             _check(dict(val), self.kind, name)  # on a copy: the config echo keeps the object as given
             return val
         if self.kind is list:
             if not (isinstance(val, list) and val):
-                raise ConfigError(f"{name}: expected a non-empty list of numbers, got {reprlib.repr(val)}")
+                raise PreconditionError(f"{name}: expected a non-empty list of numbers, got {reprlib.repr(val)}")
             return [Key(float, self.range).check(x, name) for x in val]
         if self.kind is str or isinstance(val, str) and self.words:
             if not (isinstance(val, str) and val):
-                raise ConfigError(f"{name}: expected a non-empty string, got {reprlib.repr(val)}")
+                raise PreconditionError(f"{name}: expected a non-empty string, got {reprlib.repr(val)}")
             if self.words and val not in self.words:
-                raise ConfigError(f"{name}: must be {self.range_text()}, got {val!r}")
+                raise PreconditionError(f"{name}: must be {self.range_text()}, got {val!r}")
             return val
         if isinstance(val, bool) or not isinstance(val, (int, float) if self.kind is float else int):
-            raise ConfigError(f"{name}: expected {self.kind.__name__}, got {reprlib.repr(val)}")
+            raise PreconditionError(f"{name}: expected {self.kind.__name__}, got {reprlib.repr(val)}")
         if self.kind is float:
             if not abs(val) <= sys.float_info.max:  # NaN, infinite, or an integer past the largest float
-                raise ConfigError(f"{name}: expected a finite number, got {reprlib.repr(val)}")
+                raise PreconditionError(f"{name}: expected a finite number, got {reprlib.repr(val)}")
             val = float(val)
         if self.range and not _RANGES[self.range](val):
-            raise ConfigError(f"{name}: must be {self.range_text()}, got {reprlib.repr(val)}")
+            raise PreconditionError(f"{name}: must be {self.range_text()}, got {reprlib.repr(val)}")
         return val
 
 
@@ -198,18 +199,18 @@ def _check(cfg: dict, schema: dict, where: str) -> None:
     present.  Errors name the config path ``where``."""
     for key, val in cfg.items():
         if key not in schema:
-            raise ConfigError(f"unknown key at {where}.{key}")
+            raise PreconditionError(f"unknown key at {where}.{key}")
         cfg[key] = schema[key].check(val, f"{where}.{key}")
     for key, spec in schema.items():
         if spec.required and key not in cfg:
-            raise ConfigError(f"{where}.{key} is required")
+            raise PreconditionError(f"{where}.{key} is required")
 
 
 def _parse_dims(text: str, name: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.lower().split("x"))
     except ValueError as exc:
-        raise ConfigError(f"{name}: expected like '256x256', got {text!r}") from exc
+        raise PreconditionError(f"{name}: expected like '256x256', got {text!r}") from exc
 
 
 def _parse_extents(text: str | None, ndim: int, name: str):
@@ -217,13 +218,13 @@ def _parse_extents(text: str | None, ndim: int, name: str):
         return (2.0 * np.pi,) * ndim
     parts = text.lower().split("x")
     if len(parts) != ndim:
-        raise ConfigError(f"{name}: expected {ndim} extents")
+        raise PreconditionError(f"{name}: expected {ndim} extents")
     try:
         extents = tuple(float(t) for t in parts)
     except ValueError as exc:
-        raise ConfigError(f"{name}: expected numbers, got {text!r}") from exc
+        raise PreconditionError(f"{name}: expected numbers, got {text!r}") from exc
     if not all(math.isfinite(v) for v in extents):
-        raise ConfigError(f"{name}: expected finite numbers, got {text!r}")
+        raise PreconditionError(f"{name}: expected finite numbers, got {text!r}")
     return extents
 
 
@@ -243,7 +244,7 @@ def _build_generated(cfg: dict, where: str = "gen") -> Snapshot:
         extents = _parse_extents(cfg.get("extent"), len(dims), f"{where}.extent")
         grid = make_grid(dims, extents)
         if "alpha" not in cfg:
-            raise ConfigError(f"{where}.alpha is required for fractional fields")
+            raise PreconditionError(f"{where}.alpha is required for fractional fields")
         return fractional_field(cfg["alpha"], cfg.get("cutoff"), cfg.get("seed", 0), grid)
     if cfg["kind"] == "taylor-green":
         dims = _parse_dims(cfg.get("grid", "64x64"), f"{where}.grid")
@@ -293,8 +294,8 @@ def cmd_diagnose(cfg: dict) -> int:
     seed = cfg.get("seed", 0)
     phi_inner, phi_outer = cfg.get("phi_inner", 0.4), cfg.get("phi_outer", 0.8)
     if not phi_inner < phi_outer:
-        raise ConfigError("diagnose.phi_inner, diagnose.phi_outer: need phi_inner < phi_outer, "
-                          f"got {phi_inner} and {phi_outer}")
+        raise PreconditionError("diagnose.phi_inner, diagnose.phi_outer: need phi_inner < phi_outer, "
+                                f"got {phi_inner} and {phi_outer}")
     data = fieldio.load_input(cfg["input"])
     kappa = cfg.get("kappa")
     if kappa is not None and isinstance(data, Trajectory) and len(data) >= 3:
@@ -308,8 +309,8 @@ def cmd_diagnose(cfg: dict) -> int:
         ladder = epsilon_ladder(cfg["epsilons"] if "epsilons" in cfg else _default_ladder(grid), grid)
     except PreconditionError as exc:  # the default ladder is always admissible
         admissible = sorted({e for e in cfg["epsilons"] if e >= 2.0 * grid.max_spacing}, reverse=True)
-        raise ConfigError(f"diagnose.epsilons: {exc}; admissible ladder: "
-                          f"{admissible if len(admissible) >= 4 else _default_ladder(grid)}") from exc
+        raise PreconditionError(f"diagnose.epsilons: {exc}; admissible ladder: "
+                                f"{admissible if len(admissible) >= 4 else _default_ladder(grid)}") from exc
     scale = float(np.abs(snap.velocity).max())
     phi = _diag_phi(grid, phi_inner, phi_outer)
 
@@ -328,17 +329,12 @@ def cmd_diagnose(cfg: dict) -> int:
         try:
             est = estimate_holder_exponent(snap, seed=seed, fit_window=window)
         except PreconditionError as exc:
-            raise ConfigError(f"diagnose.alpha: 'auto' cannot estimate the Hölder exponent on the "
-                              f"{_grid_text(grid)} grid ({exc}); an explicit alpha runs") from exc
+            raise PreconditionError(f"diagnose.alpha: 'auto' cannot estimate the Hölder exponent on the "
+                                    f"{_grid_text(grid)} grid ({exc}); an explicit alpha runs") from exc
         alpha = est.exponent
         alpha_source = {"estimated": True, "r2": est.r2, "window": list(window)}
     probe = scaling_probe(snap, alpha, ladder, phi=phi)
-    # an estimate's seminorm is holder_norm at its exponent over the same survey;
-    # holder_norm still serves an explicit alpha, a degenerate estimate and alpha = 0 (rejected)
-    if est is not None and est.degenerate is None and alpha > 0:
-        seminorm = est.seminorm
-    else:
-        seminorm = holder_norm(snap, alpha, seed=seed)
+    seminorm = est.seminorm if est is not None else holder_norm(snap, alpha, seed=seed)
     rows = list(zip(probe.flux.epsilons, probe.flux.values, probe.stress_sup.values, probe.grad_sup.values))
     write_csv(out / "scaling.csv", ["epsilon", "flux", "sup_R", "sup_grad"], rows)
     passes = [f.passes for f in probe.fits]
@@ -353,9 +349,7 @@ def cmd_diagnose(cfg: dict) -> int:
     }
 
     if isinstance(data, Trajectory) and len(data) >= 3:
-        traj = data
-        if any(s.pressure is None for s in traj.snapshots):
-            traj = traj.map(lambda s: s.with_pressure(solve_pressure_periodic(s)))
+        traj = fill_pressures(data)
         chain = full_box_chain(grid, eta=4.0 * max(ladder))
         test = TestFunction(ChiWindow(*traj.t_range), phi)
         sweep = dr_convergence_sweep(traj, ladder, test, alpha, chain, kappa)
@@ -410,15 +404,19 @@ def cmd_boundary(cfg: dict) -> int:
         try:
             shell_ladder(etas, grid)
         except PreconditionError as exc:
-            raise ConfigError(f"boundary.etas: the default ladder [56h, 28h, 14h] needs about 114 points "
-                              f"across the channel, the {_grid_text(grid)} grid has "
-                              f"{grid.dims[w]} ({exc}); give etas explicitly") from exc
+            raise PreconditionError(f"boundary.etas: the default ladder [56h, 28h, 14h] needs about 114 points "
+                                    f"across the channel, the {_grid_text(grid)} grid has "
+                                    f"{grid.dims[w]} ({exc}); give etas explicitly") from exc
     gamma = cfg.get("gamma", 0.25 * grid.extents[w])
     if not gamma < 0.5 * grid.extents[w]:
-        raise ConfigError(f"boundary.gamma: the collar must be below the channel half-width "
-                          f"{0.5 * grid.extents[w]:g}, got {gamma:g}")
-    if any(s.pressure is None for s in traj.snapshots):
-        traj = traj.map(lambda s: s.with_pressure(solve_pressure_channel(s)))
+        raise PreconditionError(f"boundary.gamma: the collar must be below the channel half-width "
+                                f"{0.5 * grid.extents[w]:g}, got {gamma:g}")
+    shells, _ = separation_ladder(grid, interior_region(grid))
+    if len(shells) < MIN_RUNGS:
+        raise PreconditionError(f"boundary.input: the interior Hölder survey on the {_grid_text(grid)} grid has "
+                                f"{len(shells)} separation rungs, it needs at least {MIN_RUNGS}; "
+                                "use a finer grid")
+    traj = fill_pressures(traj)
 
     cons = conservation_verdict(traj, etas, beta=cfg.get("beta", 1.0), gamma=gamma,
                                 energy_tol=cfg.get("energy_tol", 1e-6), seed=seed)
@@ -461,7 +459,7 @@ def cmd_sweep(cfg: dict) -> int:
     init_cfg.setdefault("grid", _grid_text(grid))
     if init_cfg["kind"] == "poiseuille":
         if geometry != "channel":
-            raise ConfigError("sweep.initial.kind: 'poiseuille' needs a channel geometry")
+            raise PreconditionError("sweep.initial.kind: 'poiseuille' needs a channel geometry")
         x, y = grid.meshes()
         prof = np.sin(np.pi * y / grid.extents[1]) ** 2
         pert = 0.05 * np.sin(2 * x) * prof
@@ -470,23 +468,23 @@ def cmd_sweep(cfg: dict) -> int:
     else:
         initial = _build_generated(init_cfg, "sweep.initial")
         if initial.grid != grid:
-            raise ConfigError(f"sweep.initial: the initial field's grid {initial.grid} "
-                              f"is not the sweep's grid {grid}")
+            raise PreconditionError(f"sweep.initial: the initial field's grid {initial.grid} "
+                                    f"is not the sweep's grid {grid}")
 
     nus = sorted(cfg["nus"], reverse=True)
     labels = {f"{nu:g}" for nu in nus}  # each names its run's output files
     if len(labels) < len(nus):
-        raise ConfigError("sweep.nus: the viscosities must differ in the 6 significant digits that name "
-                          f"their output files, got {reprlib.repr(cfg['nus'])}")
+        raise PreconditionError("sweep.nus: the viscosities must differ in the 6 significant digits that name "
+                                f"their output files, got {reprlib.repr(cfg['nus'])}")
     etas = None  # the shell ladder is checked before any integration
     if "etas" in cfg:
         if geometry != "channel" or len(nus) < 2:
-            raise ConfigError("sweep.etas: the shell-flux criterion needs a channel geometry and at least "
-                              f"2 viscosities, got a {geometry} sweep with {len(nus)}")
+            raise PreconditionError("sweep.etas: the shell-flux criterion needs a channel geometry and at least "
+                                    f"2 viscosities, got a {geometry} sweep with {len(nus)}")
         try:
             etas = shell_ladder(cfg["etas"], grid)
         except PreconditionError as exc:
-            raise ConfigError(f"sweep.etas: {exc}") from exc
+            raise PreconditionError(f"sweep.etas: {exc}") from exc
     dt, t_end = cfg["dt"], cfg["t_end"]
     t_star = cfg.get("t_star", t_end)
     n_end = whole_steps(t_end, dt, "t_end")
@@ -507,7 +505,7 @@ def cmd_sweep(cfg: dict) -> int:
         traj, series = truncate(traj, series, n_end)
         if etas is not None:  # solved once for the criterion and stored in traj_nu* for `boundary`:
             # diagnostics use the Bernoulli pressure of the momentum balance, not the projector's
-            traj = traj.map(lambda s: s.with_pressure(solve_pressure_channel(s)))
+            traj = fill_pressures(traj)
         runs.append((nu, traj))
         kept.append(series)
     sweep_rep = dissipation_report(swept, grid, dt, t_star)

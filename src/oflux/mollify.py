@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MarginViolationError, PreconditionError, UnderResolvedError
+from .errors import PreconditionError
 from .grids import PERIODIC, WALL, Grid, wall_distance
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def make_mollifier(epsilon: float, grid: Grid) -> Mollifier:
     h = grid.spacing
     hmax = max(h)
     if epsilon < 2.0 * hmax:
-        raise UnderResolvedError(
+        raise PreconditionError(
             f"under-resolved kernel: epsilon={epsilon:g} below the 2h floor ({2 * hmax:g})"
         )
     reach = [int(np.floor(epsilon / ha + 1e-12)) for ha in h]
@@ -169,8 +169,8 @@ def _kernel_grid(mol: Mollifier, grid: Grid) -> np.ndarray:
     return k
 
 
-def margin_violations(grid: Grid, region: np.ndarray | None, epsilon: float) -> list[tuple]:
-    """Region nodes closer than ``epsilon`` to a wall plane (periodic axes never violate)."""
+def _check_margin(grid: Grid, region, epsilon: float):
+    """Refuse region nodes closer than ``epsilon`` to a wall plane (periodic axes never violate)."""
     if region is None:
         region = np.ones(grid.dims, dtype=bool)
     bad = np.zeros(grid.dims, dtype=bool)
@@ -182,17 +182,11 @@ def margin_violations(grid: Grid, region: np.ndarray | None, epsilon: float) -> 
         shape = [1] * grid.ndim
         shape[a] = grid.dims[a]
         bad |= close.reshape(shape)
-    hits = np.argwhere(region & bad)
-    return [tuple(int(i) for i in row) for row in hits[:8]]
-
-
-def _check_margin(grid: Grid, region, epsilon: float):
-    bad = margin_violations(grid, region, epsilon)
-    if bad:
-        raise MarginViolationError(
-            f"margin violation: {len(bad)}+ region nodes within epsilon={epsilon:g} "
-            f"of a wall plane, e.g. {bad[:3]}",
-            offending_nodes=bad,
+    hits = [tuple(int(i) for i in row) for row in np.argwhere(region & bad)[:8]]
+    if hits:
+        raise PreconditionError(
+            f"margin violation: {len(hits)}+ region nodes within epsilon={epsilon:g} "
+            f"of a wall plane, e.g. {hits[:3]}"
         )
 
 
@@ -433,7 +427,7 @@ def time_reach(kappa: float, dt: float, n: float = math.inf) -> int:
     either end.  Nothing is allocated, so a request is checked before any work.
     """
     if kappa < 2.0 * dt:
-        raise UnderResolvedError(f"under-resolved time kernel: kappa={kappa:g} below 2*dt={2 * dt:g}")
+        raise PreconditionError(f"under-resolved time kernel: kappa={kappa:g} below 2*dt={2 * dt:g}")
     reach = math.floor(min(kappa / dt + 1e-12, n))  # n bounds a ratio that overflows
     if n - 2 * reach <= 0:
         raise PreconditionError("trajectory too short for the requested time radius")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .commutator import quadratic_products, symmetric_pairs
-from .grids import (WALL, Diagonal, Grid, Snapshot, deriv, deriv2, inverse_eigenvalues,
+from .grids import (WALL, Diagonal, Grid, Snapshot, Trajectory, deriv, deriv2, inverse_eigenvalues,
                     second_difference_eigenvalues, spectrum_wavenumbers, wall_distance)
 from .mollify import CutoffField, cutoff_region
 from .synth import holder_norm
@@ -121,6 +121,13 @@ def solve_pressure_channel(snap: Snapshot) -> np.ndarray:
         )
     g = -np.moveaxis(_advective_term(snap, w), w, -1)  # the wall planes are g[..., 0] and g[..., -1]
     return solve_channel_neumann(_channel_source(snap), g[..., 0], g[..., -1], grid)
+
+
+def fill_pressures(traj: Trajectory) -> Trajectory:
+    """``traj`` with a pressure on every snapshot: a stored one is kept, a
+    missing one is solved (periodic or channel, as the grid is)."""
+    solve = solve_pressure_periodic if traj.grid.fully_periodic else solve_pressure_channel
+    return traj.map(lambda s: s if s.pressure is not None else s.with_pressure(solve(s)))
 
 
 # ---------------------------------------------------------------------------

@@ -86,12 +86,6 @@ class SolverConfig:
             raise PreconditionError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
 
 
-class CFLViolation(PreconditionError):
-    def __init__(self, message, admissible_dt):
-        super().__init__(message)
-        self.admissible_dt = admissible_dt
-
-
 @dataclass
 class MacState:
     """Staggered fields: u at x-faces, v at y-faces, on cell grids."""
@@ -427,10 +421,9 @@ def _check_cfl(u, v, cfg: SolverConfig, t: float):
     dif_dt = 0.25 * hmin**2 / cfg.nu if cfg.nu > 0 else float("inf")
     admissible = min(adv_dt, dif_dt)
     if cfg.dt > admissible * (1.0 + 1e-9):
-        raise CFLViolation(
+        raise PreconditionError(
             f"CFL violation at t={t:g}: dt={cfg.dt:g} exceeds admissible {admissible:g} "
-            f"(advective {adv_dt:g}, diffusive {dif_dt:g})",
-            admissible,
+            f"(advective {adv_dt:g}, diffusive {dif_dt:g})"
         )
 
 

@@ -239,58 +239,53 @@ def _offset_max_increment(vel: np.ndarray, offset, valid: np.ndarray | None = No
 
 
 def _region_extent(grid: Grid, region: np.ndarray | None) -> float:
+    """The region's smallest extent (the box's when None), after checking that
+    it spans at least 4 nodes along every axis."""
     if region is None:
         return min(grid.extents)
-    ext = []
-    idx = np.argwhere(region)
-    for a in range(grid.ndim):
-        span = (idx[:, a].max() - idx[:, a].min() + 1) * grid.spacing[a]
-        ext.append(span)
-    return min(ext)
-
-
-def _check_region(grid: Grid, region: np.ndarray | None):
-    if region is None:
-        return
     idx = np.argwhere(region)
     if len(idx) == 0:
         raise PreconditionError("region is empty")
-    for a in range(grid.ndim):
-        if idx[:, a].max() - idx[:, a].min() + 1 < 4:
-            raise PreconditionError("region smaller than 4 nodes per axis")
+    spans = idx.max(axis=0) - idx.min(axis=0) + 1
+    if spans.min() < 4:
+        raise PreconditionError("region smaller than 4 nodes per axis")
+    return float(min(spans * np.asarray(grid.spacing)))
 
 
-def _increment_survey(
-    vel: np.ndarray,
-    grid: Grid,
-    region: np.ndarray | None,
-    r_max: float | None,
-    seed: int,
-):
-    """Stratified sample of max increments over a sqrt(2) separation ladder.
+MIN_RUNGS = 4  # the exponent fit needs this many rungs
+
+
+def separation_ladder(grid: Grid, region: np.ndarray | None = None) -> tuple[list[tuple[float, float]], float]:
+    """The survey's rungs, as shells [r_lo, r_hi), and the region's smallest
+    extent, from the grid alone.
+
+    Rungs start at the 2h increment floor and grow by sqrt(2) while they stay
+    below a quarter of the extent; the region is checked first.
+    """
+    extent = _region_extent(grid, region)
+    r_cap = 0.25 * extent * (1.0 + 1e-12)
+    shells = []
+    r = 2.0 * min(grid.spacing)
+    while r < r_cap:
+        shells.append((r, min(r * np.sqrt(2.0), r_cap)))
+        r *= np.sqrt(2.0)
+    return shells, extent
+
+
+def _increment_survey(vel: np.ndarray, grid: Grid, region: np.ndarray | None, seed: int):
+    """Stratified sample of max increments over the separation ladder.
 
     The smallest admissible shell (separations from 2h) is exhaustive; larger
     shells are sampled orbit-wise with the seeded generator.  Returns
-    per-offset (r_eff, s_max) points, per-rung (r, S) maxima, and the number
-    of rungs in the ladder.
+    per-offset (r_eff, s_max) points, per-rung (r, S) maxima in increasing r
+    (the shells are disjoint), and the region's smallest extent.
     """
-    _check_region(grid, region)
-    h = min(grid.spacing)
-    if r_max is None:
-        r_max = 0.25 * _region_extent(grid, region)
-    if r_max < 2.0 * h:
-        raise PreconditionError("r_max below the 2h increment floor")
+    shells, extent = separation_ladder(grid, region)
     rng = np.random.default_rng(seed)
-    rungs = []
-    r = 2.0 * h
-    while r < r_max * (1.0 + 1e-12):
-        rungs.append(r)
-        r *= np.sqrt(2.0)
     points = []  # (r_eff, s)
     rung_points = []  # (r at argmax, rung max)
     hvec = np.asarray(grid.spacing)
-    for j, r_lo in enumerate(rungs):
-        r_hi = min(r_lo * np.sqrt(2.0), r_max * (1.0 + 1e-12))
+    for j, (r_lo, r_hi) in enumerate(shells):
         orbits = _shell_orbits(grid, r_lo, r_hi)
         if not orbits:
             continue
@@ -314,7 +309,12 @@ def _increment_survey(
             rung_points.append((best_r, best_s))
     if not points:
         raise PreconditionError("no admissible node pairs in the region")
-    return np.array(points), np.array(rung_points), len(rungs)
+    return np.array(points), np.array(rung_points), extent
+
+
+def _seminorm(points: np.ndarray, alpha: float) -> float:
+    """sup s / r^alpha over the survey's (r_eff, s_max) points."""
+    return float((points[:, 1] / points[:, 0] ** alpha).max())
 
 
 def holder_norm(
@@ -322,16 +322,13 @@ def holder_norm(
     alpha: float,
     region: np.ndarray | None = None,
     grid: Grid | None = None,
-    r_max: float | None = None,
     seed: int = 0,
 ) -> float:
     """Discrete Hölder seminorm: sup |u(x)-u(y)| / |x-y|^alpha over sampled pairs."""
     if not (0.0 < alpha <= 1.0):
         raise PreconditionError("alpha must lie in (0,1]")
     vel, grid = as_components(field, grid)
-    points, _, _ = _increment_survey(vel, grid, region, r_max, seed)
-    q = points[:, 1] / points[:, 0] ** alpha
-    return float(q.max())
+    return _seminorm(_increment_survey(vel, grid, region, seed)[0], alpha)
 
 
 # Fitting beyond ~1/16 of the region extent probes the saturation range of
@@ -344,47 +341,35 @@ def estimate_holder_exponent(
     field: Snapshot | np.ndarray,
     region: np.ndarray | None = None,
     grid: Grid | None = None,
-    r_max: float | None = None,
     seed: int = 0,
     fit_window: tuple[float, float] | None = None,
 ) -> HolderEstimate:
     """Least-squares slope of log S(r) against log r over the separation ladder.
 
     S(r) is the max sampled increment per rung of the dyadic ladder; the
-    slope is clamped to [0, 1].  A field with no resolvable increments is
-    flagged degenerate.  ``fit_window`` restricts the fit to a separation
-    range (e.g. the scale window of a companion mollification ladder); by
-    default the fit is capped at the saturation guard.
+    slope is clamped to [0, 1], and the seminorm is read from the same survey
+    at that exponent.  A field with fewer than 2 resolvable increments in the
+    fit is flagged degenerate, with exponent 1.  ``fit_window`` restricts the
+    fit to a separation range (e.g. the scale window of a companion
+    mollification ladder); by default the fit is capped at the saturation
+    guard.
     """
     vel, grid = as_components(field, grid)
-    points, rung_pts, n_rungs = _increment_survey(vel, grid, region, r_max, seed)
-    if n_rungs < 4 or len(rung_pts) < 4:
-        raise PreconditionError(f"separation ladder has {len(rung_pts)} rungs; need at least 4")
-    scale = float(np.abs(vel).max())
-    live = rung_pts[:, 1] > 1e-13 * max(scale, 1.0)
-    if not live.any():
-        return HolderEstimate(1.0, 0.0, 1.0, "degenerate: zero increments")
-
-    order = np.argsort(rung_pts[:, 0])
-    rung_sorted = rung_pts[order]
+    points, rung_pts, extent = _increment_survey(vel, grid, region, seed)
+    if len(rung_pts) < MIN_RUNGS:
+        raise PreconditionError(f"separation ladder has {len(rung_pts)} rungs; need at least {MIN_RUNGS}")
+    r = rung_pts[:, 0]
+    live = rung_pts[:, 1] > 1e-13 * max(float(np.abs(vel).max()), 1.0)
     if fit_window is not None:
-        r_lo, r_hi = fit_window
-        inside = (rung_sorted[:, 0] >= r_lo * (1.0 - 1e-12)) & (
-            rung_sorted[:, 0] <= r_hi * (1.0 + 1e-12)
-        )
-        if inside.sum() < 4:
-            raise PreconditionError("fit window covers fewer than 4 ladder rungs")
-        sel = rung_sorted[inside]
+        inside = (r >= fit_window[0] * (1.0 - 1e-12)) & (r <= fit_window[1] * (1.0 + 1e-12))
+        if live.any() and inside.sum() < MIN_RUNGS:  # zero increments are reported first
+            raise PreconditionError(f"fit window covers fewer than {MIN_RUNGS} ladder rungs")
     else:
-        fit_cap = _FIT_WINDOW_FRACTION * _region_extent(grid, region)
-        in_window = rung_sorted[:, 0] <= fit_cap * (1.0 + 1e-12)
-        need = max(4, int(in_window.sum()))
-        sel = rung_sorted[:need]
-    live = sel[:, 1] > 1e-13 * max(scale, 1.0)
-    sel = sel[live]
-    if len(sel) < 2:
-        return HolderEstimate(1.0, 0.0, 1.0, "degenerate: zero increments")
-    slope, r2, _ = loglog_fit(sel[:, 0], sel[:, 1])
+        in_window = r <= _FIT_WINDOW_FRACTION * extent * (1.0 + 1e-12)
+        inside = np.arange(len(r)) < max(MIN_RUNGS, int(in_window.sum()))
+    fit = rung_pts[inside & live]
+    if len(fit) < 2:
+        return HolderEstimate(1.0, _seminorm(points, 1.0), 1.0, "degenerate: zero increments")
+    slope, r2, _ = loglog_fit(fit[:, 0], fit[:, 1])
     exponent = float(np.clip(slope, 0.0, 1.0))
-    q = points[:, 1] / points[:, 0] ** exponent
-    return HolderEstimate(exponent, float(q.max()), r2)
+    return HolderEstimate(exponent, _seminorm(points, exponent), r2)

@@ -12,7 +12,7 @@ from oflux.boundary import (
     smooth_step,
     smooth_step_deriv,
 )
-from oflux.errors import PreconditionError, UnderResolvedError
+from oflux.errors import PreconditionError
 from oflux.grids import (Snapshot, Trajectory, energy, integrate, trapezoid_time_weights, wall_distance,
                          wall_normal_sign)
 
@@ -50,7 +50,7 @@ def test_smooth_step_derivative_nonneg_and_unit_mass():
 
 def test_shell_spec_rejects_thin_shell():
     grid = channel_grid(32, 33)
-    with pytest.raises(UnderResolvedError, match="under-resolved"):
+    with pytest.raises(PreconditionError, match="shell under-resolved"):
         check_shell(grid, 6 * grid.spacing[1])
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oflux import cli, fieldio, solver
+from oflux import cli, fieldio, pressure, solver
 from oflux.cli import main
 from oflux.errors import PreconditionError
 from oflux.grids import Snapshot, Trajectory, make_grid, wall_distance, wall_normal_sign
@@ -214,7 +214,7 @@ def test_boundary_refuses_a_single_snapshot_before_any_solve(tmp_path, monkeypat
     _, y = grid.meshes()
     u = np.stack([np.broadcast_to(np.sin(np.pi * y) ** 2, grid.dims), np.zeros(grid.dims)])
     fieldio.write_snapshot(tmp_path / "one.oflx", Snapshot(grid, u))  # no pressure: the command would solve it
-    monkeypatch.setattr(cli, "solve_pressure_channel", lambda s: pytest.fail("the pressure was solved"))
+    monkeypatch.setattr(pressure, "solve_pressure_channel", lambda s: pytest.fail("the pressure was solved"))
     out = tmp_path / "b"
     assert main(["boundary", "--in", str(tmp_path / "one.oflx"), "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -230,7 +230,7 @@ def test_boundary_gamma_past_the_half_width_exits_before_any_solve(tmp_path, mon
     traj = Trajectory(tuple(Snapshot(grid, u, None, 0.1 * i) for i in range(3)), 0.1)
     fieldio.write_trajectory(tmp_path / "traj", traj)
     solves = []
-    monkeypatch.setattr(cli, "solve_pressure_channel", lambda s: solves.append(s.time))
+    monkeypatch.setattr(pressure, "solve_pressure_channel", lambda s: solves.append(s.time))
     monkeypatch.setattr(cli, "conservation_verdict", lambda *a, **k: pytest.fail("the verdict ran"))
     out = tmp_path / "b"
     argv = ["boundary", "--in", str(tmp_path / "traj"), "--etas", "0.4,0.3,0.2", "--gamma", gamma, "--out", str(out)]
@@ -240,19 +240,65 @@ def test_boundary_gamma_past_the_half_width_exits_before_any_solve(tmp_path, mon
     assert solves == [] and _no_output(out)
 
 
-def _channel_sweep_with_etas(tmp_path, monkeypatch):
-    """Run the small channel sweep with the shell criterion; return its output
-    directory and the times of the channel pressure solves made through ``cli``."""
-    cfg = {"geometry": "channel", "grid": "16x65", "initial": {"kind": "poiseuille"},
-           "nus": [1e-2, 5e-3], "dt": 0.001, "t_end": 0.005, "etas": [0.4, 0.3, 0.2]}
-    solved = []
-    real_solve = cli.solve_pressure_channel
+def test_boundary_too_small_an_interior_exits_before_any_solve(tmp_path, monkeypatch, capsys):
+    from oflux import boundary
+
+    # 17 interior planes of 33: the Hölder survey's ladder has 3 rungs
+    grid = channel_grid(32, 33)
+    _, y = grid.meshes()
+    u = np.stack([np.broadcast_to(np.sin(np.pi * y) ** 2, grid.dims), np.zeros(grid.dims)])
+    traj = Trajectory(tuple(Snapshot(grid, u, None, 0.1 * i) for i in range(3)), 0.1)
+    fieldio.write_trajectory(tmp_path / "traj", traj)
+    monkeypatch.setattr(pressure, "solve_pressure_channel", lambda s: pytest.fail("the pressure was solved"))
+    monkeypatch.setattr(boundary, "shell_flux", lambda *a: pytest.fail("a shell flux ran"))
+    out = tmp_path / "b"
+    assert main(["boundary", "--in", str(tmp_path / "traj"), "--etas", "0.4,0.3,0.2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "boundary.input" in err and "32x33" in err and "3 separation rungs" in err
+    assert _no_output(out)
+
+
+def test_boundary_solves_only_the_missing_pressure(tmp_path, monkeypatch):
+    grid = channel_grid(16, 65)
+    _, y = grid.meshes()
+    u = np.stack([np.broadcast_to(np.sin(np.pi * y) ** 2, grid.dims), np.zeros(grid.dims)])
+    stored = np.random.default_rng(1).standard_normal((3, *grid.dims))
+    snaps = [Snapshot(grid, u, None if i == 1 else stored[i], 0.1 * i) for i in range(3)]
+    fieldio.write_trajectory(tmp_path / "traj", Trajectory(tuple(snaps), 0.1))
+    solved, seen = [], []
+    real_solve, real_verdict = pressure.solve_pressure_channel, cli.conservation_verdict
 
     def counting_solve(snap):
         solved.append(snap.time)
         return real_solve(snap)
 
-    monkeypatch.setattr(cli, "solve_pressure_channel", counting_solve)
+    def capturing_verdict(traj, *args, **kwargs):
+        seen.append(traj)
+        return real_verdict(traj, *args, **kwargs)
+
+    monkeypatch.setattr(pressure, "solve_pressure_channel", counting_solve)
+    monkeypatch.setattr(cli, "conservation_verdict", capturing_verdict)
+    argv = ["boundary", "--in", str(tmp_path / "traj"), "--etas", "0.4,0.3,0.2", "--out", str(tmp_path / "b")]
+    assert main(argv) in (0, 2)
+    assert solved == [0.1]
+    got = seen[0].snapshots
+    assert got[0].pressure.tobytes() == stored[0].tobytes() and got[2].pressure.tobytes() == stored[2].tobytes()
+    assert got[1].pressure.tobytes() == real_solve(snaps[1]).tobytes()
+
+
+def _channel_sweep_with_etas(tmp_path, monkeypatch):
+    """Run the small channel sweep with the shell criterion; return its output
+    directory and the times of the channel pressure solves."""
+    cfg = {"geometry": "channel", "grid": "16x65", "initial": {"kind": "poiseuille"},
+           "nus": [1e-2, 5e-3], "dt": 0.001, "t_end": 0.005, "etas": [0.4, 0.3, 0.2]}
+    solved = []
+    real_solve = pressure.solve_pressure_channel
+
+    def counting_solve(snap):
+        solved.append(snap.time)
+        return real_solve(snap)
+
+    monkeypatch.setattr(pressure, "solve_pressure_channel", counting_solve)
     out = tmp_path / "s"
     assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) in (0, 2)
     return out, solved
@@ -468,7 +514,7 @@ def test_sweep_failure_after_t_star_writes_nothing(tmp_path, monkeypatch, capsys
 
     def failing_step(state, scfg, *args):
         if scfg.nu == min(cfg["nus"]) and state.t > cfg["t_star"]:
-            raise solver.CFLViolation("CFL violation (injected)", 0.0)
+            raise PreconditionError("CFL violation (injected)")
         return real_step(state, scfg, *args)
 
     monkeypatch.setattr(solver, "step", failing_step)
@@ -528,11 +574,15 @@ def test_sweep_initial_on_another_box_exit_code(tmp_path, capsys):
     assert _no_output(out)
 
 
-@pytest.mark.parametrize("alpha", ["auto", "0.6"])
-def test_diagnose_runs_one_holder_survey(tmp_path, monkeypatch, alpha):
+@pytest.mark.parametrize("alpha, kind", [("auto", "fractional"), ("0.6", "fractional"), ("auto", "constant")],
+                         ids=["auto", "0.6", "constant"])
+def test_diagnose_runs_one_holder_survey(tmp_path, monkeypatch, alpha, kind):
     from oflux import synth
 
-    f = synth.fractional_field(0.6, None, 2, make_grid((64, 64), (TWO_PI, TWO_PI)))
+    grid = make_grid((64, 64), (TWO_PI, TWO_PI))
+    f = synth.fractional_field(0.6, None, 2, grid)
+    if kind == "constant":  # no increments: a degenerate estimate, read at exponent 1
+        f = Snapshot(grid, np.full((2, *grid.dims), 0.5))
     field = fieldio.write_snapshot(tmp_path / "f.oflx", f)
     calls = []
     real_survey = synth._increment_survey
@@ -547,6 +597,22 @@ def test_diagnose_runs_one_holder_survey(tmp_path, monkeypatch, alpha):
     assert len(calls) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["holder_seminorm"] == synth.holder_norm(f, summary["alpha"])
+
+
+def test_diagnose_seminorm_of_a_clamped_exponent_is_the_largest_increment(tmp_path):
+    from oflux import synth
+
+    # white noise: the fitted slope is negative and clamps to 0, where the
+    # seminorm is the largest increment the survey sampled
+    grid = make_grid((64, 64), (TWO_PI, TWO_PI))
+    vel = np.random.default_rng(0).standard_normal((2, *grid.dims))
+    field = fieldio.write_snapshot(tmp_path / "noise.oflx", Snapshot(grid, vel))
+    out = tmp_path / "d"
+    assert main(["diagnose", "--in", str(field), "--out", str(out)]) in (0, 2)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["alpha"] == 0.0 and summary["alpha_source"]["estimated"]
+    points, _, _ = synth._increment_survey(vel, grid, None, 0)
+    assert summary["holder_seminorm"] == points[:, 1].max()
 
 
 @pytest.mark.parametrize("damage", ["truncated", "missing"])

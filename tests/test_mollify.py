@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oflux import mollify
-from oflux.errors import MarginViolationError, PreconditionError, UnderResolvedError
+from oflux.errors import PreconditionError
 from oflux.grids import make_grid
 from oflux.mollify import (
     block_mask,
@@ -44,7 +44,7 @@ def test_stencil_size_eps_2h(box64):
 
 
 def test_under_resolved_kernel(box64):
-    with pytest.raises(UnderResolvedError):
+    with pytest.raises(PreconditionError, match="under-resolved kernel"):
         make_mollifier(box64.max_spacing, box64)
 
 
@@ -84,9 +84,8 @@ def test_margin_violation_lists_nodes():
     g = make_grid((32, 33), (TWO_PI, 1.0), ("periodic", "wall"))
     region = np.ones(g.dims, bool)
     mol = make_mollifier(3 * g.max_spacing, g)
-    with pytest.raises(MarginViolationError) as err:
+    with pytest.raises(PreconditionError, match=r"margin violation: 8\+ region nodes .* e\.g\. \[\(0, 0\), "):
         mollify_field(np.zeros(g.dims), mol, g, region=region)
-    assert err.value.offending_nodes
 
 
 def test_cutoff_commutation_invariant(box64):
@@ -279,7 +278,7 @@ def test_time_reach_is_checked_before_the_kernel_is_built(monkeypatch):
     for kappa, dt in ((1e9, 0.1), (1e300, 1e-300)):  # the second ratio overflows a float
         with pytest.raises(PreconditionError, match="too short"):
             time_mollify([np.zeros(2)] * 3, kappa, dt)
-    with pytest.raises(UnderResolvedError):
+    with pytest.raises(PreconditionError, match="under-resolved time kernel"):
         time_reach(0.01, 0.01, 3)
     assert time_reach(0.05, 0.02, 5) == 2
     with pytest.raises(PreconditionError, match="too short"):

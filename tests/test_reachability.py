@@ -12,6 +12,7 @@ code is never reported.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -104,3 +105,20 @@ def test_a_definition_nothing_calls_is_reported():
     assert "grids.gradient" in unreached(sources, _roots())
     sources["cli"] += "\n\ngradient(None, None)\n"  # a module-level use reaches it
     assert "grids.gradient" not in unreached(sources, _roots())
+
+
+def test_the_package_defines_one_exception_class():
+    # every refusal is a PreconditionError whose message carries what the caller needs
+    bases = {}
+    for text in _package_sources().values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [ast.unparse(b).split(".")[-1] for b in node.bases]
+
+    def is_exception(name: str) -> bool:
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type) and issubclass(builtin, BaseException):
+            return True
+        return any(is_exception(b) for b in bases.get(name, []))
+
+    assert [name for name in bases if is_exception(name)] == ["PreconditionError"]

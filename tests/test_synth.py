@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oflux.boundary import interior_region
 from oflux.errors import PreconditionError
 from oflux.grids import divergence, energy, make_grid
 from oflux.synth import (
     _canonical_half,
+    _increment_survey,
     _offset_max_increment,
     _shell_orbits,
     estimate_holder_exponent,
@@ -197,10 +199,33 @@ def test_maskless_survey_matches_all_true_region(spec, seed):
     dims, extents = spec
     grid = make_grid(dims, extents)
     vel = np.random.default_rng(seed).standard_normal((grid.ndim, *dims))
-    r_max = 0.25 * min(extents)
-    maskless = estimate_holder_exponent(vel, grid=grid, r_max=r_max, seed=seed % 7)
-    masked = estimate_holder_exponent(vel, np.ones(dims, dtype=bool), grid=grid, r_max=r_max, seed=seed % 7)
+    maskless = estimate_holder_exponent(vel, grid=grid, seed=seed % 7)
+    masked = estimate_holder_exponent(vel, np.ones(dims, dtype=bool), grid=grid, seed=seed % 7)
     assert repr(maskless) == repr(masked)
+
+
+@SURVEY
+@given(
+    spec=st.one_of(
+        st.tuples(st.just("box"), st.integers(24, 48), st.integers(24, 48)),
+        st.tuples(st.just("channel"), st.integers(16, 40), st.sampled_from([65, 97, 129])),
+    ),
+    rough=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_survey_gives_the_exponent_and_the_seminorm(spec, rough, seed):
+    kind, nx, ny = spec
+    grid = make_grid((nx, ny), (TWO_PI, 1.0 if kind == "channel" else TWO_PI),
+                     ("periodic", "wall") if kind == "channel" else ("periodic", "periodic"))
+    region = interior_region(grid) if kind == "channel" else None
+    vel = np.random.default_rng(seed).standard_normal((2, nx, ny))
+    if not rough:  # a random walk along each axis: an exponent above 0
+        vel = np.cumsum(np.cumsum(vel, axis=1), axis=2)
+    _, rung_pts, _ = _increment_survey(vel, grid, region, seed % 7)
+    assert np.all(np.diff(rung_pts[:, 0]) > 0)  # the shells are disjoint: no sort needed
+    est = estimate_holder_exponent(vel, region, grid=grid, seed=seed % 7)
+    if est.exponent > 0:
+        assert est.seminorm == holder_norm(vel, est.exponent, region, grid=grid, seed=seed % 7)
 
 
 @settings(max_examples=25, deadline=None)
