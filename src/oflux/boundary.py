@@ -22,7 +22,7 @@ from .grids import (Grid, Snapshot, Trajectory, discretization_budget, energy, i
 from .mollify import _BUMP_MASS, bump, bump_cdf, cutoff_region
 from .pressure import negative_sobolev_norm
 from .reports import Verdict, verdict
-from .synth import estimate_holder_exponent
+from .synth import MIN_RUNGS, estimate_holder_exponent, separation_ladder
 
 # ---------------------------------------------------------------------------
 # the smooth step
@@ -203,6 +203,15 @@ def interior_region(grid: Grid) -> np.ndarray:
     return np.broadcast_to(wall_distance(grid), grid.dims) >= INTERIOR_MARGIN * grid.extents[grid.wall_axis]
 
 
+def check_interior(grid: Grid) -> None:
+    """Refuse a channel whose ``interior_region`` is too thin for the
+    verdict's Hölder survey, whose separation ladder needs ``MIN_RUNGS`` rungs."""
+    shells, _ = separation_ladder(grid, interior_region(grid))
+    if len(shells) < MIN_RUNGS:
+        raise PreconditionError(f"the interior Hölder survey on the {grid.label} grid has "
+                                f"{len(shells)} separation rungs, it needs at least {MIN_RUNGS}; use a finer grid")
+
+
 def flux_trend_ok(values) -> bool:
     """Ladder policy: monotone within 10% and final <= 1/4 of initial."""
     v = list(values)
@@ -229,6 +238,9 @@ def conservation_verdict(
     """
     grid = traj.grid
     etas = shell_ladder(etas, grid)
+    if any(snap.pressure is None for snap in traj.snapshots):
+        raise PreconditionError("conservation_verdict requires pressure on every snapshot")
+    check_interior(grid)  # before the ladder pays for any shell flux
 
     ladder = [(e, shell_flux(traj, e)) for e in etas]
     trend = flux_trend_ok([v for _, v in ladder])
@@ -242,8 +254,6 @@ def conservation_verdict(
     cf = cutoff_region(grid, d < gamma / 2.0, d < gamma)
     pn = 0.0
     for snap in traj.snapshots:
-        if snap.pressure is None:
-            raise PreconditionError("conservation_verdict requires pressure on every snapshot")
         pn = float(np.maximum(pn, negative_sobolev_norm(snap.pressure, beta, grid, cutoff=cf)))  # keeps a NaN
     pn_finite = bool(np.isfinite(pn))
 

@@ -23,7 +23,9 @@ import argparse
 import math
 import os
 import reprlib
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -33,13 +35,13 @@ from .errors import PreconditionError
 from . import fieldio
 from .grids import Grid, Snapshot, Trajectory, make_grid
 from .mollify import block_mask, cutoff_region, full_box_chain, time_reach
-from .synth import (MIN_RUNGS, estimate_holder_exponent, fractional_field, holder_norm, separation_ladder,
-                    shear_flow, taylor_green)
+from .synth import estimate_holder_exponent, fractional_field, holder_norm, shear_flow, taylor_green
 from .pressure import fill_pressures
 from .commutator import epsilon_ladder, scaling_probe
 from .energy_balance import ChiWindow, TestFunction, dr_convergence_sweep, dr_dissipation_field
-from .boundary import conservation_verdict, global_balance, interior_region, modulus_check, shell_ladder
-from .solver import SolverConfig, dissipation_report, run, truncate, viscous_flux_criterion, whole_steps
+from .boundary import check_interior, conservation_verdict, global_balance, modulus_check, shell_ladder
+from .solver import (SolverConfig, dissipation_report, run, shell_flux_row, truncate, viscous_flux_criterion,
+                     whole_steps)
 from .reports import config_hash, exit_code, read_object, verdict, write_csv, write_json, write_manifest
 
 EXIT_OK = 0
@@ -228,10 +230,6 @@ def _parse_extents(text: str | None, ndim: int, name: str):
     return extents
 
 
-def _grid_text(grid: Grid) -> str:
-    return "x".join(map(str, grid.dims))
-
-
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -330,7 +328,7 @@ def cmd_diagnose(cfg: dict) -> int:
             est = estimate_holder_exponent(snap, seed=seed, fit_window=window)
         except PreconditionError as exc:
             raise PreconditionError(f"diagnose.alpha: 'auto' cannot estimate the Hölder exponent on the "
-                                    f"{_grid_text(grid)} grid ({exc}); an explicit alpha runs") from exc
+                                    f"{grid.label} grid ({exc}); an explicit alpha runs") from exc
         alpha = est.exponent
         alpha_source = {"estimated": True, "r2": est.r2, "window": list(window)}
     probe = scaling_probe(snap, alpha, ladder, phi=phi)
@@ -405,17 +403,16 @@ def cmd_boundary(cfg: dict) -> int:
             shell_ladder(etas, grid)
         except PreconditionError as exc:
             raise PreconditionError(f"boundary.etas: the default ladder [56h, 28h, 14h] needs about 114 points "
-                                    f"across the channel, the {_grid_text(grid)} grid has "
+                                    f"across the channel, the {grid.label} grid has "
                                     f"{grid.dims[w]} ({exc}); give etas explicitly") from exc
     gamma = cfg.get("gamma", 0.25 * grid.extents[w])
     if not gamma < 0.5 * grid.extents[w]:
         raise PreconditionError(f"boundary.gamma: the collar must be below the channel half-width "
                                 f"{0.5 * grid.extents[w]:g}, got {gamma:g}")
-    shells, _ = separation_ladder(grid, interior_region(grid))
-    if len(shells) < MIN_RUNGS:
-        raise PreconditionError(f"boundary.input: the interior Hölder survey on the {_grid_text(grid)} grid has "
-                                f"{len(shells)} separation rungs, it needs at least {MIN_RUNGS}; "
-                                "use a finer grid")
+    try:
+        check_interior(grid)
+    except PreconditionError as exc:
+        raise PreconditionError(f"boundary.input: {exc}") from exc
     traj = fill_pressures(traj)
 
     cons = conservation_verdict(traj, etas, beta=cfg.get("beta", 1.0), gamma=gamma,
@@ -443,6 +440,25 @@ def cmd_boundary(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _sweep_run(cfg: SolverConfig, n_end: int, etas, staging: Path):
+    """One viscosity of a sweep, in a worker process: integrate ``cfg``, write
+    the run's series and trajectory cut at step ``n_end`` into ``staging``, and
+    return the whole DissipationSeries with the run's shell-flux row (None
+    without ``etas``).  The trajectory never leaves the worker."""
+    nu = cfg.nu
+    traj, series = run(cfg)
+    traj, kept = truncate(traj, series, n_end)
+    row = None
+    if etas is not None:  # solved once for the criterion and stored in traj_nu* for `boundary`:
+        # diagnostics use the Bernoulli pressure of the momentum balance, not the projector's
+        traj = fill_pressures(traj)
+        row = shell_flux_row(nu, traj, etas)
+    write_csv(staging / f"series_nu{nu:g}.csv", ["t", "E", "cumulative_dissipation", "leray_residual"],
+              kept.rows())
+    fieldio.write_trajectory(staging / f"traj_nu{nu:g}", traj, tags={"nu": nu})
+    return series, row
+
+
 def cmd_sweep(cfg: dict) -> int:
     """Viscosity sweep with the NS solver."""
     out = Path(cfg.get("out", "."))
@@ -456,7 +472,7 @@ def cmd_sweep(cfg: dict) -> int:
         grid = make_grid(dims, extents)
 
     init_cfg = dict(cfg.get("initial", {"kind": "taylor-green"}))
-    init_cfg.setdefault("grid", _grid_text(grid))
+    init_cfg.setdefault("grid", grid.label)
     if init_cfg["kind"] == "poiseuille":
         if geometry != "channel":
             raise PreconditionError("sweep.initial.kind: 'poiseuille' needs a channel geometry")
@@ -492,35 +508,40 @@ def cmd_sweep(cfg: dict) -> int:
     base = SolverConfig(nus[0], dt, max(t_end, t_star), initial, cfg.get("cfl_limit", 0.5),
                         cfg.get("snapshot_stride", max(1, n_end // 8)))
 
-    # One run per nu to max(t_end, t_star): the dissipation is read at t_star,
-    # trajectories and series are cut at t_end.  Every nu is integrated and
-    # every criterion evaluated before any file is written, so a failing run
-    # leaves no partial output.
-    swept = []
-    runs = []
-    kept = []
-    for nu in nus:
-        traj, series = run(replace(base, nu=nu))
-        swept.append((nu, series))
-        traj, series = truncate(traj, series, n_end)
-        if etas is not None:  # solved once for the criterion and stored in traj_nu* for `boundary`:
-            # diagnostics use the Bernoulli pressure of the momentum balance, not the projector's
-            traj = fill_pressures(traj)
-        runs.append((nu, traj))
-        kept.append(series)
-    sweep_rep = dissipation_report(swept, grid, dt, t_star)
-    vrep = viscous_flux_criterion(runs, etas) if etas is not None else None
-    write_csv(out / "dissipation.csv", ["nu", "dissipation", "resolved"], sweep_rep.rows)
+    # One run per nu to max(t_end, t_star), each in a worker process (``_sweep_run``), at most one
+    # worker per CPU: the dissipation is read at t_star, trajectories and series are cut at t_end.
+    # Workers write into a staging directory on out's filesystem; its files move into out only after
+    # every run succeeded and every criterion was evaluated, so a failing run leaves no output.
+    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
+
+    anchor = next(p for p in (out.absolute(), *out.absolute().parents) if p.is_dir())
+    staging = Path(tempfile.mkdtemp(prefix=".oflux-sweep-", dir=anchor))
+    try:
+        # forked workers inherit the imported package; the pool starts them before its own thread
+        pool = ProcessPoolExecutor(min(len(nus), len(os.sched_getaffinity(0))),
+                                   mp_context=multiprocessing.get_context("fork"))
+        try:
+            futures = [pool.submit(_sweep_run, replace(base, nu=nu), n_end, etas, staging) for nu in nus]
+            results = [f.result() for f in futures]  # the largest failing nu raises, as a serial loop would
+        finally:
+            pool.shutdown(cancel_futures=True)
+        swept = [(nu, series) for nu, (series, _) in zip(nus, results)]
+        rows = [(nu, row) for nu, (_, row) in zip(nus, results)]
+        sweep_rep = dissipation_report(swept, grid, dt, t_star)
+        vrep = None if etas is None else viscous_flux_criterion(rows, etas)
+        write_csv(out / "dissipation.csv", ["nu", "dissipation", "resolved"], sweep_rep.rows)
+        for src in sorted(staging.rglob("*")):  # a directory sorts before its files
+            dst = out / src.relative_to(staging)
+            if src.is_dir():
+                dst.mkdir(exist_ok=True)
+            else:
+                os.replace(src, dst)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
     # the gate covers every integrated step, up to t_star as well as t_end
     worst_leray = float(np.max([series.leray_residual.max() for _, series in swept]))  # keeps a NaN
-    for (nu, traj), series in zip(runs, kept):
-        write_csv(
-            out / f"series_nu{nu:g}.csv",
-            ["t", "E", "cumulative_dissipation", "leray_residual"],
-            series.rows(),
-        )
-        fieldio.write_trajectory(out / f"traj_nu{nu:g}", traj, tags={"nu": nu})
     leray_ok = bool(worst_leray <= 1e-8)
     verdicts = [sweep_rep.verdict] + ([] if leray_ok else [verdict("leray.fails")])
     summary = {

@@ -84,6 +84,11 @@ class Grid:
     def max_spacing(self) -> float:
         return max(self.spacing)
 
+    @property
+    def label(self) -> str:
+        """The dims as a request writes them, e.g. '128x129'."""
+        return "x".join(map(str, self.dims))
+
     def axis_coords(self, axis: int) -> np.ndarray:
         h = self.spacing[axis]
         return h * np.arange(self.dims[axis])

@@ -608,35 +608,43 @@ class ViscousFluxReport:
     verdict: Verdict
 
 
-def viscous_flux_criterion(runs, etas) -> ViscousFluxReport:
-    """Shell-flux matrix Phi_eta(nu) over solver runs, with the nu -> 0
-    Richardson extrapolation (linear, two smallest viscosities) and the
-    ladder-trend verdict on the extrapolated values.
+def shell_flux_row(nu: float, traj: Trajectory, etas) -> tuple:
+    """One run's row of the shell-flux matrix: Phi_eta(nu) for each eta of
+    the shell ladder ``etas``, largest first (``shell_ladder``).
 
-    ``runs`` is a list of (nu, trajectory) whose snapshots carry the
-    Bernoulli pressure of the momentum balance, not the projector's internal
-    pseudo-pressure; a run without it is refused.
+    ``traj``'s snapshots carry the Bernoulli pressure of the momentum
+    balance, not the projector's internal pseudo-pressure; a run without it
+    is refused before any flux, and a non-finite flux is refused.
     """
-    if len(runs) < 2:
-        raise PreconditionError("need at least 2 viscosities")
-    grid = runs[0][1].grid
+    grid = traj.grid
     if grid.fully_periodic:
         raise PreconditionError("viscous flux criterion requires channel geometry")
     etas = shell_ladder(etas, grid)
-    runs = sorted(runs, key=lambda r: -r[0])
-    nus = [nu for nu, _ in runs]
+    if any(s.pressure is None for s in traj.snapshots):
+        raise PreconditionError(f"the nu={nu:g} run's snapshots carry no pressure")
+    row = []
+    for eta in etas:
+        row.append(shell_flux(traj, eta))
+        if not np.isfinite(row[-1]):  # max(0.0, nan) below would read it as a vanishing flux
+            raise PreconditionError(f"non-finite shell flux {row[-1]} at nu={nu:g}, eta={eta:g}")
+    return tuple(row)
+
+
+def viscous_flux_criterion(rows, etas) -> ViscousFluxReport:
+    """The shell-flux matrix Phi_eta(nu) with its nu -> 0 Richardson
+    extrapolation (linear, two smallest viscosities) and the ladder-trend
+    verdict on the extrapolated values.
+
+    ``rows`` holds (nu, ``shell_flux_row(nu, traj, etas)``) for each run,
+    ``etas`` the ladder as ``shell_ladder`` returns it.
+    """
+    if len(rows) < 2:
+        raise PreconditionError("need at least 2 viscosities")
+    rows = sorted(rows, key=lambda r: -r[0])
+    nus = [nu for nu, _ in rows]
     if nus[-2] == nus[-1]:
         raise PreconditionError(f"the extrapolation needs two distinct smallest viscosities, got {nus[-1]:g} twice")
-    for nu, traj in runs:
-        if any(s.pressure is None for s in traj.snapshots):
-            raise PreconditionError(f"the nu={nu:g} run's snapshots carry no pressure")
-
-    flux = []
-    for eta in etas:
-        flux.append(tuple(shell_flux(tr, eta) for _, tr in runs))
-        for nu, f in zip(nus, flux[-1]):
-            if not np.isfinite(f):  # max(0.0, nan) below would read it as a vanishing flux
-                raise PreconditionError(f"non-finite shell flux {f} at nu={nu:g}, eta={eta:g}")
+    flux = tuple(zip(*(row for _, row in rows)))  # flux[i][j] = Phi_{eta_i}(nu_j)
     nu1, nu2 = nus[-2], nus[-1]  # two smallest
     extrap = []
     for row in flux:
@@ -645,6 +653,6 @@ def viscous_flux_criterion(runs, etas) -> ViscousFluxReport:
         extrap.append(max(0.0, float(f0)))
     trend = flux_trend_ok(extrap)
     return ViscousFluxReport(
-        tuple(etas), tuple(nus), tuple(flux), tuple(extrap), bool(trend),
+        tuple(etas), tuple(nus), flux, tuple(extrap), bool(trend),
         verdict("viscous_flux.vanishing" if trend else "viscous_flux.not_vanishing"),
     )

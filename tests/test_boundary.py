@@ -276,6 +276,28 @@ def test_verdict_needs_three_shells():
         conservation_verdict(traj, [28 * h, 14 * h])
 
 
+def test_verdict_refuses_a_thin_interior_before_any_shell_flux(monkeypatch):
+    import oflux.boundary as boundary
+
+    grid = channel_grid(32, 33)  # 17 interior planes of 33: the Hölder survey's ladder has 3 rungs
+    monkeypatch.setattr(boundary, "shell_flux", lambda *a: pytest.fail("a shell flux ran"))
+    with pytest.raises(PreconditionError, match="32x33 grid has 3 separation rungs, it needs at least 4"):
+        conservation_verdict(_steady_shear_traj(grid), [0.4, 0.3, 0.2])
+
+
+def test_verdict_refuses_a_missing_pressure_before_any_shell_flux(monkeypatch):
+    import oflux.boundary as boundary
+
+    grid = channel_grid(64, 129)
+    traj = _steady_shear_traj(grid)
+    last = traj.snapshots[-1]
+    traj = Trajectory(traj.snapshots[:-1] + (Snapshot(grid, last.velocity, None, last.time),), traj.dt)
+    monkeypatch.setattr(boundary, "shell_flux", lambda *a: pytest.fail("a shell flux ran"))
+    h = grid.spacing[1]
+    with pytest.raises(PreconditionError, match="requires pressure on every snapshot"):
+        conservation_verdict(traj, [56 * h, 28 * h, 14 * h])
+
+
 def test_modulus_impermeable_shear():
     grid = channel_grid(64, 129)
     traj = _steady_shear_traj(grid)

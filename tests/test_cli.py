@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,21 @@ def _read_all_bytes(directory):
         if p.is_file():
             out[str(p.relative_to(directory))] = p.read_bytes()
     return out
+
+
+def _logged(real, log: Path):
+    """``real``, appending a line to ``log`` at each call: a sweep's worker
+    processes share no memory with the test, but they append to one file."""
+    def logged(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write("call\n")
+        return real(*args, **kwargs)
+
+    return logged
+
+
+def _calls(log: Path) -> int:
+    return len(log.read_text().splitlines()) if log.exists() else 0
 
 
 def test_gen_deterministic(tmp_path):
@@ -288,31 +304,25 @@ def test_boundary_solves_only_the_missing_pressure(tmp_path, monkeypatch):
 
 def _channel_sweep_with_etas(tmp_path, monkeypatch):
     """Run the small channel sweep with the shell criterion; return its output
-    directory and the times of the channel pressure solves."""
+    directory and the log of the channel pressure solves (``_logged``)."""
     cfg = {"geometry": "channel", "grid": "16x65", "initial": {"kind": "poiseuille"},
            "nus": [1e-2, 5e-3], "dt": 0.001, "t_end": 0.005, "etas": [0.4, 0.3, 0.2]}
-    solved = []
-    real_solve = pressure.solve_pressure_channel
-
-    def counting_solve(snap):
-        solved.append(snap.time)
-        return real_solve(snap)
-
-    monkeypatch.setattr(pressure, "solve_pressure_channel", counting_solve)
+    log = tmp_path / "solves.log"
+    monkeypatch.setattr(pressure, "solve_pressure_channel", _logged(pressure.solve_pressure_channel, log))
     out = tmp_path / "s"
     assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) in (0, 2)
-    return out, solved
+    return out, log
 
 
 def test_channel_sweep_solves_each_pressure_once_and_boundary_reads_it(tmp_path, monkeypatch):
-    out, solved = _channel_sweep_with_etas(tmp_path, monkeypatch)
+    out, log = _channel_sweep_with_etas(tmp_path, monkeypatch)
     trajs = [fieldio.load_input(out / f"traj_nu{nu:g}") for nu in (1e-2, 5e-3)]
     assert all(s.pressure is not None for traj in trajs for s in traj.snapshots)
-    assert len(solved) == sum(len(traj) for traj in trajs)  # each written snapshot once per nu
-    solved.clear()
+    assert _calls(log) == sum(len(traj) for traj in trajs)  # each written snapshot once per nu
+    log.unlink()
     assert main(["boundary", "--in", str(out / "traj_nu0.005"), "--etas", "0.4,0.3,0.2",
                  "--out", str(tmp_path / "b")]) in (0, 2)
-    assert solved == []
+    assert _calls(log) == 0
 
 
 def test_boundary_bytes_do_not_depend_on_a_stored_pressure(tmp_path, monkeypatch):
@@ -460,17 +470,11 @@ def _small_sweep(geometry):
 def test_sweep_integrates_each_viscosity_once(tmp_path, monkeypatch, geometry, ratio):
     cfg, _ = _small_sweep(geometry)
     cfg["t_star"] = ratio * cfg["t_end"]
-    calls = []
-    real_step = solver.step
-
-    def counting_step(*args):
-        calls.append(args[0].t)
-        return real_step(*args)
-
-    monkeypatch.setattr(solver, "step", counting_step)
+    log = tmp_path / "steps.log"
+    monkeypatch.setattr(solver, "step", _logged(solver.step, log))
     assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "s")]) in (0, 2)
     steps = round(max(cfg["t_end"], cfg["t_star"]) / cfg["dt"])
-    assert len(calls) == len(cfg["nus"]) * steps
+    assert _calls(log) == len(cfg["nus"]) * steps
 
 
 @pytest.mark.parametrize("ratio", [0.65, 1.5], ids=["t_star<t_end", "t_star>t_end"])
@@ -522,6 +526,63 @@ def test_sweep_failure_after_t_star_writes_nothing(tmp_path, monkeypatch, capsys
     assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
     assert "injected" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _cpus(monkeypatch, n):
+    """Make the sweep see ``n`` available CPUs; return the worker counts its pools get."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
+@pytest.mark.parametrize("geometry", ["periodic", "channel"])
+def test_sweep_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, geometry):
+    if geometry == "periodic":
+        cfg = dict(_SMALL_PERIODIC_SWEEP, nus=[1e-2, 3e-3, 1e-3], snapshot_stride=5)
+    else:
+        cfg = {"geometry": "channel", "grid": "16x65", "initial": {"kind": "poiseuille"},
+               "nus": [1e-2, 5e-3, 2.5e-3], "dt": 0.001, "t_end": 0.005, "etas": [0.4, 0.3, 0.2]}
+    outs = []
+    for n in (1, 2):
+        with monkeypatch.context() as m:
+            sizes = _cpus(m, n)
+            out = tmp_path / f"w{n}"
+            assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) in (0, 2)
+        assert sizes == [n]
+        outs.append(_read_all_bytes(out))
+    assert outs[0] == outs[1]
+    assert {k for k in outs[0] if k.startswith("series_")} == {f"series_nu{nu:g}.csv" for nu in cfg["nus"]}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "w1", "w2"]  # no staging left
+
+
+def test_sweep_failing_in_two_workers_names_the_larger_viscosity(tmp_path, monkeypatch, capsys):
+    cfg = dict(_SMALL_PERIODIC_SWEEP, nus=[1e-2, 3e-3, 1e-3])
+    real_step = solver.step
+
+    def failing_step(state, scfg, *args):  # the smaller viscosity fails first
+        if scfg.nu == 1e-3 or scfg.nu == 3e-3 and state.t > 0.05:
+            raise PreconditionError(f"CFL violation at nu={scfg.nu:g} (injected)")
+        return real_step(state, scfg, *args)
+
+    monkeypatch.setattr(solver, "step", failing_step)
+    sizes = _cpus(monkeypatch, 3)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    assert sizes == [3]
+    err = capsys.readouterr().err
+    assert "nu=0.003 (injected)" in err and "nu=0.001" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # no out, no staging directory
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every worker was reaped
 
 
 @pytest.mark.parametrize("key", ["t_end", "nus"])
@@ -689,18 +750,12 @@ def test_sweep_unknown_geometry_exit_code(tmp_path, capsys):
 def test_sweep_bad_shell_ladder_exits_before_integrating(tmp_path, monkeypatch, capsys, etas):
     cfg = {"geometry": "channel", "grid": "16x17", "initial": {"kind": "poiseuille"},
            "nus": [1e-2, 5e-3], "dt": 0.001, "t_end": 0.005, "etas": etas}
-    steps = []
-    real_step = solver.step
-
-    def counting_step(*args):
-        steps.append(args[0].t)
-        return real_step(*args)
-
-    monkeypatch.setattr(solver, "step", counting_step)
+    log = tmp_path / "steps.log"
+    monkeypatch.setattr(solver, "step", _logged(solver.step, log))
     out = tmp_path / "s"
     assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
     assert "sweep.etas" in capsys.readouterr().err
-    assert steps == []
+    assert _calls(log) == 0
     assert _no_output(out)
 
 
@@ -743,19 +798,13 @@ def test_sweep_initial_wrong_type_exit_code(tmp_path, capsys, initial, key):
 def test_sweep_repeated_viscosity_exits_before_integrating(tmp_path, monkeypatch, capsys, nus):
     cfg = {"geometry": "channel", "grid": "16x65", "initial": {"kind": "poiseuille"},
            "nus": nus, "dt": 0.001, "t_end": 0.005, "etas": [0.4, 0.3, 0.2]}
-    steps = []
-    real_step = solver.step
-
-    def counting_step(*args):
-        steps.append(args[0].t)
-        return real_step(*args)
-
-    monkeypatch.setattr(solver, "step", counting_step)
+    log = tmp_path / "steps.log"
+    monkeypatch.setattr(solver, "step", _logged(solver.step, log))
     out = tmp_path / "s"
     assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "sweep.nus" in err and "internal error" not in err
-    assert steps == []
+    assert _calls(log) == 0
     assert _no_output(out)
 
 
@@ -780,19 +829,13 @@ def test_sweep_unused_etas_exit_before_integrating(tmp_path, monkeypatch, capsys
     cfg = {"geometry": geometry, "grid": "16x16" if geometry == "periodic" else "16x33",
            "initial": {"kind": "taylor-green" if geometry == "periodic" else "poiseuille"},
            "nus": nus, "dt": 0.001, "t_end": 0.005, "etas": [0.4, 0.3, 0.2]}
-    steps = []
-    real_step = solver.step
-
-    def counting_step(*args):
-        steps.append(args[0].t)
-        return real_step(*args)
-
-    monkeypatch.setattr(solver, "step", counting_step)
+    log = tmp_path / "steps.log"
+    monkeypatch.setattr(solver, "step", _logged(solver.step, log))
     out = tmp_path / "s"
     assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "sweep.etas" in err and why in err
-    assert steps == []
+    assert _calls(log) == 0
     assert _no_output(out)
 
 

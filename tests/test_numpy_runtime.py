@@ -112,3 +112,16 @@ def test_cli_import_loads_no_scipy():
     code = "import sys, oflux.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # only sweep starts worker processes; every other command pays nothing for the pool's modules
+    src = str(Path(oflux.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys, oflux.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+    from oflux import cli, solver
+
+    assert cli.run is solver.run  # the benchmark's layer trace rebinds it in cli's namespace

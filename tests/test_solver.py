@@ -8,6 +8,7 @@ from hypothesis import strategies as hst
 
 from oflux import solver
 from oflux.errors import PreconditionError
+from oflux.boundary import shell_ladder
 from oflux.grids import Snapshot, Trajectory, divergence, make_grid, wall_distance, wall_normal_sign
 from oflux.pressure import solve_pressure_channel
 from oflux.solver import (
@@ -25,6 +26,7 @@ from oflux.solver import (
     nodes_to_mac,
     project,
     run,
+    shell_flux_row,
     step,
     viscous_flux_criterion,
 )
@@ -355,6 +357,12 @@ def test_dissipation_sweep_channel_flags_thin_layers():
     assert rep.flagged  # thin boundary layers reported, never asserted
 
 
+def _criterion(runs, etas):
+    """``viscous_flux_criterion`` over the rows of (nu, trajectory) runs."""
+    etas = shell_ladder(etas, runs[0][1].grid)
+    return viscous_flux_criterion([(nu, shell_flux_row(nu, traj, etas)) for nu, traj in runs], etas)
+
+
 def test_viscous_flux_criterion_positive():
     grid = channel_grid(64, 65)
     init = _channel_init(grid)
@@ -364,7 +372,7 @@ def test_viscous_flux_criterion_positive():
         assert series.leray_residual.max() <= 1e-8
         runs.append((nu, _with_pressure(traj)))
     h = grid.spacing[1]
-    rep = viscous_flux_criterion(runs, [28 * h, 14 * h, 7 * h])
+    rep = _criterion(runs, [28 * h, 14 * h, 7 * h])
     assert rep.eta_trend_ok
     # no-slip walls: the wall-plane integrand vanishes; fluxes are finite
     assert all(np.isfinite(v) for row in rep.flux for v in row)
@@ -387,15 +395,14 @@ def test_viscous_flux_criterion_blowing_negative():
         )
         runs.append((nu, _with_pressure(blown)))
     h = grid.spacing[1]
-    rep = viscous_flux_criterion(runs, [28 * h, 14 * h, 7 * h])
+    rep = _criterion(runs, [28 * h, 14 * h, 7 * h])
     assert not rep.eta_trend_ok
 
 
 def test_viscous_flux_criterion_rejects_equal_smallest_viscosities():
-    grid = channel_grid(16, 33)
-    traj, _ = run(SolverConfig(0.01, 0.001, 0.005, _channel_init(grid), snapshot_stride=1))
+    row = (1.0, 0.5, 0.25)
     with pytest.raises(PreconditionError, match="two distinct smallest viscosities"):
-        viscous_flux_criterion([(0.02, traj), (0.01, traj), (0.01, traj)], [0.4, 0.3, 0.2])
+        viscous_flux_criterion([(0.02, row), (0.01, row), (0.01, row)], [0.4, 0.3, 0.2])
 
 
 def test_viscous_flux_criterion_rejects_a_non_finite_flux():
@@ -409,7 +416,7 @@ def test_viscous_flux_criterion_rejects_a_non_finite_flux():
     runs[-1] = (nu, Trajectory(traj.snapshots[:-1] + (Snapshot(grid, vel, None, last.time),), traj.dt))
     runs = [(nu, _with_pressure(traj)) for nu, traj in runs]
     with pytest.raises(PreconditionError, match="non-finite shell flux nan at nu=0.0025, eta=0.4"):
-        viscous_flux_criterion(runs, [0.4, 0.2, 0.1])
+        _criterion(runs, [0.4, 0.2, 0.1])
 
 
 def test_viscous_flux_criterion_refuses_a_run_without_pressure(monkeypatch):
@@ -417,7 +424,7 @@ def test_viscous_flux_criterion_refuses_a_run_without_pressure(monkeypatch):
     traj, _ = run(SolverConfig(0.01, 0.001, 0.005, _channel_init(grid), snapshot_stride=1))
     monkeypatch.setattr(solver, "shell_flux", lambda *a: pytest.fail("a shell flux was computed"))
     with pytest.raises(PreconditionError, match="nu=0.01 run's snapshots carry no pressure"):
-        viscous_flux_criterion([(0.02, _with_pressure(traj)), (0.01, traj)], [0.4, 0.3, 0.2])
+        shell_flux_row(0.01, traj, [0.4, 0.3, 0.2])
 
 
 def _interior_mask(grid):
