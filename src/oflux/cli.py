@@ -126,10 +126,11 @@ _GEN = {
     "w_amp": Key(float),
     "out": Key(str, required=True),
 }
-# the sweep writes its initial state nowhere, so a generator's "out" is not accepted
-_INITIAL = {k: v for k, v in _GEN.items() if k != "out"} | {
-    "kind": Key(str, words=(*_GEN["kind"].words, "poiseuille"), required=True),
-}
+_GEN_DIMS = {"fractional": "256x256", "taylor-green": "64x64", "shear": "32x32x32"}  # a grid's default, by kind
+# A sweep's initial field lives on the sweep's grid, so it takes no grid keys; shear
+# fields are 3D and the solver is 2D, so neither that kind nor its amplitudes.
+_INITIAL = {"kind": Key(str, words=("fractional", "taylor-green", "poiseuille"), required=True)} | {
+    k: _GEN[k] for k in ("alpha", "cutoff", "seed", "nu", "t")}
 _SCHEMAS = {
     "gen": _GEN,
     "diagnose": {
@@ -230,37 +231,51 @@ def _parse_extents(text: str | None, ndim: int, name: str):
     return extents
 
 
+def _request_grid(cfg: dict, where: str, dims: str, channel: bool = False) -> Grid:
+    """The request's one grid: its "grid" dims (default ``dims``) by its
+    "extent" (default 2*pi per axis, or 2*pi by 1 across a channel), periodic
+    on every axis or, for a channel, periodic by wall.  Errors name ``where``."""
+    shape = _parse_dims(cfg.get("grid", dims), f"{where}.grid")
+    extents = _parse_extents(cfg.get("extent", "6.283185307179586x1.0" if channel else None), len(shape),
+                             f"{where}.extent")
+    return make_grid(shape, extents, ("periodic", "wall") if channel else "periodic")
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
 
 
-def _build_generated(cfg: dict, where: str = "gen") -> Snapshot:
-    """The generator's snapshot; ``where`` is the config path named in errors."""
-    if cfg["kind"] == "fractional":
-        dims = _parse_dims(cfg.get("grid", "256x256"), f"{where}.grid")
-        extents = _parse_extents(cfg.get("extent"), len(dims), f"{where}.extent")
-        grid = make_grid(dims, extents)
-        if "alpha" not in cfg:
-            raise PreconditionError(f"{where}.alpha is required for fractional fields")
-        return fractional_field(cfg["alpha"], cfg.get("cutoff"), cfg.get("seed", 0), grid)
-    if cfg["kind"] == "taylor-green":
-        dims = _parse_dims(cfg.get("grid", "64x64"), f"{where}.grid")
-        grid = make_grid(dims, (2.0 * np.pi,) * len(dims))
-        return taylor_green(grid, float(cfg.get("t", 0.0)), float(cfg.get("nu", 0.0)))
-    dims = _parse_dims(cfg.get("grid", "32x32x32"), f"{where}.grid")  # shear
-    extents = _parse_extents(cfg.get("extent"), len(dims), f"{where}.extent")
-    grid = make_grid(dims, extents)
-    ua = float(cfg.get("u_amp", 1.0))
-    wa = float(cfg.get("w_amp", 1.0))
-    U = lambda s: ua * np.sin(s)
-    W = lambda a, b: wa * np.cos(a) * (1.0 + 0.5 * np.sin(b))
-    return shear_flow(U, W, float(cfg.get("t", 0.0)), grid)
+def _build_generated(cfg: dict, grid: Grid, where: str) -> Snapshot:
+    """The generated snapshot of kind ``cfg["kind"]`` on ``grid``; errors name
+    the config path ``where``, a generator's refusal of the grid included."""
+    kind = cfg["kind"]
+    if kind == "fractional" and "alpha" not in cfg:
+        raise PreconditionError(f"{where}.alpha is required for fractional fields")
+    if kind == "poiseuille" and grid.axis_kinds != ("periodic", "wall"):
+        raise PreconditionError(f"{where}.kind: 'poiseuille' is a channel profile, the grid is periodic")
+    try:
+        if kind == "fractional":
+            return fractional_field(cfg["alpha"], cfg.get("cutoff"), cfg.get("seed", 0), grid)
+        if kind == "taylor-green":
+            return taylor_green(grid, float(cfg.get("t", 0.0)), float(cfg.get("nu", 0.0)))
+        if kind == "poiseuille":  # a no-slip channel profile with a small streamwise wave
+            x, y = grid.meshes()
+            prof = np.sin(np.pi * y / grid.extents[1]) ** 2
+            u0 = np.ascontiguousarray(np.broadcast_to(prof, grid.dims) + 0.05 * np.sin(2 * x) * prof)
+            return Snapshot(grid, np.stack([u0, np.zeros(grid.dims)]))
+        ua = float(cfg.get("u_amp", 1.0))  # shear
+        wa = float(cfg.get("w_amp", 1.0))
+        U = lambda s: ua * np.sin(s)
+        W = lambda a, b: wa * np.cos(a) * (1.0 + 0.5 * np.sin(b))
+        return shear_flow(U, W, float(cfg.get("t", 0.0)), grid)
+    except PreconditionError as exc:
+        raise PreconditionError(f"{where}: {exc}") from exc
 
 
 def cmd_gen(cfg: dict) -> int:
     """Generate a synthetic field."""
-    snap = _build_generated(cfg)
+    snap = _build_generated(cfg, _request_grid(cfg, "gen", _GEN_DIMS[cfg["kind"]]), "gen")
     path = Path(cfg["out"])
     if path.suffix != ".oflx":
         path = path / "field.oflx"
@@ -295,9 +310,13 @@ def cmd_diagnose(cfg: dict) -> int:
         raise PreconditionError("diagnose.phi_inner, diagnose.phi_outer: need phi_inner < phi_outer, "
                                 f"got {phi_inner} and {phi_outer}")
     data = fieldio.load_input(cfg["input"])
+    frames = len(data) if isinstance(data, Trajectory) else 1  # the weak identity runs on 3 or more
     kappa = cfg.get("kappa")
-    if kappa is not None and isinstance(data, Trajectory) and len(data) >= 3:
-        time_reach(kappa, data.dt, len(data))  # a reach past the trajectory is refused, not allocated
+    if kappa is not None and frames < 3:
+        raise PreconditionError(f"diagnose.kappa: the time radius smooths the weak identity, which needs a "
+                                f"trajectory of at least 3 snapshots; {cfg['input']} holds {frames}")
+    if kappa is not None:
+        time_reach(kappa, data.dt, frames)  # a reach past the trajectory is refused, not allocated
 
     snap = data.snapshots[len(data) // 2] if isinstance(data, Trajectory) else data
     grid = snap.grid
@@ -346,7 +365,7 @@ def cmd_diagnose(cfg: dict) -> int:
         "verdict": verdicts[0],
     }
 
-    if isinstance(data, Trajectory) and len(data) >= 3:
+    if frames >= 3:
         traj = fill_pressures(data)
         chain = full_box_chain(grid, eta=4.0 * max(ladder))
         test = TestFunction(ChiWindow(*traj.t_range), phi)
@@ -395,16 +414,14 @@ def cmd_boundary(cfg: dict) -> int:
         raise PreconditionError("boundary diagnostics require a channel trajectory")
     w = grid.wall_axis
     h = grid.spacing[w]
-    if "etas" in cfg:
-        etas = cfg["etas"]
-    else:
-        etas = [56 * h, 28 * h, 14 * h]
-        try:
-            shell_ladder(etas, grid)
-        except PreconditionError as exc:
-            raise PreconditionError(f"boundary.etas: the default ladder [56h, 28h, 14h] needs about 114 points "
-                                    f"across the channel, the {grid.label} grid has "
-                                    f"{grid.dims[w]} ({exc}); give etas explicitly") from exc
+    try:
+        etas = shell_ladder(cfg.get("etas", [56 * h, 28 * h, 14 * h]), grid)
+    except PreconditionError as exc:
+        if "etas" in cfg:
+            raise PreconditionError(f"boundary.etas: {exc}") from exc
+        raise PreconditionError(f"boundary.etas: the default ladder [56h, 28h, 14h] needs about 114 points "
+                                f"across the channel, the {grid.label} grid has "
+                                f"{grid.dims[w]} ({exc}); give etas explicitly") from exc
     gamma = cfg.get("gamma", 0.25 * grid.extents[w])
     if not gamma < 0.5 * grid.extents[w]:
         raise PreconditionError(f"boundary.gamma: the collar must be below the channel half-width "
@@ -463,29 +480,8 @@ def cmd_sweep(cfg: dict) -> int:
     """Viscosity sweep with the NS solver."""
     out = Path(cfg.get("out", "."))
     geometry = cfg.get("geometry", "periodic")
-    dims = _parse_dims(cfg.get("grid", "128x128"), "sweep.grid")
-    if geometry == "channel":
-        extents = _parse_extents(cfg.get("extent", "6.283185307179586x1.0"), len(dims), "sweep.extent")
-        grid = make_grid(dims, extents, ("periodic", "wall"))
-    else:
-        extents = _parse_extents(cfg.get("extent"), len(dims), "sweep.extent")
-        grid = make_grid(dims, extents)
-
-    init_cfg = dict(cfg.get("initial", {"kind": "taylor-green"}))
-    init_cfg.setdefault("grid", grid.label)
-    if init_cfg["kind"] == "poiseuille":
-        if geometry != "channel":
-            raise PreconditionError("sweep.initial.kind: 'poiseuille' needs a channel geometry")
-        x, y = grid.meshes()
-        prof = np.sin(np.pi * y / grid.extents[1]) ** 2
-        pert = 0.05 * np.sin(2 * x) * prof
-        u0 = np.ascontiguousarray(np.broadcast_to(prof, grid.dims) + pert)
-        initial = Snapshot(grid, np.stack([u0, np.zeros(grid.dims)]))
-    else:
-        initial = _build_generated(init_cfg, "sweep.initial")
-        if initial.grid != grid:
-            raise PreconditionError(f"sweep.initial: the initial field's grid {initial.grid} "
-                                    f"is not the sweep's grid {grid}")
+    grid = _request_grid(cfg, "sweep", "128x128", channel=geometry == "channel")
+    initial = _build_generated(cfg.get("initial", {"kind": "taylor-green"}), grid, "sweep.initial")
 
     nus = sorted(cfg["nus"], reverse=True)
     labels = {f"{nu:g}" for nu in nus}  # each names its run's output files

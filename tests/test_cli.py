@@ -626,12 +626,30 @@ def test_sweep_failed_leray_gate_exits_2(tmp_path, capsys):
 
 
 def test_sweep_initial_on_another_box_exit_code(tmp_path, capsys):
-    # the generated Taylor-Green field lives on 2 pi, the sweep's box is 4 x 4
+    # the initial field is generated on the sweep's 4 x 4 box, and Taylor-Green refuses any box but 2 pi
     cfg = dict(_SMALL_PERIODIC_SWEEP, grid="16x16", extent="4x4", initial={"kind": "taylor-green"}, nus=[1e-2, 1e-3])
     out = tmp_path / "s"
     assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "sweep.initial" in err and "extents=(4.0, 4.0)" in err and f"extents=({TWO_PI!r}, {TWO_PI!r})" in err
+    assert "sweep.initial: Taylor-Green requires extent 2*pi" in err and "internal error" not in err
+    assert _no_output(out)
+
+
+def test_sweep_fractional_initial_field_takes_the_sweeps_box(tmp_path):
+    # the sweep's extent is the one the initial field is generated on; "initial" repeats no grid key
+    cfg = dict(_SMALL_PERIODIC_SWEEP, grid="16x16", extent="1x1", initial={"kind": "fractional", "alpha": 0.5},
+               nus=[1e-2, 1e-3], dt=0.001, t_end=0.005)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) in (0, 2)
+    assert fieldio.load_input(out / "traj_nu0.01").grid == make_grid((16, 16), (1.0, 1.0))
+
+
+def test_gen_taylor_green_on_another_box_exit_code(tmp_path, capsys):
+    # the extent is read for every kind, so a Taylor-Green field is not written on 2 pi under a 1 x 1 label
+    out = tmp_path / "tg"
+    assert main(["gen", "--kind", "taylor-green", "--grid", "16x16", "--extent", "1x1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "gen: Taylor-Green requires extent 2*pi" in err and "internal error" not in err
     assert _no_output(out)
 
 
@@ -937,6 +955,13 @@ def test_bad_request_exits_before_reading_input(tmp_path, monkeypatch, capsys, c
     ("sweep", {"initial": {"kind": "fractional", "alpha": 1.2}}, "sweep.initial.alpha"),
     ("sweep", {"initial": {"kind": "fractional", "alpha": 0.4, "cutoff": 0}}, "sweep.initial.cutoff"),
     ("sweep", {"initial": {"kind": "poiseuille"}}, "sweep.initial.kind"),  # a channel profile on the box
+    # the initial field is generated on the sweep's own grid, so it takes no grid keys of its own
+    ("sweep", {"initial": {"kind": "taylor-green", "grid": "16x16"}}, "sweep.initial.grid"),
+    ("sweep", {"initial": {"kind": "taylor-green", "extent": f"{TWO_PI!r}x{TWO_PI!r}"}}, "sweep.initial.extent"),
+    # shear fields are 3D and the solver is 2D
+    ("sweep", {"initial": {"kind": "taylor-green", "u_amp": 1.0}}, "sweep.initial.u_amp"),
+    ("sweep", {"initial": {"kind": "taylor-green", "w_amp": 1.0}}, "sweep.initial.w_amp"),
+    ("sweep", {"initial": {"kind": "shear"}}, "sweep.initial.kind"),
 ])
 def test_bad_request_exits_before_any_step(tmp_path, monkeypatch, capsys, command, cfg, key):
     monkeypatch.setattr(solver, "step", lambda *a: pytest.fail("a solver step ran"))
@@ -1000,6 +1025,41 @@ def test_boundary_default_shells_need_114_points_across(tmp_path, capsys, ny, co
         assert _no_output(out)
 
 
+@pytest.mark.parametrize("frames", [1, 2])
+def test_diagnose_kappa_without_a_weak_identity_exit_code(tmp_path, monkeypatch, capsys, frames):
+    # a time radius smooths only the weak identity, which needs a trajectory of 3 snapshots
+    monkeypatch.setattr(cli, "estimate_holder_exponent", lambda *a, **k: pytest.fail("survey ran"))
+    monkeypatch.setattr(cli, "holder_norm", lambda *a, **k: pytest.fail("survey ran"))
+    data = tmp_path / "traj"
+    data.mkdir()
+    names = _write_fractional_snapshots(data, (16,) * frames)
+    if frames == 1:
+        data = data / names[0]
+    else:
+        (data / "trajectory.json").write_text(json.dumps({"dt": 0.1, "files": names}))
+    out = tmp_path / "d"
+    assert main(["diagnose", "--in", str(data), "--alpha", "0.4", "--kappa", "123", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "diagnose.kappa" in err and f"holds {frames}" in err and "internal error" not in err
+    assert _no_output(out)
+
+
+def test_boundary_inadmissible_etas_exit_before_any_solve(tmp_path, monkeypatch, capsys):
+    # 0.008 is about one spacing of the 64x129 channel: too few planes fall in its shell
+    grid = channel_grid(64, 129)
+    _, y = grid.meshes()
+    u = np.stack([np.broadcast_to(np.sin(np.pi * y) ** 2, grid.dims), np.zeros(grid.dims)])
+    traj = Trajectory(tuple(Snapshot(grid, u, None, 0.1 * i) for i in range(4)), 0.1)
+    fieldio.write_trajectory(tmp_path / "traj", traj)
+    log = tmp_path / "solves.log"
+    monkeypatch.setattr(pressure, "solve_pressure_channel", _logged(pressure.solve_pressure_channel, log))
+    out = tmp_path / "b"
+    assert main(["boundary", "--in", str(tmp_path / "traj"), "--etas", "0.01,0.009,0.008", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "boundary.etas" in err and "shell under-resolved" in err and "internal error" not in err
+    assert _calls(log) == 0 and _no_output(out)
+
+
 def test_diagnose_time_radius_past_the_trajectory_exits_before_work(tmp_path, monkeypatch, capsys):
     # kappa = 1e9 asked the time kernel for 2e10 offsets before its reach was compared
     from oflux import cli, mollify
@@ -1046,7 +1106,7 @@ def test_sweep_non_finite_final_state_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_readme_request_table_matches_the_schemas():
-    # one row per command and key, with the key's type, range and whether it is required
+    # one row per command and key, sweep.initial's included, with the key's type, range and whether it is required
     rows = {}
     for line in (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
@@ -1054,7 +1114,7 @@ def test_readme_request_table_matches_the_schemas():
             rows[cells[0].strip("`"), cells[1].strip("`")] = cells[2:]
     types = {str: "string", int: "integer", float: "number", list: "list of numbers"}
     expected = {}
-    for command, schema in cli._SCHEMAS.items():
+    for command, schema in [*cli._SCHEMAS.items(), ("sweep.initial", cli._SCHEMAS["sweep"]["initial"].kind)]:
         for key, spec in schema.items():
             required = "yes" if spec.required else ""
             if isinstance(spec.kind, dict):  # a nested object: its range is prose
@@ -1064,9 +1124,11 @@ def test_readme_request_table_matches_the_schemas():
                 expected[command, key] = [types[spec.kind], f"`{rng}`" if rng else "", required]
     assert sorted(rows) == sorted(expected)
     assert rows == expected
-    # every row but an object's is a flag: --<key> with hyphens, --in for input; its value stays text
+    # every row of a command but an object's is a flag: --<key> with hyphens, --in for input; its value stays text
     parser = cli.build_parser()
     for (command, key), (kind, _, _) in rows.items():
+        if command not in cli._SCHEMAS:  # a key of sweep.initial is set in the config only
+            continue
         flag = "--in" if key == "input" else "--" + key.replace("_", "-")
         if kind == "object":
             with pytest.raises(SystemExit):
