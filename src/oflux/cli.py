@@ -22,8 +22,11 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import pickle
 import reprlib
+import select
 import shutil
+import signal
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -31,17 +34,11 @@ from pathlib import Path
 
 import numpy as np
 
+# Every command reads a request, makes a grid and writes reports; each command imports the rest of
+# what it needs itself, so `gen` loads none of the probe, pressure, boundary or solver modules.
 from .errors import PreconditionError
 from . import fieldio
 from .grids import Grid, Snapshot, Trajectory, make_grid
-from .mollify import block_mask, cutoff_region, full_box_chain, time_reach
-from .synth import estimate_holder_exponent, fractional_field, holder_norm, shear_flow, taylor_green
-from .pressure import fill_pressures
-from .commutator import epsilon_ladder, scaling_probe
-from .energy_balance import ChiWindow, TestFunction, dr_convergence_sweep, dr_dissipation_field
-from .boundary import check_interior, conservation_verdict, global_balance, modulus_check, shell_ladder
-from .solver import (SolverConfig, dissipation_report, run, shell_flux_row, truncate, viscous_flux_criterion,
-                     whole_steps)
 from .reports import config_hash, exit_code, read_object, verdict, write_csv, write_json, write_manifest
 
 EXIT_OK = 0
@@ -242,6 +239,121 @@ def _request_grid(cfg: dict, where: str, dims: str, channel: bool = False) -> Gr
 
 
 # ---------------------------------------------------------------------------
+# worker processes
+# ---------------------------------------------------------------------------
+
+
+class _Workers:
+    """Calls run in forked child processes, at most ``limit`` at a time (by
+    default one per CPU this process may use), each result pickled back
+    through a pipe.
+
+    ``submit`` starts a call, or queues it while ``limit`` children run;
+    ``results`` returns every call's result in submission order.  A failed
+    call raises there once every earlier call has returned: a worker's
+    PreconditionError again with its text, any other failure (an exception,
+    a death by signal) as a RuntimeError.  Leaving the ``with`` block kills
+    and reaps every child still running, on every exit path.  Children are
+    forked, so they start with the imported package and their arguments,
+    none of it pickled.
+    """
+
+    def __init__(self, limit: int | None = None):
+        self.limit = limit or len(os.sched_getaffinity(0))
+        self._calls = []  # (fn, args) in submission order; the first _started of them have a child
+        self._started = 0
+        self._running = {}  # read end of a child's pipe -> (index, pid, bytes read so far)
+        self._done = {}  # index -> (wait status, bytes read)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        for fd, (_, pid, _) in self._running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+        self._running.clear()
+
+    def submit(self, fn, *args) -> None:
+        self._calls.append((fn, args))
+        self._start()
+
+    def results(self) -> list:
+        out = []
+        for k in range(len(self._calls)):
+            while k not in self._done:
+                self._wait()
+            out.append(_outcome(*self._done.pop(k)))
+        return out
+
+    def _start(self) -> None:
+        while self._started < len(self._calls) and len(self._running) < self.limit:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                _child(w, *self._calls[self._started])
+            os.close(w)
+            self._running[r] = (self._started, pid, bytearray())
+            self._started += 1
+
+    def _wait(self) -> None:
+        """Read what the children wrote; reap each one whose pipe closed and
+        start a queued call in its place."""
+        ready, _, _ = select.select(list(self._running), [], [])
+        for fd in ready:
+            k, pid, buf = self._running[fd]
+            chunk = os.read(fd, 1 << 16)
+            if chunk:
+                buf += chunk
+                continue
+            os.close(fd)
+            del self._running[fd]
+            self._done[k] = (os.waitpid(pid, 0)[1], bytes(buf))
+        self._start()
+
+
+def _child(w: int, fn, args) -> None:
+    """In a forked child: run ``fn(*args)``, pickle its outcome into the pipe
+    ``w`` and end the process.  Every exception, an interrupt included, becomes
+    the outcome, and the child ends with ``os._exit``: it must never unwind into
+    the parent's frames or run its exit handlers."""
+    code = 1
+    try:
+        try:
+            outcome = ("result", fn(*args))
+        except PreconditionError as exc:
+            outcome = ("refusal", str(exc))
+        except BaseException as exc:
+            outcome = ("error", f"{type(exc).__name__}: {exc}")
+        with os.fdopen(w, "wb") as fh:
+            pickle.dump(outcome, fh)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _outcome(status: int, payload: bytes):
+    """A reaped child's result, or its failure raised."""
+    if os.WIFSIGNALED(status):
+        raise RuntimeError(f"a worker process died by signal {os.WTERMSIG(status)}")
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise RuntimeError("a worker process ended without a result")
+    kind, value = pickle.loads(payload)  # written by the child above
+    if kind == "refusal":
+        raise PreconditionError(value)
+    if kind == "error":
+        raise RuntimeError(f"in a worker process: {value}")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
 
@@ -249,6 +361,8 @@ def _request_grid(cfg: dict, where: str, dims: str, channel: bool = False) -> Gr
 def _build_generated(cfg: dict, grid: Grid, where: str) -> Snapshot:
     """The generated snapshot of kind ``cfg["kind"]`` on ``grid``; errors name
     the config path ``where``, a generator's refusal of the grid included."""
+    from .synth import fractional_field, shear_flow, taylor_green
+
     kind = cfg["kind"]
     if kind == "fractional" and "alpha" not in cfg:
         raise PreconditionError(f"{where}.alpha is required for fractional fields")
@@ -296,13 +410,46 @@ def _default_ladder(grid: Grid) -> list[float]:
 
 
 def _diag_phi(grid: Grid, inner_frac: float, outer_frac: float):
+    from .mollify import block_mask, cutoff_region
+
     lo_i = 0.5 - inner_frac / 2.0
     lo_o = 0.5 - outer_frac / 2.0
     return cutoff_region(grid, block_mask(grid, lo_i, 1.0 - lo_i), block_mask(grid, lo_o, 1.0 - lo_o))
 
 
+def _diag_holder(snap: Snapshot, alpha, seed: int, window: tuple[float, float]):
+    """The Hölder exponent (``alpha``, estimated when "auto"), its source and
+    the seminorm at it, from one increment survey."""
+    from .synth import estimate_holder_exponent, holder_norm
+
+    if alpha != "auto":
+        return alpha, {"estimated": False}, holder_norm(snap, alpha, seed=seed)
+    try:
+        est = estimate_holder_exponent(snap, seed=seed, fit_window=window)
+    except PreconditionError as exc:
+        raise PreconditionError(f"diagnose.alpha: 'auto' cannot estimate the Hölder exponent on the "
+                                f"{snap.grid.label} grid ({exc}); an explicit alpha runs") from exc
+    return est.exponent, {"estimated": True, "r2": est.r2, "window": list(window)}, est.seminorm
+
+
+def _diag_weak_identity(data: Trajectory, ladder: list[float], phi, kappa: float | None):
+    """The weak identity's reports over the ladder and the defect field at its
+    largest rung, with every pressure solved; only a trajectory loads their modules."""
+    from .energy_balance import ChiWindow, TestFunction, dr_dissipation_field, dr_sweep_reports
+    from .mollify import full_box_chain
+    from .pressure import fill_pressures
+
+    traj = fill_pressures(data)
+    chain = full_box_chain(traj.grid, eta=4.0 * max(ladder))
+    reports = dr_sweep_reports(traj, ladder, TestFunction(ChiWindow(*traj.t_range), phi), chain, kappa)
+    return reports, dr_dissipation_field(traj, max(ladder), chain)
+
+
 def cmd_diagnose(cfg: dict) -> int:
     """Scaling probes and the weak energy identity."""
+    from .commutator import epsilon_ladder, fit_probe, probe_rungs
+    from .mollify import time_reach
+
     out = Path(cfg.get("out", "."))
     seed = cfg.get("seed", 0)
     phi_inner, phi_outer = cfg.get("phi_inner", 0.4), cfg.get("phi_outer", 0.8)
@@ -316,7 +463,10 @@ def cmd_diagnose(cfg: dict) -> int:
         raise PreconditionError(f"diagnose.kappa: the time radius smooths the weak identity, which needs a "
                                 f"trajectory of at least 3 snapshots; {cfg['input']} holds {frames}")
     if kappa is not None:
-        time_reach(kappa, data.dt, frames)  # a reach past the trajectory is refused, not allocated
+        try:
+            time_reach(kappa, data.dt, frames)  # a reach past the trajectory is refused, not allocated
+        except PreconditionError as exc:
+            raise PreconditionError(f"diagnose.kappa: {exc}") from exc
 
     snap = data.snapshots[len(data) // 2] if isinstance(data, Trajectory) else data
     grid = snap.grid
@@ -328,10 +478,9 @@ def cmd_diagnose(cfg: dict) -> int:
         admissible = sorted({e for e in cfg["epsilons"] if e >= 2.0 * grid.max_spacing}, reverse=True)
         raise PreconditionError(f"diagnose.epsilons: {exc}; admissible ladder: "
                                 f"{admissible if len(admissible) >= 4 else _default_ladder(grid)}") from exc
-    scale = float(np.abs(snap.velocity).max())
-    phi = _diag_phi(grid, phi_inner, phi_outer)
 
-    if scale < 1e-14:
+    if float(np.abs(snap.velocity).max()) < 1e-14:
+        _diag_phi(grid, phi_inner, phi_outer)  # a cutoff the grid cannot hold is refused for every field
         rows = [(e, 0.0, 0.0, 0.0) for e in ladder]
         write_csv(out / "scaling.csv", ["epsilon", "flux", "sup_R", "sup_grad"], rows)
         zero = verdict("probe.zero_field")
@@ -340,18 +489,16 @@ def cmd_diagnose(cfg: dict) -> int:
         print("diagnose: zero field, all probes vanish")
         return zero.code
 
-    alpha, alpha_source, est = cfg.get("alpha", "auto"), {"estimated": False}, None
-    if alpha == "auto":
-        window = (min(ladder), 2.0 * max(ladder))
-        try:
-            est = estimate_holder_exponent(snap, seed=seed, fit_window=window)
-        except PreconditionError as exc:
-            raise PreconditionError(f"diagnose.alpha: 'auto' cannot estimate the Hölder exponent on the "
-                                    f"{grid.label} grid ({exc}); an explicit alpha runs") from exc
-        alpha = est.exponent
-        alpha_source = {"estimated": True, "r2": est.r2, "window": list(window)}
-    probe = scaling_probe(snap, alpha, ladder, phi=phi)
-    seminorm = est.seminorm if est is not None else holder_norm(snap, alpha, seed=seed)
+    # Only the fits need alpha, so the Hölder survey runs in a worker while this process measures
+    # every rung of the probe and of the weak identity, and the defect field.
+    with _Workers() as workers:
+        workers.submit(_diag_holder, snap, cfg.get("alpha", "auto"), seed, (min(ladder), 2.0 * max(ladder)))
+        phi = _diag_phi(grid, phi_inner, phi_outer)
+        rungs = probe_rungs(snap, ladder, phi)
+        weak = _diag_weak_identity(data, ladder, phi, kappa) if frames >= 3 else None
+        [(alpha, alpha_source, seminorm)] = workers.results()
+
+    probe = fit_probe(rungs, alpha)
     rows = list(zip(probe.flux.epsilons, probe.flux.values, probe.stress_sup.values, probe.grad_sup.values))
     write_csv(out / "scaling.csv", ["epsilon", "flux", "sup_R", "sup_grad"], rows)
     passes = [f.passes for f in probe.fits]
@@ -365,15 +512,14 @@ def cmd_diagnose(cfg: dict) -> int:
         "verdict": verdicts[0],
     }
 
-    if frames >= 3:
-        traj = fill_pressures(data)
-        chain = full_box_chain(grid, eta=4.0 * max(ladder))
-        test = TestFunction(ChiWindow(*traj.t_range), phi)
-        sweep = dr_convergence_sweep(traj, ladder, test, alpha, chain, kappa)
+    if weak is not None:
+        from .energy_balance import fit_dr_sweep
+
+        reports, (dtimes, defect) = weak
+        sweep = fit_dr_sweep(reports, alpha)
         summary["weak_identity"] = sweep.reports[0]
         summary["dr_sweep"] = {"fit": sweep.fit, "alpha": sweep.alpha, "verdict": sweep.verdict}
         verdicts.append(sweep.verdict)
-        dtimes, defect = dr_dissipation_field(traj, max(ladder), chain)
         for k, tv in enumerate(dtimes):
             fieldio.write_scalar_field(
                 out / f"defect_{k:04d}.oflx", grid, defect[k], float(tv),
@@ -404,6 +550,9 @@ def cmd_diagnose(cfg: dict) -> int:
 
 def cmd_boundary(cfg: dict) -> int:
     """Shell fluxes, global balance, verdict."""
+    from .boundary import check_interior, conservation_verdict, global_balance, modulus_check, shell_ladder
+    from .pressure import fill_pressures
+
     out = Path(cfg.get("out", "."))
     seed = cfg.get("seed", 0)
     traj = fieldio.load_input(cfg["input"])
@@ -462,6 +611,9 @@ def _sweep_run(cfg: SolverConfig, n_end: int, etas, staging: Path):
     the run's series and trajectory cut at step ``n_end`` into ``staging``, and
     return the whole DissipationSeries with the run's shell-flux row (None
     without ``etas``).  The trajectory never leaves the worker."""
+    from .pressure import fill_pressures
+    from .solver import run, shell_flux_row, truncate
+
     nu = cfg.nu
     traj, series = run(cfg)
     traj, kept = truncate(traj, series, n_end)
@@ -478,6 +630,9 @@ def _sweep_run(cfg: SolverConfig, n_end: int, etas, staging: Path):
 
 def cmd_sweep(cfg: dict) -> int:
     """Viscosity sweep with the NS solver."""
+    from .boundary import shell_ladder
+    from .solver import SolverConfig, dissipation_report, viscous_flux_criterion, whole_steps
+
     out = Path(cfg.get("out", "."))
     geometry = cfg.get("geometry", "periodic")
     grid = _request_grid(cfg, "sweep", "128x128", channel=geometry == "channel")
@@ -504,24 +659,17 @@ def cmd_sweep(cfg: dict) -> int:
     base = SolverConfig(nus[0], dt, max(t_end, t_star), initial, cfg.get("cfl_limit", 0.5),
                         cfg.get("snapshot_stride", max(1, n_end // 8)))
 
-    # One run per nu to max(t_end, t_star), each in a worker process (``_sweep_run``), at most one
-    # worker per CPU: the dissipation is read at t_star, trajectories and series are cut at t_end.
-    # Workers write into a staging directory on out's filesystem; its files move into out only after
-    # every run succeeded and every criterion was evaluated, so a failing run leaves no output.
-    from concurrent.futures import ProcessPoolExecutor
-    import multiprocessing
-
+    # One run per nu to max(t_end, t_star), each in a worker process (``_sweep_run``): the
+    # dissipation is read at t_star, trajectories and series are cut at t_end.  Workers write into a
+    # staging directory on out's filesystem; its files move into out only after every run succeeded
+    # and every criterion was evaluated, so a failing run leaves no output.
     anchor = next(p for p in (out.absolute(), *out.absolute().parents) if p.is_dir())
     staging = Path(tempfile.mkdtemp(prefix=".oflux-sweep-", dir=anchor))
     try:
-        # forked workers inherit the imported package; the pool starts them before its own thread
-        pool = ProcessPoolExecutor(min(len(nus), len(os.sched_getaffinity(0))),
-                                   mp_context=multiprocessing.get_context("fork"))
-        try:
-            futures = [pool.submit(_sweep_run, replace(base, nu=nu), n_end, etas, staging) for nu in nus]
-            results = [f.result() for f in futures]  # the largest failing nu raises, as a serial loop would
-        finally:
-            pool.shutdown(cancel_futures=True)
+        with _Workers() as workers:
+            for nu in nus:
+                workers.submit(_sweep_run, replace(base, nu=nu), n_end, etas, staging)
+            results = workers.results()  # the largest failing nu raises, as a serial loop would
         swept = [(nu, series) for nu, (series, _) in zip(nus, results)]
         rows = [(nu, row) for nu, (_, row) in zip(nus, results)]
         sweep_rep = dissipation_report(swept, grid, dt, t_star)
@@ -653,6 +801,16 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+
+
+def __getattr__(name: str):
+    # ``cli.run`` reads as ``solver.run``, loading the solver on first read: the benchmark's
+    # layer-trace test reaches the solver's entry point through cli.
+    if name == "run":
+        from .solver import run
+
+        return run
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

@@ -241,6 +241,47 @@ def _probe_rung(spectrum, mol, grid, region, pv, probe, wts) -> tuple[float, flo
             float(np.sqrt(grad_sq[probe].max())))
 
 
+@dataclass(frozen=True)
+class ProbeRungs:
+    """The alpha-free half of a scaling probe: per rung of the decreasing
+    ladder, the flux integral and the sups of |R| and |grad(phi u^eps)|."""
+
+    epsilons: tuple[float, ...]
+    flux: tuple[float, ...]
+    stress_sup: tuple[float, ...]
+    grad_sup: tuple[float, ...]
+
+
+def probe_rungs(
+    u: Snapshot | np.ndarray,
+    epsilons,
+    phi,
+    grid: Grid | None = None,
+    region: np.ndarray | None = None,
+) -> ProbeRungs:
+    """Measure every rung of a scaling probe; ``fit_probe`` fits them at an alpha."""
+    vel, grid = as_components(u, grid)
+    eps = epsilon_ladder(epsilons, grid)
+    pv = _phi_values(phi, grid)
+    probe = _probe_mask(grid, region)
+    wts = grid.quad_weights()
+    spectrum = _velocity_spectrum(vel, grid)
+    rungs = [_probe_rung(spectrum, make_mollifier(e, grid), grid, region, pv, probe, wts) for e in eps]
+    return ProbeRungs(tuple(eps), *zip(*rungs))
+
+
+def fit_probe(rungs: ProbeRungs, alpha: float) -> ScalingProbeResult:
+    """The three log-log fits of measured rungs, with the predicted exponents
+    3*alpha-1, 2*alpha, alpha-1."""
+    eps = rungs.epsilons
+    return ScalingProbeResult(
+        alpha,
+        fit_loglog(eps, rungs.flux, 3.0 * alpha - 1.0, "flux"),
+        fit_loglog(eps, rungs.stress_sup, 2.0 * alpha, "stress_sup"),
+        fit_loglog(eps, rungs.grad_sup, alpha - 1.0, "grad_sup"),
+    )
+
+
 def scaling_probe(
     u: Snapshot | np.ndarray,
     alpha: float,
@@ -255,18 +296,7 @@ def scaling_probe(
     (the quantity the commutator estimate bounds by eps^(3a-1)), and the sups
     of |R_eps| and |grad(phi u^eps)| over a fixed probe sublattice; the three
     log-log fits carry the predicted exponents 3*alpha-1, 2*alpha, alpha-1.
+    The measurement (``probe_rungs``) needs no alpha, only the fits
+    (``fit_probe``) do.
     """
-    vel, grid = as_components(u, grid)
-    eps = epsilon_ladder(epsilons, grid)
-    pv = _phi_values(phi, grid)
-    probe = _probe_mask(grid, region)
-    wts = grid.quad_weights()
-    spectrum = _velocity_spectrum(vel, grid)
-    rungs = [_probe_rung(spectrum, make_mollifier(e, grid), grid, region, pv, probe, wts) for e in eps]
-    flux_vals, sup_r, sup_g = zip(*rungs)
-    return ScalingProbeResult(
-        alpha,
-        fit_loglog(eps, flux_vals, 3.0 * alpha - 1.0, "flux"),
-        fit_loglog(eps, sup_r, 2.0 * alpha, "stress_sup"),
-        fit_loglog(eps, sup_g, alpha - 1.0, "grad_sup"),
-    )
+    return fit_probe(probe_rungs(u, epsilons, phi, grid, region), alpha)

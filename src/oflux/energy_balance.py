@@ -18,8 +18,10 @@ field.
 Only the kernel depends on eps.  The identity is therefore split into a
 set-up that builds and transforms everything else once per snapshot and a
 per-eps step of one kernel multiply per snapshot; ``weak_energy_identity``
-is the set-up plus one eps, and ``dr_convergence_sweep`` the set-up plus
-every rung.  The set-up keeps each snapshot's half-spectra by group, u, p,
+is the set-up plus one eps, and ``dr_sweep_reports`` the set-up plus
+every rung, which ``fit_dr_sweep`` fits at an alpha (the two composed
+are ``dr_convergence_sweep``).  The set-up keeps each snapshot's
+half-spectra by group, u, p,
 u_i u_j and the Euler residual E, each transformed as soon as it is built,
 so no stack of all of them is ever formed; the products are released once
 E is formed.  A rung inverse-transforms the groups in the order u, p, E,
@@ -337,6 +339,36 @@ class DrSweepResult:
     reports: tuple[EnergyBalanceReport, ...]
 
 
+def dr_sweep_reports(
+    traj: Trajectory,
+    epsilons,
+    test: TestFunction,
+    chain: RegionChain,
+    kappa: float | None = None,
+) -> tuple[EnergyBalanceReport, ...]:
+    """The weak identity at every rung of the decreasing ladder: the
+    epsilon-independent set-up once, then one kernel multiply per retained
+    time per rung.  ``fit_dr_sweep`` fits them at an alpha."""
+    eps = epsilon_ladder(epsilons, traj.grid)
+    identity = _WeakIdentity(traj, test, chain, kappa)
+    return tuple(identity.report(e) for e in eps)
+
+
+def fit_dr_sweep(reports, alpha: float) -> DrSweepResult:
+    """The log-log fit of |rhs(eps)| over the rungs' reports, and its verdict at ``alpha``."""
+    eps = [r.epsilon for r in reports]
+    values = [abs(r.rhs) for r in reports]
+    predicted = 3.0 * alpha - 1.0
+    fit = fit_loglog(eps, values, predicted, "weak_residual")
+    if predicted <= 0.0:
+        key = "weak_identity.no_claim"
+    elif fit.passes is True and monotone_within_10pct(values):
+        key = "weak_identity.consistent"
+    else:
+        key = "weak_identity.not_assessable" if fit.passes is None else "weak_identity.not_consistent"
+    return DrSweepResult(fit, float(alpha), verdict(key, predicted=predicted, r2=fit.r2), tuple(reports))
+
+
 def dr_convergence_sweep(
     traj: Trajectory,
     epsilons,
@@ -350,19 +382,7 @@ def dr_convergence_sweep(
     Verdict is "consistent with conservation" when the fitted slope reaches
     3*alpha - 1 - 0.15 and the values decrease monotonically within 10%;
     for alpha <= 1/3 no conservation claim is made and the sweep reports
-    "non-vanishing/inconclusive".  The epsilon-independent set-up of the
-    identity runs once; each rung is one kernel multiply per retained time.
+    "non-vanishing/inconclusive".  The rungs (``dr_sweep_reports``) need no
+    alpha, only the fit (``fit_dr_sweep``) does.
     """
-    eps = epsilon_ladder(epsilons, traj.grid)
-    identity = _WeakIdentity(traj, test, chain, kappa)
-    reports = tuple(identity.report(e) for e in eps)
-    values = [abs(r.rhs) for r in reports]
-    predicted = 3.0 * alpha - 1.0
-    fit = fit_loglog(eps, values, predicted, "weak_residual")
-    if predicted <= 0.0:
-        key = "weak_identity.no_claim"
-    elif fit.passes is True and monotone_within_10pct(values):
-        key = "weak_identity.consistent"
-    else:
-        key = "weak_identity.not_assessable" if fit.passes is None else "weak_identity.not_consistent"
-    return DrSweepResult(fit, float(alpha), verdict(key, predicted=predicted, r2=fit.r2), reports)
+    return fit_dr_sweep(dr_sweep_reports(traj, epsilons, test, chain, kappa), alpha)

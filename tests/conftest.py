@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,18 @@ from oflux.grids import Snapshot, Trajectory, make_grid
 from oflux.synth import taylor_green
 
 TWO_PI = 2.0 * np.pi
+
+
+@pytest.fixture(autouse=True)
+def every_child_reaped():
+    """A test that leaves a child process running or unreaped fails: the
+    commands' forked workers are reaped on every exit path."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail("a child process was left running" if pid == 0 else f"child process {pid} was left unreaped")
 
 
 @pytest.fixture(scope="session")

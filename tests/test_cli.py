@@ -1,12 +1,14 @@
 import json
 import os
+import signal
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oflux import cli, fieldio, pressure, solver
+from oflux import boundary, cli, commutator, fieldio, pressure, solver, synth
 from oflux.cli import main
 from oflux.errors import PreconditionError
 from oflux.grids import Snapshot, Trajectory, make_grid, wall_distance, wall_normal_sign
@@ -130,8 +132,8 @@ def test_diagnose_under_resolved_ladder(tmp_path, capsys):
 def test_diagnose_bad_ladder_exits_before_any_probe(tmp_path, monkeypatch, capsys, epsilons):
     grid = make_grid((64, 64), (TWO_PI, TWO_PI))
     field = fieldio.write_snapshot(tmp_path / "f.oflx", fractional_field(0.4, None, 0, grid))
-    monkeypatch.setattr(cli, "estimate_holder_exponent", lambda *a, **k: pytest.fail("the survey ran"))
-    monkeypatch.setattr(cli, "scaling_probe", lambda *a, **k: pytest.fail("a probe ran"))
+    monkeypatch.setattr(synth, "estimate_holder_exponent", lambda *a, **k: pytest.fail("the survey ran"))
+    monkeypatch.setattr(commutator, "probe_rungs", lambda *a, **k: pytest.fail("a probe ran"))
     out = tmp_path / "d"
     assert main(["diagnose", "--in", str(field), "--epsilons", epsilons, "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -247,7 +249,7 @@ def test_boundary_gamma_past_the_half_width_exits_before_any_solve(tmp_path, mon
     fieldio.write_trajectory(tmp_path / "traj", traj)
     solves = []
     monkeypatch.setattr(pressure, "solve_pressure_channel", lambda s: solves.append(s.time))
-    monkeypatch.setattr(cli, "conservation_verdict", lambda *a, **k: pytest.fail("the verdict ran"))
+    monkeypatch.setattr(boundary, "conservation_verdict", lambda *a, **k: pytest.fail("the verdict ran"))
     out = tmp_path / "b"
     argv = ["boundary", "--in", str(tmp_path / "traj"), "--etas", "0.4,0.3,0.2", "--gamma", gamma, "--out", str(out)]
     assert main(argv) == 3
@@ -257,8 +259,6 @@ def test_boundary_gamma_past_the_half_width_exits_before_any_solve(tmp_path, mon
 
 
 def test_boundary_too_small_an_interior_exits_before_any_solve(tmp_path, monkeypatch, capsys):
-    from oflux import boundary
-
     # 17 interior planes of 33: the Hölder survey's ladder has 3 rungs
     grid = channel_grid(32, 33)
     _, y = grid.meshes()
@@ -282,7 +282,7 @@ def test_boundary_solves_only_the_missing_pressure(tmp_path, monkeypatch):
     snaps = [Snapshot(grid, u, None if i == 1 else stored[i], 0.1 * i) for i in range(3)]
     fieldio.write_trajectory(tmp_path / "traj", Trajectory(tuple(snaps), 0.1))
     solved, seen = [], []
-    real_solve, real_verdict = pressure.solve_pressure_channel, cli.conservation_verdict
+    real_solve, real_verdict = pressure.solve_pressure_channel, boundary.conservation_verdict
 
     def counting_solve(snap):
         solved.append(snap.time)
@@ -293,7 +293,7 @@ def test_boundary_solves_only_the_missing_pressure(tmp_path, monkeypatch):
         return real_verdict(traj, *args, **kwargs)
 
     monkeypatch.setattr(pressure, "solve_pressure_channel", counting_solve)
-    monkeypatch.setattr(cli, "conservation_verdict", capturing_verdict)
+    monkeypatch.setattr(boundary, "conservation_verdict", capturing_verdict)
     argv = ["boundary", "--in", str(tmp_path / "traj"), "--etas", "0.4,0.3,0.2", "--out", str(tmp_path / "b")]
     assert main(argv) in (0, 2)
     assert solved == [0.1]
@@ -529,18 +529,16 @@ def test_sweep_failure_after_t_star_writes_nothing(tmp_path, monkeypatch, capsys
 
 
 def _cpus(monkeypatch, n):
-    """Make the sweep see ``n`` available CPUs; return the worker counts its pools get."""
-    import concurrent.futures
-
+    """Make the sweep see ``n`` available CPUs; return how many workers each of its worker sets may run at once."""
     sizes = []
 
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    class Recording(cli._Workers):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sizes.append(self.limit)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(cli, "_Workers", Recording)
     return sizes
 
 
@@ -583,6 +581,46 @@ def test_sweep_failing_in_two_workers_names_the_larger_viscosity(tmp_path, monke
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # no out, no staging directory
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+
+
+def _record(log: Path, k: int, size: int):
+    """Log this call's start and end around a short sleep; return ``size`` bytes tagged with ``k``."""
+    with open(log, "a") as fh:
+        fh.write(f"start {k}\n")
+    time.sleep(0.05)
+    with open(log, "a") as fh:
+        fh.write(f"end {k}\n")
+    return k, bytes(size)
+
+
+def _refuse(k: int):
+    raise PreconditionError(f"call {k} refused (injected)")
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3])
+def test_workers_keep_submission_order_and_their_limit(tmp_path, limit):
+    log = tmp_path / "calls.log"
+    sizes = [1 << 20, 10, 3 << 16, 0, 1]  # results past a pipe's buffer included
+    with cli._Workers(limit) as workers:
+        for k, size in enumerate(sizes):
+            workers.submit(_record, log, k, size)
+        assert workers.results() == [(k, bytes(size)) for k, size in enumerate(sizes)]
+    running = peak = 0
+    for line in log.read_text().splitlines():  # a call starts only after a worker's slot was freed
+        running += 1 if line.startswith("start") else -1
+        peak = max(peak, running)
+    assert peak <= limit and running == 0
+
+
+def test_workers_raise_the_first_failure_in_submission_order(tmp_path):
+    log = tmp_path / "calls.log"
+    with pytest.raises(PreconditionError, match=r"^call 1 refused \(injected\)$"):
+        with cli._Workers(2) as workers:
+            workers.submit(_record, log, 0, 0)
+            workers.submit(_refuse, 1)
+            workers.submit(_refuse, 2)
+            workers.results()
+    assert "end 0" in log.read_text()
 
 
 @pytest.mark.parametrize("key", ["t_end", "nus"])
@@ -656,31 +694,111 @@ def test_gen_taylor_green_on_another_box_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("alpha, kind", [("auto", "fractional"), ("0.6", "fractional"), ("auto", "constant")],
                          ids=["auto", "0.6", "constant"])
 def test_diagnose_runs_one_holder_survey(tmp_path, monkeypatch, alpha, kind):
-    from oflux import synth
-
     grid = make_grid((64, 64), (TWO_PI, TWO_PI))
     f = synth.fractional_field(0.6, None, 2, grid)
     if kind == "constant":  # no increments: a degenerate estimate, read at exponent 1
         f = Snapshot(grid, np.full((2, *grid.dims), 0.5))
     field = fieldio.write_snapshot(tmp_path / "f.oflx", f)
-    calls = []
-    real_survey = synth._increment_survey
-
-    def counting_survey(*args):
-        calls.append(args)
-        return real_survey(*args)
-
-    monkeypatch.setattr(synth, "_increment_survey", counting_survey)
+    log = tmp_path / "surveys.log"  # the survey runs in a worker process, so its calls are counted in a file
+    monkeypatch.setattr(synth, "_increment_survey", _logged(synth._increment_survey, log))
     out = tmp_path / "d"
     assert main(["diagnose", "--in", str(field), "--alpha", alpha, "--out", str(out)]) in (0, 2)
-    assert len(calls) == 1
+    assert _calls(log) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["holder_seminorm"] == synth.holder_norm(f, summary["alpha"])
 
 
-def test_diagnose_seminorm_of_a_clamped_exponent_is_the_largest_increment(tmp_path):
-    from oflux import synth
+def test_diagnose_survey_refusal_in_the_worker_exits_3(tmp_path, monkeypatch, capsys):
+    # 32²: the Hölder estimate's fit window holds too few separation rungs
+    grid = make_grid((32, 32), (TWO_PI, TWO_PI))
+    field = fieldio.write_snapshot(tmp_path / "f.oflx", fractional_field(0.4, None, 0, grid))
+    log = tmp_path / "survey.pid"
+    real = synth.estimate_holder_exponent
 
+    def logged(*args, **kwargs):
+        log.write_text(str(os.getpid()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "estimate_holder_exponent", logged)
+    out = tmp_path / "d"
+    assert main(["diagnose", "--in", str(field), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "error: diagnose.alpha: 'auto' cannot estimate the Hölder exponent on the 32x32 grid" in err
+    assert "internal error" not in err and _no_output(out)
+    assert int(log.read_text()) != os.getpid()  # the survey ran in a worker process
+
+
+@pytest.mark.parametrize("failure", ["raises", "killed"])
+def test_diagnose_survey_worker_failure_exits_1(tmp_path, monkeypatch, capsys, failure):
+    grid = make_grid((64, 64), (TWO_PI, TWO_PI))
+    field = fieldio.write_snapshot(tmp_path / "f.oflx", fractional_field(0.4, None, 0, grid))
+    command = os.getpid()
+
+    def failing_survey(*args, **kwargs):
+        if os.getpid() == command:
+            pytest.fail("the survey ran in the command's own process")
+        if failure == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise RuntimeError("survey failed (injected)")
+
+    monkeypatch.setattr(synth, "estimate_holder_exponent", failing_survey)
+    out = tmp_path / "d"
+    assert main(["diagnose", "--in", str(field), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "internal error" in err
+    assert ("RuntimeError: survey failed (injected)" if failure == "raises" else f"signal {signal.SIGKILL}") in err
+    assert _no_output(out)
+
+
+def test_diagnose_refusal_beside_a_running_survey_reaps_the_worker(tmp_path, monkeypatch, capsys):
+    # phi's outer block ends where its inner one does, one spacing from the complement: the cutoff is
+    # refused in the command's process while the survey runs in its worker
+    grid = make_grid((64, 64), (TWO_PI, TWO_PI))
+    field = fieldio.write_snapshot(tmp_path / "f.oflx", fractional_field(0.4, None, 0, grid))
+    log = tmp_path / "survey.log"
+
+    def slow_survey(*args, **kwargs):
+        log.write_text("started")
+        time.sleep(60)
+        log.write_text("finished")
+
+    monkeypatch.setattr(synth, "estimate_holder_exponent", slow_survey)
+    out = tmp_path / "d"
+    start = time.monotonic()
+    argv = ["diagnose", "--in", str(field), "--phi-inner", "0.5", "--phi-outer", "0.52", "--out", str(out)]
+    assert main(argv) == 3
+    assert time.monotonic() - start < 30  # the worker was killed, not waited for
+    err = capsys.readouterr().err
+    assert "zero-width transition" in err and "internal error" not in err
+    assert _no_output(out) and (not log.exists() or log.read_text() == "started")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # reaped
+
+
+def test_diagnose_fits_are_the_library_probes_at_the_surveyed_alpha(tmp_path):
+    # the command measures the rungs beside the survey and fits them once alpha is known
+    from oflux.energy_balance import ChiWindow, TestFunction, dr_convergence_sweep
+    from oflux.mollify import full_box_chain
+
+    grid = make_grid((64, 64), (TWO_PI, TWO_PI))
+    traj = Trajectory(tuple(Snapshot(grid, fractional_field(0.6, None, 1, grid).velocity, None, 0.1 * i)
+                            for i in range(3)), 0.1)
+    fieldio.write_trajectory(tmp_path / "traj", traj)
+    out = tmp_path / "d"
+    assert main(["diagnose", "--in", str(tmp_path / "traj"), "--out", str(out)]) in (0, 2)
+    summary = json.loads((out / "summary.json").read_text())
+    snap, alpha = traj.snapshots[1], summary["alpha"]
+    ladder = cli._default_ladder(grid)
+    phi = cli._diag_phi(grid, 0.4, 0.8)
+    assert alpha == synth.estimate_holder_exponent(snap, seed=0, fit_window=(min(ladder), 2 * max(ladder))).exponent
+    probe = commutator.scaling_probe(snap, alpha, ladder, phi=phi)
+    test, chain = TestFunction(ChiWindow(*traj.t_range), phi), full_box_chain(grid, eta=4.0 * max(ladder))
+    sweep = dr_convergence_sweep(pressure.fill_pressures(traj), ladder, test, alpha, chain)
+    assert summary["fits"] == json.loads(canonical_json(probe.fits))
+    assert summary["dr_sweep"]["fit"] == json.loads(canonical_json(sweep.fit))
+
+
+def test_diagnose_seminorm_of_a_clamped_exponent_is_the_largest_increment(tmp_path):
     # white noise: the fitted slope is negative and clamps to 0, where the
     # seminorm is the largest increment the survey sampled
     grid = make_grid((64, 64), (TWO_PI, TWO_PI))
@@ -833,7 +951,7 @@ def test_sweep_failing_flux_criterion_writes_nothing(tmp_path, monkeypatch, caps
     def failing_criterion(runs, etas):
         raise PreconditionError("shell flux failed (injected)")
 
-    monkeypatch.setattr(cli, "viscous_flux_criterion", failing_criterion)
+    monkeypatch.setattr(solver, "viscous_flux_criterion", failing_criterion)
     out = tmp_path / "s"
     assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
     assert "injected" in capsys.readouterr().err
@@ -1028,8 +1146,8 @@ def test_boundary_default_shells_need_114_points_across(tmp_path, capsys, ny, co
 @pytest.mark.parametrize("frames", [1, 2])
 def test_diagnose_kappa_without_a_weak_identity_exit_code(tmp_path, monkeypatch, capsys, frames):
     # a time radius smooths only the weak identity, which needs a trajectory of 3 snapshots
-    monkeypatch.setattr(cli, "estimate_holder_exponent", lambda *a, **k: pytest.fail("survey ran"))
-    monkeypatch.setattr(cli, "holder_norm", lambda *a, **k: pytest.fail("survey ran"))
+    monkeypatch.setattr(synth, "estimate_holder_exponent", lambda *a, **k: pytest.fail("survey ran"))
+    monkeypatch.setattr(synth, "holder_norm", lambda *a, **k: pytest.fail("survey ran"))
     data = tmp_path / "traj"
     data.mkdir()
     names = _write_fractional_snapshots(data, (16,) * frames)
@@ -1062,10 +1180,10 @@ def test_boundary_inadmissible_etas_exit_before_any_solve(tmp_path, monkeypatch,
 
 def test_diagnose_time_radius_past_the_trajectory_exits_before_work(tmp_path, monkeypatch, capsys):
     # kappa = 1e9 asked the time kernel for 2e10 offsets before its reach was compared
-    from oflux import cli, mollify
+    from oflux import mollify
 
     monkeypatch.setattr(mollify, "time_kernel", lambda *a: pytest.fail("time kernel built"))
-    monkeypatch.setattr(cli, "estimate_holder_exponent", lambda *a, **k: pytest.fail("survey ran"))
+    monkeypatch.setattr(synth, "estimate_holder_exponent", lambda *a, **k: pytest.fail("survey ran"))
     traj = tmp_path / "traj"
     traj.mkdir()
     names = _write_fractional_snapshots(traj, (16, 16, 16))
@@ -1074,8 +1192,8 @@ def test_diagnose_time_radius_past_the_trajectory_exits_before_work(tmp_path, mo
     cfg = _write(tmp_path, {"kappa": 1e9})
     assert main(["diagnose", "--config", cfg, "--in", str(traj), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "time radius" in err and "internal error" not in err
-    assert _no_output(out)
+    assert "diagnose.kappa: trajectory too short for the requested time radius" in err
+    assert "internal error" not in err and _no_output(out)
 
 
 def test_sweep_non_finite_final_state_exit_code(tmp_path, capsys, monkeypatch):

@@ -114,14 +114,34 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
-def test_cli_import_loads_no_process_pool():
-    # only sweep starts worker processes; every other command pays nothing for the pool's modules
+def _modules_after(code: str) -> list[str]:
+    """The oflux, multiprocessing and concurrent modules a fresh interpreter holds after ``code``."""
     src = str(Path(oflux.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = ("import sys, oflux.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    code += ("; import sys; print(' '.join(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('oflux', 'multiprocessing', 'concurrent'))))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.splitlines()[-1].split()  # after whatever the commands printed
+
+
+COMMON = ["oflux", "oflux.cli", "oflux.errors", "oflux.fieldio", "oflux.grids", "oflux.reports"]
+
+
+def test_cli_import_loads_no_process_pool():
+    # cli forks its workers itself, and each command imports its own modules, so importing cli loads
+    # no process pool and none of the modules a command may not need
+    assert _modules_after("import oflux.cli") == COMMON
     from oflux import cli, solver
 
-    assert cli.run is solver.run  # the benchmark's layer trace rebinds it in cli's namespace
+    assert cli.run is solver.run  # read through cli, as the benchmark's layer trace does, it loads the solver
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    gen = f"from oflux.cli import main; main(['gen', '--kind', 'fractional', '--alpha', '0.4', '--grid', '16x16', " \
+          f"'--out', {str(tmp_path / 'g')!r}])"
+    assert _modules_after(gen) == sorted(COMMON + ["oflux.synth"])
+    diagnose = gen + f"; main(['diagnose', '--in', {str(tmp_path / 'g' / 'field.oflx')!r}, '--alpha', '0.4', " \
+                     f"'--epsilons', '2,1.8,1.6,1.4', '--out', {str(tmp_path / 'd')!r}])"
+    # a single field runs no weak identity, so neither the pressure nor the weak-identity module loads
+    assert _modules_after(diagnose) == sorted(COMMON + ["oflux.commutator", "oflux.mollify", "oflux.synth"])
+    assert (tmp_path / "d" / "summary.json").is_file()
