@@ -244,9 +244,8 @@ def _request_grid(cfg: dict, where: str, dims: str, channel: bool = False) -> Gr
 
 
 class _Workers:
-    """Calls run in forked child processes, at most ``limit`` at a time (by
-    default one per CPU this process may use), each result pickled back
-    through a pipe.
+    """Calls run in forked child processes, at most one per CPU this process
+    may use at a time (``limit``), each result pickled back through a pipe.
 
     ``submit`` starts a call, or queues it while ``limit`` children run;
     ``results`` returns every call's result in submission order.  A failed
@@ -258,8 +257,8 @@ class _Workers:
     none of it pickled.
     """
 
-    def __init__(self, limit: int | None = None):
-        self.limit = limit or len(os.sched_getaffinity(0))
+    def __init__(self):
+        self.limit = len(os.sched_getaffinity(0))
         self._calls = []  # (fn, args) in submission order; the first _started of them have a child
         self._started = 0
         self._running = {}  # read end of a child's pipe -> (index, pid, bytes read so far)
@@ -433,16 +432,19 @@ def _diag_holder(snap: Snapshot, alpha, seed: int, window: tuple[float, float]):
 
 
 def _diag_weak_identity(data: Trajectory, ladder: list[float], phi, kappa: float | None):
-    """The weak identity's reports over the ladder and the defect field at its
-    largest rung, with every pressure solved; only a trajectory loads their modules."""
+    """The weak identity's reports over the ladder, the probe's rungs of the
+    middle snapshot where the identity measures them (else None), and the
+    defect field at the largest rung, with every pressure solved; only a
+    trajectory loads their modules."""
     from .energy_balance import ChiWindow, TestFunction, dr_dissipation_field, dr_sweep_reports
     from .mollify import full_box_chain
     from .pressure import fill_pressures
 
     traj = fill_pressures(data)
     chain = full_box_chain(traj.grid, eta=4.0 * max(ladder))
-    reports = dr_sweep_reports(traj, ladder, TestFunction(ChiWindow(*traj.t_range), phi), chain, kappa)
-    return reports, dr_dissipation_field(traj, max(ladder), chain)
+    test = TestFunction(ChiWindow(*traj.t_range), phi)
+    reports, rungs = dr_sweep_reports(traj, ladder, test, chain, kappa, probe_at=len(traj) // 2)
+    return reports, rungs, dr_dissipation_field(traj, max(ladder), chain)
 
 
 def cmd_diagnose(cfg: dict) -> int:
@@ -490,12 +492,16 @@ def cmd_diagnose(cfg: dict) -> int:
         return zero.code
 
     # Only the fits need alpha, so the Hölder survey runs in a worker while this process measures
-    # every rung of the probe and of the weak identity, and the defect field.
+    # every rung of the probe and of the weak identity, and the defect field.  On a trajectory the
+    # weak identity measures the probe on the same snapshot from the fields it mollifies anyway.
+    from . import synth  # noqa: F401  (loaded once, before the fork: the worker inherits it, `pressure` reuses it)
+
     with _Workers() as workers:
         workers.submit(_diag_holder, snap, cfg.get("alpha", "auto"), seed, (min(ladder), 2.0 * max(ladder)))
         phi = _diag_phi(grid, phi_inner, phi_outer)
-        rungs = probe_rungs(snap, ladder, phi)
-        weak = _diag_weak_identity(data, ladder, phi, kappa) if frames >= 3 else None
+        reports, rungs, dissipation = _diag_weak_identity(data, ladder, phi, kappa) if frames >= 3 else (None,) * 3
+        if rungs is None:
+            rungs = probe_rungs(snap, ladder, phi)
         [(alpha, alpha_source, seminorm)] = workers.results()
 
     probe = fit_probe(rungs, alpha)
@@ -512,10 +518,10 @@ def cmd_diagnose(cfg: dict) -> int:
         "verdict": verdicts[0],
     }
 
-    if weak is not None:
+    if reports is not None:
         from .energy_balance import fit_dr_sweep
 
-        reports, (dtimes, defect) = weak
+        dtimes, defect = dissipation
         sweep = fit_dr_sweep(reports, alpha)
         summary["weak_identity"] = sweep.reports[0]
         summary["dr_sweep"] = {"fit": sweep.fit, "alpha": sweep.alpha, "verdict": sweep.verdict}

@@ -208,7 +208,7 @@ class ScalingProbeResult:
         return (self.flux, self.stress_sup, self.grad_sup)
 
 
-def _probe_mask(grid: Grid, region: np.ndarray | None) -> np.ndarray:
+def probe_mask(grid: Grid, region: np.ndarray | None = None) -> np.ndarray:
     """Fixed strided sublattice used for sup statistics.
 
     Taking the sup over a fixed probe set keeps the number of effectively
@@ -226,19 +226,23 @@ def _probe_mask(grid: Grid, region: np.ndarray | None) -> np.ndarray:
     return mask
 
 
-def _probe_rung(spectrum, mol, grid, region, pv, probe, wts) -> tuple[float, float, float]:
-    """One rung's flux integral, sup |R| and sup |grad(phi u^eps)|; its fields die on return."""
-    stress, ue = _mollified_stress(spectrum, mol, grid, region)
+def probe_row(stress: np.ndarray, ue: np.ndarray, pv: np.ndarray, grid: Grid,
+              probe: np.ndarray) -> tuple[float, tuple[float, float, float]]:
+    """``contraction_grad(stress, ue, pv, grid)`` and one rung of a scaling
+    probe: the flux integral int |R : grad(phi u^eps)| and the sups of |R| and
+    |grad(phi u^eps)| over the ``probe`` nodes, from one pass over grad(phi u^eps)."""
     _, row = symmetric_pairs(grid.ndim)
+    total = np.zeros(grid.dims)
     contraction = np.zeros(grid.dims)
     grad_sq = np.zeros(grid.dims)
     for j in range(grid.ndim):
         for i, g in partials(pv * ue[j], grid):
             rg = stress[row[i, j]] * g
+            total += rg
             contraction += np.abs(rg, out=rg)
             grad_sq += np.multiply(g, g, out=g)
-    return (float(np.sum(contraction * wts)), float(np.abs(stress[:, probe]).max()),
-            float(np.sqrt(grad_sq[probe].max())))
+    return integrate(total, grid), (integrate(contraction, grid), float(np.abs(stress[:, probe]).max()),
+                                    float(np.sqrt(grad_sq[probe].max())))
 
 
 @dataclass(frozen=True)
@@ -263,10 +267,10 @@ def probe_rungs(
     vel, grid = as_components(u, grid)
     eps = epsilon_ladder(epsilons, grid)
     pv = _phi_values(phi, grid)
-    probe = _probe_mask(grid, region)
-    wts = grid.quad_weights()
+    probe = probe_mask(grid, region)
     spectrum = _velocity_spectrum(vel, grid)
-    rungs = [_probe_rung(spectrum, make_mollifier(e, grid), grid, region, pv, probe, wts) for e in eps]
+    rungs = [probe_row(*_mollified_stress(spectrum, make_mollifier(e, grid), grid, region), pv, grid, probe)[1]
+             for e in eps]
     return ProbeRungs(tuple(eps), *zip(*rungs))
 
 

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutator import (SlopeFit, contraction_grad, epsilon_ladder, fit_loglog, monotone_within_10pct,
-                         quadratic_products, stress_from, symmetric_pairs)
+from .commutator import (ProbeRungs, SlopeFit, contraction_grad, epsilon_ladder, fit_loglog, monotone_within_10pct,
+                         probe_mask, probe_row, quadratic_products, stress_from, symmetric_pairs)
 from .errors import PreconditionError
 from .grids import (Grid, Trajectory, deriv, discretization_budget, integrate, partial, partials,
                     trapezoid_time_weights)
@@ -136,10 +136,16 @@ class _WeakIdentity:
     budget's max |u^eps|; without kappa its Euler residual is never built.
     Such a dead time must hold finite u and p, since a NaN there would no
     longer reach the sums.
+
+    With ``probe_at``, a snapshot index, each rung also measures the scaling
+    probe of that snapshot (``commutator.probe_rungs`` with phi and no
+    region) from the stress and u^eps it forms there, when it forms them
+    from the snapshot as it is: at a live time, without kappa.  Otherwise
+    ``probe_at`` is None.
     """
 
     def __init__(self, traj: Trajectory, test: TestFunction, chain: RegionChain,
-                 kappa: float | None):
+                 kappa: float | None, probe_at: int | None = None):
         test.validate(chain)
         if any(s.pressure is None for s in traj.snapshots):
             raise PreconditionError("weak energy identity requires pressure on every snapshot")
@@ -160,6 +166,9 @@ class _WeakIdentity:
             groups = (self._groups(traj, k, live) for k, live in zip(idx, self.live))
         self.spectra = [self._spectra(g, live, t, grid) for g, live, t in zip(groups, self.live, self.times)]
         self.gphi = np.stack([g for _, g in partials(test.phi.values, grid)])
+        shared = probe_at is not None and not self.time_smoothed and self.live[probe_at]
+        self.probe_at = probe_at if shared else None
+        self.probe = probe_mask(grid) if shared else None
 
     @staticmethod
     def _groups(traj: Trajectory, k: int, live: bool = True):
@@ -189,16 +198,16 @@ class _WeakIdentity:
         return [field_spectrum(u, grid)]
 
     def _slice(self, k: int, transfer: np.ndarray, epsilon: float):
-        """Time k's max |u^eps| and, at a live time, its four integrals
-        (phi |u|^2/2, (|u|^2/2 + p) u . grad phi, E . phi u, R : grad(phi u));
-        its fields die on return."""
+        """Time k's max |u^eps|, at a live time its four integrals
+        (phi |u|^2/2, (|u|^2/2 + p) u . grad phi, E . phi u, R : grad(phi u)),
+        and at ``probe_at`` the probe's row; its fields die on return."""
         grid, pv = self.traj.grid, self.test.phi.values
         n = grid.ndim
         u_hat, *rest = self.spectra[k]
         u = mollify_spectrum(u_hat, transfer, grid)
         umax = np.abs(u).max()
         if not self.live[k]:
-            return umax, None
+            return umax, None, None
         p_hat, q_hat, e_hat = rest
         ke = 0.5 * np.sum(u * u, axis=0)
         bern = ke + mollify_spectrum(p_hat, transfer, grid)
@@ -207,9 +216,16 @@ class _WeakIdentity:
         del ke, bern, adv
         euler = integrate(np.sum(mollify_spectrum(e_hat, transfer, grid) * (pv * u), axis=0), grid)
         stress = stress_from(mollify_spectrum(q_hat, transfer, grid), u)
-        return umax, (kinetic, transport, euler, contraction_grad(stress, u, pv, grid))
+        if k != self.probe_at:
+            return umax, (kinetic, transport, euler, contraction_grad(stress, u, pv, grid)), None
+        flux, row = probe_row(stress, u, pv, grid, self.probe)
+        return umax, (kinetic, transport, euler, flux), row
 
     def report(self, epsilon: float) -> EnergyBalanceReport:
+        return self.rung(epsilon)[0]
+
+    def rung(self, epsilon: float) -> tuple[EnergyBalanceReport, tuple[float, float, float] | None]:
+        """The report at ``epsilon`` and the probe's row there (None without ``probe_at``)."""
         traj, chain, kappa = self.traj, self.chain, self.kappa
         # the eta/2 margin binds only when Q2 has a real complement to stay away from
         if (~chain.q2).any() and epsilon > 0.5 * chain.eta:
@@ -224,9 +240,12 @@ class _WeakIdentity:
         euler_term = 0.0
         fluxes = np.zeros(len(self.times))  # a dead time's zero keeps the sum's order
         umax = 0.0
+        row = None
         for k in range(len(self.spectra)):
-            umax_k, sums = self._slice(k, transfer, epsilon)
+            umax_k, sums, row_k = self._slice(k, transfer, epsilon)
             umax = np.maximum(umax, umax_k)  # keeps a NaN, which max() would drop
+            if row_k is not None:
+                row = row_k
             if sums is None:
                 continue
             kinetic, transport, euler, fluxes[k] = sums
@@ -239,7 +258,7 @@ class _WeakIdentity:
         return EnergyBalanceReport(
             float(lhs), rhs, float(residual), float(epsilon), kappa, float(budget), float(euler_term),
             float(residual) + float(euler_term),
-        )
+        ), row
 
 
 def _time_derivative(traj: Trajectory, k: int) -> np.ndarray:
@@ -345,13 +364,20 @@ def dr_sweep_reports(
     test: TestFunction,
     chain: RegionChain,
     kappa: float | None = None,
-) -> tuple[EnergyBalanceReport, ...]:
+    probe_at: int | None = None,
+) -> tuple[tuple[EnergyBalanceReport, ...], ProbeRungs | None]:
     """The weak identity at every rung of the decreasing ladder: the
     epsilon-independent set-up once, then one kernel multiply per retained
-    time per rung.  ``fit_dr_sweep`` fits them at an alpha."""
+    time per rung.  ``fit_dr_sweep`` fits them at an alpha.
+
+    With ``probe_at``, a snapshot index, the scaling probe's rungs of that
+    snapshot come along, measured from the identity's own mollified fields
+    there, equal to ``commutator.probe_rungs(snapshot, epsilons, test.phi)``;
+    None when kappa smooths those fields or chi and chi' vanish there."""
     eps = epsilon_ladder(epsilons, traj.grid)
-    identity = _WeakIdentity(traj, test, chain, kappa)
-    return tuple(identity.report(e) for e in eps)
+    identity = _WeakIdentity(traj, test, chain, kappa, probe_at)
+    reports, rows = zip(*(identity.rung(e) for e in eps))
+    return reports, None if identity.probe_at is None else ProbeRungs(tuple(eps), *zip(*rows))
 
 
 def fit_dr_sweep(reports, alpha: float) -> DrSweepResult:
@@ -385,4 +411,4 @@ def dr_convergence_sweep(
     "non-vanishing/inconclusive".  The rungs (``dr_sweep_reports``) need no
     alpha, only the fit (``fit_dr_sweep``) does.
     """
-    return fit_dr_sweep(dr_sweep_reports(traj, epsilons, test, chain, kappa), alpha)
+    return fit_dr_sweep(dr_sweep_reports(traj, epsilons, test, chain, kappa)[0], alpha)

@@ -54,6 +54,12 @@ def bump(s):
 
 _CDF_INTERVALS = 4096
 _CDF_STEP = 2.0 / _CDF_INTERVALS
+# The 8-point Gauss-Legendre rule on [-1, 1], as ``numpy.polynomial.legendre.leggauss(8)``
+# gives it, written out so that importing this module does not load ``numpy.polynomial``.
+_GL8_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+                       0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GL8_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+                         0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
 
 
 def _cdf_table():
@@ -67,9 +73,8 @@ def _cdf_table():
     """
     h = _CDF_STEP
     nodes = np.linspace(-1.0, 1.0, _CDF_INTERVALS + 1)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
     mid = 0.5 * (nodes[:-1] + nodes[1:])
-    pieces = bump(mid[:, None] + (0.5 * h) * gl_x) @ (0.5 * h * gl_w)
+    pieces = bump(mid[:, None] + (0.5 * h) * _GL8_NODES) @ (0.5 * h * _GL8_WEIGHTS)
     cumulative = np.concatenate([[0.0], np.cumsum(pieces)])
     mass = float(cumulative[-1])
     return cumulative / mass, bump(nodes) / mass, mass

@@ -533,8 +533,8 @@ def _cpus(monkeypatch, n):
     sizes = []
 
     class Recording(cli._Workers):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self):
+            super().__init__()
             sizes.append(self.limit)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
@@ -598,10 +598,11 @@ def _refuse(k: int):
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3])
-def test_workers_keep_submission_order_and_their_limit(tmp_path, limit):
+def test_workers_keep_submission_order_and_their_limit(tmp_path, monkeypatch, limit):
     log = tmp_path / "calls.log"
     sizes = [1 << 20, 10, 3 << 16, 0, 1]  # results past a pipe's buffer included
-    with cli._Workers(limit) as workers:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(limit)))
+    with cli._Workers() as workers:
         for k, size in enumerate(sizes):
             workers.submit(_record, log, k, size)
         assert workers.results() == [(k, bytes(size)) for k, size in enumerate(sizes)]
@@ -612,10 +613,11 @@ def test_workers_keep_submission_order_and_their_limit(tmp_path, limit):
     assert peak <= limit and running == 0
 
 
-def test_workers_raise_the_first_failure_in_submission_order(tmp_path):
+def test_workers_raise_the_first_failure_in_submission_order(tmp_path, monkeypatch):
     log = tmp_path / "calls.log"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(PreconditionError, match=r"^call 1 refused \(injected\)$"):
-        with cli._Workers(2) as workers:
+        with cli._Workers() as workers:
             workers.submit(_record, log, 0, 0)
             workers.submit(_refuse, 1)
             workers.submit(_refuse, 2)
@@ -796,6 +798,21 @@ def test_diagnose_fits_are_the_library_probes_at_the_surveyed_alpha(tmp_path):
     sweep = dr_convergence_sweep(pressure.fill_pressures(traj), ladder, test, alpha, chain)
     assert summary["fits"] == json.loads(canonical_json(probe.fits))
     assert summary["dr_sweep"]["fit"] == json.loads(canonical_json(sweep.fit))
+
+
+@pytest.mark.parametrize("kappa", [None, 0.2])
+def test_diagnose_trajectory_measures_the_probe_once(tmp_path, monkeypatch, kappa):
+    # without a time radius the weak identity mollifies the probed snapshot as it is, so the probe is
+    # read off its rungs; a time radius smooths that snapshot, and the probe runs on its own
+    grid = make_grid((64, 64), (TWO_PI, TWO_PI))
+    vel = fractional_field(0.6, None, 1, grid).velocity
+    fieldio.write_trajectory(tmp_path / "traj", Trajectory(tuple(Snapshot(grid, vel, None, 0.1 * i)
+                                                                 for i in range(5)), 0.1))
+    calls, real = [], commutator.probe_rungs
+    monkeypatch.setattr(commutator, "probe_rungs", lambda *a, **k: calls.append(1) or real(*a, **k))
+    kappa_flag = [] if kappa is None else ["--kappa", str(kappa)]
+    assert main(["diagnose", "--in", str(tmp_path / "traj"), *kappa_flag, "--out", str(tmp_path / "d")]) in (0, 2)
+    assert len(calls) == (0 if kappa is None else 1)
 
 
 def test_diagnose_seminorm_of_a_clamped_exponent_is_the_largest_increment(tmp_path):

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oflux import energy_balance
-from oflux.commutator import _probe_mask, scaling_probe
-from oflux.energy_balance import ChiWindow, TestFunction, _WeakIdentity, dr_convergence_sweep, dr_dissipation_field
+from oflux.commutator import probe_mask, probe_rungs, scaling_probe
+from oflux.energy_balance import (ChiWindow, TestFunction, _WeakIdentity, dr_convergence_sweep, dr_dissipation_field,
+                                  dr_sweep_reports)
 from oflux.errors import PreconditionError
 from oflux.grids import Snapshot, Trajectory, deriv, make_grid, partial, partials
 from oflux.mollify import block_mask, cutoff_region, full_box_chain
@@ -53,7 +54,7 @@ def test_scaling_probe_matches_per_rung_oracle(shape, seed):
     phi = _phi(grid)
     eps = [c * grid.max_spacing for c in LADDER]
     got = scaling_probe(vel, 0.5, eps, phi=phi, grid=grid)
-    want = scaling_probe_rungs(vel, eps, phi.values, grid, _probe_mask(grid, None))
+    want = scaling_probe_rungs(vel, eps, phi.values, grid, probe_mask(grid, None))
     for k, (flux, sup_r, sup_g) in enumerate(want):
         assert abs(got.flux.values[k] - flux) <= RTOL * flux
         assert abs(got.stress_sup.values[k] - sup_r) <= RTOL * sup_r
@@ -76,6 +77,33 @@ def test_dr_sweep_matches_per_rung_oracle(shape, seed, kappa):
         assert abs(rep.lhs - lhs) <= RTOL * scale
         assert abs(rep.rhs - rhs) <= RTOL * scale
         assert abs(rep.euler_term - euler_term) <= RTOL * scale
+
+
+@PROPERTY
+@given(shape=shapes, seed=seeds)
+def test_dr_sweep_probe_equals_the_probe_alone(shape, seed):
+    # the probe read off the weak identity's live slice is the probe of that snapshot, bit for bit,
+    # and the identity's reports do not change with it
+    grid = _grid(shape)
+    traj = _trajectory(grid, seed, 3)
+    chain = full_box_chain(grid, eta=10.0)
+    test = TestFunction(ChiWindow(*traj.t_range), _phi(grid))
+    eps = [c * grid.max_spacing for c in LADDER]
+    reports, rungs = dr_sweep_reports(traj, eps, test, chain, probe_at=1)
+    assert rungs == probe_rungs(traj[1], eps, test.phi)
+    assert reports == dr_sweep_reports(traj, eps, test, chain)[0]
+
+
+def test_dr_sweep_probe_is_none_where_the_identity_does_not_mollify_the_snapshot():
+    grid = _grid((12, 12))
+    chain = full_box_chain(grid, eta=10.0)
+    eps = [c * grid.max_spacing for c in LADDER]
+    traj = _trajectory(grid, 0, 3)
+    test = TestFunction(ChiWindow(*traj.t_range), _phi(grid))
+    assert dr_sweep_reports(traj, eps, test, chain, probe_at=0)[1] is None  # chi and chi' vanish there
+    traj = _trajectory(grid, 0, 6)
+    test = TestFunction(ChiWindow(*traj.t_range), _phi(grid))
+    assert dr_sweep_reports(traj, eps, test, chain, kappa=0.2, probe_at=3)[1] is None  # smoothed in time
 
 
 @pytest.mark.parametrize("shape", [(12, 12), (9, 10, 11)])

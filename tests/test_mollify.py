@@ -326,3 +326,10 @@ def test_derivative_transfer_channel_interior():
     b = np.zeros_like(mw)
     b[:, 1:-1] = (mw[:, 2:] - mw[:, :-2]) / (2 * hy)
     assert np.abs((a - b)[region]).max() <= 1e-10
+
+
+def test_written_out_gauss_legendre_rule_is_numpys():
+    # the bump CDF table integrates with this rule; written out, it must be numpy's to the bit
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert nodes.tobytes() == mollify._GL8_NODES.tobytes()
+    assert weights.tobytes() == mollify._GL8_WEIGHTS.tobytes()
