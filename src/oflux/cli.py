@@ -413,7 +413,10 @@ def _diag_phi(grid: Grid, inner_frac: float, outer_frac: float):
 
     lo_i = 0.5 - inner_frac / 2.0
     lo_o = 0.5 - outer_frac / 2.0
-    return cutoff_region(grid, block_mask(grid, lo_i, 1.0 - lo_i), block_mask(grid, lo_o, 1.0 - lo_o))
+    try:
+        return cutoff_region(grid, block_mask(grid, lo_i, 1.0 - lo_i), block_mask(grid, lo_o, 1.0 - lo_o))
+    except PreconditionError as exc:
+        raise PreconditionError(f"diagnose.phi_inner, diagnose.phi_outer: {exc}") from exc
 
 
 def _diag_holder(snap: Snapshot, alpha, seed: int, window: tuple[float, float]):
@@ -480,9 +483,9 @@ def cmd_diagnose(cfg: dict) -> int:
         admissible = sorted({e for e in cfg["epsilons"] if e >= 2.0 * grid.max_spacing}, reverse=True)
         raise PreconditionError(f"diagnose.epsilons: {exc}; admissible ladder: "
                                 f"{admissible if len(admissible) >= 4 else _default_ladder(grid)}") from exc
+    phi = _diag_phi(grid, phi_inner, phi_outer)  # a cutoff the grid cannot hold is refused for every field
 
     if float(np.abs(snap.velocity).max()) < 1e-14:
-        _diag_phi(grid, phi_inner, phi_outer)  # a cutoff the grid cannot hold is refused for every field
         rows = [(e, 0.0, 0.0, 0.0) for e in ladder]
         write_csv(out / "scaling.csv", ["epsilon", "flux", "sup_R", "sup_grad"], rows)
         zero = verdict("probe.zero_field")
@@ -498,7 +501,6 @@ def cmd_diagnose(cfg: dict) -> int:
 
     with _Workers() as workers:
         workers.submit(_diag_holder, snap, cfg.get("alpha", "auto"), seed, (min(ladder), 2.0 * max(ladder)))
-        phi = _diag_phi(grid, phi_inner, phi_outer)
         reports, rungs, dissipation = _diag_weak_identity(data, ladder, phi, kappa) if frames >= 3 else (None,) * 3
         if rungs is None:
             rungs = probe_rungs(snap, ladder, phi)

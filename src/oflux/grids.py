@@ -172,6 +172,22 @@ def wall_normal_sign(grid: Grid) -> np.ndarray:
     return s.reshape([-1 if b == a else 1 for b in range(grid.ndim)])
 
 
+def box_axes(mask: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
+    """The per-axis node sets (boolean lines) whose product is the region ``mask``: every region is such
+    an axis-aligned box, per axis an interval, one that wraps on a periodic axis or a channel collar's two
+    ends.  Any other mask is refused."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != grid.dims:
+        raise PreconditionError(f"region shape {mask.shape} does not match the grid {grid.dims}")
+    axes = tuple(mask.any(axis=tuple(b for b in range(grid.ndim) if b != a)) for a in range(grid.ndim))
+    box = np.zeros(grid.dims, dtype=bool)
+    box[np.ix_(*axes)] = True
+    if not np.array_equal(mask, box):
+        raise PreconditionError(f"region is not an axis-aligned box: it holds {int(mask.sum())} of the "
+                                f"{int(box.sum())} nodes its axes span")
+    return axes
+
+
 @dataclass(frozen=True)
 class Snapshot:
     """Velocity (and optional pressure) sampled on grid nodes at one time."""

@@ -19,9 +19,10 @@ cutoff-extended field and the raw field convolve identically.  The direct
 stencil sum the FFT reproduces is kept with the tests as an oracle
 (tests/mollify_oracle.py).
 
-Nested regions and cutoffs measure node-to-set distances with an exact
-separable Euclidean distance transform in numpy (minimum image on periodic
-axes); a cutoff takes its ramp and its inner/outer gap from one transform.
+Every region is an axis-aligned box (``grids.box_axes``).  The nearest node
+outside a box differs along one axis only, so a node's distance to the
+complement is the least over the axes of one line's distance (minimum image
+on periodic axes); nested regions grow a box along each axis.
 
 Time has one mollifier, ``time_mollify``, for the weak identity's stacks;
 ``time_reach`` checks its radius against a trajectory before any work.
@@ -29,13 +30,14 @@ Time has one mollifier, ``time_mollify``, for the weak identity's stacks;
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
-from .grids import PERIODIC, WALL, Grid, wall_distance
+from .grids import PERIODIC, WALL, Grid, box_axes, wall_distance
 
 # ---------------------------------------------------------------------------
 # bump profile and its normalized antiderivative
@@ -235,69 +237,36 @@ def mollify_field(
 # ---------------------------------------------------------------------------
 
 
-_EDT_CHUNK = 1 << 16  # elements of the (rows, line, lines) candidate block per line pass
-
-
-def _distance_to_set(mask: np.ndarray, grid: Grid) -> np.ndarray:
-    """Euclidean distance from every node to the nearest True node.
-
-    Exact and separable.  A scan along axis 0 finds the nearest True node on
-    each line; every later axis then takes, per node, the minimum over its
-    line of (squared distance so far + (di h)^2).  Periodic axes measure di
-    by the minimum image.  Squared distances are summed in axis order, so the
-    values are those of the nearest node's offset (di_0 h_0)^2 + (di_1 h_1)^2
-    + ... itself.
-    """
-    if not mask.any():
-        return np.full(grid.dims, np.inf)
-    sq = _axis0_distance_sq(mask, grid)
-    for a in range(1, grid.ndim):
-        sq = _add_axis_distance_sq(sq, a, grid)
-    return np.sqrt(sq)
-
-
-def _axis0_distance_sq(mask: np.ndarray, grid: Grid) -> np.ndarray:
-    """Squared distance to the nearest True node on the same axis-0 line (inf if none)."""
-    m = grid.dims[0]
+def _axis_distance_sq(members: np.ndarray, axis: int, grid: Grid) -> np.ndarray:
+    """Squared distance from each node of ``axis`` to the nearest member node
+    on that axis (minimum image on a periodic axis; inf if there is none)."""
+    m = grid.dims[axis]
+    if not members.any():
+        return np.full(m, np.inf)
     far = 3 * m  # beyond any in-line offset, also after a periodic wrap
-    i = np.arange(m).reshape((m,) + (1,) * (grid.ndim - 1))
-    before = np.maximum.accumulate(np.where(mask, i, -far), axis=0)  # last True at or before i
-    after = np.minimum.accumulate(np.where(mask, i, far)[::-1], axis=0)[::-1]  # first True at or after i
-    if grid.axis_kinds[0] == PERIODIC:  # wrap to the line's last / first True node
+    i = np.arange(m)
+    before = np.maximum.accumulate(np.where(members, i, -far))  # last member at or before i
+    after = np.minimum.accumulate(np.where(members, i, far)[::-1])[::-1]  # first member at or after i
+    if grid.axis_kinds[axis] == PERIODIC:  # wrap to the last / first member
         before = np.where(before < 0, before[-1] - m, before)
         after = np.where(after >= m, after[0] + m, after)
-    di = np.minimum(i - before, after - i)
-    return np.where(mask.any(axis=0), (di * grid.spacing[0]) ** 2, np.inf)
+    return (np.minimum(i - before, after - i) * grid.spacing[axis]) ** 2
 
 
-def _add_axis_distance_sq(sq: np.ndarray, axis: int, grid: Grid) -> np.ndarray:
-    """min over the line along ``axis`` of sq[k] + ((j - k) h)^2, at every node j."""
-    m = grid.dims[axis]
-    k = np.arange(m)
-    di = np.abs(k[:, None] - k[None, :])
-    if grid.axis_kinds[axis] == PERIODIC:
-        di = np.minimum(di, m - di)
-    step_sq = (di * grid.spacing[axis]) ** 2  # [j, k]
-    lines = np.moveaxis(sq, axis, 0)
-    flat = lines.reshape(m, -1)
-    out = np.empty_like(flat)
-    rows = max(1, _EDT_CHUNK // flat.size)
-    for j in range(0, m, rows):
-        out[j : j + rows] = (flat[None] + step_sq[j : j + rows, :, None]).min(axis=1)
-    return np.moveaxis(out.reshape(lines.shape), 0, axis)
+def _outside_sq(box, grid: Grid) -> list[np.ndarray]:
+    """Per axis, the squared distance to the nearest node off the box's node set
+    on that axis; the distance to the box's complement is their least."""
+    return [_axis_distance_sq(~s, a, grid) for a, s in enumerate(box)]
 
 
-def set_distance(a_mask: np.ndarray, b_mask: np.ndarray, grid: Grid) -> float:
-    """min over a in A, b in B of |a - b| (periodic metric on periodic axes)."""
-    if not a_mask.any() or not b_mask.any():
-        return float("inf")
-    d = _distance_to_set(b_mask, grid)
-    return float(d[a_mask].min())
+def _gap(inner, outside_sq) -> float:
+    """Distance from the nonempty box ``inner`` to the complement whose ``_outside_sq`` is given."""
+    return float(np.sqrt(np.min([q[s].min() for q, s in zip(outside_sq, inner)])))
 
 
 @dataclass(frozen=True)
 class RegionChain:
-    """Nested index sets Q3 sub Q2 sub Q1 sub Qtilde with margin ``eta``."""
+    """Nested boxes Q3 sub Q2 sub Q1 sub Qtilde with margin ``eta``."""
 
     grid: Grid
     q3: np.ndarray
@@ -309,19 +278,16 @@ class RegionChain:
     def __post_init__(self):
         if not self.q3.any():
             raise PreconditionError("Q3 must be nonempty")
-        pairs = [(self.q3, self.q2), (self.q2, self.q1), (self.q1, self.qtilde)]
-        for inner, outer in pairs:
+        regions = [self.q3, self.q2, self.q1, self.qtilde]
+        for inner, outer in zip(regions, regions[1:]):
             if np.any(inner & ~outer):
                 raise PreconditionError("regions are not nested")
+        boxes = [box_axes(q, self.grid) for q in regions]
         tol = 1e-9 * self.eta
-        for inner, outer in pairs:
-            comp = ~outer
-            if comp.any():
-                gap = set_distance(inner, comp, self.grid)
-                if gap < self.eta - tol:
-                    raise PreconditionError(
-                        f"region margins violated: set distance {gap:g} < eta={self.eta:g}"
-                    )
+        for inner, outer in zip(boxes, boxes[1:]):
+            gap = _gap(inner, _outside_sq(outer, self.grid))  # inf when the outer box is the whole grid
+            if gap < self.eta - tol:
+                raise PreconditionError(f"region margins violated: set distance {gap:g} < eta={self.eta:g}")
 
 
 def full_box_chain(grid: Grid, eta: float) -> RegionChain:
@@ -333,24 +299,25 @@ def full_box_chain(grid: Grid, eta: float) -> RegionChain:
 
 
 def nested_regions(support: np.ndarray, eta: float, grid: Grid) -> RegionChain:
-    """Grow the three nested regions outward from ``support`` by steps of ``eta``.
+    """Grow the three nested boxes outward from the box ``support`` by steps of ``eta``.
 
-    Q_i is the set of nodes within i*eta of the support (rounding is outward:
-    node inclusion uses the closed ball).  On wall axes the outermost margin
-    must stay clear of the wall planes; otherwise the maximal feasible eta is
-    reported.
+    Along each axis Q_i holds the nodes within i*eta of the support's set
+    (closed, so rounding is outward); a margin holds on the axis that leaves
+    Q_(i+1).  On wall axes the outermost margin must stay clear of the wall
+    planes; otherwise the maximal feasible eta is reported.
     """
     if eta <= 0:
         raise PreconditionError("margin eta must be positive")
     support = np.asarray(support, dtype=bool)
-    if support.shape != grid.dims:
-        raise PreconditionError("support mask shape does not match the grid")
+    box = box_axes(support, grid)
     if not support.any():
         raise PreconditionError("support must be nonempty")
 
-    dist = _distance_to_set(support, grid)
+    dist = [np.sqrt(_axis_distance_sq(s, a, grid)) for a, s in enumerate(box)]
     tol = 1e-12 * max(grid.extents)
-    q3, q2, q1, qtilde = (dist <= i * eta + tol for i in range(1, 5))
+    regions = [np.zeros(grid.dims, dtype=bool) for _ in range(4)]
+    for i, q in enumerate(regions, start=1):
+        q[np.ix_(*(d <= i * eta + tol for d in dist))] = True
 
     wall_d = wall_distance(grid)
     if np.isfinite(wall_d).any():
@@ -360,7 +327,7 @@ def nested_regions(support: np.ndarray, eta: float, grid: Grid) -> RegionChain:
                 "domain too small for margins: support sits "
                 f"{clearance:g} from a wall; maximal feasible eta is {clearance / 4:g}"
             )
-    return RegionChain(grid, q3, q2, q1, qtilde, eta)
+    return RegionChain(grid, *regions, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +345,12 @@ class CutoffField:
 
 
 def cutoff_region(grid: Grid, inner: np.ndarray, outer: np.ndarray) -> CutoffField:
-    """Smooth transition from 1 on ``inner`` to 0 outside ``outer``.
+    """Smooth transition from 1 on the box ``inner`` to 0 outside the box ``outer``.
 
     Built by composing the bump ramp with the node distance to the complement
     of ``outer``, normalized by the inner/complement gap.
     """
+    inner_box, outer_box = box_axes(inner, grid), box_axes(outer, grid)
     inner = np.asarray(inner, dtype=bool)
     outer = np.asarray(outer, dtype=bool)
     if np.any(inner & ~outer):
@@ -392,14 +360,15 @@ def cutoff_region(grid: Grid, inner: np.ndarray, outer: np.ndarray) -> CutoffFie
     comp = ~outer
     if not comp.any():
         return CutoffField(np.ones(grid.dims), float("inf"))
-    d = _distance_to_set(comp, grid)
-    gap = float(d[inner].min())  # the inner/complement set distance
+    outside = _outside_sq(outer_box, grid)
+    gap = _gap(inner_box, outside)  # the inner/complement set distance
     floor = 2.0 * min(grid.spacing)  # resolution along the transition direction
     if gap < floor:
         raise PreconditionError(
             f"zero-width transition: inner/outer gap {gap:g} is below 2h={floor:g}"
         )
-    values = smooth_ramp(d / gap)
+    lines = (q.reshape([-1 if b == a else 1 for b in range(grid.ndim)]) for a, q in enumerate(outside))
+    values = smooth_ramp(np.sqrt(functools.reduce(np.minimum, lines)) / gap)
     values[inner] = 1.0
     values[comp] = 0.0
     return CutoffField(values, gap)

@@ -3,10 +3,11 @@
 Generators are deterministic: the same (seed, grid, parameters) produce
 bit-identical snapshots.  Hölder estimation uses max-type structure
 functions (sup of increments over node pairs), matching the sup-norm
-character of the C^{0,alpha} hypotheses the diagnostics test.  A region or
-a wall restricts the base nodes of each offset to a mask; on a fully
-periodic grid with no region every node qualifies, so an offset costs one
-roll, an in-place difference and square, and a max, with no mask built.
+character of the C^{0,alpha} hypotheses the diagnostics test.  A region
+(an axis-aligned box) or a wall restricts the base nodes of each offset to
+a product of one node set per axis; on a fully periodic grid with no region
+every node qualifies, so an offset costs one roll, an in-place difference
+and square, and a max, with no index built.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .grids import PERIODIC, Grid, Snapshot, as_components, loglog_fit
+from .grids import PERIODIC, Grid, Snapshot, as_components, box_axes, loglog_fit
 
 TWO_PI = 2.0 * np.pi
 
@@ -205,30 +206,26 @@ def _shell_orbits(grid: Grid, r_lo: float, r_hi: float) -> list[np.ndarray]:
     return np.split(offs[order], np.cumsum(counts)[:-1])
 
 
-def _valid_bases(grid: Grid, region: np.ndarray | None, offset) -> np.ndarray | None:
-    """Base nodes x whose pair (x, x - o*h) lies in the region and inside the
-    walls; None when every node qualifies (a fully periodic grid, no region)."""
-    if region is None and grid.fully_periodic:
+def _valid_bases(grid: Grid, box, offset):
+    """The base nodes x whose pair (x, x - o*h) lies in the region's box and
+    inside the walls, as the index of the product of one node set per axis;
+    None when every node qualifies (a fully periodic grid, no region)."""
+    if box is None and grid.fully_periodic:
         return None
-    valid = np.ones(grid.dims, dtype=bool) if region is None else region.copy()
-    if region is not None:
-        valid &= np.roll(region, shift=tuple(offset), axis=tuple(range(grid.ndim)))
+    sets = []
     for a in range(grid.ndim):
-        if grid.axis_kinds[a] == PERIODIC:
-            continue
-        m = grid.dims[a]
-        o = int(offset[a])
-        idx = np.arange(m)
-        ok = (idx - o >= 0) & (idx - o < m)
-        shape = [1] * grid.ndim
-        shape[a] = m
-        valid &= ok.reshape(shape)
-    return valid
+        m, o = grid.dims[a], int(offset[a])
+        ok = np.ones(m, dtype=bool) if box is None else box[a] & np.roll(box[a], o)
+        if grid.axis_kinds[a] != PERIODIC:
+            idx = np.arange(m)
+            ok &= (idx - o >= 0) & (idx - o < m)
+        sets.append(ok)
+    return np.ix_(*sets)
 
 
-def _offset_max_increment(vel: np.ndarray, offset, valid: np.ndarray | None = None) -> float:
-    """Max Euclidean increment |u(x) - u(x - o*h)| over the base nodes in
-    ``valid`` (every node when None), which must hold at least one node."""
+def _offset_max_increment(vel: np.ndarray, offset, valid=None) -> float:
+    """Max Euclidean increment |u(x) - u(x - o*h)| over the base nodes that
+    ``valid`` indexes (every node when None), which must hold at least one."""
     diff = np.roll(vel, shift=tuple(offset), axis=tuple(range(1, vel.ndim)))
     np.subtract(vel, diff, out=diff)
     np.square(diff, out=diff)
@@ -238,31 +235,29 @@ def _offset_max_increment(vel: np.ndarray, offset, valid: np.ndarray | None = No
     return float(np.sqrt((diff2 if valid is None else diff2[valid]).max()))
 
 
-def _region_extent(grid: Grid, region: np.ndarray | None) -> float:
-    """The region's smallest extent (the box's when None), after checking that
-    it spans at least 4 nodes along every axis."""
-    if region is None:
-        return min(grid.extents)
-    idx = np.argwhere(region)
-    if len(idx) == 0:
-        raise PreconditionError("region is empty")
-    spans = idx.max(axis=0) - idx.min(axis=0) + 1
-    if spans.min() < 4:
-        raise PreconditionError("region smaller than 4 nodes per axis")
-    return float(min(spans * np.asarray(grid.spacing)))
-
-
 MIN_RUNGS = 4  # the exponent fit needs this many rungs
 
 
 def separation_ladder(grid: Grid, region: np.ndarray | None = None) -> tuple[list[tuple[float, float]], float]:
-    """The survey's rungs, as shells [r_lo, r_hi), and the region's smallest
-    extent, from the grid alone.
+    """The survey's rungs, as shells [r_lo, r_hi), and the smallest extent of
+    the box ``region`` (of the grid when None), from the grid alone.
 
     Rungs start at the 2h increment floor and grow by sqrt(2) while they stay
     below a quarter of the extent; the region is checked first.
     """
-    extent = _region_extent(grid, region)
+    return _ladder(grid, None if region is None else box_axes(region, grid))
+
+
+def _ladder(grid: Grid, box) -> tuple[list[tuple[float, float]], float]:
+    """``separation_ladder`` of the per-axis node sets ``box``, which must span 4 nodes along every axis."""
+    extent = min(grid.extents)
+    if box is not None:
+        if not all(s.any() for s in box):
+            raise PreconditionError("region is empty")
+        spans = np.array([np.flatnonzero(s)[-1] - np.flatnonzero(s)[0] + 1 for s in box])
+        if spans.min() < 4:
+            raise PreconditionError("region smaller than 4 nodes per axis")
+        extent = float(min(spans * np.asarray(grid.spacing)))
     r_cap = 0.25 * extent * (1.0 + 1e-12)
     shells = []
     r = 2.0 * min(grid.spacing)
@@ -280,7 +275,8 @@ def _increment_survey(vel: np.ndarray, grid: Grid, region: np.ndarray | None, se
     per-offset (r_eff, s_max) points, per-rung (r, S) maxima in increasing r
     (the shells are disjoint), and the region's smallest extent.
     """
-    shells, extent = separation_ladder(grid, region)
+    box = None if region is None else box_axes(region, grid)
+    shells, extent = _ladder(grid, box)
     rng = np.random.default_rng(seed)
     points = []  # (r_eff, s)
     rung_points = []  # (r at argmax, rung max)
@@ -298,8 +294,8 @@ def _increment_survey(vel: np.ndarray, grid: Grid, region: np.ndarray | None, se
         for orbit in orbits:
             for o in orbit:
                 r_eff = float(np.sqrt(np.sum((o * hvec) ** 2)))
-                valid = _valid_bases(grid, region, o)
-                if valid is not None and not valid.any():
+                valid = _valid_bases(grid, box, o)
+                if valid is not None and any(ix.size == 0 for ix in valid):
                     continue
                 s = _offset_max_increment(vel, o, valid)
                 points.append((r_eff, s))

@@ -753,8 +753,7 @@ def test_diagnose_survey_worker_failure_exits_1(tmp_path, monkeypatch, capsys, f
 
 
 def test_diagnose_refusal_beside_a_running_survey_reaps_the_worker(tmp_path, monkeypatch, capsys):
-    # phi's outer block ends where its inner one does, one spacing from the complement: the cutoff is
-    # refused in the command's process while the survey runs in its worker
+    # the probe's rungs are refused in the command's process once the survey has started in its worker
     grid = make_grid((64, 64), (TWO_PI, TWO_PI))
     field = fieldio.write_snapshot(tmp_path / "f.oflx", fractional_field(0.4, None, 0, grid))
     log = tmp_path / "survey.log"
@@ -764,17 +763,43 @@ def test_diagnose_refusal_beside_a_running_survey_reaps_the_worker(tmp_path, mon
         time.sleep(60)
         log.write_text("finished")
 
+    def refused_rungs(*args, **kwargs):
+        while not (log.exists() and log.read_text() == "started"):  # the file is created before it is written
+            time.sleep(0.01)
+        raise PreconditionError("rungs refused (injected)")
+
     monkeypatch.setattr(synth, "estimate_holder_exponent", slow_survey)
+    monkeypatch.setattr(commutator, "probe_rungs", refused_rungs)
     out = tmp_path / "d"
     start = time.monotonic()
-    argv = ["diagnose", "--in", str(field), "--phi-inner", "0.5", "--phi-outer", "0.52", "--out", str(out)]
-    assert main(argv) == 3
+    assert main(["diagnose", "--in", str(field), "--out", str(out)]) == 3
     assert time.monotonic() - start < 30  # the worker was killed, not waited for
     err = capsys.readouterr().err
-    assert "zero-width transition" in err and "internal error" not in err
-    assert _no_output(out) and (not log.exists() or log.read_text() == "started")
+    assert "rungs refused (injected)" in err and "internal error" not in err
+    assert _no_output(out) and log.read_text() == "started"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # reaped
+
+
+@pytest.mark.parametrize("field_kind", ["fractional", "zero"])
+@pytest.mark.parametrize("dims, flags, reason", [
+    ((63, 63), ["--phi-inner", "0.01"], "inner region must be nonempty"),
+    ((64, 64), ["--phi-inner", "0.79", "--phi-outer", "0.8"], "zero-width transition"),
+], ids=["empty-inner", "zero-width"])
+def test_diagnose_phi_the_grid_cannot_hold_names_its_keys(tmp_path, monkeypatch, capsys, field_kind, dims, flags,
+                                                          reason):
+    # phi is built once, before the zero-field exit and before any worker is forked
+    grid = make_grid(dims, (TWO_PI, TWO_PI))
+    snap = fractional_field(0.4, None, 0, grid)
+    if field_kind == "zero":
+        snap = Snapshot(grid, np.zeros_like(snap.velocity))
+    field = fieldio.write_snapshot(tmp_path / "f.oflx", snap)
+    monkeypatch.setattr(cli, "_Workers", lambda: pytest.fail("a worker set was made"))
+    out = tmp_path / "d"
+    assert main(["diagnose", "--in", str(field), *flags, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"diagnose.phi_inner, diagnose.phi_outer: {reason}" in err and "internal error" not in err
+    assert _no_output(out)
 
 
 def test_diagnose_fits_are_the_library_probes_at_the_surveyed_alpha(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from oflux import mollify
 from oflux.errors import PreconditionError
-from oflux.grids import make_grid
+from oflux.grids import box_axes, make_grid, wall_distance
 from oflux.mollify import (
     block_mask,
     bump,
@@ -14,14 +14,14 @@ from oflux.mollify import (
     mollify_field,
     mollify_spectrum,
     nested_regions,
-    set_distance,
     time_kernel,
     time_mollify,
     time_reach,
 )
+from oflux.synth import estimate_holder_exponent
 
 from conftest import TWO_PI
-from mollify_oracle import convolve_stencil
+from mollify_oracle import convolve_stencil, distance_to_set
 
 
 def test_kernel_normalization(box64):
@@ -129,7 +129,8 @@ def test_nested_regions_distances(box64):
     chain = nested_regions(support, eta, box64)
     # brute-force nearest-pair oracle on the coarse masks
     for inner, outer in ((chain.q3, chain.q2), (chain.q2, chain.q1), (chain.q1, chain.qtilde)):
-        gap = set_distance(inner, ~outer, box64)
+        box_axes(outer, box64)  # every region of the chain is a box: any other is refused
+        gap = distance_to_set(~outer, box64)[inner].min()
         a = np.argwhere(inner) * box64.max_spacing
         b = np.argwhere(~outer) * box64.max_spacing
         # subsample the brute-force check to keep it quadratic but small
@@ -138,6 +139,8 @@ def test_nested_regions_distances(box64):
         brute = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)).min()
         assert gap >= eta - 1e-9
         assert brute >= gap - 1e-9
+    for i, q in enumerate((chain.q3, chain.q2, chain.q1, chain.qtilde), start=1):
+        assert q.sum() == (16 + 2 * 4 * i) ** 2  # the block grown by i*eta = 4i nodes at each of its faces
 
 
 def test_nested_regions_rejects_zero_margin(box64):
@@ -168,35 +171,57 @@ def test_cutoff_region_values(box64):
 
 @pytest.mark.parametrize("kinds", ["periodic", ("periodic", "wall")])
 def test_cutoff_region_runs_one_distance_transform(monkeypatch, kinds):
+    # one distance pass, a line per axis, gives both the ramp and the gap
     grid = make_grid((32, 33), (TWO_PI, 1.0), kinds)
     inner, outer = block_mask(grid, 0.35, 0.65), block_mask(grid, 0.2, 0.8)
-    gap = set_distance(inner, ~outer, grid)
+    gap = distance_to_set(~outer, grid)[inner].min()
     calls = []
-    real = mollify._distance_to_set
+    real = mollify._axis_distance_sq
 
-    def counting(mask, g):
-        calls.append(mask)
-        return real(mask, g)
+    def counting(members, axis, g):
+        calls.append(axis)
+        return real(members, axis, g)
 
-    monkeypatch.setattr(mollify, "_distance_to_set", counting)
+    monkeypatch.setattr(mollify, "_axis_distance_sq", counting)
     cf = cutoff_region(grid, inner, outer)
-    assert len(calls) == 1
+    assert calls == [0, 1]
     assert cf.width == gap
 
 
-@pytest.mark.parametrize("chunk", [1 << 20, 1 << 10])
-@pytest.mark.parametrize("dims, kinds", [((64, 65), "periodic"), ((64, 65), ("periodic", "wall")),
-                                         ((24, 25, 26), "periodic")])
-def test_cutoff_region_is_bitwise_the_same_at_any_distance_block(monkeypatch, chunk, dims, kinds):
-    # the candidate block bounds the distance pass's memory, not its minima: all rows
-    # of a line pass at once (2^20), a few (the module's 2^16) or one (2^10)
-    grid = make_grid(dims, (TWO_PI, 1.0, 2.0)[: len(dims)], kinds)
-    inner, outer = block_mask(grid, 0.35, 0.65), block_mask(grid, 0.2, 0.8)
-    want = cutoff_region(grid, inner, outer)
-    monkeypatch.setattr(mollify, "_EDT_CHUNK", chunk)
-    got = cutoff_region(grid, inner, outer)
-    assert got.values.tobytes() == want.values.tobytes()
-    assert got.width == want.width
+def _transform_cases():
+    """diagnose's phi blocks at 256^2, and boundary's default collar (gamma a quarter of the width)
+    on a 128x129 channel."""
+    box = make_grid((256, 256), (TWO_PI, TWO_PI))
+    for fi, fo in [(0.4, 0.8), (0.2, 0.6), (0.5, 0.9), (0.1, 0.3)]:
+        lo_i, lo_o = 0.5 - fi / 2.0, 0.5 - fo / 2.0
+        yield pytest.param(box, block_mask(box, lo_i, 1.0 - lo_i), block_mask(box, lo_o, 1.0 - lo_o),
+                           id=f"phi-{fi}-{fo}")
+    channel = make_grid((128, 129), (TWO_PI, 1.0), ("periodic", "wall"))
+    d = np.broadcast_to(wall_distance(channel), channel.dims)
+    yield pytest.param(channel, d < 0.125, d < 0.25, id="collar")
+
+
+@pytest.mark.parametrize("grid, inner, outer", _transform_cases())
+def test_cutoff_region_is_bitwise_the_distance_transform(grid, inner, outer):
+    # the closed form picks the exact transform's nearest node and its square
+    d = distance_to_set(~outer, grid)
+    gap = float(d[inner].min())
+    values = mollify.smooth_ramp(d / gap)
+    values[inner], values[~outer] = 1.0, 0.0
+    cf = cutoff_region(grid, inner, outer)
+    assert cf.values.tobytes() == values.tobytes() and cf.width == gap
+
+
+def test_regions_that_are_not_boxes_are_refused(box64):
+    ell = block_mask(box64, 0.2, 0.8) & ~block_mask(box64, (0.5, 0.5), (0.8, 0.8))  # an L-shape
+    with pytest.raises(PreconditionError, match="not an axis-aligned box"):
+        cutoff_region(box64, block_mask(box64, 0.3, 0.4), ell)
+    with pytest.raises(PreconditionError, match="not an axis-aligned box"):
+        cutoff_region(box64, ell, np.ones(box64.dims, dtype=bool))
+    with pytest.raises(PreconditionError, match="not an axis-aligned box"):
+        nested_regions(ell, 2 * box64.max_spacing, box64)
+    with pytest.raises(PreconditionError, match="not an axis-aligned box"):
+        estimate_holder_exponent(np.zeros((2, *box64.dims)), ell, grid=box64)
 
 
 @pytest.mark.parametrize("lead, dims", [((), (64, 64)), ((1,), (64, 64)), ((3,), (64, 64)),
@@ -308,7 +333,7 @@ def test_bump_cdf_matches_quad_oracle():
 
 def test_derivative_transfer_channel_interior():
     # central differences commute with the stencil convolution away from walls
-    from oflux.grids import make_grid
+    from oflux.grids import make_grid, wall_distance
 
     g = make_grid((48, 49), (1.0, 1.0), ("periodic", "wall"))
     x, y = g.meshes()

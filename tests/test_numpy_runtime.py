@@ -1,10 +1,11 @@
 """The package runs on numpy alone; scipy serves here as the oracle.
 
 The real-to-real transforms of ``oflux.grids`` are checked against
-``scipy.fft`` and the exact distance transform of ``oflux.mollify`` against
+``scipy.fft`` and the closed-form box distances of ``oflux.mollify`` against
 ``scipy.ndimage`` on the periodically tiled mask.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -17,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oflux
-from oflux import grids
+from oflux import grids, mollify
 from oflux.errors import PreconditionError
-from oflux.grids import make_grid
-from oflux.mollify import _distance_to_set, block_mask
+from oflux.grids import box_axes, make_grid, wall_distance
+from oflux.mollify import block_mask
 
-from mollify_oracle import distance_via_tiling
+from mollify_oracle import distance_to_set, distance_via_tiling
 
 PROPERTY = settings(max_examples=60, deadline=None)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -68,42 +69,53 @@ def test_r2r_rejects_other_types():
 axis_kinds = st.sampled_from(["periodic", "wall"])
 
 
+def _outside_distance(box, grid):
+    """The package's distance from every node to the complement of a box, the least of its per-axis lines."""
+    lines = [q.reshape([-1 if b == a else 1 for b in range(grid.ndim)])
+             for a, q in enumerate(mollify._outside_sq(box_axes(box, grid), grid))]
+    return np.sqrt(functools.reduce(np.minimum, lines))
+
+
 @st.composite
 def distance_cases(draw):
+    """A 2D or 3D grid of periodic and wall axes, anisotropic, and a box on it: a block
+    (rolled on its periodic axes, so it may wrap), or a wall collar's interior, or on
+    one wall axis the collar itself."""
     ndim = draw(st.sampled_from([2, 3]))
     dims = tuple(draw(st.integers(8, 17 if ndim == 2 else 11)) for _ in range(ndim))
     kinds = tuple(draw(axis_kinds) for _ in range(ndim))
     extents = tuple(draw(st.floats(0.5, 7.0)) for _ in range(ndim))
     grid = make_grid(dims, extents, kinds)
-    if draw(st.booleans()):
-        lo = [draw(st.floats(0.0, 0.6)) for _ in range(ndim)]
-        hi = [l + draw(st.floats(0.15, 0.4)) for l in lo]
-        mask = block_mask(grid, lo, hi)
-        if draw(st.booleans()):
-            mask = ~mask
-    else:
-        density = draw(st.sampled_from([0.01, 0.05, 0.3]))
-        mask = np.random.default_rng(draw(seeds)).random(dims) < density
-    return grid, mask
+    if "wall" in kinds and draw(st.booleans()):
+        near = draw(st.floats(0.05, 0.45)) * max(extents)  # may take the whole grid, leaving no interior
+        collar = np.broadcast_to(wall_distance(grid), dims) < near
+        return grid, (collar if kinds.count("wall") == 1 and draw(st.booleans()) else ~collar)
+    lo = [draw(st.floats(0.0, 0.6)) for _ in range(ndim)]
+    hi = [l + draw(st.floats(0.15, 0.4)) for l in lo]
+    shift = [draw(st.integers(0, m - 1)) if kind == "periodic" else 0 for m, kind in zip(dims, kinds)]
+    return grid, np.roll(block_mask(grid, lo, hi), shift, axis=tuple(range(ndim)))
 
 
 @PROPERTY
 @given(case=distance_cases())
 def test_distance_transform_matches_ndimage_on_tiled_mask(case):
-    grid, mask = case
-    got = _distance_to_set(mask, grid)
-    if not mask.any():
+    grid, box = case
+    got = _outside_distance(box, grid)
+    assert got.tobytes() == distance_to_set(~box, grid).tobytes()  # the exact transform's, bit for bit
+    if box.all():
         assert np.all(np.isinf(got))
         return
-    want = distance_via_tiling(mask, grid)
+    want = distance_via_tiling(~box, grid)
     assert np.abs(got - want).max() <= 1e-15 * max(grid.extents)
 
 
 @pytest.mark.parametrize("kinds", ["periodic", "wall", ("periodic", "wall", "periodic")])
 def test_distance_to_empty_set_is_infinite(kinds):
+    # the whole grid is a box with no node outside it, on every axis
     dims = (8, 9) if isinstance(kinds, str) else (8, 9, 10)
     grid = make_grid(dims, (1.0,) * len(dims), kinds)
-    assert np.all(np.isinf(_distance_to_set(np.zeros(dims, dtype=bool), grid)))
+    assert np.all(np.isinf(_outside_distance(np.ones(dims, dtype=bool), grid)))
+    assert np.all(np.isinf(distance_to_set(np.zeros(dims, dtype=bool), grid)))
 
 
 def test_cli_import_loads_no_scipy():
